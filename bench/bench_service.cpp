@@ -4,9 +4,13 @@
 // wall time to the campaign alone — a small fraction of the cold request
 // for realistic "short campaign on a big design" service traffic. Also
 // measures predict-job serving throughput: after the first request on a
-// design, predictions are pure feature-extraction + model application (no
-// simulation), and feature-matrix predictions never construct an engine at
-// all. Emits BENCH_service.json.
+// design, a predict is a content hash plus lookups in the registry (the
+// entry memoizes its prediction per model — no simulation, no feature
+// extraction, no model application), and feature-matrix predictions never
+// construct an engine at all. Exits non-zero when a warm request misses the
+// cache, when the cached-predict burst computes more predictions than there
+// are workers (each worker computes at most once before the memo lands),
+// or when feature-matrix predicts build an engine. Emits BENCH_service.json.
 //
 // The campaign scenario is service-shaped: a long workload trace whose
 // requests probe the drain phase (the last 512 cycles), so checkpointed
@@ -113,7 +117,10 @@ int main() {
                   service.metrics().snapshot().cache_hits,
                   service.metrics().snapshot().engine_builds});
 
-  // Phase 3: predict serving off the cached golden run.
+  // Phase 3: predict serving off the cached golden run and the entry's
+  // prediction memo.
+  const std::uint64_t computed_before =
+      service.metrics().snapshot().predictions_computed;
   stopwatch.reset();
   for (std::size_t i = 0; i < num_predicts; ++i) {
     (void)service.submit_predict(model_path, mac.netlist, bench.tb);
@@ -122,6 +129,8 @@ int main() {
   rows.push_back({"predict_cached", num_predicts, stopwatch.elapsed_seconds(),
                   service.metrics().snapshot().cache_hits,
                   service.metrics().snapshot().engine_builds});
+  const std::uint64_t predictions_computed =
+      service.metrics().snapshot().predictions_computed - computed_before;
 
   // Phase 4: feature-matrix predicts — no engine, no simulator, ever.
   const sim::GoldenResult golden = sim::run_golden(mac.netlist, bench.tb);
@@ -155,6 +164,17 @@ int main() {
               warm / cold);
   if (rows[1].cache_hits < 1 || rows[1].engine_builds != 1) {
     std::fprintf(stderr, "FAIL: second identical request did not hit the cache\n");
+    return 1;
+  }
+  std::printf("predict_cached computed : %llu of %zu predictions (%zu workers)\n",
+              static_cast<unsigned long long>(predictions_computed),
+              num_predicts, service.num_workers());
+  if (predictions_computed > service.num_workers()) {
+    std::fprintf(stderr,
+                 "FAIL: cached predicts computed %llu predictions on %zu "
+                 "workers; the prediction memo is not serving them\n",
+                 static_cast<unsigned long long>(predictions_computed),
+                 service.num_workers());
     return 1;
   }
   if (rows[3].engine_builds != 0) {

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <string_view>
 
 #include "netlist/verilog_writer.hpp"
 
@@ -43,10 +44,6 @@ std::string ContentHash::hex() const {
                 static_cast<unsigned long long>(hi),
                 static_cast<unsigned long long>(lo));
   return std::string(buffer, 32);
-}
-
-ContentHash hash_bytes(std::string_view bytes) noexcept {
-  return ContentHash{fnv1a(kFnvOffsetLo, bytes), fnv1a(kFnvOffsetHi, bytes)};
 }
 
 std::string canonical_testbench(const netlist::Netlist& nl,
@@ -91,23 +88,29 @@ std::string canonical_testbench(const netlist::Netlist& nl,
   return out;
 }
 
-ContentHash content_hash(const netlist::Netlist& nl, const sim::Testbench& tb) {
+ContentKeys content_keys(const netlist::Netlist& nl, const sim::Testbench& tb) {
   if (!nl.finalized()) {
-    throw std::invalid_argument("content_hash: netlist is not finalized");
+    throw std::invalid_argument("content_keys: netlist is not finalized");
   }
-  const std::string netlist_text = netlist::to_verilog(nl);
-  const std::string bench_text = canonical_testbench(nl, tb);
-  std::string stream;
-  stream.reserve(netlist_text.size() + bench_text.size() + 48);
-  stream += "netlist ";
-  stream += std::to_string(netlist_text.size());
-  stream += '\n';
-  stream += netlist_text;
-  stream += "testbench ";
-  stream += std::to_string(bench_text.size());
-  stream += '\n';
-  stream += bench_text;
-  return hash_bytes(stream);
+  // Folds "<tag> <length>\n<text>" for each section into the running FNV
+  // states; the netlist key is the state between the two sections.
+  const auto fold = [](ContentHash state, std::string_view tag,
+                       std::string_view text) {
+    const std::string header =
+        std::string(tag) + ' ' + std::to_string(text.size()) + '\n';
+    state.lo = fnv1a(fnv1a(state.lo, header), text);
+    state.hi = fnv1a(fnv1a(state.hi, header), text);
+    return state;
+  };
+  ContentKeys keys;
+  keys.netlist = fold(ContentHash{kFnvOffsetLo, kFnvOffsetHi}, "netlist",
+                      netlist::to_verilog(nl));
+  keys.full = fold(keys.netlist, "testbench", canonical_testbench(nl, tb));
+  return keys;
+}
+
+ContentHash content_hash(const netlist::Netlist& nl, const sim::Testbench& tb) {
+  return content_keys(nl, tb).full;
 }
 
 }  // namespace ffr::service

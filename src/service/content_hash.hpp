@@ -15,13 +15,16 @@
 ///      nets by *name*, so it is invariant under NetId remapping — a
 ///      testbench rebound with sim::retarget_testbench hashes identically.
 ///
+/// The FNV state after the first stream is itself a key: the netlist key
+/// (ContentKeys::netlist) under which the registry shares one netlist copy
+/// among every testbench on a design.
+///
 /// 128 bits of FNV-1a is not cryptographic; it keys a trusted in-process
 /// cache where an accidental collision is the only concern (probability
 /// ~n^2 / 2^128 for n cached designs — negligible).
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "netlist/netlist.hpp"
 #include "sim/testbench.hpp"
@@ -43,9 +46,6 @@ struct ContentHash {
   [[nodiscard]] std::string hex() const;
 };
 
-/// FNV-1a over `bytes`, folded into both halves with distinct offset bases.
-[[nodiscard]] ContentHash hash_bytes(std::string_view bytes) noexcept;
-
 /// Canonical text form of a testbench *relative to its netlist*: the
 /// injection window, the packed stimulus waveforms, and the loopback /
 /// packet-monitor bindings spelled with net names (never NetIds). Two
@@ -56,8 +56,22 @@ struct ContentHash {
 [[nodiscard]] std::string canonical_testbench(const netlist::Netlist& nl,
                                               const sim::Testbench& tb);
 
-/// The service cache key: hash of the canonical netlist and testbench byte
-/// streams (length-delimited, so the concatenation is unambiguous).
+/// Both registry keys of a (netlist, testbench) pair from one Verilog
+/// rendering. The hashed stream is the length-prefixed netlist section
+/// followed by the length-prefixed testbench section; `netlist` is the FNV
+/// state after the first section (equal for every testbench on one design,
+/// the key the registry shares netlist copies under) and `full` is the state
+/// after both (the content_hash() cache key).
+struct ContentKeys {
+  ContentHash netlist;
+  ContentHash full;
+};
+
+/// \throws std::invalid_argument when the netlist is not finalized.
+[[nodiscard]] ContentKeys content_keys(const netlist::Netlist& nl,
+                                       const sim::Testbench& tb);
+
+/// The service cache key: content_keys(nl, tb).full.
 /// \throws std::invalid_argument when the netlist is not finalized.
 [[nodiscard]] ContentHash content_hash(const netlist::Netlist& nl,
                                        const sim::Testbench& tb);

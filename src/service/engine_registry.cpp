@@ -4,25 +4,61 @@
 #include <optional>
 #include <utility>
 
+#include "core/transfer_flow.hpp"
+#include "features/extractor.hpp"
+
 namespace ffr::service {
 
-/// A cache slot. The netlist/testbench copies are written once by the
+/// A cache slot. The netlist/testbench/engine fields are written once by the
 /// builder thread before the build future is signalled; every other access
-/// happens after wait() on that future (release/acquire pairing), so the
-/// copies and the engine need no further locking. The bookkeeping fields
-/// (ready, last_use, acquisitions, bytes) are guarded by the registry mutex.
+/// happens after wait() on that future (release/acquire pairing), so they
+/// need no further locking. The bookkeeping fields (ready, last_use,
+/// acquisitions, bytes) and the memo are guarded by the registry mutex.
 struct EngineRegistry::Entry {
-  netlist::Netlist netlist{"pending"};          ///< Owned copy (see header).
-  sim::Testbench testbench;                     ///< Owned copy.
-  std::optional<fault::CampaignEngine> engine;  ///< Built against the copies.
+  ContentHash key;
+  std::shared_ptr<const netlist::Netlist> netlist;  ///< Shared copy (see header).
+  sim::Testbench testbench;                         ///< Re-bound onto `netlist`.
+  std::optional<fault::CampaignEngine> engine;      ///< Built against the copies.
   std::promise<void> build_done;
   std::shared_future<void> build;
   std::exception_ptr build_error;
 
-  std::size_t bytes = 0;            ///< resident_bytes() after a ready build.
+  /// One memoized prediction per model; the shared_ptr pins the model's
+  /// address for as long as the memo keys on it.
+  struct Memo {
+    std::shared_ptr<const core::TransferModel> model;
+    std::shared_ptr<const linalg::Vector> fdr;
+  };
+  std::vector<Memo> predictions;
+
+  std::size_t bytes = 0;            ///< Charged bytes after a ready build.
   std::uint64_t last_use = 0;       ///< LRU tick.
   std::uint64_t acquisitions = 0;   ///< acquire() calls served.
   bool ready = false;               ///< Build finished successfully.
+
+  [[nodiscard]] std::shared_ptr<const linalg::Vector> memo(
+      const core::TransferModel* model) const {
+    for (const Memo& m : predictions) {
+      if (m.model.get() == model) return m.fdr;
+    }
+    return nullptr;
+  }
+
+  /// What the entry is charged against the budget: the engine, the
+  /// testbench copy (its waveforms dominate) and the memoized vectors. The
+  /// shared netlist copy is not charged.
+  [[nodiscard]] std::size_t charged_bytes() const {
+    std::size_t total =
+        engine->resident_bytes() + sizeof(sim::Testbench) +
+        testbench.stimulus.num_inputs() *
+            (sizeof(std::vector<std::uint8_t>) + testbench.stimulus.num_cycles()) +
+        testbench.loopbacks.size() * sizeof(sim::Loopback) +
+        testbench.monitor.data.size() * sizeof(netlist::NetId);
+    for (const Memo& m : predictions) {
+      total += sizeof(linalg::Vector) + m.fdr->size() * sizeof(double);
+    }
+    return total;
+  }
 };
 
 EngineRegistry::EngineRegistry(RegistryConfig config, ServiceMetrics* metrics)
@@ -35,20 +71,77 @@ EngineRegistry::EngineRegistry(RegistryConfig config, ServiceMetrics* metrics)
 
 std::shared_ptr<const fault::CampaignEngine> EngineRegistry::acquire(
     const netlist::Netlist& nl, const sim::Testbench& tb) {
-  const ContentHash key = content_hash(nl, tb);
+  std::shared_ptr<Entry> entry = acquire_entry(nl, tb);
+  const fault::CampaignEngine* engine = &*entry->engine;
+  return std::shared_ptr<const fault::CampaignEngine>(std::move(entry), engine);
+}
+
+std::shared_ptr<const linalg::Vector> EngineRegistry::predict(
+    const netlist::Netlist& nl, const sim::Testbench& tb,
+    const std::shared_ptr<const core::TransferModel>& model) {
+  const std::shared_ptr<Entry> entry = acquire_entry(nl, tb);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (auto fdr = entry->memo(model.get())) {
+      metrics_->predictions_reused.fetch_add(1, std::memory_order_relaxed);
+      return fdr;
+    }
+  }
+  // The cached engine already holds the golden activity trace, so this
+  // never simulates (and never fault-injects at all).
+  const fault::CampaignEngine& engine = *entry->engine;
+  auto fdr = std::make_shared<const linalg::Vector>(model->predict(
+      features::extract_features(engine.netlist(), engine.golden().activity)));
+  metrics_->predictions_computed.fetch_add(1, std::memory_order_relaxed);
+
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (auto first = entry->memo(model.get())) return first;  // lost the race
+  entry->predictions.push_back({model, fdr});
+  auto it = entries_.find(entry->key);
+  if (it != entries_.end() && it->second == entry && entry->ready) {
+    entry->bytes = entry->charged_bytes();
+    enforce_budget_locked(entry->key);
+    update_gauges_locked();
+  }
+  return fdr;
+}
+
+std::shared_ptr<const netlist::Netlist> EngineRegistry::share_netlist(
+    const ContentHash& key, const netlist::Netlist& nl) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = netlists_.find(key);
+    if (it != netlists_.end()) {
+      if (auto shared = it->second.lock()) return shared;
+    }
+  }
+  // Copied outside the lock; a concurrent builder of the same design may
+  // publish its copy first, and then this one is dropped.
+  auto copy = std::make_shared<const netlist::Netlist>(nl);
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::weak_ptr<const netlist::Netlist>& slot = netlists_[key];
+  if (auto shared = slot.lock()) return shared;
+  slot = copy;
+  return copy;
+}
+
+std::shared_ptr<EngineRegistry::Entry> EngineRegistry::acquire_entry(
+    const netlist::Netlist& nl, const sim::Testbench& tb) {
+  const ContentKeys keys = content_keys(nl, tb);
 
   std::shared_ptr<Entry> entry;
   bool builder = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key);
+    auto it = entries_.find(keys.full);
     if (it != entries_.end()) {
       entry = it->second;
       metrics_->cache_hits.fetch_add(1, std::memory_order_relaxed);
     } else {
       entry = std::make_shared<Entry>();
+      entry->key = keys.full;
       entry->build = entry->build_done.get_future().share();
-      entries_.emplace(key, entry);
+      entries_.emplace(keys.full, entry);
       builder = true;
       metrics_->cache_misses.fetch_add(1, std::memory_order_relaxed);
     }
@@ -56,37 +149,37 @@ std::shared_ptr<const fault::CampaignEngine> EngineRegistry::acquire(
 
   if (builder) {
     try {
-      entry->netlist = nl;
-      entry->testbench = tb;
+      entry->netlist = share_netlist(keys.netlist, nl);
+      entry->testbench = sim::retarget_testbench(tb, nl, *entry->netlist);
       // The golden simulation — the expensive step the cache amortizes —
       // runs here, outside the registry lock.
-      entry->engine.emplace(entry->netlist, entry->testbench);
+      entry->engine.emplace(*entry->netlist, entry->testbench);
       metrics_->engine_builds.fetch_add(1, std::memory_order_relaxed);
     } catch (...) {
       entry->build_error = std::current_exception();
       entry->build_done.set_value();
       std::lock_guard<std::mutex> lock(mutex_);
-      auto it = entries_.find(key);
+      auto it = entries_.find(keys.full);
       if (it != entries_.end() && it->second == entry) entries_.erase(it);
       update_gauges_locked();
       throw;
     }
     entry->build_done.set_value();
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key);
+    auto it = entries_.find(keys.full);
     if (it != entries_.end() && it->second == entry) {
       // `bytes` is mutex-guarded (a concurrent evict() of a mid-build slot
       // reads it for the eviction record), so it is published here, not on
       // the unlocked build path above.
-      entry->bytes = entry->engine->resident_bytes();
+      entry->bytes = entry->charged_bytes();
       entry->ready = true;
       entry->last_use = ++use_tick_;
       ++entry->acquisitions;
-      enforce_budget_locked(key);
+      enforce_budget_locked(keys.full);
       update_gauges_locked();
     }
     // else: the slot was explicitly evicted mid-build; serve the engine to
-    // this caller anyway — the aliasing shared_ptr keeps it alive.
+    // this caller anyway — the returned shared_ptr keeps it alive.
   } else {
     entry->build.wait();
     if (entry->build_error != nullptr) {
@@ -96,8 +189,7 @@ std::shared_ptr<const fault::CampaignEngine> EngineRegistry::acquire(
     entry->last_use = ++use_tick_;
     ++entry->acquisitions;
   }
-
-  return std::shared_ptr<const fault::CampaignEngine>(entry, &*entry->engine);
+  return entry;
 }
 
 void EngineRegistry::evict_locked(
@@ -105,7 +197,7 @@ void EngineRegistry::evict_locked(
   const std::shared_ptr<Entry>& entry = it->second;
   EvictionRecord record;
   record.key = it->first;
-  record.circuit = entry->ready ? entry->netlist.name() : "(building)";
+  record.circuit = entry->ready ? entry->netlist->name() : "(building)";
   record.bytes = entry->bytes;
   record.acquisitions = entry->acquisitions;
   eviction_log_.push_back(std::move(record));
@@ -145,6 +237,8 @@ void EngineRegistry::update_gauges_locked() {
   }
   metrics_->resident_engines.store(engines, std::memory_order_relaxed);
   metrics_->resident_bytes.store(bytes, std::memory_order_relaxed);
+  std::erase_if(netlists_, [](const auto& slot) { return slot.second.expired(); });
+  metrics_->resident_netlists.store(netlists_.size(), std::memory_order_relaxed);
 }
 
 bool EngineRegistry::evict(const ContentHash& key) {

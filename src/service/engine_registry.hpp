@@ -12,34 +12,59 @@
 ///
 /// ## Ownership
 ///
-/// acquire() copies the netlist and testbench into the cache entry and
-/// builds the engine against the owned copies, so a cached engine never
-/// dangles when the caller's objects die — the lifetime coupling that makes
-/// a long-lived cache safe for library users. The copy is structurally
-/// identical (same ids, same creation order), so campaign results off the
-/// cached engine are bit-identical to running on the caller's originals.
-/// Returned shared_ptrs alias the entry: an engine stays alive while any
-/// caller holds it, even after the registry evicts the entry.
+/// acquire() builds the engine against copies the entry owns, so a cached
+/// engine never dangles when the caller's objects die — the lifetime
+/// coupling that makes a long-lived cache safe for library users.
+///
+/// - **Netlist: one shared copy per design.** Entries whose netlists have
+///   equal content (the ContentKeys::netlist part of the key) share one
+///   owned Netlist, found through a weak map: many testbenches on one
+///   design — e.g. a stream of never-seen workloads on a known circuit —
+///   cost one netlist copy, and the copy dies with the last entry (or
+///   caller-held engine) using it.
+/// - **Testbench: one copy per entry**, re-bound by net name onto the
+///   shared netlist with sim::retarget_testbench. A Verilog re-import
+///   hashes equal to its original but numbers its nets differently, so the
+///   caller's NetIds cannot be carried over as they are.
+///
+/// Flip-flop order and names survive the re-bind, so campaign results and
+/// predictions off the cached engine are bit-identical to running on the
+/// caller's originals. Returned shared_ptrs alias the entry: an engine
+/// stays alive while any caller holds it, even after the registry evicts
+/// the entry.
+///
+/// ## Prediction memo
+///
+/// predict() memoizes each entry's FDR prediction per loaded
+/// core::TransferModel. The memo key holds the model's shared_ptr, so a
+/// model's address cannot be reused by a different model while its memo
+/// lives. A warm predict is one acquire() plus one lookup and returns the
+/// shared vector itself; concurrent first predicts on one entry may each
+/// compute (metered as predictions_computed), and the first to finish is
+/// the one memoized and returned to all of them.
 ///
 /// ## Concurrency
 ///
-/// A single mutex guards the table; golden simulations run *outside* it.
-/// Concurrent acquire()s of the same unseen key coalesce onto one build via
-/// a shared future (the losers block until the winner's golden run lands,
-/// then count as cache hits). CampaignEngine::run is const and internally
-/// synchronized, so any number of threads can run campaigns on one cached
-/// engine concurrently.
+/// A single mutex guards the table, the netlist map and the memos; golden
+/// simulations and predictions run *outside* it. Concurrent acquire()s of
+/// the same unseen key coalesce onto one build via a shared future (the
+/// losers block until the winner's golden run lands, then count as cache
+/// hits). CampaignEngine::run is const and internally synchronized, so any
+/// number of threads can run campaigns on one cached engine concurrently.
 ///
 /// ## Eviction
 ///
 /// Entries are charged CampaignEngine::resident_bytes() (dominated by the
-/// compiled stimulus; checkpoints are bit-packed at 1 bit/FF since PR 8)
-/// against RegistryConfig::max_resident_bytes. When the budget overflows,
-/// least-recently-used entries are dropped — except the entry being
-/// returned, so the newest engine is always resident even if it alone
-/// exceeds the budget. Evictions are counted in ServiceMetrics and recorded
-/// per-entry in an eviction log the stress tests and the ffr_service demo
-/// read back.
+/// compiled stimulus; checkpoints are bit-packed at 1 bit/FF) plus their
+/// testbench copy and memoized prediction vectors against
+/// RegistryConfig::max_resident_bytes. Shared netlist copies are not
+/// charged. When the budget overflows, least-recently-used entries are
+/// dropped — except the entry being returned or memoized into, so the
+/// newest engine is always resident even if it alone exceeds the budget.
+/// Eviction drops an entry's memo with it, and the shared netlist copy once
+/// no entry or caller-held engine uses it. Evictions are counted in
+/// ServiceMetrics and recorded per-entry in an eviction log the stress
+/// tests and the ffr_service demo read back.
 
 #include <cstdint>
 #include <map>
@@ -49,13 +74,19 @@
 #include <vector>
 
 #include "fault/engine.hpp"
+#include "linalg/matrix.hpp"
 #include "service/content_hash.hpp"
 #include "service/metrics.hpp"
+
+namespace ffr::core {
+class TransferModel;
+}  // namespace ffr::core
 
 namespace ffr::service {
 
 struct RegistryConfig {
-  /// Byte budget for cached engines (resident_bytes sum). 0 = unlimited.
+  /// Byte budget for the bytes charged to cached entries (see Eviction).
+  /// 0 = unlimited.
   /// The most recently acquired entry is never evicted, so a single engine
   /// larger than the budget still serves (with nothing else cached).
   std::size_t max_resident_bytes = std::size_t{256} << 20;
@@ -65,7 +96,7 @@ struct RegistryConfig {
 struct EvictionRecord {
   ContentHash key;
   std::string circuit;        ///< Netlist name, for log readability.
-  std::size_t bytes = 0;      ///< resident_bytes reclaimed.
+  std::size_t bytes = 0;      ///< Charged bytes reclaimed.
   std::uint64_t acquisitions = 0;  ///< Hits + the initial miss it served.
 };
 
@@ -90,6 +121,17 @@ class EngineRegistry {
   [[nodiscard]] std::shared_ptr<const fault::CampaignEngine> acquire(
       const netlist::Netlist& nl, const sim::Testbench& tb);
 
+  /// `model`'s per-flip-flop FDR prediction for this (netlist, testbench)
+  /// content, in Netlist::flip_flops() order: acquire() once, then serve
+  /// the entry's memo for `model`, filling it on first use from the cached
+  /// golden activity (features::extract_features + TransferModel::predict).
+  /// The returned vector is shared with the memo, never copied.
+  /// \throws whatever acquire() or the model throws; nothing is memoized
+  ///         then.
+  [[nodiscard]] std::shared_ptr<const linalg::Vector> predict(
+      const netlist::Netlist& nl, const sim::Testbench& tb,
+      const std::shared_ptr<const core::TransferModel>& model);
+
   /// Drops the entry for `key` if cached; returns whether anything was
   /// evicted. Engines still held by callers stay alive until released.
   bool evict(const ContentHash& key);
@@ -101,7 +143,8 @@ class EngineRegistry {
 
   /// Number of cached entries (ready builds only).
   [[nodiscard]] std::size_t size() const;
-  /// Sum of resident_bytes over cached entries.
+  /// Sum of the bytes charged to cached entries (engine, testbench copy,
+  /// memoized predictions).
   [[nodiscard]] std::size_t resident_bytes() const;
   /// Every eviction since construction, oldest first (budget-driven,
   /// explicit evict() and clear() alike).
@@ -110,6 +153,10 @@ class EngineRegistry {
  private:
   struct Entry;
 
+  [[nodiscard]] std::shared_ptr<Entry> acquire_entry(const netlist::Netlist& nl,
+                                                     const sim::Testbench& tb);
+  [[nodiscard]] std::shared_ptr<const netlist::Netlist> share_netlist(
+      const ContentHash& key, const netlist::Netlist& nl);
   void evict_locked(std::map<ContentHash, std::shared_ptr<Entry>>::iterator it);
   void enforce_budget_locked(const ContentHash& pinned);
   void update_gauges_locked();
@@ -120,6 +167,9 @@ class EngineRegistry {
 
   mutable std::mutex mutex_;
   std::map<ContentHash, std::shared_ptr<Entry>> entries_;
+  /// Netlist copies by ContentKeys::netlist; expired slots are pruned on
+  /// every gauge update.
+  std::map<ContentHash, std::weak_ptr<const netlist::Netlist>> netlists_;
   std::vector<EvictionRecord> eviction_log_;
   std::uint64_t use_tick_ = 0;
 };

@@ -46,7 +46,9 @@ struct FfrService::Job {
   /// soon as the job is terminal.
   std::function<void(Job&)> work;
   std::optional<fault::CampaignResult> campaign;
-  std::optional<linalg::Vector> prediction;
+  /// Shared with the registry's memo (or owned alone, for feature-matrix
+  /// predicts): a warm predict job keeps no copy of its result.
+  std::shared_ptr<const linalg::Vector> prediction;
 };
 
 class FfrService::Impl {
@@ -72,6 +74,8 @@ FfrService::FfrService(ServiceConfig config)
       impl_(std::make_unique<Impl>(config.num_workers)) {}
 
 FfrService::~FfrService() { wait_all(); }
+
+std::size_t FfrService::num_workers() const noexcept { return impl_->pool.size(); }
 
 JobId FfrService::enqueue(std::shared_ptr<Job> job) {
   job->submitted = Clock::now();
@@ -199,10 +203,14 @@ JobId FfrService::submit_sharded_campaign(const netlist::Netlist& nl,
   auto merge = std::make_shared<Job>();
   merge->job_class = JobClass::kCampaign;
   merge->work = [this, ids = std::move(ids), partials](Job& self) {
+    // Every shard is terminal before the merge reports anything, so a
+    // terminal merge implies terminal shards (a caller may then delete
+    // partial_dir) and a failure names the first failed shard.
+    for (const JobId id : ids) (void)wait(id);
     std::vector<fault::CampaignPartial> collected;
     collected.reserve(ids.size());
     for (std::size_t k = 0; k < ids.size(); ++k) {
-      const JobStatus shard_status = wait(ids[k]);
+      const JobStatus shard_status = status(ids[k]);
       if (shard_status.state != JobState::kDone) {
         throw std::runtime_error(
             "ffr_service: shard job " + std::to_string(ids[k]) + " (shard " +
@@ -223,12 +231,7 @@ JobId FfrService::submit_predict(const std::filesystem::path& model_path,
   auto job = std::make_shared<Job>();
   job->job_class = JobClass::kPredict;
   job->work = [this, model_path, &nl, &tb](Job& self) {
-    std::shared_ptr<const core::TransferModel> transfer = model(model_path);
-    // The cached engine already holds the golden activity trace, so this
-    // never re-simulates on a warm cache (and never fault-injects at all).
-    std::shared_ptr<const fault::CampaignEngine> engine = registry_.acquire(nl, tb);
-    self.prediction = transfer->predict(
-        features::extract_features(engine->netlist(), engine->golden().activity));
+    self.prediction = registry_.predict(nl, tb, model(model_path));
   };
   return enqueue(std::move(job));
 }
@@ -239,7 +242,8 @@ JobId FfrService::submit_predict(const std::filesystem::path& model_path,
   job->job_class = JobClass::kPredict;
   job->work = [this, model_path,
                features = std::move(features)](Job& self) {
-    self.prediction = model(model_path)->predict(features);
+    self.prediction =
+        std::make_shared<const linalg::Vector>(model(model_path)->predict(features));
   };
   return enqueue(std::move(job));
 }
@@ -336,7 +340,7 @@ linalg::Vector FfrService::prediction(JobId id) const {
   }
   const Job& job = *it->second;
   if (job.job_class != JobClass::kPredict || job.state != JobState::kDone ||
-      !job.prediction.has_value()) {
+      job.prediction == nullptr) {
     throw std::logic_error(
         "ffr_service: job " + std::to_string(id) + " is not a done predict (" +
         std::string(to_string(job.job_class)) + "/" +

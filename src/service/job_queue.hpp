@@ -21,8 +21,9 @@
 ///    model file is loaded once per path and shared by every job. The
 ///    feature-matrix overload never touches a simulator at all; the
 ///    (netlist, testbench) overload needs only the golden activity, which
-///    comes from the registry-cached engine — so after the first request on
-///    a design, thousands of predictions run without simulating anything.
+///    comes from the registry-cached engine, and its result is memoized on
+///    the registry entry per model — so after the first request on a
+///    design, thousands of predictions neither simulate nor re-predict.
 ///
 /// Jobs get monotonically increasing ids and move through
 /// queued -> running -> done/failed; queued jobs can be cancelled. Results
@@ -121,6 +122,9 @@ class FfrService {
   /// run when a matching one exists, counted in metrics shards_resumed vs
   /// shards_completed) and persists its partial on completion. Partials that
   /// exist but fail validation fail that shard job — and thereby the merge.
+  /// The merge job waits until every shard job is terminal before it
+  /// reports success or the first failed shard, so once the merge is
+  /// terminal no shard touches `partial_dir` any more (it may be deleted).
   /// `config.shard` is overwritten per shard job. Returns the merge job id
   /// (a kCampaign job: fetch with campaign_result); when `shard_jobs` is
   /// non-null the N shard job ids are appended to it (each also a kCampaign
@@ -133,9 +137,13 @@ class FfrService {
       std::vector<JobId>* shard_jobs = nullptr);
 
   /// Enqueues a prediction of every flip-flop's FDR in `nl` using the
-  /// persisted transfer model at `model_path` (loaded once per path). Uses
-  /// the cached engine's golden activity for features — no fault injection,
-  /// and no simulation at all once the engine is cached.
+  /// persisted transfer model at `model_path` (loaded once per path),
+  /// served by EngineRegistry::predict: the first predict of a model on a
+  /// (netlist, testbench) content extracts features from the cached
+  /// engine's golden activity and memoizes the result on the registry
+  /// entry; every later one is a content hash, a table lookup and a memo
+  /// lookup, and the job shares the memoized vector instead of copying it.
+  /// No fault injection ever, and no simulation once the engine is cached.
   [[nodiscard]] JobId submit_predict(const std::filesystem::path& model_path,
                                      const netlist::Netlist& nl,
                                      const sim::Testbench& tb);
@@ -181,6 +189,9 @@ class FfrService {
   /// \throws std::runtime_error on a missing or corrupt model file.
   [[nodiscard]] std::shared_ptr<const core::TransferModel> model(
       const std::filesystem::path& model_path);
+
+  /// Worker threads (ServiceConfig::num_workers, 0 resolved).
+  [[nodiscard]] std::size_t num_workers() const noexcept;
 
   [[nodiscard]] EngineRegistry& registry() noexcept { return registry_; }
   [[nodiscard]] const ServiceMetrics& metrics() const noexcept { return metrics_; }

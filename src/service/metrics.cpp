@@ -44,6 +44,9 @@ MetricsSnapshot ServiceMetrics::snapshot() const noexcept {
   s.engine_builds = engine_builds.load(std::memory_order_relaxed);
   s.resident_engines = resident_engines.load(std::memory_order_relaxed);
   s.resident_bytes = resident_bytes.load(std::memory_order_relaxed);
+  s.resident_netlists = resident_netlists.load(std::memory_order_relaxed);
+  s.predictions_computed = predictions_computed.load(std::memory_order_relaxed);
+  s.predictions_reused = predictions_reused.load(std::memory_order_relaxed);
   s.jobs_submitted = jobs_submitted.load(std::memory_order_relaxed);
   s.jobs_completed = jobs_completed.load(std::memory_order_relaxed);
   s.jobs_failed = jobs_failed.load(std::memory_order_relaxed);
@@ -109,6 +112,9 @@ std::string ServiceMetrics::to_text() const {
   append_counter(out, "engine_builds", s.engine_builds);
   append_counter(out, "resident_engines", s.resident_engines);
   append_counter(out, "resident_bytes", s.resident_bytes);
+  append_counter(out, "resident_netlists", s.resident_netlists);
+  append_counter(out, "predictions_computed", s.predictions_computed);
+  append_counter(out, "predictions_reused", s.predictions_reused);
   append_counter(out, "jobs_submitted", s.jobs_submitted);
   append_counter(out, "jobs_completed", s.jobs_completed);
   append_counter(out, "jobs_failed", s.jobs_failed);

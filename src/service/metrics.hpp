@@ -58,6 +58,9 @@ struct MetricsSnapshot {
   std::uint64_t engine_builds = 0;
   std::uint64_t resident_engines = 0;
   std::uint64_t resident_bytes = 0;
+  std::uint64_t resident_netlists = 0;
+  std::uint64_t predictions_computed = 0;
+  std::uint64_t predictions_reused = 0;
   std::uint64_t jobs_submitted = 0;
   std::uint64_t jobs_completed = 0;
   std::uint64_t jobs_failed = 0;
@@ -82,6 +85,14 @@ struct ServiceMetrics {
   std::atomic<std::uint64_t> engine_builds{0};   ///< Golden simulations run.
   std::atomic<std::uint64_t> resident_engines{0};///< Gauge: cached entries.
   std::atomic<std::uint64_t> resident_bytes{0};  ///< Gauge: cached bytes.
+  /// Gauge: distinct netlist copies alive (shared by the entries of one
+  /// design), as of the registry's last update.
+  std::atomic<std::uint64_t> resident_netlists{0};
+  /// EngineRegistry::predict calls that ran the model (memo misses,
+  /// including concurrent first predicts that raced on one entry).
+  std::atomic<std::uint64_t> predictions_computed{0};
+  /// EngineRegistry::predict calls answered from an entry's memo.
+  std::atomic<std::uint64_t> predictions_reused{0};
 
   // Job queue.
   std::atomic<std::uint64_t> jobs_submitted{0};

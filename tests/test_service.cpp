@@ -1,11 +1,15 @@
 // Suite for the service layer (service/content_hash, service/engine_registry,
 // service/job_queue, service/metrics):
 //  - content hashes are invariant under structurally identical copies (a
-//    write -> read -> retarget round trip hits the same cache slot) and
-//    distinguish different designs and testbenches;
+//    write -> read -> retarget round trip hits the same cache slot),
+//    distinguish different designs and testbenches, and stay pinned to
+//    recorded literals (saved partial files carry them);
 //  - the registry serves one golden run to repeated and concurrent acquires
 //    (hit/miss/build counters), enforces its byte budget LRU-first with the
 //    newest entry pinned, and recomputes evicted entries bit-identically;
+//  - entries on one design share one netlist copy (also across a Verilog
+//    re-import driven by another testbench), predictions are memoized per
+//    entry and per model, and eviction drops both;
 //  - campaign jobs through FfrService are bit-identical to direct
 //    CampaignEngine::run, predict jobs serve a persisted TransferModel
 //    (the feature-matrix class without ever constructing a simulator), and
@@ -130,6 +134,26 @@ TEST_F(ServiceTest, ContentHashIsDeterministicAndDiscriminates) {
   EXPECT_EQ(mac_hash.hex().size(), 32u);
 }
 
+TEST_F(ServiceTest, ContentHashLiteralsArePinned) {
+  // Recorded before the hash was split into a netlist key and a full key:
+  // the split must leave every cache key, and with it every partial file
+  // on disk, valid.
+  EXPECT_EQ(content_hash(mac_->netlist, mac_bench_->tb).hex(),
+            "2a57dd49d34f680dd88dd8b467aec5cc");
+  EXPECT_EQ(content_hash(pipe_->netlist, pipe_bench_->tb).hex(),
+            "ed3941e626cc73951ed8f0016663ac60");
+
+  const ContentKeys keys = content_keys(mac_->netlist, mac_bench_->tb);
+  EXPECT_EQ(keys.full, content_hash(mac_->netlist, mac_bench_->tb));
+  sim::Testbench tweaked = mac_bench_->tb;
+  tweaked.inject_end = tweaked.inject_end - 1;
+  const ContentKeys tweaked_keys = content_keys(mac_->netlist, tweaked);
+  EXPECT_EQ(tweaked_keys.netlist, keys.netlist);
+  EXPECT_FALSE(tweaked_keys.full == keys.full);
+  EXPECT_FALSE(content_keys(pipe_->netlist, pipe_bench_->tb).netlist ==
+               keys.netlist);
+}
+
 TEST_F(ServiceTest, ContentHashSurvivesWriteReadRetarget) {
   // An imported structural copy with a retargeted testbench is the same
   // content: the canonical testbench dump uses net names, not ids.
@@ -166,9 +190,14 @@ TEST_F(ServiceTest, RegistryServesRepeatAcquiresFromCache) {
   EXPECT_EQ(snap.cache_hits, 2u);
   EXPECT_EQ(snap.engine_builds, 1u);
   EXPECT_EQ(snap.resident_engines, 1u);
+  EXPECT_EQ(snap.resident_netlists, 1u);
   EXPECT_EQ(registry.size(), 1u);
-  EXPECT_GT(registry.resident_bytes(), 0u);
-  EXPECT_EQ(registry.resident_bytes(), first->resident_bytes());
+  // Charged for the engine plus the entry's testbench copy, whose
+  // waveforms take at least a byte per (input, cycle).
+  const sim::Stimulus& stimulus = mac_bench_->tb.stimulus;
+  EXPECT_GE(registry.resident_bytes(),
+            first->resident_bytes() +
+                stimulus.num_inputs() * stimulus.num_cycles());
 }
 
 TEST_F(ServiceTest, RegistryCachedEngineOutlivesCallersObjects) {
@@ -257,6 +286,132 @@ TEST_F(ServiceTest, ExplicitEvictAndClear) {
   EXPECT_EQ(metrics.snapshot().resident_engines, 0u);
 }
 
+TEST_F(ServiceTest, TestbenchesOnOneNetlistShareOneNetlistCopy) {
+  ServiceMetrics metrics;
+  EngineRegistry registry({}, &metrics);
+  sim::Testbench late = mac_bench_->tb;
+  late.inject_begin = late.inject_begin + 1;
+
+  const auto first = registry.acquire(mac_->netlist, mac_bench_->tb);
+  const auto second = registry.acquire(mac_->netlist, late);
+  EXPECT_NE(first.get(), second.get());  // two entries...
+  EXPECT_EQ(&first->netlist(), &second->netlist());  // ...one netlist copy
+  EXPECT_NE(&first->netlist(), &mac_->netlist);      // owned, not borrowed
+  EXPECT_NE(&first->testbench(), &second->testbench());
+  EXPECT_EQ(metrics.snapshot().resident_engines, 2u);
+  EXPECT_EQ(metrics.snapshot().resident_netlists, 1u);
+
+  (void)registry.acquire(pipe_->netlist, pipe_bench_->tb);
+  EXPECT_EQ(metrics.snapshot().resident_netlists, 2u);
+}
+
+TEST_F(ServiceTest, ReimportWithOtherTestbenchMatchesDirectRunAndPredict) {
+  // The entry for a re-imported netlist (different NetIds) driven by a
+  // different workload shares the netlist copy of the original design; its
+  // testbench is re-bound by name onto that copy, so campaigns and
+  // predictions match direct library calls on the caller's objects.
+  EngineRegistry registry;
+  const auto original = registry.acquire(mac_->netlist, mac_bench_->tb);
+
+  circuits::MacTestbenchConfig other_config;
+  other_config.num_frames = 6;
+  other_config.seed = 0x5EED;
+  const circuits::MacTestbench other =
+      circuits::build_mac_testbench(*mac_, other_config);
+  const netlist::Netlist imported =
+      netlist::read_verilog(netlist::to_verilog(mac_->netlist), "mac_copy.v");
+  const sim::Testbench rebound =
+      sim::retarget_testbench(other.tb, mac_->netlist, imported);
+
+  const auto engine = registry.acquire(imported, rebound);
+  EXPECT_NE(engine.get(), original.get());
+  EXPECT_EQ(&engine->netlist(), &original->netlist());
+
+  const fault::CampaignEngine direct(imported, rebound);
+  const fault::CampaignResult reference = direct.run(small_campaign());
+  const fault::CampaignResult cached = engine->run(small_campaign());
+  expect_campaigns_bit_identical(reference, cached);
+  EXPECT_EQ(cached.total_sim_passes, reference.total_sim_passes);
+  EXPECT_EQ(cached.cycles_simulated, reference.cycles_simulated);
+  EXPECT_EQ(cached.ops_evaluated, reference.ops_evaluated);
+
+  const auto model = std::make_shared<const core::TransferModel>(
+      core::TransferModel::load(*model_path_));
+  const std::shared_ptr<const linalg::Vector> predicted =
+      registry.predict(imported, rebound, model);
+  EXPECT_EQ(*predicted, model->predict(imported, rebound));
+}
+
+TEST_F(ServiceTest, EachModelGetsItsOwnMemoOnAnEntry) {
+  ServiceMetrics metrics;
+  EngineRegistry registry({}, &metrics);
+  // Two loads of one file are two models: the memo keys on the object.
+  const auto model_a = std::make_shared<const core::TransferModel>(
+      core::TransferModel::load(*model_path_));
+  const auto model_b = std::make_shared<const core::TransferModel>(
+      core::TransferModel::load(*model_path_));
+  const linalg::Vector reference =
+      model_a->predict(pipe_->netlist, pipe_bench_->tb);
+
+  const auto a1 = registry.predict(pipe_->netlist, pipe_bench_->tb, model_a);
+  const std::size_t bytes_one_memo = registry.resident_bytes();
+  const auto a2 = registry.predict(pipe_->netlist, pipe_bench_->tb, model_a);
+  const auto b1 = registry.predict(pipe_->netlist, pipe_bench_->tb, model_b);
+  const auto b2 = registry.predict(pipe_->netlist, pipe_bench_->tb, model_b);
+  EXPECT_EQ(a1.get(), a2.get());  // served from the memo, not copied
+  EXPECT_EQ(b1.get(), b2.get());
+  EXPECT_NE(a1.get(), b1.get());
+  EXPECT_EQ(*a1, reference);
+  EXPECT_EQ(*b1, reference);
+  // The second memo is charged to the entry too.
+  EXPECT_GE(registry.resident_bytes(),
+            bytes_one_memo + reference.size() * sizeof(double));
+
+  const MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.predictions_computed, 2u);
+  EXPECT_EQ(snap.predictions_reused, 2u);
+  EXPECT_EQ(snap.cache_hits + snap.cache_misses, 4u);  // one acquire each
+  EXPECT_EQ(snap.engine_builds, 1u);
+  const std::string text = metrics.to_text();
+  for (const char* key :
+       {"ffr_service_predictions_computed 2", "ffr_service_predictions_reused 2",
+        "ffr_service_resident_netlists 1"}) {
+    EXPECT_NE(text.find(key), std::string::npos)
+        << "missing '" << key << "' in:\n" << text;
+  }
+}
+
+TEST_F(ServiceTest, EvictionDropsMemoAndLastNetlistReference) {
+  ServiceMetrics metrics;
+  EngineRegistry registry({}, &metrics);
+  const auto model = std::make_shared<const core::TransferModel>(
+      core::TransferModel::load(*model_path_));
+  std::weak_ptr<const fault::CampaignEngine> engine;
+  std::weak_ptr<const linalg::Vector> memo;
+  linalg::Vector first;
+  {
+    engine = registry.acquire(pipe_->netlist, pipe_bench_->tb);
+    const auto fdr = registry.predict(pipe_->netlist, pipe_bench_->tb, model);
+    memo = fdr;
+    first = *fdr;
+  }
+  EXPECT_FALSE(engine.expired());  // the registry holds the entry
+  EXPECT_FALSE(memo.expired());
+  EXPECT_EQ(metrics.snapshot().resident_netlists, 1u);
+
+  ASSERT_TRUE(registry.evict(content_hash(pipe_->netlist, pipe_bench_->tb)));
+  EXPECT_TRUE(engine.expired());
+  EXPECT_TRUE(memo.expired());
+  EXPECT_EQ(metrics.snapshot().resident_netlists, 0u);
+  EXPECT_EQ(metrics.snapshot().resident_bytes, 0u);
+
+  // Re-acquired, the entry recomputes its prediction bit-identically.
+  EXPECT_EQ(*registry.predict(pipe_->netlist, pipe_bench_->tb, model), first);
+  EXPECT_EQ(metrics.snapshot().predictions_computed, 2u);
+  EXPECT_EQ(metrics.snapshot().predictions_reused, 0u);
+  EXPECT_EQ(metrics.snapshot().engine_builds, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Job queue
 // ---------------------------------------------------------------------------
@@ -307,10 +462,13 @@ TEST_F(ServiceTest, PredictJobServesPersistedModelWithoutInjection) {
   const JobId again =
       service.submit_predict(*model_path_, pipe_->netlist, pipe_bench_->tb);
   EXPECT_EQ(service.wait(again).state, JobState::kDone);
+  EXPECT_EQ(service.prediction(again), reference);
   const MetricsSnapshot snap = service.metrics().snapshot();
   EXPECT_EQ(snap.engine_builds, 1u);
   EXPECT_EQ(snap.cache_hits, 1u);
   EXPECT_EQ(snap.predict_jobs, 2u);
+  EXPECT_EQ(snap.predictions_computed, 1u);  // the second hit the memo
+  EXPECT_EQ(snap.predictions_reused, 1u);
 }
 
 TEST_F(ServiceTest, FeatureMatrixPredictJobNeverBuildsAnEngine) {
@@ -340,6 +498,7 @@ TEST_F(ServiceTest, FeatureMatrixPredictJobNeverBuildsAnEngine) {
   const MetricsSnapshot snap = service.metrics().snapshot();
   EXPECT_EQ(snap.engine_builds, 0u);  // the acceptance criterion
   EXPECT_EQ(snap.cache_misses, 0u);
+  EXPECT_EQ(snap.predictions_computed, 0u);  // the memo is the registry's
   EXPECT_EQ(snap.predict_jobs, 5u);
   EXPECT_EQ(snap.jobs_completed, 5u);
 }
@@ -495,6 +654,64 @@ TEST_F(ServiceTest, StressMixedSubmitEvictPredictStaysBitIdentical) {
             kThreads * kOpsPerThread * 2 + 2);
   EXPECT_EQ(snap.cache_misses, snap.engine_builds);
   EXPECT_GE(snap.cache_evictions, 1u);
+}
+
+TEST_F(ServiceTest, StressConcurrentFirstPredictsOnOneEntryAgree) {
+  // Racing first predicts on one unseen entry: the build coalesces, each
+  // racer may compute, and every caller gets the one memoized vector.
+  const auto model = std::make_shared<const core::TransferModel>(
+      core::TransferModel::load(*model_path_));
+  const linalg::Vector reference =
+      model->predict(pipe_->netlist, pipe_bench_->tb);
+
+  ServiceMetrics metrics;
+  EngineRegistry registry({}, &metrics);
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::shared_ptr<const linalg::Vector>> results(kThreads);
+  std::atomic<std::size_t> ready{0};
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        results[t] = registry.predict(pipe_->netlist, pipe_bench_->tb, model);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_NE(results[t], nullptr);
+    EXPECT_EQ(results[t].get(), results[0].get());
+    EXPECT_EQ(*results[t], reference);
+  }
+  const MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.engine_builds, 1u);
+  EXPECT_EQ(snap.cache_hits + snap.cache_misses, kThreads);
+  EXPECT_GE(snap.predictions_computed, 1u);
+  EXPECT_EQ(snap.predictions_computed + snap.predictions_reused, kThreads);
+
+  // Through the service: a burst of predict jobs on the same entry.
+  ServiceConfig config;
+  config.num_workers = 4;
+  FfrService service(config);
+  std::vector<JobId> ids;
+  for (std::size_t i = 0; i < 16; ++i) {
+    ids.push_back(
+        service.submit_predict(*model_path_, pipe_->netlist, pipe_bench_->tb));
+  }
+  service.wait_all();
+  for (const JobId id : ids) {
+    ASSERT_EQ(service.status(id).state, JobState::kDone)
+        << service.status(id).error;
+    EXPECT_EQ(service.prediction(id), reference);
+  }
+  const MetricsSnapshot service_snap = service.metrics().snapshot();
+  EXPECT_GE(service_snap.predictions_computed, 1u);
+  EXPECT_LE(service_snap.predictions_computed, config.num_workers);
+  EXPECT_EQ(service_snap.predictions_computed + service_snap.predictions_reused,
+            ids.size());
 }
 
 // ---------------------------------------------------------------------------
