@@ -7,10 +7,14 @@
 // design, a predict is a content hash plus lookups in the registry (the
 // entry memoizes its prediction per model — no simulation, no feature
 // extraction, no model application), and feature-matrix predictions never
-// construct an engine at all. Exits non-zero when a warm request misses the
-// cache, when the cached-predict burst computes more predictions than there
-// are workers (each worker computes at most once before the memo lands),
-// or when feature-matrix predicts build an engine. Emits BENCH_service.json.
+// construct an engine at all. A cold stream of one-shot pipeline_core
+// testbenches interleaved with warm MAC predicts exercises the registry's
+// probation slice. Exits non-zero when a warm request misses the cache,
+// when the cached-predict burst computes more predictions than there are
+// workers (each worker computes at most once before the memo lands), when
+// feature-matrix predicts build an engine, or when the cold stream rebuilds
+// the warm MAC entry or leaves more than the probation slice of one-shot
+// entries resident. Emits BENCH_service.json.
 //
 // The campaign scenario is service-shaped: a long workload trace whose
 // requests probe the drain phase (the last 512 cycles), so checkpointed
@@ -23,6 +27,7 @@
 //   FFR_SERVICE_INJECTIONS   injections per flip-flop (default 16)
 //   FFR_SERVICE_FF_OFFSET    first flip-flop of the request subset (default 0)
 //   FFR_SERVICE_PREDICTS     predict jobs in the serving burst (default 100)
+//   FFR_SERVICE_COLD         one-shot testbenches in the cold stream (default 200)
 
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +37,7 @@
 
 #include "circuits/mac_core.hpp"
 #include "circuits/mac_testbench.hpp"
+#include "circuits/pipeline_core.hpp"
 #include "core/transfer_flow.hpp"
 #include "features/extractor.hpp"
 #include "service/job_queue.hpp"
@@ -61,6 +67,7 @@ int main() {
 
   const std::size_t request_ffs = env_size("FFR_SERVICE_REQUEST_FFS", 8);
   const std::size_t num_predicts = env_size("FFR_SERVICE_PREDICTS", 100);
+  const std::size_t num_cold = env_size("FFR_SERVICE_COLD", 200);
 
   const circuits::MacCore mac = circuits::build_mac_core();
   circuits::MacTestbenchConfig tb_config;
@@ -146,6 +153,29 @@ int main() {
                   model_only.metrics().snapshot().cache_hits,
                   model_only.metrics().snapshot().engine_builds});
 
+  // Phase 5: a cold stream — each pipeline_core testbench is acquired once,
+  // so its entry stays probationary and cycles through the probation slice;
+  // the interleaved MAC predicts keep hitting their promoted entry.
+  const circuits::PipelineCore pipe = circuits::build_pipeline_core();
+  std::vector<circuits::PipelineTestbench> cold_benches;
+  cold_benches.reserve(num_cold);  // jobs read the testbenches in place
+  for (std::size_t i = 0; i < num_cold; ++i) {
+    cold_benches.push_back(circuits::build_pipeline_testbench(pipe, 96, 0.7, 1 + i));
+  }
+  const std::uint64_t builds_before = service.metrics().snapshot().engine_builds;
+  stopwatch.reset();
+  for (const circuits::PipelineTestbench& cold_bench : cold_benches) {
+    (void)service.submit_predict(model_path, pipe.netlist, cold_bench.tb);
+    (void)service.submit_predict(model_path, mac.netlist, bench.tb);
+  }
+  service.wait_all();
+  rows.push_back({"predict_cold_stream", 2 * num_cold, stopwatch.elapsed_seconds(),
+                  service.metrics().snapshot().cache_hits,
+                  service.metrics().snapshot().engine_builds});
+  const std::uint64_t cold_builds = rows.back().engine_builds - builds_before;
+  const auto probation_bytes = static_cast<std::size_t>(
+      service.metrics().snapshot().probation_bytes);
+
   util::TablePrinter table({"phase", "jobs", "wall ms", "ms/job", "cache hits",
                             "engine builds"});
   for (const Row& row : rows) {
@@ -179,6 +209,25 @@ int main() {
   }
   if (rows[3].engine_builds != 0) {
     std::fprintf(stderr, "FAIL: feature-matrix predicts built an engine\n");
+    return 1;
+  }
+
+  std::printf("predict_cold_stream     : %llu engine builds for %zu one-shot "
+              "testbenches, %zu probationary bytes resident (slice %zu)\n",
+              static_cast<unsigned long long>(cold_builds), num_cold,
+              probation_bytes, service.registry().probation_slice_bytes());
+  if (cold_builds != num_cold) {
+    std::fprintf(stderr,
+                 "FAIL: the cold stream built %llu engines for %zu one-shot "
+                 "testbenches; the warm MAC entry was rebuilt\n",
+                 static_cast<unsigned long long>(cold_builds), num_cold);
+    return 1;
+  }
+  if (probation_bytes > service.registry().probation_slice_bytes()) {
+    std::fprintf(stderr,
+                 "FAIL: %zu probationary bytes stay resident, over the %zu-byte "
+                 "probation slice\n",
+                 probation_bytes, service.registry().probation_slice_bytes());
     return 1;
   }
 

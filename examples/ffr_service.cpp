@@ -120,9 +120,10 @@ int main() {
   std::printf("\n1-byte-budget registry after two acquires: %zu resident\n",
               squeezed.size());
   for (const service::EvictionRecord& ev : squeezed.eviction_log()) {
-    std::printf("  evicted %s (key %s, %zu bytes, %llu acquisitions)\n",
+    std::printf("  evicted %s (key %s, %zu bytes, %llu acquisitions, %s)\n",
                 ev.circuit.c_str(), ev.key.hex().c_str(), ev.bytes,
-                static_cast<unsigned long long>(ev.acquisitions));
+                static_cast<unsigned long long>(ev.acquisitions),
+                service::to_string(ev.reason));
   }
 
   std::printf("\nservice metrics:\n%s", service.metrics().to_text().c_str());

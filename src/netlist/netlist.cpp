@@ -1,6 +1,7 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,7 +16,7 @@ NetId Netlist::add_net(std::string name) {
     throw std::runtime_error("Netlist: duplicate net name '" + net.name + "'");
   }
   nets_.push_back(std::move(net));
-  finalized_ = false;
+  invalidate();
   return id;
 }
 
@@ -46,7 +47,7 @@ CellId Netlist::add_cell(Cell cell) {
     throw std::runtime_error("Netlist: duplicate cell name '" + cell.name + "'");
   }
   cells_.push_back(std::move(cell));
-  finalized_ = false;
+  invalidate();
   return id;
 }
 
@@ -61,7 +62,7 @@ void Netlist::mark_primary_output(NetId net, std::string port_name) {
   if (net >= nets_.size()) throw std::runtime_error("mark_primary_output: bad net");
   primary_outputs_.push_back(net);
   primary_output_names_.push_back(std::move(port_name));
-  finalized_ = false;
+  invalidate();
 }
 
 void Netlist::add_register_bus(RegisterBus bus) {
@@ -72,10 +73,11 @@ void Netlist::add_register_bus(RegisterBus bus) {
     }
   }
   buses_.push_back(std::move(bus));
-  finalized_ = false;
+  invalidate();
 }
 
 void Netlist::finalize() {
+  invalidate();
   // Rebuild reader lists.
   for (Net& net : nets_) net.readers.clear();
   for (CellId id = 0; id < cells_.size(); ++id) {
@@ -95,7 +97,27 @@ void Netlist::finalize() {
   }
   check_invariants();
   compute_topo_order();
+  key_memo_ = std::make_shared<KeyMemo>();
   finalized_ = true;
+}
+
+ContentHash Netlist::content_key() const {
+  if (!finalized_) {
+    throw std::invalid_argument("Netlist::content_key: netlist is not finalized");
+  }
+  if (key_memo_ == nullptr) return render_content_key(*this);  // moved-from
+  KeyMemo& memo = *key_memo_;
+  // The exception is memoized too: an exception escaping std::call_once
+  // leaves the flag unusable on some standard libraries.
+  std::call_once(memo.once, [&] {
+    try {
+      memo.key = render_content_key(*this);
+    } catch (...) {
+      memo.error = std::current_exception();
+    }
+  });
+  if (memo.error != nullptr) std::rethrow_exception(memo.error);
+  return memo.key;
 }
 
 void Netlist::check_invariants() const {

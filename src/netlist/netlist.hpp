@@ -6,7 +6,10 @@
 /// injection and feature extraction.
 
 #include <cstdint>
+#include <exception>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "netlist/cell_library.hpp"
+#include "netlist/content_key.hpp"
 
 namespace ffr::netlist {
 
@@ -62,14 +66,19 @@ class Netlist {
   void add_register_bus(RegisterBus bus);
 
   /// Mutable cell access for construction-time passes (drive sizing).
+  /// The returned reference must not be used after the next finalize():
+  /// finalize() starts a fresh content_key() memo, and a write through an
+  /// older reference would change the content under that memo, leaving the
+  /// key stale. Call mutable_cell() again after finalize() to edit further.
   [[nodiscard]] Cell& mutable_cell(CellId id) {
-    finalized_ = false;
+    invalidate();
     return cells_.at(id);
   }
 
   /// Recomputes reader lists and the flip-flop index, checks single-driver
   /// and connectivity invariants, and verifies combinational acyclicity.
-  /// Throws std::runtime_error with a diagnostic on violation.
+  /// Throws std::runtime_error with a diagnostic on violation. Does not
+  /// compute content_key(); it only opens an empty memo for it.
   void finalize();
 
   // ---- queries -------------------------------------------------------------
@@ -126,7 +135,31 @@ class Netlist {
 
   [[nodiscard]] bool finalized() const noexcept { return finalized_; }
 
+  /// The netlist's content key (render_content_key(): FNV-1a over the
+  /// length-prefixed to_verilog() rendering), computed on the first call
+  /// after finalize() and memoized until the next mutation or finalize().
+  /// Concurrent first calls on one netlist render once. Copies share the
+  /// memo (their content is equal when copied); a mutator or finalize()
+  /// on either copy drops only that copy's memo. A moved-from netlist
+  /// renders on every call instead of serving a memo.
+  /// \throws std::invalid_argument when the netlist is not finalized.
+  [[nodiscard]] ContentHash content_key() const;
+
  private:
+  /// The content_key() memo. Held by shared_ptr so that Netlist stays
+  /// copyable and movable (std::once_flag is neither) and so that copies
+  /// share one rendering.
+  struct KeyMemo {
+    std::once_flag once;
+    ContentHash key;
+    std::exception_ptr error;  ///< What rendering threw, rethrown per call.
+  };
+
+  /// Drops the finalized state and the content_key() memo (every mutator).
+  void invalidate() noexcept {
+    finalized_ = false;
+    key_memo_.reset();
+  }
   void check_invariants() const;
   void compute_topo_order();
 
@@ -142,6 +175,9 @@ class Netlist {
   std::unordered_map<std::string, CellId> cell_by_name_;
   std::unordered_map<std::string, NetId> net_by_name_;
   std::unordered_map<CellId, std::pair<std::size_t, std::size_t>> ff_bus_;
+  /// Non-null only between finalize() and the next mutation. Never reset
+  /// on a const path, so concurrent content_key() calls see one slot.
+  std::shared_ptr<KeyMemo> key_memo_;
   bool finalized_ = false;
 };
 

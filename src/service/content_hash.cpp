@@ -1,28 +1,8 @@
 #include "service/content_hash.hpp"
 
-#include <cstdio>
-#include <stdexcept>
-#include <string_view>
-
-#include "netlist/verilog_writer.hpp"
-
 namespace ffr::service {
 
 namespace {
-
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-constexpr std::uint64_t kFnvOffsetLo = 0xcbf29ce484222325ull;
-// A second, independent stream: the standard offset basis xor-perturbed so
-// the two halves never agree by construction.
-constexpr std::uint64_t kFnvOffsetHi = 0xcbf29ce484222325ull ^ 0x9e3779b97f4a7c15ull;
-
-[[nodiscard]] std::uint64_t fnv1a(std::uint64_t state, std::string_view bytes) noexcept {
-  for (const char c : bytes) {
-    state ^= static_cast<unsigned char>(c);
-    state *= kFnvPrime;
-  }
-  return state;
-}
 
 /// Appends "name" for a bound net, "-" for kNoNet (e.g. an unused monitor
 /// error line), keeping the dump unambiguous via a trailing newline.
@@ -37,14 +17,6 @@ void append_net_ref(std::string& out, const netlist::Netlist& nl,
 }
 
 }  // namespace
-
-std::string ContentHash::hex() const {
-  char buffer[33];
-  std::snprintf(buffer, sizeof buffer, "%016llx%016llx",
-                static_cast<unsigned long long>(hi),
-                static_cast<unsigned long long>(lo));
-  return std::string(buffer, 32);
-}
 
 std::string canonical_testbench(const netlist::Netlist& nl,
                                 const sim::Testbench& tb) {
@@ -89,23 +61,10 @@ std::string canonical_testbench(const netlist::Netlist& nl,
 }
 
 ContentKeys content_keys(const netlist::Netlist& nl, const sim::Testbench& tb) {
-  if (!nl.finalized()) {
-    throw std::invalid_argument("content_keys: netlist is not finalized");
-  }
-  // Folds "<tag> <length>\n<text>" for each section into the running FNV
-  // states; the netlist key is the state between the two sections.
-  const auto fold = [](ContentHash state, std::string_view tag,
-                       std::string_view text) {
-    const std::string header =
-        std::string(tag) + ' ' + std::to_string(text.size()) + '\n';
-    state.lo = fnv1a(fnv1a(state.lo, header), text);
-    state.hi = fnv1a(fnv1a(state.hi, header), text);
-    return state;
-  };
   ContentKeys keys;
-  keys.netlist = fold(ContentHash{kFnvOffsetLo, kFnvOffsetHi}, "netlist",
-                      netlist::to_verilog(nl));
-  keys.full = fold(keys.netlist, "testbench", canonical_testbench(nl, tb));
+  keys.netlist = nl.content_key();
+  keys.full = netlist::fold_section(keys.netlist, "testbench",
+                                    canonical_testbench(nl, tb));
   return keys;
 }
 

@@ -6,7 +6,8 @@
 /// design-plus-workload pair, not per object: two structurally identical
 /// netlists driven by the same stimulus — even one re-imported from a
 /// Verilog dump, whose NetIds differ — must land on the same cache entry.
-/// The key is a 128-bit FNV-1a hash over two canonical byte streams:
+/// The key is a 128-bit FNV-1a hash (netlist/content_key.hpp) over two
+/// length-prefixed canonical sections:
 ///
 ///   1. the netlist rendered by netlist::to_verilog(), which is
 ///      deterministic and byte-stable (the round-trip contract of the
@@ -15,36 +16,24 @@
 ///      nets by *name*, so it is invariant under NetId remapping — a
 ///      testbench rebound with sim::retarget_testbench hashes identically.
 ///
-/// The FNV state after the first stream is itself a key: the netlist key
+/// The FNV state after the first section is itself a key: the netlist key
 /// (ContentKeys::netlist) under which the registry shares one netlist copy
-/// among every testbench on a design.
-///
-/// 128 bits of FNV-1a is not cryptographic; it keys a trusted in-process
-/// cache where an accidental collision is the only concern (probability
-/// ~n^2 / 2^128 for n cached designs — negligible).
+/// among every testbench on a design. It lives in the netlist layer as
+/// Netlist::content_key(), memoized on the finalized netlist (and shared by
+/// its copies), so only the first key of a netlist object renders it; every
+/// later content_keys() call folds just the testbench section on top.
 
-#include <cstdint>
 #include <string>
 
+#include "netlist/content_key.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/testbench.hpp"
 
 namespace ffr::service {
 
-/// A 128-bit content hash, comparable and renderable as 32 hex digits.
-struct ContentHash {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-
-  [[nodiscard]] bool operator==(const ContentHash&) const = default;
-  /// Lexicographic (hi, lo) order so hashes can key ordered containers.
-  [[nodiscard]] bool operator<(const ContentHash& other) const noexcept {
-    return hi != other.hi ? hi < other.hi : lo < other.lo;
-  }
-
-  /// 32 lowercase hex digits, hi word first.
-  [[nodiscard]] std::string hex() const;
-};
+/// A 128-bit content hash (defined by the netlist layer, which keys
+/// netlists with it).
+using ContentHash = netlist::ContentHash;
 
 /// Canonical text form of a testbench *relative to its netlist*: the
 /// injection window, the packed stimulus waveforms, and the loopback /
@@ -56,11 +45,11 @@ struct ContentHash {
 [[nodiscard]] std::string canonical_testbench(const netlist::Netlist& nl,
                                               const sim::Testbench& tb);
 
-/// Both registry keys of a (netlist, testbench) pair from one Verilog
-/// rendering. The hashed stream is the length-prefixed netlist section
-/// followed by the length-prefixed testbench section; `netlist` is the FNV
-/// state after the first section (equal for every testbench on one design,
-/// the key the registry shares netlist copies under) and `full` is the state
+/// Both registry keys of a (netlist, testbench) pair. The hashed stream is
+/// the length-prefixed netlist section followed by the length-prefixed
+/// testbench section; `netlist` is the FNV state after the first section
+/// (Netlist::content_key(), equal for every testbench on one design, the
+/// key the registry shares netlist copies under) and `full` is the state
 /// after both (the content_hash() cache key).
 struct ContentKeys {
   ContentHash netlist;

@@ -1,5 +1,6 @@
 #include "service/engine_registry.hpp"
 
+#include <atomic>
 #include <future>
 #include <optional>
 #include <utility>
@@ -36,6 +37,9 @@ struct EngineRegistry::Entry {
   std::uint64_t acquisitions = 0;   ///< acquire() calls served.
   bool ready = false;               ///< Build finished successfully.
 
+  /// Has served only the acquisition that built it (see Eviction).
+  [[nodiscard]] bool probationary() const noexcept { return acquisitions <= 1; }
+
   [[nodiscard]] std::shared_ptr<const linalg::Vector> memo(
       const core::TransferModel* model) const {
     for (const Memo& m : predictions) {
@@ -60,6 +64,15 @@ struct EngineRegistry::Entry {
     return total;
   }
 };
+
+const char* to_string(EvictionReason reason) noexcept {
+  switch (reason) {
+    case EvictionReason::kProbation: return "probation";
+    case EvictionReason::kBudget: return "budget";
+    case EvictionReason::kExplicit: return "explicit";
+  }
+  return "unknown";
+}
 
 EngineRegistry::EngineRegistry(RegistryConfig config, ServiceMetrics* metrics)
     : config_(config), metrics_(metrics) {
@@ -187,56 +200,76 @@ std::shared_ptr<EngineRegistry::Entry> EngineRegistry::acquire_entry(
     }
     std::lock_guard<std::mutex> lock(mutex_);
     entry->last_use = ++use_tick_;
-    ++entry->acquisitions;
+    // The second acquisition promotes the entry out of the probation slice.
+    if (++entry->acquisitions == 2 && entry->ready) update_gauges_locked();
   }
   return entry;
 }
 
 void EngineRegistry::evict_locked(
-    std::map<ContentHash, std::shared_ptr<Entry>>::iterator it) {
+    std::map<ContentHash, std::shared_ptr<Entry>>::iterator it,
+    EvictionReason reason) {
   const std::shared_ptr<Entry>& entry = it->second;
   EvictionRecord record;
   record.key = it->first;
   record.circuit = entry->ready ? entry->netlist->name() : "(building)";
   record.bytes = entry->bytes;
   record.acquisitions = entry->acquisitions;
+  record.reason = reason;
   eviction_log_.push_back(std::move(record));
   metrics_->cache_evictions.fetch_add(1, std::memory_order_relaxed);
+  std::atomic<std::uint64_t>& by_reason =
+      reason == EvictionReason::kProbation ? metrics_->evictions_probation
+      : reason == EvictionReason::kBudget  ? metrics_->evictions_budget
+                                           : metrics_->evictions_explicit;
+  by_reason.fetch_add(1, std::memory_order_relaxed);
   metrics_->evicted_bytes.fetch_add(entry->bytes, std::memory_order_relaxed);
   entries_.erase(it);
 }
 
 void EngineRegistry::enforce_budget_locked(const ContentHash& pinned) {
   if (config_.max_resident_bytes == 0) return;
+  evict_lru_over_locked(pinned, probation_slice_bytes(), true,
+                        EvictionReason::kProbation);
+  evict_lru_over_locked(pinned, config_.max_resident_bytes, false,
+                        EvictionReason::kBudget);
+}
+
+void EngineRegistry::evict_lru_over_locked(const ContentHash& pinned,
+                                           std::size_t budget,
+                                           bool probation_only,
+                                           EvictionReason reason) {
   for (;;) {
     std::size_t total = 0;
-    for (const auto& [key, entry] : entries_) {
-      if (entry->ready) total += entry->bytes;
-    }
-    if (total <= config_.max_resident_bytes) return;
     auto victim = entries_.end();
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (!it->second->ready || it->first == pinned) continue;
-      if (victim == entries_.end() ||
-          it->second->last_use < victim->second->last_use) {
+      const Entry& entry = *it->second;
+      if (!entry.ready || (probation_only && !entry.probationary())) continue;
+      total += entry.bytes;
+      if (it->first == pinned) continue;
+      if (victim == entries_.end() || entry.last_use < victim->second->last_use) {
         victim = it;
       }
     }
-    if (victim == entries_.end()) return;  // only the pinned entry remains
-    evict_locked(victim);
+    // Nothing but the pinned entry left to drop: it stays, over budget.
+    if (total <= budget || victim == entries_.end()) return;
+    evict_locked(victim, reason);
   }
 }
 
 void EngineRegistry::update_gauges_locked() {
   std::size_t engines = 0;
   std::size_t bytes = 0;
+  std::size_t probation = 0;
   for (const auto& [key, entry] : entries_) {
     if (!entry->ready) continue;
     ++engines;
     bytes += entry->bytes;
+    if (entry->probationary()) probation += entry->bytes;
   }
   metrics_->resident_engines.store(engines, std::memory_order_relaxed);
   metrics_->resident_bytes.store(bytes, std::memory_order_relaxed);
+  metrics_->probation_bytes.store(probation, std::memory_order_relaxed);
   std::erase_if(netlists_, [](const auto& slot) { return slot.second.expired(); });
   metrics_->resident_netlists.store(netlists_.size(), std::memory_order_relaxed);
 }
@@ -245,14 +278,14 @@ bool EngineRegistry::evict(const ContentHash& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return false;
-  evict_locked(it);
+  evict_locked(it, EvictionReason::kExplicit);
   update_gauges_locked();
   return true;
 }
 
 void EngineRegistry::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  while (!entries_.empty()) evict_locked(entries_.begin());
+  while (!entries_.empty()) evict_locked(entries_.begin(), EvictionReason::kExplicit);
   update_gauges_locked();
 }
 

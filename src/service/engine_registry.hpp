@@ -56,15 +56,30 @@
 ///
 /// Entries are charged CampaignEngine::resident_bytes() (dominated by the
 /// compiled stimulus; checkpoints are bit-packed at 1 bit/FF) plus their
-/// testbench copy and memoized prediction vectors against
-/// RegistryConfig::max_resident_bytes. Shared netlist copies are not
-/// charged. When the budget overflows, least-recently-used entries are
-/// dropped — except the entry being returned or memoized into, so the
-/// newest engine is always resident even if it alone exceeds the budget.
-/// Eviction drops an entry's memo with it, and the shared netlist copy once
-/// no entry or caller-held engine uses it. Evictions are counted in
-/// ServiceMetrics and recorded per-entry in an eviction log the stress
-/// tests and the ffr_service demo read back.
+/// testbench copy and memoized prediction vectors. Shared netlist copies
+/// are not charged. Two byte limits apply, both least-recently-used first:
+///
+/// - **Probation slice.** An entry that has served only the acquisition
+///   that built it is *probationary*. Probationary entries share a slice
+///   of max_resident_bytes / kProbationSliceDivisor (1 MiB at the 256 MB
+///   default); when their sum overflows it, the least recently used
+///   probationary entry goes (EvictionReason::kProbation). A second
+///   acquisition promotes an entry out of the slice. A stream of one-shot
+///   workloads (never-seen testbenches, each acquired once) thus cycles
+///   through the slice instead of filling the whole budget — an entry is
+///   charged less than the memory it really holds, so ~6,800 one-shot
+///   pipeline entries would fit the default budget — and cannot push out
+///   the warm designs it is interleaved with.
+/// - **Whole budget.** When all entries together exceed
+///   RegistryConfig::max_resident_bytes, the least recently used entry of
+///   any kind goes (EvictionReason::kBudget).
+///
+/// Neither limit evicts the entry being returned or memoized into, so the
+/// newest engine is always resident even if it alone exceeds the budget
+/// or the slice. Eviction drops an entry's memo with it, and the shared
+/// netlist copy once no entry or caller-held engine uses it. Evictions are
+/// counted in ServiceMetrics per reason and recorded per entry in an
+/// eviction log the stress tests and the ffr_service demo read back.
 
 #include <cstdint>
 #include <map>
@@ -85,12 +100,26 @@ class TransferModel;
 namespace ffr::service {
 
 struct RegistryConfig {
-  /// Byte budget for the bytes charged to cached entries (see Eviction).
-  /// 0 = unlimited.
+  /// Byte budget for the bytes charged to cached entries (see Eviction);
+  /// probationary entries share max_resident_bytes / kProbationSliceDivisor
+  /// of it. 0 = unlimited (no slice either).
   /// The most recently acquired entry is never evicted, so a single engine
   /// larger than the budget still serves (with nothing else cached).
   std::size_t max_resident_bytes = std::size_t{256} << 20;
 };
+
+/// The probation slice is this fraction of RegistryConfig::max_resident_bytes.
+inline constexpr std::size_t kProbationSliceDivisor = 256;
+
+/// Why an entry left the registry.
+enum class EvictionReason {
+  kProbation,  ///< One-shot entry pushed out of the probation slice.
+  kBudget,     ///< Least recently used when the whole budget overflowed.
+  kExplicit,   ///< EngineRegistry::evict() or clear().
+};
+
+/// "probation", "budget" or "explicit".
+[[nodiscard]] const char* to_string(EvictionReason reason) noexcept;
 
 /// One eviction, oldest first in EngineRegistry::eviction_log().
 struct EvictionRecord {
@@ -98,6 +127,7 @@ struct EvictionRecord {
   std::string circuit;        ///< Netlist name, for log readability.
   std::size_t bytes = 0;      ///< Charged bytes reclaimed.
   std::uint64_t acquisitions = 0;  ///< Hits + the initial miss it served.
+  EvictionReason reason = EvictionReason::kBudget;
 };
 
 class EngineRegistry {
@@ -146,8 +176,14 @@ class EngineRegistry {
   /// Sum of the bytes charged to cached entries (engine, testbench copy,
   /// memoized predictions).
   [[nodiscard]] std::size_t resident_bytes() const;
-  /// Every eviction since construction, oldest first (budget-driven,
-  /// explicit evict() and clear() alike).
+  /// The probation slice: max_resident_bytes / kProbationSliceDivisor, or
+  /// 0 for an unlimited registry (no slice). ServiceMetrics::probation_bytes
+  /// reports how much of it is in use.
+  [[nodiscard]] std::size_t probation_slice_bytes() const noexcept {
+    return config_.max_resident_bytes / kProbationSliceDivisor;
+  }
+  /// Every eviction since construction, oldest first, each naming its
+  /// EvictionReason (probation slice, whole budget, evict() / clear()).
   [[nodiscard]] std::vector<EvictionRecord> eviction_log() const;
 
  private:
@@ -157,8 +193,13 @@ class EngineRegistry {
                                                      const sim::Testbench& tb);
   [[nodiscard]] std::shared_ptr<const netlist::Netlist> share_netlist(
       const ContentHash& key, const netlist::Netlist& nl);
-  void evict_locked(std::map<ContentHash, std::shared_ptr<Entry>>::iterator it);
+  void evict_locked(std::map<ContentHash, std::shared_ptr<Entry>>::iterator it,
+                    EvictionReason reason);
   void enforce_budget_locked(const ContentHash& pinned);
+  /// Evicts LRU-first among the ready entries (only probationary ones when
+  /// `probation_only`), never `pinned`, until their bytes fit `budget`.
+  void evict_lru_over_locked(const ContentHash& pinned, std::size_t budget,
+                             bool probation_only, EvictionReason reason);
   void update_gauges_locked();
 
   RegistryConfig config_;

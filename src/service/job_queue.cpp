@@ -45,7 +45,8 @@ struct FfrService::Job {
   /// after the run so captured netlist/testbench references are released as
   /// soon as the job is terminal.
   std::function<void(Job&)> work;
-  std::optional<fault::CampaignResult> campaign;
+  /// Heap-held so that the job table's many predict records stay small.
+  std::unique_ptr<const fault::CampaignResult> campaign;
   /// Shared with the registry's memo (or owned alone, for feature-matrix
   /// predicts): a warm predict job keeps no copy of its result.
   std::shared_ptr<const linalg::Vector> prediction;
@@ -115,14 +116,8 @@ void FfrService::run_job(const std::shared_ptr<Job>& job) {
   }
 
   const double run_seconds = seconds_between(job->started, Clock::now());
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    job->state = failed ? JobState::kFailed : JobState::kDone;
-    job->error = std::move(error);
-    job->run_seconds = run_seconds;
-    job->work = nullptr;
-    --impl_->active;
-  }
+  // Metered before the job turns terminal, so a wait()/wait_all() that sees
+  // it finished also sees it counted.
   metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
   if (failed) {
     metrics_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
@@ -131,6 +126,14 @@ void FfrService::run_job(const std::shared_ptr<Job>& job) {
     (job->job_class == JobClass::kCampaign ? metrics_.campaign_seconds
                                            : metrics_.predict_seconds)
         .record(run_seconds);
+  }
+  {
+    std::lock_guard<std::mutex> lock(impl_->mutex);
+    job->state = failed ? JobState::kFailed : JobState::kDone;
+    job->error = std::move(error);
+    job->run_seconds = run_seconds;
+    job->work = nullptr;
+    --impl_->active;
   }
   impl_->job_done.notify_all();
 }
@@ -142,7 +145,7 @@ JobId FfrService::submit_campaign(const netlist::Netlist& nl,
   job->job_class = JobClass::kCampaign;
   job->work = [this, &nl, &tb, config = std::move(config)](Job& self) {
     std::shared_ptr<const fault::CampaignEngine> engine = registry_.acquire(nl, tb);
-    self.campaign = engine->run(config);
+    self.campaign = std::make_unique<const fault::CampaignResult>(engine->run(config));
   };
   return enqueue(std::move(job));
 }
@@ -187,7 +190,7 @@ JobId FfrService::submit_sharded_campaign(const netlist::Netlist& nl,
         (resumed ? metrics_.shards_resumed : metrics_.shards_completed)
             .fetch_add(1, std::memory_order_relaxed);
       }
-      self.campaign = partial.result;
+      self.campaign = std::make_unique<const fault::CampaignResult>(partial.result);
       (*partials)[k] = std::move(partial);
     };
     ids.push_back(enqueue(std::move(job)));
@@ -220,7 +223,8 @@ JobId FfrService::submit_sharded_campaign(const netlist::Netlist& nl,
       }
       collected.push_back(std::move(*(*partials)[k]));
     }
-    self.campaign = fault::merge_partials(collected);
+    self.campaign =
+        std::make_unique<const fault::CampaignResult>(fault::merge_partials(collected));
   };
   return enqueue(std::move(merge));
 }
@@ -262,9 +266,11 @@ bool FfrService::cancel(JobId id) {
     job.work = nullptr;
     --impl_->active;
     cancelled = true;
+    // Counted before the lock is released, as in run_job: whoever sees the
+    // job terminal sees it counted.
+    metrics_.jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
+    metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
   }
-  metrics_.jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
-  metrics_.queue_depth.fetch_sub(1, std::memory_order_relaxed);
   impl_->job_done.notify_all();
   return cancelled;
 }
@@ -322,7 +328,7 @@ fault::CampaignResult FfrService::campaign_result(JobId id) const {
   }
   const Job& job = *it->second;
   if (job.job_class != JobClass::kCampaign || job.state != JobState::kDone ||
-      !job.campaign.has_value()) {
+      job.campaign == nullptr) {
     throw std::logic_error(
         "ffr_service: job " + std::to_string(id) + " is not a done campaign (" +
         std::string(to_string(job.job_class)) + "/" +

@@ -40,10 +40,14 @@ MetricsSnapshot ServiceMetrics::snapshot() const noexcept {
   s.cache_hits = cache_hits.load(std::memory_order_relaxed);
   s.cache_misses = cache_misses.load(std::memory_order_relaxed);
   s.cache_evictions = cache_evictions.load(std::memory_order_relaxed);
+  s.evictions_probation = evictions_probation.load(std::memory_order_relaxed);
+  s.evictions_budget = evictions_budget.load(std::memory_order_relaxed);
+  s.evictions_explicit = evictions_explicit.load(std::memory_order_relaxed);
   s.evicted_bytes = evicted_bytes.load(std::memory_order_relaxed);
   s.engine_builds = engine_builds.load(std::memory_order_relaxed);
   s.resident_engines = resident_engines.load(std::memory_order_relaxed);
   s.resident_bytes = resident_bytes.load(std::memory_order_relaxed);
+  s.probation_bytes = probation_bytes.load(std::memory_order_relaxed);
   s.resident_netlists = resident_netlists.load(std::memory_order_relaxed);
   s.predictions_computed = predictions_computed.load(std::memory_order_relaxed);
   s.predictions_reused = predictions_reused.load(std::memory_order_relaxed);
@@ -108,10 +112,14 @@ std::string ServiceMetrics::to_text() const {
   append_counter(out, "cache_hits", s.cache_hits);
   append_counter(out, "cache_misses", s.cache_misses);
   append_counter(out, "cache_evictions", s.cache_evictions);
+  append_counter(out, "cache_evictions_probation", s.evictions_probation);
+  append_counter(out, "cache_evictions_budget", s.evictions_budget);
+  append_counter(out, "cache_evictions_explicit", s.evictions_explicit);
   append_counter(out, "evicted_bytes", s.evicted_bytes);
   append_counter(out, "engine_builds", s.engine_builds);
   append_counter(out, "resident_engines", s.resident_engines);
   append_counter(out, "resident_bytes", s.resident_bytes);
+  append_counter(out, "probation_bytes", s.probation_bytes);
   append_counter(out, "resident_netlists", s.resident_netlists);
   append_counter(out, "predictions_computed", s.predictions_computed);
   append_counter(out, "predictions_reused", s.predictions_reused);

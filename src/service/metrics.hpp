@@ -54,10 +54,14 @@ struct MetricsSnapshot {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
+  std::uint64_t evictions_probation = 0;
+  std::uint64_t evictions_budget = 0;
+  std::uint64_t evictions_explicit = 0;
   std::uint64_t evicted_bytes = 0;
   std::uint64_t engine_builds = 0;
   std::uint64_t resident_engines = 0;
   std::uint64_t resident_bytes = 0;
+  std::uint64_t probation_bytes = 0;
   std::uint64_t resident_netlists = 0;
   std::uint64_t predictions_computed = 0;
   std::uint64_t predictions_reused = 0;
@@ -80,11 +84,19 @@ struct ServiceMetrics {
   // Engine registry.
   std::atomic<std::uint64_t> cache_hits{0};      ///< acquire() found the engine.
   std::atomic<std::uint64_t> cache_misses{0};    ///< acquire() had to build.
-  std::atomic<std::uint64_t> cache_evictions{0}; ///< Entries dropped for budget.
+  std::atomic<std::uint64_t> cache_evictions{0}; ///< Entries dropped, any cause.
+  /// cache_evictions by EvictionReason: a one-shot entry pushed out of the
+  /// probation slice, an entry dropped for the whole byte budget, and
+  /// evict() / clear().
+  std::atomic<std::uint64_t> evictions_probation{0};
+  std::atomic<std::uint64_t> evictions_budget{0};
+  std::atomic<std::uint64_t> evictions_explicit{0};
   std::atomic<std::uint64_t> evicted_bytes{0};   ///< Bytes reclaimed by eviction.
   std::atomic<std::uint64_t> engine_builds{0};   ///< Golden simulations run.
   std::atomic<std::uint64_t> resident_engines{0};///< Gauge: cached entries.
   std::atomic<std::uint64_t> resident_bytes{0};  ///< Gauge: cached bytes.
+  /// Gauge: the part of resident_bytes charged to probationary entries.
+  std::atomic<std::uint64_t> probation_bytes{0};
   /// Gauge: distinct netlist copies alive (shared by the entries of one
   /// design), as of the registry's last update.
   std::atomic<std::uint64_t> resident_netlists{0};

@@ -10,6 +10,11 @@
 //  - entries on one design share one netlist copy (also across a Verilog
 //    re-import driven by another testbench), predictions are memoized per
 //    entry and per model, and eviction drops both;
+//  - the netlist key is memoized on the finalized Netlist: copies share it,
+//    mutation + finalize re-keys only the mutated copy, and concurrent
+//    first keys on one netlist agree with the pinned literal;
+//  - one-shot entries cycle through the probation slice without evicting
+//    promoted ones, and every eviction record names its cause;
 //  - campaign jobs through FfrService are bit-identical to direct
 //    CampaignEngine::run, predict jobs serve a persisted TransferModel
 //    (the feature-matrix class without ever constructing a simulator), and
@@ -163,6 +168,112 @@ TEST_F(ServiceTest, ContentHashSurvivesWriteReadRetarget) {
       sim::retarget_testbench(mac_bench_->tb, mac_->netlist, imported);
   EXPECT_EQ(content_hash(mac_->netlist, mac_bench_->tb),
             content_hash(imported, retargeted));
+  // The import's own memoized netlist key equals the original's.
+  EXPECT_EQ(imported.content_key(), mac_->netlist.content_key());
+}
+
+/// A combinational, non-constant cell of `nl` at drive X1 (one to resize).
+netlist::CellId resizable_cell(const netlist::Netlist& nl) {
+  for (netlist::CellId id = 0; id < nl.num_cells(); ++id) {
+    const netlist::Cell& cell = nl.cell(id);
+    if (!netlist::is_sequential(cell.func) && !netlist::is_constant(cell.func) &&
+        cell.drive == netlist::DriveStrength::kX1) {
+      return id;
+    }
+  }
+  throw std::logic_error("no resizable cell");
+}
+
+TEST_F(ServiceTest, NetlistKeyMemoFollowsMutationAndFinalize) {
+  const netlist::ContentHash original = pipe_->netlist.content_key();
+  EXPECT_EQ(original, netlist::render_content_key(pipe_->netlist));
+  EXPECT_EQ(original, content_keys(pipe_->netlist, pipe_bench_->tb).netlist);
+
+  // A copy shares the memo: its content is equal at copy time.
+  netlist::Netlist copy = pipe_->netlist;
+  EXPECT_EQ(copy.content_key(), original);
+
+  // Resizing a cell unfinalizes the copy and drops its memo...
+  const netlist::CellId id = resizable_cell(copy);
+  copy.mutable_cell(id).drive = netlist::DriveStrength::kX4;
+  EXPECT_FALSE(copy.finalized());
+  EXPECT_THROW((void)copy.content_key(), std::invalid_argument);
+  EXPECT_THROW((void)content_hash(copy, pipe_bench_->tb), std::invalid_argument);
+  copy.finalize();
+  // ...so the re-finalized copy keys its new content, equal to a fresh
+  // netlist built by the same calls, and the memo serves it again.
+  const netlist::ContentHash resized = copy.content_key();
+  EXPECT_FALSE(resized == original);
+  EXPECT_EQ(copy.content_key(), resized);
+  circuits::PipelineCore fresh = circuits::build_pipeline_core();
+  fresh.netlist.mutable_cell(id).drive = netlist::DriveStrength::kX4;
+  fresh.netlist.finalize();
+  EXPECT_EQ(fresh.netlist.content_key(), resized);
+  EXPECT_EQ(netlist::render_content_key(copy), resized);
+
+  // The original's memo is its own: the copy's mutation left it alone.
+  EXPECT_EQ(pipe_->netlist.content_key(), original);
+  EXPECT_EQ(content_hash(pipe_->netlist, pipe_bench_->tb).hex(),
+            "ed3941e626cc73951ed8f0016663ac60");
+
+  // A moved-to netlist keeps serving the key; the moved-from one (emptied)
+  // renders what it now holds — or throws on its empty module name —
+  // instead of serving the memo it gave away.
+  netlist::Netlist moved = std::move(copy);
+  EXPECT_EQ(moved.content_key(), resized);
+  bool moved_from_serves_memo = false;
+  try {
+    moved_from_serves_memo = copy.content_key() == resized;  // NOLINT(bugprone-use-after-move)
+  } catch (const std::invalid_argument&) {
+  }
+  EXPECT_FALSE(moved_from_serves_memo);
+}
+
+TEST_F(ServiceTest, StressConcurrentFirstKeysOnOneNetlistAgree) {
+  // A fresh netlist whose key nobody has taken yet: 8 threads take its
+  // first content_hash while service workers predict on it. The memo must
+  // render once and every caller must see the pinned literal.
+  const circuits::PipelineCore fresh = circuits::build_pipeline_core();
+  const circuits::PipelineTestbench fresh_bench =
+      circuits::build_pipeline_testbench(fresh);
+  const linalg::Vector reference = core::TransferModel::load(*model_path_)
+                                       .predict(pipe_->netlist, pipe_bench_->tb);
+
+  ServiceConfig config;
+  config.num_workers = 4;
+  FfrService service(config);
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::string> hashes(kThreads);
+  std::vector<JobId> ids;
+  std::atomic<std::size_t> ready{0};
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads + 1) std::this_thread::yield();
+        hashes[t] = content_hash(fresh.netlist, fresh_bench.tb).hex();
+      });
+    }
+    ready.fetch_add(1);
+    while (ready.load() < kThreads + 1) std::this_thread::yield();
+    for (std::size_t i = 0; i < 8; ++i) {
+      ids.push_back(
+          service.submit_predict(*model_path_, fresh.netlist, fresh_bench.tb));
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  service.wait_all();
+  for (const std::string& hash : hashes) {
+    EXPECT_EQ(hash, "ed3941e626cc73951ed8f0016663ac60");
+  }
+  for (const JobId id : ids) {
+    ASSERT_EQ(service.status(id).state, JobState::kDone)
+        << service.status(id).error;
+    EXPECT_EQ(service.prediction(id), reference);
+  }
+  EXPECT_EQ(service.metrics().snapshot().engine_builds, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -284,6 +395,113 @@ TEST_F(ServiceTest, ExplicitEvictAndClear) {
   EXPECT_EQ(registry.resident_bytes(), 0u);
   EXPECT_EQ(metrics.snapshot().cache_evictions, 2u);
   EXPECT_EQ(metrics.snapshot().resident_engines, 0u);
+}
+
+TEST_F(ServiceTest, EvictionRecordsNameTheirCause) {
+  ServiceMetrics metrics;
+  RegistryConfig config;
+  config.max_resident_bytes = 1;
+  EngineRegistry registry(config, &metrics);
+  // Acquired twice, mac is promoted out of the probation slice; the
+  // pipeline acquire then overflows the whole budget with mac as its LRU.
+  (void)registry.acquire(mac_->netlist, mac_bench_->tb);
+  (void)registry.acquire(mac_->netlist, mac_bench_->tb);
+  EXPECT_EQ(metrics.snapshot().probation_bytes, 0u);
+  (void)registry.acquire(pipe_->netlist, pipe_bench_->tb);
+  // A second one-shot entry pushes the first out of the (0-byte) slice.
+  sim::Testbench late = pipe_bench_->tb;
+  late.inject_begin = late.inject_begin + 1;
+  (void)registry.acquire(pipe_->netlist, late);
+  registry.clear();
+
+  const std::vector<EvictionRecord> log = registry.eviction_log();
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0].circuit, "mac_core");
+  EXPECT_EQ(log[0].reason, EvictionReason::kBudget);
+  EXPECT_EQ(log[0].acquisitions, 2u);
+  EXPECT_EQ(log[1].key, content_hash(pipe_->netlist, pipe_bench_->tb));
+  EXPECT_EQ(log[1].reason, EvictionReason::kProbation);
+  EXPECT_EQ(log[2].key, content_hash(pipe_->netlist, late));
+  EXPECT_EQ(log[2].reason, EvictionReason::kExplicit);
+  EXPECT_STREQ(to_string(log[1].reason), "probation");
+
+  const MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.cache_evictions, 3u);
+  EXPECT_EQ(snap.evictions_budget, 1u);
+  EXPECT_EQ(snap.evictions_probation, 1u);
+  EXPECT_EQ(snap.evictions_explicit, 1u);
+  const std::string text = metrics.to_text();
+  for (const char* key : {"ffr_service_cache_evictions_probation 1",
+                          "ffr_service_cache_evictions_budget 1",
+                          "ffr_service_cache_evictions_explicit 1",
+                          "ffr_service_probation_bytes 0"}) {
+    EXPECT_NE(text.find(key), std::string::npos)
+        << "missing '" << key << "' in:\n" << text;
+  }
+}
+
+TEST_F(ServiceTest, OneShotStreamCyclesThroughProbationSlice) {
+  // 200 never-seen pipeline testbenches, each acquired once, interleaved
+  // with predicts on mac: the one-shot entries stay inside the probation
+  // slice and never push the warm mac entry out.
+  const auto model = std::make_shared<const core::TransferModel>(
+      core::TransferModel::load(*model_path_));
+  ServiceMetrics metrics;
+  EngineRegistry registry({}, &metrics);
+  const std::size_t slice = registry.probation_slice_bytes();
+  EXPECT_EQ(slice, RegistryConfig{}.max_resident_bytes / kProbationSliceDivisor);
+  const auto mac_fdr = registry.predict(mac_->netlist, mac_bench_->tb, model);
+
+  constexpr std::size_t kCold = 200;
+  for (std::size_t i = 0; i < kCold; ++i) {
+    const circuits::PipelineTestbench cold =
+        circuits::build_pipeline_testbench(*pipe_, 96, 0.7, 1 + i);
+    (void)registry.predict(pipe_->netlist, cold.tb, model);
+    // The pinned newest entry may sit on top of the slice; here every
+    // one-shot entry is far smaller than the slice, so the slice holds.
+    EXPECT_LE(metrics.snapshot().probation_bytes, slice) << "after cold " << i;
+    EXPECT_EQ(registry.predict(mac_->netlist, mac_bench_->tb, model).get(),
+              mac_fdr.get());
+  }
+  const MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.engine_builds, 1 + kCold);  // mac was never rebuilt
+  EXPECT_GT(snap.evictions_probation, 0u);
+  EXPECT_EQ(snap.evictions_budget, 0u);
+  for (const EvictionRecord& record : registry.eviction_log()) {
+    EXPECT_EQ(record.circuit, "pipeline_core");
+    EXPECT_EQ(record.reason, EvictionReason::kProbation);
+    EXPECT_EQ(record.acquisitions, 1u);
+  }
+}
+
+TEST_F(ServiceTest, SecondAcquirePromotesOutOfProbation) {
+  ServiceMetrics metrics;
+  EngineRegistry registry({}, &metrics);
+  const auto a = registry.acquire(mac_->netlist, mac_bench_->tb);
+  const std::size_t a_bytes = registry.resident_bytes();
+  EXPECT_EQ(metrics.snapshot().probation_bytes, a_bytes);  // A: acquired once
+  (void)registry.acquire(pipe_->netlist, pipe_bench_->tb);
+  EXPECT_EQ(metrics.snapshot().probation_bytes, registry.resident_bytes());
+  const auto a_again = registry.acquire(mac_->netlist, mac_bench_->tb);
+  EXPECT_EQ(a_again.get(), a.get());  // A, B, A: no rebuild
+  EXPECT_EQ(metrics.snapshot().engine_builds, 2u);
+  EXPECT_EQ(metrics.snapshot().probation_bytes,
+            registry.resident_bytes() - a_bytes);
+
+  // One-shot entries overflow the slice: B, still probationary and least
+  // recently used, goes first; promoted A stays.
+  std::size_t cold = 0;
+  while (metrics.snapshot().evictions_probation == 0) {
+    ASSERT_LT(cold, 100u) << "the probation slice never overflowed";
+    const circuits::PipelineTestbench one_shot =
+        circuits::build_pipeline_testbench(*pipe_, 96, 0.7, 1 + cold++);
+    (void)registry.acquire(pipe_->netlist, one_shot.tb);
+  }
+  ASSERT_FALSE(registry.eviction_log().empty());
+  EXPECT_EQ(registry.eviction_log()[0].key,
+            content_hash(pipe_->netlist, pipe_bench_->tb));
+  EXPECT_EQ(registry.acquire(mac_->netlist, mac_bench_->tb).get(), a.get());
+  EXPECT_EQ(metrics.snapshot().engine_builds, 2u + cold);
 }
 
 TEST_F(ServiceTest, TestbenchesOnOneNetlistShareOneNetlistCopy) {
