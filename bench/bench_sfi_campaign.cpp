@@ -75,6 +75,7 @@ void write_bench_json(const char* path, const std::vector<BenchRecord>& records)
         "\"batch\": %zu, \"checkpoint_interval\": %zu, "
         "\"injections_per_ff\": %zu, \"injections\": %llu, \"passes\": %llu, "
         "\"cycles_simulated\": %llu, \"ops_evaluated\": %llu, "
+        "\"op_block_evals\": %llu, \"ff_block_ticks\": %llu, "
         "\"checkpoint_restores\": %llu, \"lane_width\": %zu, "
         "\"blocks_per_pass\": %zu, \"pass_histogram\": \"%s\", "
         "\"peak_checkpoint_bytes\": %zu, \"checkpoint_bytes_unpacked\": %zu, "
@@ -85,6 +86,8 @@ void write_bench_json(const char* path, const std::vector<BenchRecord>& records)
         static_cast<unsigned long long>(c.total_sim_passes),
         static_cast<unsigned long long>(c.cycles_simulated),
         static_cast<unsigned long long>(c.ops_evaluated),
+        static_cast<unsigned long long>(c.op_block_evals),
+        static_cast<unsigned long long>(c.ff_block_ticks),
         static_cast<unsigned long long>(c.checkpoint_restores),
         c.lanes_per_pass / std::max<std::size_t>(1, c.blocks_per_pass),
         c.blocks_per_pass, histogram_string(c).c_str(), c.checkpoint_bytes,
@@ -215,7 +218,8 @@ int main() {
                      full.injections_per_ff, flat});
 
   util::TablePrinter headline({"campaign", "injections", "sim passes",
-                               "cycles[M]", "ops[G]", "wall[s]", "mean FDR"});
+                               "cycles[M]", "ops[G]", "FF-block ticks[M]",
+                               "wall[s]", "mean FDR"});
   const auto add_headline = [&](const char* name,
                                 const fault::CampaignResult& result) {
     headline.add_row(
@@ -225,6 +229,8 @@ int main() {
              static_cast<double>(result.cycles_simulated) * 1e-6, 2),
          util::TablePrinter::format(
              static_cast<double>(result.ops_evaluated) * 1e-9, 2),
+         util::TablePrinter::format(
+             static_cast<double>(result.ff_block_ticks) * 1e-6, 2),
          util::TablePrinter::format(result.wall_seconds, 2),
          util::TablePrinter::format(result.mean_fdr(), 4)});
   };
@@ -341,9 +347,12 @@ int main() {
               "native width; blocks_per_pass multiplies the per-pass fault "
               "lanes — results are bit-identical at every block count):\n",
               full.injections_per_ff);
-  util::TablePrinter block_sweep_table({"blocks", "lanes/pass", "sim passes",
-                                        "schedule", "wall[s]", "vs 64-lane"});
+  util::TablePrinter block_sweep_table(
+      {"blocks", "lanes/pass", "sim passes", "schedule", "op-block evals[M]",
+       "FF-block ticks[M]", "wall[s]", "vs 64-lane"});
   double best_block_speedup = best_wide_speedup;
+  double full_shape_ticks = 0.0;
+  double auto_ticks = 0.0;
   for (const std::size_t blocks :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8},
         std::size_t{0}}) {
@@ -357,6 +366,10 @@ int main() {
                      : std::to_string(blocks),
          std::to_string(result.lanes_per_pass),
          std::to_string(result.total_sim_passes), histogram_string(result),
+         util::TablePrinter::format(
+             static_cast<double>(result.op_block_evals) * 1e-6, 2),
+         util::TablePrinter::format(
+             static_cast<double>(result.ff_block_ticks) * 1e-6, 2),
          util::TablePrinter::format(result.wall_seconds, 2),
          util::TablePrinter::format(
              incremental.wall_seconds / result.wall_seconds, 2) +
@@ -370,8 +383,22 @@ int main() {
     }
     best_block_speedup = std::max(
         best_block_speedup, incremental.wall_seconds / result.wall_seconds);
+    if (blocks == 0 && result.pass_histogram.size() == 1) {
+      // One pass shape: a full tick would capture every FF in every block
+      // of every simulated cycle.
+      full_shape_ticks = static_cast<double>(relay.netlist.num_flip_flops()) *
+                         static_cast<double>(result.blocks_per_pass) *
+                         static_cast<double>(result.cycles_simulated);
+      auto_ticks = static_cast<double>(result.ff_block_ticks);
+    }
   }
   block_sweep_table.print();
+  if (full_shape_ticks > 0.0) {
+    std::printf("event-driven tick at the auto shape: %.0f FF-block ticks vs "
+                "%.0f for a full tick (%.1f%% fewer)\n",
+                auto_ticks, full_shape_ticks,
+                100.0 * (1.0 - auto_ticks / full_shape_ticks));
+  }
   std::printf("multi-block passes: best shape = %.2fx wall over the 64-lane "
               "incremental baseline\n",
               best_block_speedup);

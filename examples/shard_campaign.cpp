@@ -167,6 +167,8 @@ int merge_dir(const Design& design, const std::filesystem::path& dir,
   check("cycles_simulated", merged.cycles_simulated,
         reference.cycles_simulated);
   check("ops_evaluated", merged.ops_evaluated, reference.ops_evaluated);
+  check("op_block_evals", merged.op_block_evals, reference.op_block_evals);
+  check("ff_block_ticks", merged.ff_block_ticks, reference.ff_block_ticks);
   check("checkpoint_restores", merged.checkpoint_restores,
         reference.checkpoint_restores);
   if (merged.per_ff.size() != reference.per_ff.size()) {

@@ -6,7 +6,8 @@ Compares a freshly generated bench JSON against the committed baseline
 The file schema is autodetected from the rows:
 
 SFI campaign rows (BENCH_sfi_campaign.json) carry cost counters —
-simulation passes, cycles simulated, op evaluations — which depend only on
+simulation passes, cycles simulated, op evaluations, op-block evaluations
+and flip-flop block ticks — which depend only on
 the campaign configuration and the adaptive pass schedule, never on host
 load, thread timing or SIMD throughput. A counter that grew beyond the
 tolerance is a real cost regression (a scheduling or replay change made the
@@ -52,7 +53,13 @@ SCHEMAS = {
             "lane_width",
             "blocks_per_pass",
         ),
-        "counters": ("passes", "cycles_simulated", "ops_evaluated"),
+        "counters": (
+            "passes",
+            "cycles_simulated",
+            "ops_evaluated",
+            "op_block_evals",
+            "ff_block_ticks",
+        ),
         "exact": (),
         "fixed": (),
         # mean_fdr is bit-identity by engine contract: compare at 9 decimals

@@ -178,6 +178,14 @@ struct CampaignResult {
   /// Individual gate evaluations across all passes; dirty-set evaluation
   /// shrinks this without changing cycles_simulated.
   std::uint64_t ops_evaluated = 0;
+  /// ops_evaluated weighted by the lane blocks each pass sweeps: the gate
+  /// work wall time follows across pass shapes. 0 from the flat
+  /// run_campaign() oracle.
+  std::uint64_t op_block_evals = 0;
+  /// Flip-flop block captures by the simulators' clock edges. The wide
+  /// kernel ticks only FFs whose D or Q changed, the 64-lane scalar path
+  /// ticks all of them every cycle. 0 from the flat run_campaign() oracle.
+  std::uint64_t ff_block_ticks = 0;
   /// Passes that resumed from a checkpoint later than cycle 0.
   std::uint64_t checkpoint_restores = 0;
   /// Bytes held by the golden checkpoint set used by this campaign (the

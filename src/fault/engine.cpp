@@ -47,14 +47,26 @@ struct Job {
 struct WorkerCost {
   std::uint64_t cycles = 0;
   std::uint64_t ops = 0;
+  std::uint64_t op_block_evals = 0;
+  std::uint64_t ff_block_ticks = 0;
   std::uint64_t restores = 0;
+
+  void add(const sim::RunResult& run) {
+    cycles += run.cycles_simulated;
+    ops += run.ops_evaluated;
+    op_block_evals += run.op_block_evals;
+    ff_block_ticks += run.ff_block_ticks;
+    if (run.start_cycle > 0) ++restores;
+  }
 };
 
 /// SIMD lane-block pass executor for every scheduled pass of one block
 /// width W: replays each planned pass on a per-worker WideReplayRunner<W>
 /// sized to that pass's block count. The per-job outcomes are written
 /// disjointly, exactly like the scalar path — science output can never
-/// depend on scheduling, block width or block count.
+/// depend on scheduling, block width or block count. `golden` supplies the
+/// interface tape of the golden-relative monitor and the golden frames the
+/// lanes that left golden are classified against.
 template <std::size_t W>
 void run_wide_group(const sim::CompiledStimulus& stimulus,
                     std::span<const netlist::CellId> ffs,
@@ -62,8 +74,8 @@ void run_wide_group(const sim::CompiledStimulus& stimulus,
                     const std::vector<Job>& jobs,
                     const std::vector<PlannedPass>& schedule,
                     const std::vector<std::size_t>& pass_indices,
-                    const sim::FrameList& golden_frames,
                     const sim::GoldenCheckpoints* ckpts,
+                    const sim::GoldenCheckpoints& golden,
                     const CampaignConfig& config,
                     util::ThreadPool& pool,
                     std::vector<FailureClass>& outcome,
@@ -80,6 +92,7 @@ void run_wide_group(const sim::CompiledStimulus& stimulus,
         options.resume = ckpts;
         options.incremental_eval =
             config.replay_mode == ReplayMode::kIncremental;
+        options.golden = &golden;
         std::vector<sim::LaneInjection> events;
         for (std::size_t i = begin; i < end; ++i) {
           const PlannedPass& pass = schedule[pass_indices[i]];
@@ -99,13 +112,15 @@ void run_wide_group(const sim::CompiledStimulus& stimulus,
             events.push_back(ev);
           }
           const sim::RunResult run = runner.run(events, options);
+          // A lane whose interface never left golden's is kOk by
+          // construction: its frames are the golden frames.
           for (std::size_t j = pass.job_begin; j < pass.job_end; ++j) {
-            outcome[j] =
-                classify(golden_frames, run.lane_frames[j - pass.job_begin]);
+            const std::size_t lane = j - pass.job_begin;
+            outcome[j] = run.lane_is_golden[lane]
+                             ? FailureClass::kOk
+                             : classify(golden.golden_frames, run.lane_frames[lane]);
           }
-          costs[worker].cycles += run.cycles_simulated;
-          costs[worker].ops += run.ops_evaluated;
-          if (run.start_cycle > 0) ++costs[worker].restores;
+          costs[worker].add(run);
         }
       });
 }
@@ -222,6 +237,7 @@ CampaignEngine::CampaignEngine(const netlist::Netlist& nl, const sim::Testbench&
   golden_.activity = std::move(run.activity);
   golden_.eval_count = run.eval_count;
   if (options.record != nullptr) {
+    golden_tape_ = checkpoints;
     checkpoints_by_interval_[checkpoints->interval] = std::move(checkpoints);
   }
 }
@@ -404,9 +420,7 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
               outcome[j] =
                   classify(golden_.frames, run.lane_frames[j - pass.job_begin]);
             }
-            costs[worker].cycles += run.cycles_simulated;
-            costs[worker].ops += run.ops_evaluated;
-            if (run.start_cycle > 0) ++costs[worker].restores;
+            costs[worker].add(run);
           }
         });
   } else {
@@ -423,17 +437,17 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
     }
     if (!by_width[0].empty()) {
       run_wide_group<1>(stimulus_, ffs, subset, jobs, schedule, by_width[0],
-                        golden_.frames, ckpts.get(), config, pool, outcome,
+                        ckpts.get(), *golden_tape_, config, pool, outcome,
                         costs);
     }
     if (!by_width[1].empty()) {
       run_wide_group<4>(stimulus_, ffs, subset, jobs, schedule, by_width[1],
-                        golden_.frames, ckpts.get(), config, pool, outcome,
+                        ckpts.get(), *golden_tape_, config, pool, outcome,
                         costs);
     }
     if (!by_width[2].empty()) {
       run_wide_group<8>(stimulus_, ffs, subset, jobs, schedule, by_width[2],
-                        golden_.frames, ckpts.get(), config, pool, outcome,
+                        ckpts.get(), *golden_tape_, config, pool, outcome,
                         costs);
     }
   }
@@ -450,6 +464,8 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
   for (const WorkerCost& cost : costs) {
     result.cycles_simulated += cost.cycles;
     result.ops_evaluated += cost.ops;
+    result.op_block_evals += cost.op_block_evals;
+    result.ff_block_ticks += cost.ff_block_ticks;
     result.checkpoint_restores += cost.restores;
   }
   result.wall_seconds = stopwatch.elapsed_seconds();

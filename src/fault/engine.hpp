@@ -134,6 +134,9 @@ class CampaignEngine {
   const sim::Testbench* tb_;
   sim::CompiledStimulus stimulus_;
   sim::GoldenResult golden_;
+  /// The constructor's recording: its interface tape drives the
+  /// golden-relative monitor of every wide pass, at any replay mode.
+  std::shared_ptr<const sim::GoldenCheckpoints> golden_tape_;
   /// Checkpoint sets keyed by snapshot interval, recorded lazily.
   mutable std::map<std::size_t, std::shared_ptr<const sim::GoldenCheckpoints>>
       checkpoints_by_interval_;

@@ -113,6 +113,7 @@ void CampaignPartial::save(std::ostream& os) const {
      << '\n';
   os << "counters " << result.total_injections << ' ' << result.total_sim_passes
      << ' ' << result.cycles_simulated << ' ' << result.ops_evaluated << ' '
+     << result.op_block_evals << ' ' << result.ff_block_ticks << ' '
      << result.checkpoint_restores << ' ' << result.checkpoint_bytes << ' '
      << result.checkpoint_bytes_unpacked << '\n';
   os << "wall ";
@@ -190,6 +191,8 @@ CampaignPartial CampaignPartial::load(std::istream& is,
   partial.result.total_sim_passes = r.u64();
   partial.result.cycles_simulated = r.u64();
   partial.result.ops_evaluated = r.u64();
+  partial.result.op_block_evals = r.u64();
+  partial.result.ff_block_ticks = r.u64();
   partial.result.checkpoint_restores = r.u64();
   partial.result.checkpoint_bytes = static_cast<std::size_t>(r.u64());
   partial.result.checkpoint_bytes_unpacked = static_cast<std::size_t>(r.u64());
@@ -438,6 +441,8 @@ CampaignResult merge_partials(const std::vector<CampaignPartial>& partials) {
     merged.total_sim_passes += shard.total_sim_passes;
     merged.cycles_simulated += shard.cycles_simulated;
     merged.ops_evaluated += shard.ops_evaluated;
+    merged.op_block_evals += shard.op_block_evals;
+    merged.ff_block_ticks += shard.ff_block_ticks;
     merged.checkpoint_restores += shard.checkpoint_restores;
     merged.wall_seconds += shard.wall_seconds;
     for (const PassShapeCount& shape : shard.pass_histogram) {

@@ -9,7 +9,8 @@
 /// range, so the N partials merge back into a CampaignResult bit-identical
 /// to the unsharded run — FDR vector, class counts, and every deterministic
 /// counter (total_sim_passes, cycles_simulated, ops_evaluated,
-/// checkpoint_restores, pass_histogram) included.
+/// op_block_evals, ff_block_ticks, checkpoint_restores, pass_histogram)
+/// included.
 ///
 /// ## Partial file format
 ///
@@ -21,7 +22,8 @@
 ///     config <injections_per_ff> <seed> <replay_mode> <checkpoint_interval>
 ///     shape <lanes_per_pass> <blocks_per_pass>
 ///     counters <total_injections> <total_sim_passes> <cycles_simulated>
-///              <ops_evaluated> <checkpoint_restores> <checkpoint_bytes>
+///              <ops_evaluated> <op_block_evals> <ff_block_ticks>
+///              <checkpoint_restores> <checkpoint_bytes>
 ///              <checkpoint_bytes_unpacked>
 ///     wall <seconds>
 ///     histogram <n>  then n rows of <width> <blocks> <passes>
@@ -58,8 +60,10 @@
 
 namespace ffr::fault {
 
-/// Current (and only) version of the partial text format.
-inline constexpr int kPartialFormatVersion = 1;
+/// Current (and only supported) version of the partial text format.
+/// Version 2 added op_block_evals and ff_block_ticks to `counters`; version
+/// 1 files are rejected like any other unsupported version.
+inline constexpr int kPartialFormatVersion = 2;
 
 /// One shard's campaign accumulators plus the fingerprint that guards
 /// merging: two partials may only merge when they come from the same engine

@@ -216,6 +216,7 @@ void EngineRegistry::evict_locked(
   record.bytes = entry->bytes;
   record.acquisitions = entry->acquisitions;
   record.reason = reason;
+  if (eviction_log_.size() == kEvictionLogCapacity) eviction_log_.pop_front();
   eviction_log_.push_back(std::move(record));
   metrics_->cache_evictions.fetch_add(1, std::memory_order_relaxed);
   std::atomic<std::uint64_t>& by_reason =
@@ -309,7 +310,7 @@ std::size_t EngineRegistry::resident_bytes() const {
 
 std::vector<EvictionRecord> EngineRegistry::eviction_log() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return eviction_log_;
+  return {eviction_log_.begin(), eviction_log_.end()};
 }
 
 EngineRegistry& default_engine_registry() {

@@ -82,6 +82,7 @@
 /// eviction log the stress tests and the ffr_service demo read back.
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -120,6 +121,10 @@ enum class EvictionReason {
 
 /// "probation", "budget" or "explicit".
 [[nodiscard]] const char* to_string(EvictionReason reason) noexcept;
+
+/// EngineRegistry::eviction_log() keeps this many of the newest evictions;
+/// the per-reason counters in ServiceMetrics count all of them.
+inline constexpr std::size_t kEvictionLogCapacity = 64;
 
 /// One eviction, oldest first in EngineRegistry::eviction_log().
 struct EvictionRecord {
@@ -182,8 +187,8 @@ class EngineRegistry {
   [[nodiscard]] std::size_t probation_slice_bytes() const noexcept {
     return config_.max_resident_bytes / kProbationSliceDivisor;
   }
-  /// Every eviction since construction, oldest first, each naming its
-  /// EvictionReason (probation slice, whole budget, evict() / clear()).
+  /// The newest kEvictionLogCapacity evictions, oldest first, each naming
+  /// its EvictionReason (probation slice, whole budget, evict() / clear()).
   [[nodiscard]] std::vector<EvictionRecord> eviction_log() const;
 
  private:
@@ -211,7 +216,7 @@ class EngineRegistry {
   /// Netlist copies by ContentKeys::netlist; expired slots are pruned on
   /// every gauge update.
   std::map<ContentHash, std::weak_ptr<const netlist::Netlist>> netlists_;
-  std::vector<EvictionRecord> eviction_log_;
+  std::deque<EvictionRecord> eviction_log_;  // at most kEvictionLogCapacity
   std::uint64_t use_tick_ = 0;
 };
 

@@ -126,6 +126,10 @@ struct LaneBlock {
     v ^= b.v;
     return *this;
   }
+  LaneBlock& operator|=(const LaneBlock& b) noexcept {
+    v |= b.v;
+    return *this;
+  }
 };
 
 /// Upper bound on lane blocks a WideSimulator sweeps per pass. Small enough

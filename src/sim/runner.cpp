@@ -122,6 +122,7 @@ void GoldenCheckpoints::begin_recording(std::size_t ffs, std::size_t loopbacks) 
   golden_frames.clear();
   snapshots.clear();
   state_bits.clear();
+  interface_tape.clear();
 }
 
 GoldenCheckpoints::Snapshot& GoldenCheckpoints::add_snapshot(std::size_t cycle) {
@@ -157,6 +158,7 @@ std::size_t GoldenCheckpoints::memory_bytes() const noexcept {
   bytes += snapshots.size() * sizeof(Snapshot);
   for (const Snapshot& snap : snapshots) bytes += snap.open_bytes.size();
   bytes += frame_stream_bytes(golden_frames);
+  bytes += interface_tape.size() * sizeof(std::uint16_t);
   return bytes;
 }
 
@@ -347,6 +349,9 @@ RunResult ReplayRunner::run(std::span<const InjectionEvent> injections,
   result.eval_count = sim_.eval_count() - evals_before;
   result.cycles_simulated = num_cycles - start_cycle;
   result.ops_evaluated = sim_.ops_evaluated() - ops_before;
+  // One 64-lane block, and PackedSimulator::tick() captures every FF.
+  result.op_block_evals = result.ops_evaluated;
+  result.ff_block_ticks = result.cycles_simulated * ffs.size();
   result.start_cycle = start_cycle;
   return result;
 }

@@ -47,6 +47,9 @@ struct ActivityTrace {
 /// all W * 64 lanes of a SIMD lane-block pass from the same snapshot.
 /// Completed golden frames are likewise stored once (`golden_frames`);
 /// each snapshot keeps only the count of frames completed before its cycle.
+/// A WideReplayRunner recording also keeps the golden interface tape, which
+/// lets fault passes compare their monitored nets against golden instead of
+/// building frames for every lane (WideRunOptions::golden).
 struct GoldenCheckpoints {
   struct Snapshot {
     std::size_t cycle = 0;                 ///< Resume point.
@@ -64,6 +67,14 @@ struct GoldenCheckpoints {
   /// [k * state_stride(), (k + 1) * state_stride()). Within a snapshot, bit
   /// i is flip-flop i's Q and bit num_ffs + j is loopback j's pending value.
   std::vector<std::uint64_t> state_bits;
+  /// Golden packet-interface sample per cycle, one entry per testbench cycle:
+  /// the kTape* flag bits plus the monitor's data byte in bits 8..15. Filled
+  /// by WideReplayRunner recordings; empty when ReplayRunner recorded.
+  std::vector<std::uint16_t> interface_tape;
+  static constexpr std::uint16_t kTapeValid = 1u << 0;
+  static constexpr std::uint16_t kTapeSop = 1u << 1;
+  static constexpr std::uint16_t kTapeEop = 1u << 2;
+  static constexpr std::uint16_t kTapeErr = 1u << 3;
 
   /// 64-bit words per snapshot in `state_bits`.
   [[nodiscard]] std::size_t state_stride() const noexcept {
@@ -105,7 +116,8 @@ struct GoldenCheckpoints {
   }
 
   /// Actual bytes held by this (packed) representation: packed state words,
-  /// snapshot bookkeeping and the shared golden frame stream.
+  /// snapshot bookkeeping, the shared golden frame stream and the interface
+  /// tape.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
   /// Bytes the same snapshots would occupy in the pre-packed layout (one
@@ -121,7 +133,13 @@ struct RunResult {
   std::uint64_t eval_count = 0;        // evaluation sweeps (== cycles simulated)
   std::uint64_t cycles_simulated = 0;  // cycles actually advanced
   std::uint64_t ops_evaluated = 0;     // individual gate evaluations
+  std::uint64_t op_block_evals = 0;    // ops_evaluated x lane blocks per pass
+  std::uint64_t ff_block_ticks = 0;    // FF-block captures by tick()
   std::uint64_t start_cycle = 0;       // 0 unless resumed from a checkpoint
+  /// Golden-relative wide runs only (WideRunOptions::golden): 1 when lane L's
+  /// monitored interface never differed from the golden tape, so its frames
+  /// are the golden frames and lane_frames[L] is left empty. Empty otherwise.
+  std::vector<std::uint8_t> lane_is_golden;
 };
 
 struct RunOptions {

@@ -8,11 +8,20 @@
 /// golden state is identical on every lane by construction, so the
 /// bit-per-FF snapshot reproduces the golden prefix on all lanes bit-exactly.
 ///
+/// Fault passes can observe the packet interface relative to golden
+/// (WideRunOptions::golden): the monitored nets are XORed against the
+/// recorded golden interface tape every cycle, and only lanes that differ
+/// get per-lane frame state; the rest are reported as golden without
+/// building or comparing frames. Per-cycle cost then follows the lanes that
+/// left golden, as the simulator's eval and tick follow the nets that
+/// changed.
+///
 /// Besides fault passes, the wide runner also carries the golden path:
-/// fault-free runs may record packed checkpoints and trace activity (the
-/// golden bit stream is the same on every lane, so lane 0 of block 0
-/// observes it). The scalar ReplayRunner (runner.hpp) stays untouched as
-/// the differential reference for both.
+/// fault-free runs may record packed checkpoints plus the interface tape and
+/// trace activity (the golden bit stream is the same on every lane, so lane
+/// 0 of block 0 observes it; recording runs always use the full per-lane
+/// monitor). The scalar ReplayRunner (runner.hpp) stays untouched as the
+/// differential reference for both.
 
 #include <cstdint>
 #include <span>
@@ -45,13 +54,20 @@ struct WideRunOptions {
   const GoldenCheckpoints* resume = nullptr;
   /// Use dirty-set eval_incremental() per cycle instead of the full sweep.
   bool incremental_eval = false;
+  /// Golden-relative monitor: compare the monitored nets against
+  /// `golden->interface_tape` every cycle and build frames only for lanes
+  /// that differ; the others are flagged in RunResult::lane_is_golden. Needs
+  /// a WideReplayRunner recording of this testbench (a full tape); any
+  /// interval works. Incompatible with record.
+  const GoldenCheckpoints* golden = nullptr;
 };
 
-/// Reusable wide-pass driver: owns one WideSimulator<W>, so the levelized op
-/// list is built once per worker and only reset + replayed per run(). Frames
-/// observed on lane L are bit-identical to the scalar ReplayRunner running
-/// the same injection in any of its 64 lanes. Not thread-safe; use one
-/// runner per worker.
+/// Reusable wide-pass driver: owns one WideSimulator<W>, so the topological
+/// op list and fanout tables are built once per worker and only reset +
+/// replayed per run(). Frames observed on lane L are bit-identical to the
+/// scalar ReplayRunner running the same injection in any of its 64 lanes
+/// (golden-relative runs report a lane that never left golden as such, with
+/// the golden frames implied). Not thread-safe; use one runner per worker.
 template <std::size_t W>
 class WideReplayRunner {
  public:

@@ -1,6 +1,8 @@
 #include "sim/wide_sim.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <span>
 #include <stdexcept>
 
 namespace ffr::sim {
@@ -174,6 +176,27 @@ void eval_op_blocks(CellFunc func, const netlist::NetId* in,
   throw std::logic_error("eval_op_blocks: unknown cell function");
 }
 
+/// Net -> reader fanout in CSR form (counting sort by net): the readers of
+/// net n are items[begin[n], begin[n + 1]), ascending; `reads(i)` is the
+/// span of nets reader i reads.
+template <typename Reads>
+void build_reader_csr(std::size_t num_nets, std::size_t num_readers,
+                      const Reads& reads, std::vector<std::uint32_t>& begin,
+                      std::vector<std::uint32_t>& items) {
+  begin.assign(num_nets + 1, 0);
+  for (std::size_t i = 0; i < num_readers; ++i) {
+    for (const netlist::NetId net : reads(i)) ++begin[net + 1];
+  }
+  for (std::size_t n = 1; n < begin.size(); ++n) begin[n] += begin[n - 1];
+  items.resize(begin.back());
+  std::vector<std::uint32_t> cursor(begin.begin(), begin.end() - 1);
+  for (std::size_t i = 0; i < num_readers; ++i) {
+    for (const netlist::NetId net : reads(i)) {
+      items[cursor[net]++] = static_cast<std::uint32_t>(i);
+    }
+  }
+}
+
 }  // namespace
 
 template <std::size_t W>
@@ -205,40 +228,22 @@ WideSimulator<W>::WideSimulator(const netlist::Netlist& nl, std::size_t blocks)
   }
   next_state_.assign(ffs_.size() * blocks_, Block::zero());
 
-  // Net -> reading-op fanout in CSR form (counting sort by input net);
-  // identical construction to the scalar PackedSimulator.
-  fanout_begin_.assign(nl.num_nets() + 1, 0);
-  for (const Op& op : ops_) {
-    for (std::size_t i = 0; i < op.num_inputs; ++i) ++fanout_begin_[op.in[i] + 1];
-  }
-  for (std::size_t n = 1; n < fanout_begin_.size(); ++n) {
-    fanout_begin_[n] += fanout_begin_[n - 1];
-  }
-  fanout_ops_.resize(fanout_begin_.back());
-  std::vector<std::uint32_t> cursor(fanout_begin_.begin(), fanout_begin_.end() - 1);
-  for (std::uint32_t idx = 0; idx < ops_.size(); ++idx) {
-    const Op& op = ops_[idx];
-    for (std::size_t i = 0; i < op.num_inputs; ++i) {
-      fanout_ops_[cursor[op.in[i]]++] = idx;
-    }
-  }
-  op_level_.resize(ops_.size());
-  std::vector<std::uint32_t> net_level(nl.num_nets(), 0);
-  std::uint32_t max_level = 0;
-  for (std::uint32_t idx = 0; idx < ops_.size(); ++idx) {
-    const Op& op = ops_[idx];
-    std::uint32_t level = 0;
-    for (std::size_t i = 0; i < op.num_inputs; ++i) {
-      level = std::max(level, net_level[op.in[i]]);
-    }
-    op_level_[idx] = level;
-    net_level[op.out] = level + 1;
-    max_level = std::max(max_level, level);
-  }
-  level_buckets_.resize(ops_.empty() ? 0 : max_level + 1);
+  build_reader_csr(nl.num_nets(), ops_.size(),
+                   [&](std::size_t i) {
+                     return std::span<const netlist::NetId>(ops_[i].in,
+                                                            ops_[i].num_inputs);
+                   },
+                   fanout_begin_, fanout_ops_);
+  build_reader_csr(nl.num_nets(), ffs_.size(),
+                   [&](std::size_t i) {
+                     return std::span<const netlist::NetId>(&ffs_[i].d, 1);
+                   },
+                   ff_reader_begin_, ff_readers_);
 
   net_dirty_.assign(nl.num_nets(), 0);
-  op_pending_.assign(ops_.size(), 0);
+  op_pending_.assign((ops_.size() + 63) / 64, 0);
+  ff_pending_.assign((ffs_.size() + 63) / 64, 0);
+  tick_slots_.reserve(ffs_.size());
   dirty_nets_.reserve(64);
 
   reset();
@@ -296,11 +301,10 @@ void WideSimulator<W>::mark_dirty(netlist::NetId net) {
 template <std::size_t W>
 void WideSimulator<W>::schedule_fanout(netlist::NetId net) {
   for (std::uint32_t f = fanout_begin_[net]; f < fanout_begin_[net + 1]; ++f) {
-    const std::uint32_t idx = fanout_ops_[f];
-    if (!op_pending_[idx]) {
-      op_pending_[idx] = 1;
-      level_buckets_[op_level_[idx]].push_back(idx);
-    }
+    set_bit(op_pending_, fanout_ops_[f]);
+  }
+  for (std::uint32_t f = ff_reader_begin_[net]; f < ff_reader_begin_[net + 1]; ++f) {
+    set_bit(ff_pending_, ff_readers_[f]);
   }
 }
 
@@ -321,6 +325,11 @@ void WideSimulator<W>::eval() {
   }
   clear_dirty();
   coherent_ = true;
+  // A full sweep may have changed any D: the next tick visits every FF.
+  std::fill(ff_pending_.begin(), ff_pending_.end(), ~std::uint64_t{0});
+  if (ffs_.size() % 64 != 0) {
+    ff_pending_.back() = (std::uint64_t{1} << (ffs_.size() % 64)) - 1;
+  }
 }
 
 template <std::size_t W>
@@ -331,6 +340,8 @@ void WideSimulator<W>::eval_incremental() {
   }
   ++eval_count_;
   Block* const v = values_.data();
+  // A dirty primary input or Q net schedules its reading ops and the FFs
+  // whose D it is.
   for (const netlist::NetId net : dirty_nets_) {
     net_dirty_[net] = 0;
     schedule_fanout(net);
@@ -338,13 +349,14 @@ void WideSimulator<W>::eval_incremental() {
   dirty_nets_.clear();
   std::uint64_t evaluated = 0;
   Block scratch[kMaxLaneBlocksPerPass];
-  // An evaluated op only ever schedules deeper levels, so one in-order sweep
-  // over the buckets settles everything.
-  for (std::vector<std::uint32_t>& bucket : level_buckets_) {
-    for (std::size_t b = 0; b < bucket.size(); ++b) {
-      const std::uint32_t idx = bucket[b];
-      op_pending_[idx] = 0;
-      const Op& op = ops_[idx];
+  // ops_ is topologically sorted, so an evaluated op only ever schedules ops
+  // at higher indices: one ascending scan of the pending bits settles
+  // everything (the current word is re-read after every op for that reason).
+  for (std::size_t w = 0; w < op_pending_.size(); ++w) {
+    while (op_pending_[w] != 0) {
+      const std::uint64_t bits = op_pending_[w];
+      op_pending_[w] = bits & (bits - 1);
+      const Op& op = ops_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
       eval_op_blocks<W>(op.func, op.in, v, blocks_, scratch);
       ++evaluated;
       Block* out = v + static_cast<std::size_t>(op.out) * blocks_;
@@ -357,27 +369,40 @@ void WideSimulator<W>::eval_incremental() {
       }
       if (changed) schedule_fanout(op.out);
     }
-    bucket.clear();
   }
   ops_evaluated_ += evaluated;
 }
 
 template <std::size_t W>
 void WideSimulator<W>::tick() {
-  for (std::size_t i = 0; i < ffs_.size(); ++i) {
-    const Block* d = values_.data() + static_cast<std::size_t>(ffs_[i].d) * blocks_;
-    for (std::size_t b = 0; b < blocks_; ++b) next_state_[i * blocks_ + b] = d[b];
+  // Only FFs whose D changed since the last tick, or whose Q was flipped,
+  // can differ from their D; every other FF already holds Q == D.
+  tick_slots_.clear();
+  for (std::size_t w = 0; w < ff_pending_.size(); ++w) {
+    for (std::uint64_t bits = ff_pending_[w]; bits != 0; bits &= bits - 1) {
+      tick_slots_.push_back(
+          static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+    }
+    ff_pending_[w] = 0;
   }
-  for (std::size_t i = 0; i < ffs_.size(); ++i) {
-    Block* q = values_.data() + static_cast<std::size_t>(ffs_[i].q) * blocks_;
+  ff_block_ticks_ += tick_slots_.size() * blocks_;
+  // Gather every D before writing any Q, so shift chains stay two-phase.
+  for (std::size_t k = 0; k < tick_slots_.size(); ++k) {
+    const Block* d =
+        values_.data() + static_cast<std::size_t>(ffs_[tick_slots_[k]].d) * blocks_;
+    for (std::size_t b = 0; b < blocks_; ++b) next_state_[k * blocks_ + b] = d[b];
+  }
+  for (std::size_t k = 0; k < tick_slots_.size(); ++k) {
+    const FfSlot& ff = ffs_[tick_slots_[k]];
+    Block* q = values_.data() + static_cast<std::size_t>(ff.q) * blocks_;
     bool changed = false;
     for (std::size_t b = 0; b < blocks_; ++b) {
-      if (differs(q[b], next_state_[i * blocks_ + b])) {
-        q[b] = next_state_[i * blocks_ + b];
+      if (differs(q[b], next_state_[k * blocks_ + b])) {
+        q[b] = next_state_[k * blocks_ + b];
         changed = true;
       }
     }
-    if (changed) mark_dirty(ffs_[i].q);
+    if (changed) mark_dirty(ff.q);
   }
 }
 
@@ -394,6 +419,7 @@ void WideSimulator<W>::inject(netlist::CellId ff_cell, const Block& mask,
   if (any(mask)) {
     values_[static_cast<std::size_t>(ffs_[slot].q) * blocks_ + block] ^= mask;
     mark_dirty(ffs_[slot].q);
+    set_bit(ff_pending_, slot);  // Q != D now: the next tick must restore it
   }
 }
 

@@ -11,15 +11,23 @@
 /// SIMD ops on adjacent cache lines (net-major storage: net n's blocks are
 /// contiguous at [n * blocks, (n + 1) * blocks)).
 ///
-/// WideSimulator<W> mirrors PackedSimulator exactly — same levelized op
-/// list, same fanout-CSR dirty-set machinery (dirty is tracked per net, a
-/// net is dirty when any of its blocks changed), same coherence contract
-/// after restore_ff_state() — and every lane is bit-identical to the scalar
-/// simulator running that lane's scenario (the scalar 64-bit path in
-/// packed_sim.hpp is deliberately untouched as the differential reference;
-/// see tests/test_lane_width.cpp). Blocks cross this interface by reference
-/// only: the SIMD argument ABI of the build flags never leaks between
-/// translation units.
+/// WideSimulator<W> computes the same net values as PackedSimulator, and
+/// every lane is bit-identical to the scalar simulator running that lane's
+/// scenario (the scalar 64-bit path in packed_sim.hpp is deliberately
+/// untouched as the differential reference; see tests/test_lane_width.cpp).
+/// Its event-driven paths cost what actually changes:
+///   - eval_incremental() keeps one pending bit per op in topological op
+///     order and settles them in one ascending scan. It visits exactly the
+///     ops PackedSimulator's level buckets visit (dirty is tracked per net;
+///     a net is dirty when any of its blocks changed).
+///   - tick() only visits the FFs whose D net changed since the last tick
+///     (a changed op output, or a dirty primary-input or Q net) or whose Q
+///     inject() flipped; every other FF already holds Q == D. The tick after
+///     a full eval() visits every FF.
+/// Restore coherence is the scalar contract: after restore_ff_state() the
+/// next eval_incremental() is a full sweep. Blocks cross this interface by
+/// reference only: the SIMD argument ABI of the build flags never leaks
+/// between translation units.
 
 #include <cstdint>
 #include <span>
@@ -65,7 +73,10 @@ class WideSimulator {
   /// that were dirtied before the restore and never restored themselves.
   void eval_incremental();
 
-  /// Clock edge: every flip-flop captures its D input. Call eval() first.
+  /// Clock edge: every flip-flop captures its D input. Call eval() or
+  /// eval_incremental() first. Only FFs whose D changed or whose Q was
+  /// injected since the last tick are visited (all of them after a full
+  /// eval()); the result equals a full tick.
   void tick();
 
   /// Flips the stored state of a flip-flop in the lanes of block `block`
@@ -108,6 +119,12 @@ class WideSimulator {
     return ops_evaluated_;
   }
 
+  /// FF-block captures since construction: tick() adds num_blocks() per
+  /// flip-flop it visits (num_ffs() * num_blocks() after a full eval()).
+  [[nodiscard]] std::uint64_t ff_block_ticks() const noexcept {
+    return ff_block_ticks_;
+  }
+
  private:
   struct Op {
     netlist::CellFunc func;
@@ -130,22 +147,30 @@ class WideSimulator {
   std::vector<Op> ops_;              // combinational cells, topo order
   std::vector<FfSlot> ffs_;          // all flip-flops
   std::vector<Block> values_;        // net-major: blocks_ blocks per net
-  std::vector<Block> next_state_;    // scratch for tick(), ff-major
+  std::vector<Block> next_state_;    // scratch for tick(), tick_slots_ order
   std::vector<std::uint32_t> ff_slot_;  // CellId -> index into ffs_ (or ~0)
 
-  // Dirty-set machinery, identical in structure to PackedSimulator (see
-  // packed_sim.hpp for the level-bucket scheduling rationale).
+  static void set_bit(std::vector<std::uint64_t>& bits, std::uint32_t index) {
+    bits[index / 64] |= std::uint64_t{1} << (index % 64);
+  }
+
+  // Dirty-set machinery: net -> reading op and net -> FF slot whose D it is,
+  // both in CSR form, and one pending bit per op (ops_ order) and per FF
+  // slot (ffs_ order).
   std::vector<std::uint32_t> fanout_begin_;
   std::vector<std::uint32_t> fanout_ops_;
-  std::vector<std::uint32_t> op_level_;
-  std::vector<std::vector<std::uint32_t>> level_buckets_;
+  std::vector<std::uint32_t> ff_reader_begin_;
+  std::vector<std::uint32_t> ff_readers_;
   std::vector<netlist::NetId> dirty_nets_;
   std::vector<std::uint8_t> net_dirty_;
-  std::vector<std::uint8_t> op_pending_;
+  std::vector<std::uint64_t> op_pending_;
+  std::vector<std::uint64_t> ff_pending_;
+  std::vector<std::uint32_t> tick_slots_;  // scratch for tick(), ffs_ indices
   bool coherent_ = false;
 
   std::uint64_t eval_count_ = 0;
   std::uint64_t ops_evaluated_ = 0;
+  std::uint64_t ff_block_ticks_ = 0;
 };
 
 extern template class WideSimulator<1>;

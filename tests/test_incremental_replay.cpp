@@ -8,14 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "circuits/mac_core.hpp"
 #include "circuits/mac_testbench.hpp"
 #include "circuits/pipeline_core.hpp"
 #include "circuits/random_circuit.hpp"
+#include "circuits/relay_core.hpp"
 #include "fault/campaign.hpp"
 #include "fault/engine.hpp"
+#include "netlist/builder.hpp"
 #include "sim/packed_sim.hpp"
 #include "sim/runner.hpp"
 #include "sim/wide_runner.hpp"
@@ -123,47 +127,175 @@ sim::LaneBlock<W> random_block(util::Rng& rng) {
 }
 
 template <std::size_t W>
-void check_wide_dirty_set_matches_full() {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    circuits::RandomCircuitConfig cc;
-    cc.num_gates = 50 + 25 * static_cast<std::size_t>(seed % 3);
-    cc.num_flip_flops = 6 + 3 * static_cast<std::size_t>(seed % 2);
-    cc.seed = seed;
-    const netlist::Netlist nl = circuits::build_random_circuit(cc);
-    sim::WideSimulator<W> full(nl);
-    sim::WideSimulator<W> incremental(nl);
-    util::Rng rng(seed * 55 + 2);
-    const auto pis = nl.primary_inputs();
-    const auto ffs = nl.flip_flops();
-    for (int cycle = 0; cycle < 24; ++cycle) {
-      for (const netlist::NetId pi : pis) {
-        const auto value = random_block<W>(rng);
-        full.set_input(pi, value);
-        incremental.set_input(pi, value);
-      }
-      if (!ffs.empty() && rng.bernoulli(0.3)) {
-        const netlist::CellId cell = ffs[rng.below(ffs.size())];
-        const auto mask = random_block<W>(rng);
-        full.inject(cell, mask);
-        incremental.inject(cell, mask);
-      }
-      full.eval();
-      incremental.eval_incremental();
-      for (netlist::NetId net = 0; net < nl.num_nets(); ++net) {
-        ASSERT_FALSE(differs(full.value(net), incremental.value(net)))
-            << "W=" << W << " seed " << seed << " cycle " << cycle << " net "
-            << net << " (" << nl.net(net).name << ")";
-      }
-      full.tick();
-      incremental.tick();
+void expect_same_ff_state(const netlist::Netlist& nl,
+                          const sim::WideSimulator<W>& want,
+                          const sim::WideSimulator<W>& got, const std::string& where) {
+  for (const netlist::CellId ff : nl.flip_flops()) {
+    for (std::size_t b = 0; b < want.num_blocks(); ++b) {
+      ASSERT_FALSE(differs(want.ff_state(ff, b), got.ff_state(ff, b)))
+          << where << " Q of " << nl.cell(ff).name << " block " << b;
     }
-    EXPECT_LE(incremental.ops_evaluated(), full.ops_evaluated())
-        << "W=" << W << " seed " << seed;
   }
 }
 
+template <std::size_t W>
+void expect_same_nets(const netlist::Netlist& nl, const sim::WideSimulator<W>& want,
+                      const sim::WideSimulator<W>& got, const std::string& where) {
+  for (netlist::NetId net = 0; net < nl.num_nets(); ++net) {
+    for (std::size_t b = 0; b < want.num_blocks(); ++b) {
+      ASSERT_FALSE(differs(want.value(net, b), got.value(net, b)))
+          << where << " net " << net << " (" << nl.net(net).name << ") block " << b;
+    }
+  }
+}
+
+/// Dirty-set eval plus event-driven tick against full eval plus full tick,
+/// with per-block inputs and injections: every net after each eval and every
+/// Q after each tick must agree.
+template <std::size_t W>
+void check_wide_dirty_set_matches_full() {
+  for (const std::size_t blocks : {std::size_t{1}, std::size_t{3}}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      circuits::RandomCircuitConfig cc;
+      cc.num_gates = 50 + 25 * static_cast<std::size_t>(seed % 3);
+      cc.num_flip_flops = 6 + 3 * static_cast<std::size_t>(seed % 2);
+      cc.seed = seed;
+      const netlist::Netlist nl = circuits::build_random_circuit(cc);
+      sim::WideSimulator<W> full(nl, blocks);
+      sim::WideSimulator<W> incremental(nl, blocks);
+      util::Rng rng(seed * 55 + 2);
+      const auto pis = nl.primary_inputs();
+      const auto ffs = nl.flip_flops();
+      for (int cycle = 0; cycle < 24; ++cycle) {
+        const std::string where = "W=" + std::to_string(W) + " blocks " +
+                                  std::to_string(blocks) + " seed " +
+                                  std::to_string(seed) + " cycle " +
+                                  std::to_string(cycle);
+        for (const netlist::NetId pi : pis) {
+          for (std::size_t b = 0; b < blocks; ++b) {
+            const auto value = random_block<W>(rng);
+            full.set_input_block(pi, b, value);
+            incremental.set_input_block(pi, b, value);
+          }
+        }
+        if (!ffs.empty() && rng.bernoulli(0.3)) {
+          const netlist::CellId cell = ffs[rng.below(ffs.size())];
+          const auto mask = random_block<W>(rng);
+          const std::size_t block = rng.below(blocks);
+          full.inject(cell, mask, block);
+          incremental.inject(cell, mask, block);
+        }
+        full.eval();
+        incremental.eval_incremental();
+        expect_same_nets(nl, full, incremental, where);
+        full.tick();
+        incremental.tick();
+        expect_same_ff_state(nl, full, incremental, where);
+      }
+      EXPECT_LE(incremental.ops_evaluated(), full.ops_evaluated())
+          << "W=" << W << " seed " << seed;
+      EXPECT_LE(incremental.ff_block_ticks(), full.ff_block_ticks())
+          << "W=" << W << " seed " << seed;
+    }
+  }
+}
+
+TEST(WideDirtySetEval, MatchesFullEvalAt64) { check_wide_dirty_set_matches_full<1>(); }
 TEST(WideDirtySetEval, MatchesFullEvalAt256) { check_wide_dirty_set_matches_full<4>(); }
 TEST(WideDirtySetEval, MatchesFullEvalAt512) { check_wide_dirty_set_matches_full<8>(); }
+
+/// A netlist with every way a flip-flop's D can change: D is a primary
+/// input, another FF's Q (a 3-stage shift chain), a loopback input, an op
+/// output, or a constant (only injections move those FFs' Q).
+struct TickPathsCircuit {
+  netlist::Netlist nl;
+  netlist::NetId loop_in = netlist::kNoNet;    // loopback input
+  netlist::NetId loop_from = netlist::kNoNet;  // its source net
+  std::vector<netlist::CellId> constant_ffs;   // D tied to 0 / 1
+};
+
+TickPathsCircuit build_tick_paths_circuit() {
+  netlist::NetlistBuilder b("tick_paths");
+  const netlist::NetId a = b.input("a");
+  const netlist::NetId shift_in = b.input("shift_in");
+  TickPathsCircuit c;
+  c.loop_in = b.input("loop_in");
+  const netlist::FlipFlop pi_ff = b.dff(a, false, "pi_ff");
+  const netlist::FlipFlop s0 = b.dff(shift_in, false, "s0");
+  const netlist::FlipFlop s1 = b.dff(s0.q, true, "s1");
+  const netlist::FlipFlop s2 = b.dff(s1.q, false, "s2");
+  const netlist::FlipFlop loop_ff = b.dff(c.loop_in, false, "loop_ff");
+  const netlist::FlipFlop zero_ff = b.dff(b.constant(false), false, "zero_ff");
+  const netlist::FlipFlop one_ff = b.dff(b.constant(true), true, "one_ff");
+  const netlist::FlipFlop logic_ff = b.dff(b.xor2(a, s2.q), false, "logic_ff");
+  const netlist::FlipFlop toggle = b.dff_loop(
+      [&](netlist::NetId q) { return b.xor2(q, loop_ff.q); }, false, "toggle");
+  b.output(b.and2(pi_ff.q, zero_ff.q), "o0");
+  b.output(b.or2(one_ff.q, toggle.q), "o1");
+  b.output(logic_ff.q, "o2");
+  c.loop_from = logic_ff.q;
+  c.constant_ffs = {zero_ff.cell, one_ff.cell};
+  c.nl = b.build();
+  return c;
+}
+
+/// The event-driven tick against the full tick on every D path, with
+/// injections into constant-D FFs, a loopback, and a mid-run restore of an
+/// arbitrary register state.
+template <std::size_t W>
+void check_event_driven_tick() {
+  const TickPathsCircuit c = build_tick_paths_circuit();
+  const netlist::Netlist& nl = c.nl;
+  const auto ffs = nl.flip_flops();
+  for (const std::size_t blocks : {std::size_t{1}, std::size_t{3}}) {
+    sim::WideSimulator<W> full(nl, blocks);
+    sim::WideSimulator<W> event(nl, blocks);
+    util::Rng rng(31 * W + blocks);
+    std::vector<sim::LaneBlock<W>> loop(blocks, sim::LaneBlock<W>::zero());
+    for (int cycle = 0; cycle < 48; ++cycle) {
+      const std::string where = "W=" + std::to_string(W) + " blocks " +
+                                std::to_string(blocks) + " cycle " +
+                                std::to_string(cycle);
+      for (const netlist::NetId pi : nl.primary_inputs()) {
+        for (std::size_t b = 0; b < blocks; ++b) {
+          const auto value = pi == c.loop_in ? loop[b] : random_block<W>(rng);
+          full.set_input_block(pi, b, value);
+          event.set_input_block(pi, b, value);
+        }
+      }
+      if (cycle % 3 == 0 || rng.bernoulli(0.3)) {
+        // Every third cycle flips an FF whose D never changes: only the
+        // injection itself can schedule its tick.
+        const netlist::CellId cell =
+            cycle % 3 == 0 ? c.constant_ffs[(cycle / 3) % 2]
+                           : ffs[rng.below(ffs.size())];
+        const auto mask = random_block<W>(rng);
+        const std::size_t block = rng.below(blocks);
+        full.inject(cell, mask, block);
+        event.inject(cell, mask, block);
+      }
+      if (cycle == 20) {
+        std::vector<sim::LaneBlock<W>> state(ffs.size() * blocks);
+        for (auto& block : state) block = random_block<W>(rng);
+        full.restore_ff_state(state);
+        event.restore_ff_state(state);
+      }
+      full.eval();
+      event.eval_incremental();
+      expect_same_nets(nl, full, event, where);
+      for (std::size_t b = 0; b < blocks; ++b) loop[b] = full.value(c.loop_from, b);
+      full.tick();
+      event.tick();
+      expect_same_ff_state(nl, full, event, where);
+    }
+    EXPECT_LT(event.ff_block_ticks(), full.ff_block_ticks()) << "blocks " << blocks;
+    EXPECT_EQ(full.ff_block_ticks(), 48 * ffs.size() * blocks);
+  }
+}
+
+TEST(WideEventTick, MatchesFullTickOnEveryDPathAt64) { check_event_driven_tick<1>(); }
+TEST(WideEventTick, MatchesFullTickOnEveryDPathAt256) { check_event_driven_tick<4>(); }
+TEST(WideEventTick, MatchesFullTickOnEveryDPathAt512) { check_event_driven_tick<8>(); }
 
 template <std::size_t W>
 void check_wide_restore_forces_resync() {
@@ -524,6 +656,121 @@ TEST(PackedCheckpoints, WideRunnerContractsRejectMisuse) {
   sim::WideRunOptions resume_empty;
   resume_empty.resume = &empty;
   EXPECT_THROW((void)runner.run(events, resume_empty), std::logic_error);
+
+  // A wide recording keeps one interface-tape sample per cycle and charges
+  // it in memory_bytes(); a golden-relative run needs that full tape and
+  // cannot itself record.
+  ASSERT_EQ(ckpts.interface_tape.size(), stimulus.num_cycles());
+  sim::GoldenCheckpoints without_tape = ckpts;
+  without_tape.interface_tape.clear();
+  EXPECT_EQ(ckpts.memory_bytes() - without_tape.memory_bytes(),
+            stimulus.num_cycles() * sizeof(std::uint16_t));
+  sim::WideRunOptions golden_without_tape;
+  golden_without_tape.golden = &without_tape;
+  EXPECT_THROW((void)runner.run(events, golden_without_tape),
+               std::invalid_argument);
+  sim::GoldenCheckpoints rerecord;
+  rerecord.interval = 8;
+  sim::WideRunOptions record_golden_relative;
+  record_golden_relative.record = &rerecord;
+  record_golden_relative.golden = &ckpts;
+  EXPECT_THROW((void)runner.run({}, record_golden_relative),
+               std::invalid_argument);
+}
+
+// ---- wide W = 1 against the scalar runner on engine-style passes -------------
+
+/// The same resumed, incremental 64-lane passes on WideReplayRunner<1> and
+/// the scalar ReplayRunner, sliced like the engine's (cycle-sorted jobs, 64
+/// lanes per pass). Frames of every lane, the cycle and op counters and the
+/// resume point must agree — the wide kernel's pending-bit scan visits
+/// exactly the ops the scalar level buckets visit. The golden-relative
+/// monitor must leave only lanes whose frames equal the golden frames
+/// (delivery cycles included) flagged as golden.
+void check_wide_matches_scalar(const netlist::Netlist& nl, const sim::Testbench& tb) {
+  const fault::CampaignEngine engine(nl, tb);
+  const auto ckpts = engine.checkpoints(fault::CampaignConfig{}.checkpoint_interval);
+  ASSERT_EQ(ckpts->interface_tape.size(), tb.stimulus.num_cycles());
+  fault::CampaignConfig config;
+  config.injections_per_ff = 8;
+  const auto ffs = nl.flip_flops();
+  std::vector<sim::LaneInjection> jobs;
+  for (std::size_t i = 0; i < ffs.size(); i += 5) {
+    for (const std::size_t cycle : fault::injection_cycles(config, tb, i)) {
+      jobs.push_back({ffs[i], static_cast<std::uint32_t>(cycle), 0});
+    }
+  }
+  std::stable_sort(jobs.begin(), jobs.end(),
+                   [](const sim::LaneInjection& a, const sim::LaneInjection& b) {
+                     return a.cycle < b.cycle;
+                   });
+
+  const sim::CompiledStimulus stimulus(nl, tb);
+  sim::ReplayRunner scalar(stimulus);
+  sim::WideReplayRunner<1> wide(stimulus);
+  std::size_t golden_lanes = 0;
+  std::size_t diverged_lanes = 0;
+  for (std::size_t begin = 0; begin < jobs.size(); begin += 5 * sim::kNumLanes) {
+    const std::size_t end = std::min(jobs.size(), begin + sim::kNumLanes);
+    std::vector<sim::InjectionEvent> scalar_events;
+    std::vector<sim::LaneInjection> wide_events;
+    for (std::size_t j = begin; j < end; ++j) {
+      sim::LaneInjection ev = jobs[j];
+      ev.lane = static_cast<std::uint32_t>(j - begin);
+      wide_events.push_back(ev);
+      scalar_events.push_back({ev.ff_cell, ev.cycle, sim::Lanes{1} << ev.lane});
+    }
+    sim::RunOptions scalar_options;
+    scalar_options.resume = ckpts.get();
+    scalar_options.incremental_eval = true;
+    const sim::RunResult want = scalar.run(scalar_events, scalar_options);
+    for (const bool golden_relative : {false, true}) {
+      SCOPED_TRACE("pass at job " + std::to_string(begin) + " golden-relative " +
+                   std::to_string(golden_relative));
+      sim::WideRunOptions options;
+      options.resume = ckpts.get();
+      options.incremental_eval = true;
+      options.golden = golden_relative ? ckpts.get() : nullptr;
+      const sim::RunResult got = wide.run(wide_events, options);
+      EXPECT_EQ(got.start_cycle, want.start_cycle);
+      EXPECT_EQ(got.cycles_simulated, want.cycles_simulated);
+      EXPECT_EQ(got.ops_evaluated, want.ops_evaluated);
+      EXPECT_EQ(got.op_block_evals, want.op_block_evals);
+      EXPECT_LE(got.ff_block_ticks, want.ff_block_ticks);
+      ASSERT_EQ(got.lane_frames.size(), sim::kNumLanes);
+      ASSERT_EQ(got.lane_is_golden.size(), golden_relative ? sim::kNumLanes : 0u);
+      for (std::size_t lane = 0; lane < sim::kNumLanes; ++lane) {
+        const bool is_golden = golden_relative && got.lane_is_golden[lane] != 0;
+        if (golden_relative) ++(is_golden ? golden_lanes : diverged_lanes);
+        if (is_golden) {
+          EXPECT_TRUE(got.lane_frames[lane].empty()) << "lane " << lane;
+        }
+        const sim::FrameList& a = want.lane_frames[lane];
+        const sim::FrameList& b = is_golden ? engine.golden().frames : got.lane_frames[lane];
+        ASSERT_EQ(a.size(), b.size()) << "lane " << lane;
+        for (std::size_t f = 0; f < a.size(); ++f) {
+          EXPECT_EQ(a[f].bytes, b[f].bytes) << "lane " << lane << " frame " << f;
+          EXPECT_EQ(a[f].err, b[f].err) << "lane " << lane << " frame " << f;
+          EXPECT_EQ(a[f].end_cycle, b[f].end_cycle) << "lane " << lane << " frame " << f;
+        }
+      }
+    }
+  }
+  // Both monitor paths ran: lanes that stayed on golden and lanes that left.
+  EXPECT_GT(golden_lanes, 0u);
+  EXPECT_GT(diverged_lanes, 0u);
+}
+
+TEST(WideMatchesScalar, ResumedIncrementalPassesOnRelay) {
+  const circuits::RelayCore relay = circuits::build_relay_core();
+  const circuits::RelayTestbench bench = circuits::build_relay_testbench(relay);
+  check_wide_matches_scalar(relay.netlist, bench.tb);
+}
+
+TEST(WideMatchesScalar, ResumedIncrementalPassesOnMac) {
+  const circuits::MacCore mac = circuits::build_mac_core();
+  const circuits::MacTestbench bench = circuits::build_mac_testbench(mac);
+  check_wide_matches_scalar(mac.netlist, bench.tb);
 }
 
 // ---- engine-level differential across replay modes ---------------------------

@@ -251,6 +251,26 @@ TEST_F(RelayFixture, LaneWidthDifferentialAtPaperScale) {
   sim::force_native_lane_width_for_testing(sim::LaneWidth::kAuto);
 }
 
+TEST_F(RelayFixture, EventDrivenTickAtDefaultShape) {
+  // The paper-scale campaign at the default 512 x 2 pass shape: the
+  // event-driven tick must capture at least 85% fewer FF blocks than a full
+  // tick (every FF in every block on every simulated cycle).
+  sim::force_native_lane_width_for_testing(sim::LaneWidth::k512);
+  fault::CampaignEngine engine(core->netlist, bench->tb);
+  fault::CampaignConfig config;
+  config.lane_width = sim::LaneWidth::k512;
+  config.blocks_per_pass = 2;
+  const fault::CampaignResult result = engine.run(config);
+  sim::force_native_lane_width_for_testing(sim::LaneWidth::kAuto);
+  ASSERT_EQ(result.pass_histogram.size(), 1u);
+  ASSERT_EQ(result.pass_histogram[0].blocks, 2u);
+  EXPECT_EQ(result.op_block_evals, 2 * result.ops_evaluated);
+  const std::uint64_t full_tick =
+      core->netlist.num_flip_flops() * 2 * result.cycles_simulated;
+  EXPECT_LE(result.ff_block_ticks * 100, full_tick * 15)
+      << result.ff_block_ticks << " of " << full_tick;
+}
+
 TEST_F(RelayFixture, ShardedCampaignMergesBitIdenticalAtPaperScale) {
   // Paper-scale shard-equivalence: a 3-way sharded campaign on the >= 947-FF
   // relay design, merged in every shard permutation, must be bit-identical

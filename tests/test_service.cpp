@@ -440,6 +440,31 @@ TEST_F(ServiceTest, EvictionRecordsNameTheirCause) {
   }
 }
 
+TEST_F(ServiceTest, EvictionLogKeepsTheNewestRecordsOldestFirst) {
+  ServiceMetrics metrics;
+  RegistryConfig config;
+  config.max_resident_bytes = 1;  // every acquire evicts the previous entry
+  EngineRegistry registry(config, &metrics);
+  constexpr std::size_t kExtra = 3;
+  constexpr std::size_t kEvictions = kEvictionLogCapacity + kExtra;
+  std::vector<ContentHash> keys;
+  for (std::size_t i = 0; i <= kEvictions; ++i) {
+    const circuits::PipelineTestbench bench =
+        circuits::build_pipeline_testbench(*pipe_, 96, 0.7, 1 + i);
+    keys.push_back(content_hash(pipe_->netlist, bench.tb));
+    (void)registry.acquire(pipe_->netlist, bench.tb);
+  }
+  // The per-reason counters still see every eviction; the log keeps the
+  // newest kEvictionLogCapacity of them, oldest first.
+  EXPECT_EQ(metrics.snapshot().cache_evictions, kEvictions);
+  const std::vector<EvictionRecord> log = registry.eviction_log();
+  ASSERT_EQ(log.size(), kEvictionLogCapacity);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].key, keys[kExtra + i]) << "record " << i;
+  }
+  EXPECT_EQ(log.back().key, keys[kEvictions - 1]);
+}
+
 TEST_F(ServiceTest, OneShotStreamCyclesThroughProbationSlice) {
   // 200 never-seen pipeline testbenches, each acquired once, interleaved
   // with predicts on mac: the one-shot entries stay inside the probation
@@ -1018,7 +1043,8 @@ TEST_F(ServiceTest, ShardedCampaignFailsOnInvalidPartial) {
   std::filesystem::create_directories(dir);
   {
     std::ofstream os(dir / fault::partial_filename(0, 2));
-    os << "ffr-partial 1 campaign_shard\ntruncated";
+    os << "ffr-partial " << fault::kPartialFormatVersion
+       << " campaign_shard\ntruncated";
   }
 
   FfrService service;

@@ -61,6 +61,8 @@ void expect_result_identical(const CampaignResult& a, const CampaignResult& b) {
   }
   EXPECT_EQ(a.cycles_simulated, b.cycles_simulated);
   EXPECT_EQ(a.ops_evaluated, b.ops_evaluated);
+  EXPECT_EQ(a.op_block_evals, b.op_block_evals);
+  EXPECT_EQ(a.ff_block_ticks, b.ff_block_ticks);
   EXPECT_EQ(a.checkpoint_restores, b.checkpoint_restores);
   EXPECT_EQ(a.checkpoint_bytes, b.checkpoint_bytes);
   EXPECT_EQ(a.checkpoint_bytes_unpacked, b.checkpoint_bytes_unpacked);
@@ -397,13 +399,20 @@ TEST_F(MacShardFixture, LoadRejectsTruncatedCorruptAndWrongVersion) {
         "expected 'counters'");
   }
   {
-    std::string wrong_version = text;
-    wrong_version.replace(wrong_version.find("ffr-partial 1"), 13,
-                          "ffr-partial 9");
-    std::stringstream is(wrong_version);
-    expect_positioned_error(
-        [&] { (void)CampaignPartial::load(is, "<version>"); }, "<version>",
-        "unsupported format version 9");
+    // A future version, and the previous one (version 1 lacked the
+    // op_block_evals / ff_block_ticks counters), are both refused.
+    const std::string header =
+        "ffr-partial " + std::to_string(kPartialFormatVersion);
+    ASSERT_EQ(text.find(header), 0u);
+    for (const char* version : {"9", "1"}) {
+      std::string wrong_version = text;
+      wrong_version.replace(0, header.size(),
+                            std::string("ffr-partial ") + version);
+      std::stringstream is(wrong_version);
+      expect_positioned_error(
+          [&] { (void)CampaignPartial::load(is, "<version>"); }, "<version>",
+          std::string("unsupported format version ") + version);
+    }
   }
   {
     std::stringstream is("ffr-model 1 ridge");
@@ -518,7 +527,8 @@ TEST_F(ResumeFixture, ResumeRejectsPresentButCorruptPartial) {
   std::filesystem::create_directories(dir);
   {
     std::ofstream os(path);
-    os << "ffr-partial 1 campaign_shard\nengine abc\nshard 0 2\nconfig 24";
+    os << "ffr-partial " << kPartialFormatVersion
+       << " campaign_shard\nengine abc\nshard 0 2\nconfig 24";
   }
   // Present-but-invalid partials must never be silently re-run: resuming
   // over them could merge science from a half-written file.
