@@ -241,6 +241,47 @@ TEST_F(MacLaneWidthFixture, AllWidthsMatchFlatAcrossModes) {
   }
 }
 
+TEST_F(MacLaneWidthFixture, PinnedCountersAt64x1) {
+  // The 64x1 shape's deterministic cost counters in every replay mode, as
+  // literals: a change of executor must reproduce the same passes, cycles,
+  // op evaluations and restores. FF-block ticks may only fall below a full
+  // tick of every flip-flop on every simulated cycle.
+  struct Expected {
+    ReplayMode mode;
+    std::uint64_t passes;
+    std::uint64_t cycles;
+    std::uint64_t ops;
+    std::uint64_t restores;
+  };
+  constexpr Expected kExpected[] = {
+      {ReplayMode::kFull, 31, 8215, 18998784, 0},
+      {ReplayMode::kCheckpoint, 31, 5175, 11923200, 30},
+      {ReplayMode::kIncremental, 31, 5175, 1817595, 30},
+  };
+  CampaignConfig base;
+  base.injections_per_ff = 40;
+  base.lane_width = sim::LaneWidth::k64;
+  for (std::size_t i = 0; i < mac->netlist.num_flip_flops(); i += 9) {
+    base.ff_subset.push_back(i);
+  }
+  for (const Expected& want : kExpected) {
+    CampaignConfig config = base;
+    config.replay_mode = want.mode;
+    const CampaignResult result = engine->run(config);
+    const std::string label = to_string(want.mode);
+    EXPECT_EQ(result.lanes_per_pass, 64u) << label;
+    EXPECT_EQ(result.blocks_per_pass, 1u) << label;
+    EXPECT_EQ(result.total_sim_passes, want.passes) << label;
+    EXPECT_EQ(result.cycles_simulated, want.cycles) << label;
+    EXPECT_EQ(result.ops_evaluated, want.ops) << label;
+    EXPECT_EQ(result.op_block_evals, want.ops) << label;
+    EXPECT_EQ(result.checkpoint_restores, want.restores) << label;
+    EXPECT_LE(result.ff_block_ticks,
+              result.cycles_simulated * mac->netlist.num_flip_flops())
+        << label;
+  }
+}
+
 TEST_F(MacLaneWidthFixture, TailBlockMaskingAt512) {
   // 600 injections into one flip-flop at a single 512-lane block: one full
   // 512-lane pass, and the 88-job tail is re-sliced into two scalar passes
