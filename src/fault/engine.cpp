@@ -63,10 +63,10 @@ struct WorkerCost {
 /// SIMD lane-block pass executor for every scheduled pass of one block
 /// width W: replays each planned pass on a per-worker WideReplayRunner<W>
 /// sized to that pass's block count. The per-job outcomes are written
-/// disjointly, exactly like the scalar path — science output can never
-/// depend on scheduling, block width or block count. `golden` supplies the
-/// interface tape of the golden-relative monitor and the golden frames the
-/// lanes that left golden are classified against.
+/// disjointly — science output can never depend on scheduling, block width
+/// or block count. `golden` supplies the interface tape of the
+/// golden-relative monitor and the golden frames the lanes that left golden
+/// are classified against.
 template <std::size_t W>
 void run_wide_group(const sim::CompiledStimulus& stimulus,
                     std::span<const netlist::CellId> ffs,
@@ -163,10 +163,9 @@ std::vector<PlannedPass> build_pass_schedule(std::size_t num_jobs,
     }
   }
   if (full_width == 64) {
-    // Scalar-width campaigns: multi-block 64-lane passes until the tail is
-    // gone. With full_blocks == 1 this degenerates to ceil(num_jobs / 64)
-    // scalar passes — the reference path, byte-identical to the pre-adaptive
-    // engine.
+    // 64-lane campaigns: multi-block 64-lane passes until the tail is gone.
+    // With full_blocks == 1 this degenerates to ceil(num_jobs / 64) passes,
+    // so the pinned 64x1 pass counts never move.
     while (r > 0) {
       const std::size_t blocks = std::min(full_blocks, r);
       emit(64, blocks);
@@ -191,8 +190,8 @@ std::size_t resolve_blocks_per_pass(std::size_t requested,
                                     std::size_t num_nets,
                                     std::string* warning) {
   if (requested == 0) {
-    // The 64-lane reference path is never widened implicitly: adaptive
-    // block selection must not change the pinned scalar pass counts.
+    // 64-lane campaigns are never widened implicitly: adaptive block
+    // selection must not change their pinned pass counts.
     if (width_lanes <= sim::kNumLanes) return 1;
     const std::size_t bytes_per_block =
         std::max<std::size_t>(1, num_nets) * (width_lanes / 8);
@@ -215,28 +214,14 @@ std::size_t resolve_blocks_per_pass(std::size_t requested,
 
 CampaignEngine::CampaignEngine(const netlist::Netlist& nl, const sim::Testbench& tb)
     : nl_(&nl), tb_(&tb), stimulus_(nl, tb) {
-  // The golden run rides the wide path (single block, W = 1): golden state
-  // is broadcast on every lane, so frames, activity and packed checkpoints
-  // are bit-identical to a scalar ReplayRunner run — which the differential
-  // suite verifies against sim::run_golden.
-  sim::WideReplayRunner<1> runner(stimulus_);
-  sim::WideRunOptions options;
-  options.trace_activity = true;
   // Record checkpoints during the one golden run the engine pays anyway.
   // Short testbenches clamp the default interval; run() still validates the
   // caller's interval strictly.
   auto checkpoints = std::make_shared<sim::GoldenCheckpoints>();
   const std::size_t num_cycles = stimulus_.num_cycles();
+  checkpoints->interval = std::min(CampaignConfig{}.checkpoint_interval, num_cycles);
+  golden_ = sim::run_golden(stimulus_, num_cycles > 0 ? checkpoints.get() : nullptr);
   if (num_cycles > 0) {
-    checkpoints->interval =
-        std::min(CampaignConfig{}.checkpoint_interval, num_cycles);
-    options.record = checkpoints.get();
-  }
-  sim::RunResult run = runner.run({}, options);
-  golden_.frames = std::move(run.lane_frames[0]);
-  golden_.activity = std::move(run.activity);
-  golden_.eval_count = run.eval_count;
-  if (options.record != nullptr) {
     golden_tape_ = checkpoints;
     checkpoints_by_interval_[checkpoints->interval] = std::move(checkpoints);
   }
@@ -256,10 +241,7 @@ std::shared_ptr<const sim::GoldenCheckpoints> CampaignEngine::checkpoints(
   // snapshots for a given interval are identical either way.
   auto fresh = std::make_shared<sim::GoldenCheckpoints>();
   fresh->interval = interval;
-  sim::WideReplayRunner<1> runner(stimulus_);
-  sim::WideRunOptions options;
-  options.record = fresh.get();
-  (void)runner.run({}, options);
+  (void)sim::run_golden(stimulus_, fresh.get());
   std::lock_guard<std::mutex> lock(checkpoints_mutex_);
   return checkpoints_by_interval_.emplace(interval, std::move(fresh))
       .first->second;
@@ -387,69 +369,28 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
 
   util::ThreadPool pool(config.num_threads);
   std::vector<WorkerCost> costs(pool.size());
-  if (block_lanes == sim::kNumLanes && blocks == 1) {
-    // Scalar 64-lane path — byte-for-byte the pre-SIMD engine behaviour and
-    // the reference every wider shape is differentially tested against. The
-    // schedule is exactly ceil(jobs / 64) single-block passes here.
-    std::vector<std::unique_ptr<sim::ReplayRunner>> runners(pool.size());
-    pool.parallel_for_chunked(
-        owned.size(), config.batch_size,
-        [&](std::size_t begin, std::size_t end, std::size_t worker) {
-          if (!runners[worker]) {
-            runners[worker] = std::make_unique<sim::ReplayRunner>(stimulus_);
-          }
-          sim::ReplayRunner& runner = *runners[worker];
-          sim::RunOptions options;
-          options.resume = ckpts.get();
-          options.incremental_eval =
-              config.replay_mode == ReplayMode::kIncremental;
-          std::vector<sim::InjectionEvent> events;
-          events.reserve(sim::kNumLanes);
-          for (std::size_t i = begin; i < end; ++i) {
-            const PlannedPass& pass = schedule[owned[i]];
-            events.clear();
-            for (std::size_t j = pass.job_begin; j < pass.job_end; ++j) {
-              sim::InjectionEvent ev;
-              ev.ff_cell = ffs[subset[jobs[j].task]];
-              ev.cycle = jobs[j].cycle;
-              ev.lane_mask = sim::Lanes{1} << (j - pass.job_begin);
-              events.push_back(ev);
-            }
-            const sim::RunResult run = runner.run(events, options);
-            for (std::size_t j = pass.job_begin; j < pass.job_end; ++j) {
-              outcome[j] =
-                  classify(golden_.frames, run.lane_frames[j - pass.job_begin]);
-            }
-            costs[worker].add(run);
-          }
-        });
-  } else {
-    // Group the owned passes by block width and dispatch each group to its
-    // templated executor; a narrower-tail pass of a 512-lane campaign runs
-    // on the narrow kernel it was planned for.
-    std::vector<std::size_t> by_width[3];  // 64, 256, 512
-    for (const std::size_t p : owned) {
-      switch (schedule[p].width) {
-        case 64: by_width[0].push_back(p); break;
-        case 256: by_width[1].push_back(p); break;
-        default: by_width[2].push_back(p); break;
-      }
+  // Group the owned passes by block width and dispatch each group to its
+  // templated executor; a narrower-tail pass of a 512-lane campaign runs on
+  // the narrow kernel it was planned for.
+  std::vector<std::size_t> by_width[3];  // 64, 256, 512
+  for (const std::size_t p : owned) {
+    switch (schedule[p].width) {
+      case 64: by_width[0].push_back(p); break;
+      case 256: by_width[1].push_back(p); break;
+      default: by_width[2].push_back(p); break;
     }
-    if (!by_width[0].empty()) {
-      run_wide_group<1>(stimulus_, ffs, subset, jobs, schedule, by_width[0],
-                        ckpts.get(), *golden_tape_, config, pool, outcome,
-                        costs);
-    }
-    if (!by_width[1].empty()) {
-      run_wide_group<4>(stimulus_, ffs, subset, jobs, schedule, by_width[1],
-                        ckpts.get(), *golden_tape_, config, pool, outcome,
-                        costs);
-    }
-    if (!by_width[2].empty()) {
-      run_wide_group<8>(stimulus_, ffs, subset, jobs, schedule, by_width[2],
-                        ckpts.get(), *golden_tape_, config, pool, outcome,
-                        costs);
-    }
+  }
+  if (!by_width[0].empty()) {
+    run_wide_group<1>(stimulus_, ffs, subset, jobs, schedule, by_width[0],
+                      ckpts.get(), *golden_tape_, config, pool, outcome, costs);
+  }
+  if (!by_width[1].empty()) {
+    run_wide_group<4>(stimulus_, ffs, subset, jobs, schedule, by_width[1],
+                      ckpts.get(), *golden_tape_, config, pool, outcome, costs);
+  }
+  if (!by_width[2].empty()) {
+    run_wide_group<8>(stimulus_, ffs, subset, jobs, schedule, by_width[2],
+                      ckpts.get(), *golden_tape_, config, pool, outcome, costs);
   }
 
   for (const std::size_t p : owned) {

@@ -5,16 +5,16 @@
 /// CampaignEngine precomputes everything that is invariant across a
 /// campaign's simulation passes — the compiled stimulus (waveforms validated
 /// once and pre-broadcast to 64-lane words), the golden frame stream /
-/// activity trace (run on the wide path: golden state is broadcast, so the
-/// wide golden run is bit-identical to the scalar one), and bit-packed
-/// golden-state checkpoints (sim::GoldenCheckpoints at 1 bit per FF,
-/// snapshotted during the one-time golden run) — and keeps one replay
-/// runner per worker thread so the levelized evaluation order is built once
-/// per worker instead of once per pass. run() packs injection windows
+/// activity trace and bit-packed golden-state checkpoints with the golden
+/// interface tape (sim::GoldenCheckpoints at 1 bit per FF), all from one
+/// sim::run_golden() call — and keeps one sim::WideReplayRunner per worker
+/// thread and pass shape so the levelized evaluation order is built once
+/// per worker instead of once per pass. Every pass, 64-lane ones included,
+/// runs on that one replay engine. run() packs injection windows
 /// across flip-flops: the whole campaign's injections form one flat job
 /// list planned into an adaptive pass schedule (build_pass_schedule). Full
 /// passes carry lane_width * blocks_per_pass fault lanes — lane_width picks
-/// the SIMD block (64 scalar, 256 AVX2, 512 AVX-512; kAuto dispatches via
+/// the SIMD block (64 = one 64-bit word, 256 AVX2, 512 AVX-512; kAuto dispatches via
 /// CPUID) and blocks_per_pass sweeps several blocks per op to keep the
 /// vector pipelines busy past the register width — and the ragged job tail
 /// is re-sliced widest-first into narrower passes instead of running one
@@ -62,15 +62,16 @@ struct PlannedPass {
 /// two 64-lane passes instead of one mostly-masked 512-lane pass — narrower
 /// SIMD kernels are cheaper per pass, and empty lanes still pay full cost).
 /// With full_width == 64 and full_blocks == 1 the schedule degenerates to
-/// exactly ceil(num_jobs / 64) scalar passes: the reference path is never
-/// re-shaped. Deterministic — depends only on the arguments, never the host.
+/// exactly ceil(num_jobs / 64) single-block passes, so the pinned 64x1 pass
+/// counts never move. Deterministic — depends only on the arguments, never
+/// the host.
 [[nodiscard]] std::vector<PlannedPass> build_pass_schedule(std::size_t num_jobs,
                                                            std::size_t full_width,
                                                            std::size_t full_blocks);
 
 /// Resolves CampaignConfig::blocks_per_pass for a campaign at `width_lanes`
-/// over a `num_nets`-net circuit. 0 = auto: 1 at the 64-lane reference width
-/// (the scalar differential path is never widened implicitly), otherwise the
+/// over a `num_nets`-net circuit. 0 = auto: 1 at the 64-lane width (its
+/// pinned pass counts are never changed implicitly), otherwise the
 /// largest power-of-two block count whose per-pass net-state footprint
 /// (num_nets * width_lanes / 8 bytes per block) stays within a fixed
 /// cache-class budget — a deterministic rule, so schedules and counters are
@@ -106,7 +107,8 @@ class CampaignEngine {
   /// Batched campaign over the configured flip-flop subset. Bit-identical to
   /// run_campaign(netlist(), testbench(), golden(), config) in every replay
   /// mode, but with cross-flip-flop lane packing, checkpointed mid-stream
-  /// starts, dirty-set evaluation and chunked work-stealing scheduling.
+  /// starts, dirty-set evaluation, a golden-relative monitor and chunked
+  /// work-stealing scheduling.
   /// With config.shard.count > 1 only the shard's round-robin share of the
   /// full pass schedule runs (see ShardSpec / fault/shard.hpp); merging all
   /// N shards' results reconstructs the unsharded run bit-identically.
@@ -135,7 +137,7 @@ class CampaignEngine {
   sim::CompiledStimulus stimulus_;
   sim::GoldenResult golden_;
   /// The constructor's recording: its interface tape drives the
-  /// golden-relative monitor of every wide pass, at any replay mode.
+  /// golden-relative monitor of every pass, at any replay mode.
   std::shared_ptr<const sim::GoldenCheckpoints> golden_tape_;
   /// Checkpoint sets keyed by snapshot interval, recorded lazily.
   mutable std::map<std::size_t, std::shared_ptr<const sim::GoldenCheckpoints>>

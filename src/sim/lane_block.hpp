@@ -92,9 +92,9 @@ struct LaneBlock {
     return ((word(lane / 64) >> (lane % 64)) & 1u) != 0;
   }
 
-  /// True when any bit differs between the two blocks (the wide analogue of
-  /// the scalar `a != b` dirty check; written as an OR-reduction so the
-  /// compiler keeps it branch-free and vectorized).
+  /// True when any bit differs between the two blocks (the block analogue of
+  /// a word `a != b`, as used by the dirty checks; written as an
+  /// OR-reduction so the compiler keeps it branch-free and vectorized).
   [[nodiscard]] friend bool differs(const LaneBlock& a, const LaneBlock& b) noexcept {
     Word acc = 0;
     for (std::size_t i = 0; i < W; ++i) acc |= a.word(i) ^ b.word(i);

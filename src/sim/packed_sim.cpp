@@ -1,7 +1,6 @@
 #include "sim/packed_sim.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 
 namespace ffr::sim {
@@ -67,45 +66,6 @@ PackedSimulator::PackedSimulator(const netlist::Netlist& nl) : nl_(&nl) {
     ffs_.push_back(FfSlot{cell.inputs[0], cell.output, broadcast(cell.init_value)});
   }
   next_state_.assign(ffs_.size(), 0);
-
-  // Net -> reading-op fanout in CSR form (counting sort by input net).
-  fanout_begin_.assign(nl.num_nets() + 1, 0);
-  for (const Op& op : ops_) {
-    for (std::size_t i = 0; i < op.num_inputs; ++i) ++fanout_begin_[op.in[i] + 1];
-  }
-  for (std::size_t n = 1; n < fanout_begin_.size(); ++n) {
-    fanout_begin_[n] += fanout_begin_[n - 1];
-  }
-  fanout_ops_.resize(fanout_begin_.back());
-  std::vector<std::uint32_t> cursor(fanout_begin_.begin(), fanout_begin_.end() - 1);
-  for (std::uint32_t idx = 0; idx < ops_.size(); ++idx) {
-    const Op& op = ops_[idx];
-    for (std::size_t i = 0; i < op.num_inputs; ++i) {
-      fanout_ops_[cursor[op.in[i]]++] = idx;
-    }
-  }
-  // Logic level per op: one past the deepest level feeding any input
-  // (primary inputs and flip-flop outputs sit at level 0). An op's output
-  // net therefore only feeds ops at strictly greater levels.
-  op_level_.resize(ops_.size());
-  std::vector<std::uint32_t> net_level(nl.num_nets(), 0);
-  std::uint32_t max_level = 0;
-  for (std::uint32_t idx = 0; idx < ops_.size(); ++idx) {
-    const Op& op = ops_[idx];
-    std::uint32_t level = 0;
-    for (std::size_t i = 0; i < op.num_inputs; ++i) {
-      level = std::max(level, net_level[op.in[i]]);
-    }
-    op_level_[idx] = level;
-    net_level[op.out] = level + 1;
-    max_level = std::max(max_level, level);
-  }
-  level_buckets_.resize(ops_.empty() ? 0 : max_level + 1);
-
-  net_dirty_.assign(nl.num_nets(), 0);
-  op_pending_.assign(ops_.size(), 0);
-  dirty_nets_.reserve(64);
-
   reset();
 }
 
@@ -119,32 +79,7 @@ void PackedSimulator::set_input(netlist::NetId net, Lanes value) {
   if (net >= values_.size() || nl_->net(net).pi_index < 0) {
     throw std::invalid_argument("set_input: not a primary input net");
   }
-  if (values_[net] != value) {
-    values_[net] = value;
-    mark_dirty(net);
-  }
-}
-
-void PackedSimulator::mark_dirty(netlist::NetId net) {
-  if (!net_dirty_[net]) {
-    net_dirty_[net] = 1;
-    dirty_nets_.push_back(net);
-  }
-}
-
-void PackedSimulator::schedule_fanout(netlist::NetId net) {
-  for (std::uint32_t f = fanout_begin_[net]; f < fanout_begin_[net + 1]; ++f) {
-    const std::uint32_t idx = fanout_ops_[f];
-    if (!op_pending_[idx]) {
-      op_pending_[idx] = 1;
-      level_buckets_[op_level_[idx]].push_back(idx);
-    }
-  }
-}
-
-void PackedSimulator::clear_dirty() {
-  for (const netlist::NetId net : dirty_nets_) net_dirty_[net] = 0;
-  dirty_nets_.clear();
+  values_[net] = value;
 }
 
 void PackedSimulator::eval() {
@@ -154,50 +89,11 @@ void PackedSimulator::eval() {
   for (const Op& op : ops_) {
     v[op.out] = compute_op(op.func, op.in, v);
   }
-  clear_dirty();
-  coherent_ = true;
-}
-
-void PackedSimulator::eval_incremental() {
-  if (!coherent_) {
-    eval();
-    return;
-  }
-  ++eval_count_;
-  Lanes* const v = values_.data();
-  for (const netlist::NetId net : dirty_nets_) {
-    net_dirty_[net] = 0;
-    schedule_fanout(net);
-  }
-  dirty_nets_.clear();
-  std::uint64_t evaluated = 0;
-  // An evaluated op only ever schedules deeper levels, so one in-order sweep
-  // over the buckets settles everything.
-  for (std::vector<std::uint32_t>& bucket : level_buckets_) {
-    for (std::size_t b = 0; b < bucket.size(); ++b) {
-      const std::uint32_t idx = bucket[b];
-      op_pending_[idx] = 0;
-      const Op& op = ops_[idx];
-      const Lanes out = compute_op(op.func, op.in, v);
-      ++evaluated;
-      if (out != v[op.out]) {
-        v[op.out] = out;
-        schedule_fanout(op.out);
-      }
-    }
-    bucket.clear();
-  }
-  ops_evaluated_ += evaluated;
 }
 
 void PackedSimulator::tick() {
   for (std::size_t i = 0; i < ffs_.size(); ++i) next_state_[i] = values_[ffs_[i].d];
-  for (std::size_t i = 0; i < ffs_.size(); ++i) {
-    if (values_[ffs_[i].q] != next_state_[i]) {
-      values_[ffs_[i].q] = next_state_[i];
-      mark_dirty(ffs_[i].q);
-    }
-  }
+  for (std::size_t i = 0; i < ffs_.size(); ++i) values_[ffs_[i].q] = next_state_[i];
 }
 
 void PackedSimulator::inject(netlist::CellId ff_cell, Lanes lane_mask) {
@@ -205,25 +101,7 @@ void PackedSimulator::inject(netlist::CellId ff_cell, Lanes lane_mask) {
   if (slot == ~std::uint32_t{0}) {
     throw std::invalid_argument("inject: cell is not a flip-flop");
   }
-  if (lane_mask != 0) {
-    values_[ffs_[slot].q] ^= lane_mask;
-    mark_dirty(ffs_[slot].q);
-  }
-}
-
-void PackedSimulator::snapshot_ff_state(std::vector<Lanes>& out) const {
-  out.resize(ffs_.size());
-  for (std::size_t i = 0; i < ffs_.size(); ++i) out[i] = values_[ffs_[i].q];
-}
-
-void PackedSimulator::restore_ff_state(std::span<const Lanes> state) {
-  if (state.size() != ffs_.size()) {
-    throw std::invalid_argument("restore_ff_state: state size mismatch");
-  }
-  for (std::size_t i = 0; i < ffs_.size(); ++i) values_[ffs_[i].q] = state[i];
-  // Combinational nets are now stale relative to the restored registers;
-  // force the next incremental sweep to run in full.
-  coherent_ = false;
+  values_[ffs_[slot].q] ^= lane_mask;
 }
 
 Lanes PackedSimulator::ff_state(netlist::CellId ff_cell) const {

@@ -6,19 +6,14 @@
 /// (classic parallel fault simulation). A fault-free ("golden") run simply
 /// drives identical stimulus on all lanes and reads lane 0.
 ///
-/// Two evaluation strategies are offered: eval() sweeps the full levelized op
-/// list, and eval_incremental() propagates only from nets whose stored value
-/// actually changed since the last sweep (classic event-driven / dirty-set
-/// evaluation) — after a fault injection most cycles touch only the small
-/// divergence cone. Both produce bit-identical net values.
-///
-/// This scalar 64-lane simulator is deliberately kept untouched as the
-/// differential reference for the SIMD lane-block generalization
-/// (WideSimulator<W> in wide_sim.hpp, 256/512 lanes per pass): every wider
-/// path must match it bit-for-bit on every circuit and replay mode.
+/// This is the full-sweep oracle: eval() evaluates every op in topological
+/// order and tick() captures every flip-flop, with no event-driven shortcut.
+/// reference_sim checks it, and the flat run_testbench()/run_campaign()
+/// reference rests on it. Every campaign pass and golden run executes on
+/// WideSimulator<W> (wide_sim.hpp), whose lanes must match this simulator
+/// bit-for-bit on every circuit and replay mode.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -54,32 +49,12 @@ class PackedSimulator {
   /// Re-evaluates all combinational logic from current inputs + FF states.
   void eval();
 
-  /// Event-driven sweep: propagates only from nets changed since the last
-  /// sweep (inputs, injections, flip-flop updates), evaluating an op only
-  /// when one of its inputs actually changed. Net values after the call are
-  /// bit-identical to eval(). Falls back to a full eval() when the stored
-  /// values are not known to be coherent (after restore_ff_state()).
-  void eval_incremental();
-
   /// Clock edge: every flip-flop captures its D input. Call eval() first.
   void tick();
 
   /// Flips the stored state of a flip-flop in the given lanes (SEU model).
   /// Takes effect on the Q value immediately; call eval() to propagate.
   void inject(netlist::CellId ff_cell, Lanes lane_mask);
-
-  // ---- state snapshots ---------------------------------------------------------
-
-  [[nodiscard]] std::size_t num_ffs() const noexcept { return ffs_.size(); }
-
-  /// Copies every flip-flop's Q word into `out` (Netlist::flip_flops order).
-  void snapshot_ff_state(std::vector<Lanes>& out) const;
-
-  /// Overwrites every flip-flop's Q word from `state` (same order/size as
-  /// snapshot_ff_state). Combinational nets become stale: the next
-  /// eval_incremental() performs a full sweep to re-establish coherence.
-  /// \throws std::invalid_argument on a size mismatch.
-  void restore_ff_state(std::span<const Lanes> state);
 
   // ---- observation --------------------------------------------------------------
 
@@ -93,11 +68,11 @@ class PackedSimulator {
 
   [[nodiscard]] const netlist::Netlist& netlist() const noexcept { return *nl_; }
 
-  /// Number of eval()/eval_incremental() sweeps since construction.
+  /// Number of eval() sweeps since construction.
   [[nodiscard]] std::uint64_t eval_count() const noexcept { return eval_count_; }
 
-  /// Individual op evaluations since construction: eval() adds the full op
-  /// count, eval_incremental() only the ops it actually visited.
+  /// Individual op evaluations since construction (the full op count per
+  /// eval()).
   [[nodiscard]] std::uint64_t ops_evaluated() const noexcept {
     return ops_evaluated_;
   }
@@ -115,32 +90,12 @@ class PackedSimulator {
     Lanes init;
   };
 
-  void mark_dirty(netlist::NetId net);
-  void schedule_fanout(netlist::NetId net);
-  void clear_dirty();
-
   const netlist::Netlist* nl_;
   std::vector<Op> ops_;                 // combinational cells, topo order
   std::vector<FfSlot> ffs_;             // all flip-flops
   std::vector<Lanes> values_;           // per net
   std::vector<Lanes> next_state_;       // scratch for tick()
   std::vector<std::uint32_t> ff_slot_;  // CellId -> index into ffs_ (or ~0)
-
-  // Event-driven evaluation: per-net fanout (CSR into ops_ indices, built at
-  // construction), the set of nets changed since the last sweep, and pending
-  // ops bucketed by logic level. An op's output only feeds strictly deeper
-  // levels, so sweeping the buckets in level order evaluates each op at most
-  // once, after all its dirty inputs settled — with O(1) scheduling (a heap
-  // keyed on topo index is correct too, but its log-cost pushes/pops cost
-  // more than the gate evaluations they schedule).
-  std::vector<std::uint32_t> fanout_begin_;  // per net, size num_nets + 1
-  std::vector<std::uint32_t> fanout_ops_;
-  std::vector<std::uint32_t> op_level_;      // logic level per op
-  std::vector<std::vector<std::uint32_t>> level_buckets_;  // pending ops
-  std::vector<netlist::NetId> dirty_nets_;
-  std::vector<std::uint8_t> net_dirty_;
-  std::vector<std::uint8_t> op_pending_;
-  bool coherent_ = false;  // stored values consistent with inputs + FF state?
 
   std::uint64_t eval_count_ = 0;
   std::uint64_t ops_evaluated_ = 0;

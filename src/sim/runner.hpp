@@ -1,13 +1,14 @@
 #pragma once
 /// \file runner.hpp
-/// \brief Drives a PackedSimulator through a testbench: applies stimulus, services
-/// loopbacks, schedules fault injections, extracts per-lane frames at the
-/// monitored packet interface and records per-flip-flop signal activity.
-/// A fault-free run can record golden-state checkpoints; a fault run can
-/// restore the latest checkpoint at or before its first injection and
-/// fast-forward from there (incremental fault simulation).
+/// \brief Types shared by every testbench run (injection events, frames per
+/// lane, activity traces, golden checkpoints, precompiled stimulus) plus the
+/// flat oracle run_testbench(): a fresh PackedSimulator driven from reset
+/// with a full eval() and tick() every cycle. Campaign passes and golden runs
+/// execute on WideReplayRunner<W> (wide_runner.hpp); run_golden() here is
+/// that runner's fault-free single-block run.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/packed_sim.hpp"
@@ -47,9 +48,9 @@ struct ActivityTrace {
 /// all W * 64 lanes of a SIMD lane-block pass from the same snapshot.
 /// Completed golden frames are likewise stored once (`golden_frames`);
 /// each snapshot keeps only the count of frames completed before its cycle.
-/// A WideReplayRunner recording also keeps the golden interface tape, which
-/// lets fault passes compare their monitored nets against golden instead of
-/// building frames for every lane (WideRunOptions::golden).
+/// A recording also keeps the golden interface tape, which lets fault
+/// passes compare their monitored nets against golden instead of building
+/// frames for every lane (WideRunOptions::golden).
 struct GoldenCheckpoints {
   struct Snapshot {
     std::size_t cycle = 0;                 ///< Resume point.
@@ -68,8 +69,7 @@ struct GoldenCheckpoints {
   /// i is flip-flop i's Q and bit num_ffs + j is loopback j's pending value.
   std::vector<std::uint64_t> state_bits;
   /// Golden packet-interface sample per cycle, one entry per testbench cycle:
-  /// the kTape* flag bits plus the monitor's data byte in bits 8..15. Filled
-  /// by WideReplayRunner recordings; empty when ReplayRunner recorded.
+  /// the kTape* flag bits plus the monitor's data byte in bits 8..15.
   std::vector<std::uint16_t> interface_tape;
   static constexpr std::uint16_t kTapeValid = 1u << 0;
   static constexpr std::uint16_t kTapeSop = 1u << 1;
@@ -128,13 +128,13 @@ struct GoldenCheckpoints {
 };
 
 struct RunResult {
-  std::vector<FrameList> lane_frames;  // size kNumLanes
-  ActivityTrace activity;              // filled when trace_activity is set
-  std::uint64_t eval_count = 0;        // evaluation sweeps (== cycles simulated)
+  std::vector<FrameList> lane_frames;  // one per lane
+  ActivityTrace activity;              // filled by activity-tracing wide runs
+  std::uint64_t eval_count = 0;        // evaluation sweeps (+1 reset sweep)
   std::uint64_t cycles_simulated = 0;  // cycles actually advanced
   std::uint64_t ops_evaluated = 0;     // individual gate evaluations
-  std::uint64_t op_block_evals = 0;    // ops_evaluated x lane blocks per pass
-  std::uint64_t ff_block_ticks = 0;    // FF-block captures by tick()
+  std::uint64_t op_block_evals = 0;    // wide: ops_evaluated x lane blocks
+  std::uint64_t ff_block_ticks = 0;    // wide: FF-block captures by tick()
   std::uint64_t start_cycle = 0;       // 0 unless resumed from a checkpoint
   /// Golden-relative wide runs only (WideRunOptions::golden): 1 when lane L's
   /// monitored interface never differed from the golden tape, so its frames
@@ -142,37 +142,21 @@ struct RunResult {
   std::vector<std::uint8_t> lane_is_golden;
 };
 
-struct RunOptions {
-  bool trace_activity = false;
-  /// Record golden checkpoints every `record->interval` cycles into
-  /// `record` (previous snapshots are cleared). Fault-free runs only;
-  /// `record->interval` must be in [1, num_cycles].
-  GoldenCheckpoints* record = nullptr;
-  /// Resume from the latest checkpoint at or before the earliest injection
-  /// instead of replaying from reset; the skipped prefix is bit-identical
-  /// to golden by construction. Ignored when the schedule is empty.
-  /// Incompatible with trace_activity (the trace would only cover the
-  /// simulated suffix) and with record.
-  const GoldenCheckpoints* resume = nullptr;
-  /// Use dirty-set PackedSimulator::eval_incremental() per cycle instead of
-  /// the full-sweep eval(). Bit-identical results, far fewer op evaluations
-  /// once lanes have diverged on only a small cone.
-  bool incremental_eval = false;
-};
-
-/// Runs the full testbench. `injections` may target any flip-flops/cycles;
+/// The flat oracle: simulates the whole testbench from reset on a fresh
+/// PackedSimulator with a full eval() and tick() every cycle, and extracts
+/// every lane's frames. `injections` may target any flip-flops/cycles;
 /// events outside [0, num_cycles) are rejected with std::invalid_argument.
+/// eval_count and ops_evaluated include the reset sweep.
 [[nodiscard]] RunResult run_testbench(const netlist::Netlist& nl,
                                       const Testbench& tb,
-                                      std::span<const InjectionEvent> injections = {},
-                                      const RunOptions& options = {});
+                                      std::span<const InjectionEvent> injections = {});
 
 /// Precompiled, shareable stimulus for one (netlist, testbench) pair:
 /// validates the waveform/PI binding once and pre-broadcasts every input
 /// sample into a 64-lane word, so a replay pass skips the per-cycle
 /// bool -> Lanes expansion. Holds references; the netlist and testbench must
 /// outlive it. Immutable after construction, so one instance can feed many
-/// ReplayRunners concurrently. input() takes any cycle in [0, num_cycles),
+/// WideReplayRunners concurrently. input() takes any cycle in [0, num_cycles),
 /// so replays may start mid-stream.
 class CompiledStimulus {
  public:
@@ -203,41 +187,15 @@ class CompiledStimulus {
   std::vector<Lanes> waves_;  // cycle-major
 };
 
-/// Reusable testbench driver for campaign passes: owns one PackedSimulator,
-/// so the levelized op list is built once and only reset + replayed per
-/// run(). A run's observable behaviour (frames, activity, eval accounting)
-/// is bit-identical to a fresh run_testbench() call with the same inputs;
-/// resumed / incremental-eval runs are bit-identical in frames and final
-/// state to a full replay of the same schedule. Not thread-safe; use one
-/// runner per worker.
-class ReplayRunner {
- public:
-  explicit ReplayRunner(const CompiledStimulus& stimulus);
-
-  /// Replays the testbench with the given fault schedule (from reset, or
-  /// from a golden checkpoint when options.resume is set).
-  [[nodiscard]] RunResult run(std::span<const InjectionEvent> injections = {},
-                              const RunOptions& options = {});
-
-  /// The owned simulator, e.g. to inspect flip-flop state after a run.
-  [[nodiscard]] const PackedSimulator& simulator() const noexcept { return sim_; }
-
- private:
-  const CompiledStimulus* stim_;
-  PackedSimulator sim_;
-  std::vector<InjectionEvent> schedule_;  // scratch, reused across runs
-  std::vector<Lanes> loop_values_;        // scratch
-  std::vector<Lanes> prev_q_;             // scratch for activity tracing
-  std::vector<Lanes> restore_state_;      // scratch for checkpoint restore
-};
-
-/// Fault-free reference run: frames of lane 0 plus the activity trace.
+/// Fault-free golden run: frames of lane 0 plus the activity trace.
 struct GoldenResult {
   FrameList frames;
   ActivityTrace activity;
   std::uint64_t eval_count = 0;
 };
 
+/// The golden run of (nl, tb): compiles the stimulus and calls the one
+/// golden function, run_golden(const CompiledStimulus&) in wide_runner.hpp.
 [[nodiscard]] GoldenResult run_golden(const netlist::Netlist& nl, const Testbench& tb);
 
 }  // namespace ffr::sim

@@ -8,10 +8,9 @@ namespace ffr::sim {
 
 namespace {
 
-/// Incremental per-lane frame extraction over `blocks` lane blocks: the
-/// generalization of runner.cpp's PacketMonitor (which stays scalar and
-/// untouched as the reference). Lane L of word w in block b is global lane
-/// b * W * 64 + w * 64 + L.
+/// Incremental per-lane frame extraction over `blocks` lane blocks, with the
+/// same frame rules as the flat oracle's PacketMonitor (runner.cpp). Lane L
+/// of word w in block b is global lane b * W * 64 + w * 64 + L.
 ///
 /// Golden-relative mode (follow_golden) keeps per-lane frame state only for
 /// lanes whose monitored nets have differed from the golden interface tape.
@@ -52,8 +51,11 @@ class WidePacketMonitor {
     diverged_.assign(blocks_, Block::zero());
   }
 
-  /// Captures lane 0's progress for a golden checkpoint (see the scalar
-  /// PacketMonitor::snapshot contract in runner.cpp).
+  /// Captures lane 0's progress for a golden checkpoint: the count of frames
+  /// completed so far (the frames themselves live once in
+  /// GoldenCheckpoints::golden_frames) plus the partial frame. While a frame
+  /// is in flight only its bytes carry state: err/end_cycle are assigned at
+  /// close time.
   void snapshot(std::size_t& frames_completed,
                 std::vector<std::uint8_t>& open_bytes, bool& frame_open) const {
     const LaneState& lane0 = lanes_.front();
@@ -428,5 +430,18 @@ RunResult WideReplayRunner<W>::run(std::span<const LaneInjection> injections,
 template class WideReplayRunner<1>;
 template class WideReplayRunner<4>;
 template class WideReplayRunner<8>;
+
+GoldenResult run_golden(const CompiledStimulus& stimulus, GoldenCheckpoints* record) {
+  WideReplayRunner<1> runner(stimulus);
+  WideRunOptions options;
+  options.trace_activity = true;
+  options.record = record;
+  RunResult run = runner.run({}, options);
+  GoldenResult golden;
+  golden.frames = std::move(run.lane_frames[0]);
+  golden.activity = std::move(run.activity);
+  golden.eval_count = run.eval_count;
+  return golden;
+}
 
 }  // namespace ffr::sim

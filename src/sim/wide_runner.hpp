@@ -1,7 +1,7 @@
 #pragma once
 /// \file wide_runner.hpp
-/// \brief Block-wide testbench driver for campaign fault passes: the
-/// WideSimulator<W> counterpart of ReplayRunner. One run advances
+/// \brief The replay engine: drives WideSimulator<W> through a testbench for
+/// every campaign fault pass and every golden run. One run advances
 /// blocks * W * 64 independent fault scenarios; stimulus words from the
 /// shared CompiledStimulus are splatted across every block, and a golden
 /// checkpoint resume splats each packed golden bit into whole blocks —
@@ -16,12 +16,11 @@
 /// left golden, as the simulator's eval and tick follow the nets that
 /// changed.
 ///
-/// Besides fault passes, the wide runner also carries the golden path:
-/// fault-free runs may record packed checkpoints plus the interface tape and
-/// trace activity (the golden bit stream is the same on every lane, so lane
-/// 0 of block 0 observes it; recording runs always use the full per-lane
-/// monitor). The scalar ReplayRunner (runner.hpp) stays untouched as the
-/// differential reference for both.
+/// run_golden() is the one golden path: a fault-free single-block
+/// WideReplayRunner<1> run that traces activity (the golden bit stream is
+/// the same on every lane, so lane 0 observes it) and may record packed
+/// checkpoints plus the interface tape. The flat run_testbench() oracle
+/// (runner.hpp) checks both fault and golden runs lane by lane.
 
 #include <cstdint>
 #include <span>
@@ -43,14 +42,18 @@ struct LaneInjection {
 
 struct WideRunOptions {
   /// Record per-FF activity of the golden bit stream (lane 0 of block 0).
-  /// Fault-free full replays only, like RunOptions::trace_activity.
+  /// Full replays from reset only (the trace would otherwise cover only the
+  /// simulated suffix).
   bool trace_activity = false;
-  /// Record packed golden checkpoints every `record->interval` cycles (see
-  /// RunOptions::record). Fault-free runs only; incompatible with resume.
+  /// Record packed golden checkpoints every `record->interval` cycles into
+  /// `record`, plus the interface tape and the golden frames (previous
+  /// contents are cleared). Fault-free runs only; incompatible with resume;
+  /// `record->interval` must be in [1, num_cycles].
   GoldenCheckpoints* record = nullptr;
   /// Resume from the latest golden checkpoint at or before the earliest
-  /// injection instead of replaying from reset (see RunOptions::resume).
-  /// Ignored when the schedule is empty. Incompatible with trace_activity.
+  /// injection instead of replaying from reset; the skipped prefix is
+  /// bit-identical to golden by construction. Ignored when the schedule is
+  /// empty. Incompatible with trace_activity.
   const GoldenCheckpoints* resume = nullptr;
   /// Use dirty-set eval_incremental() per cycle instead of the full sweep.
   bool incremental_eval = false;
@@ -65,9 +68,11 @@ struct WideRunOptions {
 /// Reusable wide-pass driver: owns one WideSimulator<W>, so the topological
 /// op list and fanout tables are built once per worker and only reset +
 /// replayed per run(). Frames observed on lane L are bit-identical to the
-/// scalar ReplayRunner running the same injection in any of its 64 lanes
-/// (golden-relative runs report a lane that never left golden as such, with
-/// the golden frames implied). Not thread-safe; use one runner per worker.
+/// flat run_testbench() oracle running the same injection in any of its 64
+/// lanes, whether the run starts from reset or from a checkpoint, with full
+/// or dirty-set evaluation (golden-relative runs report a lane that never
+/// left golden as such, with the golden frames implied). Not thread-safe;
+/// use one runner per worker.
 template <std::size_t W>
 class WideReplayRunner {
  public:
@@ -109,5 +114,13 @@ class WideReplayRunner {
 extern template class WideReplayRunner<1>;
 extern template class WideReplayRunner<4>;
 extern template class WideReplayRunner<8>;
+
+/// The golden run: replays `stimulus` fault-free from reset on a
+/// single-block WideReplayRunner<1> with activity tracing. When `record` is
+/// non-null, golden checkpoints every `record->interval` cycles, the
+/// interface tape and the golden frames are recorded into it (see
+/// WideRunOptions::record).
+[[nodiscard]] GoldenResult run_golden(const CompiledStimulus& stimulus,
+                                      GoldenCheckpoints* record = nullptr);
 
 }  // namespace ffr::sim

@@ -17,11 +17,14 @@ namespace {
 /// op and the block loop runs inside each case: `blocks` independent SIMD
 /// ops on contiguous storage, which keeps the vector units busy once the
 /// register width itself is exhausted. Kept internal-linkage so each
-/// translation unit compiles it at its own vector width.
+/// translation unit compiles it at its own vector width, and always inlined
+/// so each sweep loop specializes the dispatch to its own call site.
 template <std::size_t W>
-void eval_op_blocks(CellFunc func, const netlist::NetId* in,
-                    const LaneBlock<W>* v, std::size_t blocks,
-                    LaneBlock<W>* out) {
+[[gnu::always_inline]] inline void eval_op_blocks(CellFunc func,
+                                                  const netlist::NetId* in,
+                                                  const LaneBlock<W>* v,
+                                                  std::size_t blocks,
+                                                  LaneBlock<W>* out) {
   using B = LaneBlock<W>;
   const auto arg = [&](std::size_t k) {
     return v + static_cast<std::size_t>(in[k]) * blocks;
@@ -319,9 +322,15 @@ void WideSimulator<W>::eval() {
   ++eval_count_;
   ops_evaluated_ += ops_.size();
   Block* const v = values_.data();
-  for (const Op& op : ops_) {
-    eval_op_blocks<W>(op.func, op.in, v, blocks_,
-                      v + static_cast<std::size_t>(op.out) * blocks_);
+  if (blocks_ == 1) {
+    // Single-block sweeps (64-lane passes, the golden run) with the block
+    // count folded into the inlined kernel.
+    for (const Op& op : ops_) eval_op_blocks<W>(op.func, op.in, v, 1, v + op.out);
+  } else {
+    for (const Op& op : ops_) {
+      eval_op_blocks<W>(op.func, op.in, v, blocks_,
+                        v + static_cast<std::size_t>(op.out) * blocks_);
+    }
   }
   clear_dirty();
   coherent_ = true;

@@ -1,9 +1,10 @@
 #pragma once
 /// \file wide_sim.hpp
-/// \brief Block-wide bit-parallel gate simulator: the LaneBlock<W> generalization
-/// of PackedSimulator. Every net carries `blocks` LaneBlock<W>s (blocks * W *
-/// 64 fault lanes), and the eval / eval_incremental / tick / inject / restore
-/// inner loops are written over the block type, so GCC/Clang lower each gate
+/// \brief Block-wide bit-parallel gate simulator with event-driven evaluation:
+/// the LaneBlock<W> generalization of PackedSimulator. Every net carries
+/// `blocks` LaneBlock<W>s (blocks * W * 64 fault lanes), and the eval /
+/// eval_incremental / tick / inject / restore inner loops are written over
+/// the block type, so GCC/Clang lower each gate
 /// evaluation to one AVX2 (W=4) or AVX-512 (W=8) operation per block where
 /// the build architecture allows. Sweeping several blocks per op keeps the
 /// vector pipelines busy past the register-width ceiling: the per-op operand
@@ -11,22 +12,22 @@
 /// SIMD ops on adjacent cache lines (net-major storage: net n's blocks are
 /// contiguous at [n * blocks, (n + 1) * blocks)).
 ///
-/// WideSimulator<W> computes the same net values as PackedSimulator, and
-/// every lane is bit-identical to the scalar simulator running that lane's
-/// scenario (the scalar 64-bit path in packed_sim.hpp is deliberately
-/// untouched as the differential reference; see tests/test_lane_width.cpp).
-/// Its event-driven paths cost what actually changes:
+/// WideSimulator<W> is the simulator of every campaign pass and golden run
+/// (W = 1 for 64-lane passes). Every lane is bit-identical to the
+/// full-sweep PackedSimulator oracle (packed_sim.hpp) running that lane's
+/// scenario; see tests/test_lane_width.cpp. Its event-driven paths cost what
+/// actually changes:
 ///   - eval_incremental() keeps one pending bit per op in topological op
-///     order and settles them in one ascending scan. It visits exactly the
-///     ops PackedSimulator's level buckets visit (dirty is tracked per net;
-///     a net is dirty when any of its blocks changed).
+///     order and settles them in one ascending scan, evaluating an op only
+///     when one of its input nets changed (dirty is tracked per net; a net
+///     is dirty when any of its blocks changed).
 ///   - tick() only visits the FFs whose D net changed since the last tick
 ///     (a changed op output, or a dirty primary-input or Q net) or whose Q
 ///     inject() flipped; every other FF already holds Q == D. The tick after
 ///     a full eval() visits every FF.
-/// Restore coherence is the scalar contract: after restore_ff_state() the
-/// next eval_incremental() is a full sweep. Blocks cross this interface by
-/// reference only: the SIMD argument ABI of the build flags never leaks
+/// After restore_ff_state() the stored combinational values are stale, so
+/// the next eval_incremental() is a full sweep. Blocks cross this interface
+/// by reference only: the SIMD argument ABI of the build flags never leaks
 /// between translation units.
 
 #include <cstdint>
@@ -68,9 +69,9 @@ class WideSimulator {
 
   /// Event-driven sweep over the dirty cone; bit-identical to eval(). Falls
   /// back to a full eval() while the stored values are not known to be
-  /// coherent (after restore_ff_state()), exactly like the scalar path — a
-  /// restored block invalidates every combinational net, including blocks
-  /// that were dirtied before the restore and never restored themselves.
+  /// coherent (after restore_ff_state()) — a restored block invalidates
+  /// every combinational net, including blocks that were dirtied before the
+  /// restore and never restored themselves.
   void eval_incremental();
 
   /// Clock edge: every flip-flop captures its D input. Call eval() or

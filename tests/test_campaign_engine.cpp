@@ -3,7 +3,8 @@
 // per-flip-flop results bit-exactly for the same seed, across circuits, and
 // its output must be invariant under every threading / batching choice —
 // scheduling can never change science output. Also covers the cached-golden
-// estimation-flow overload and the ReplayRunner reuse contract.
+// estimation-flow overload, the engine golden against independent oracles
+// and the WideReplayRunner reuse contract.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,9 @@
 #include "core/estimation_flow.hpp"
 #include "fault/campaign.hpp"
 #include "fault/engine.hpp"
+#include "sim/reference_sim.hpp"
 #include "sim/runner.hpp"
+#include "sim/wide_runner.hpp"
 
 namespace ffr::fault {
 namespace {
@@ -71,14 +74,77 @@ circuits::MacCore* MacEngineFixture::mac = nullptr;
 circuits::MacTestbench* MacEngineFixture::bench = nullptr;
 CampaignEngine* MacEngineFixture::engine = nullptr;
 
-TEST_F(MacEngineFixture, GoldenMatchesRunGolden) {
-  const sim::GoldenResult reference = sim::run_golden(mac->netlist, bench->tb);
-  const sim::GoldenResult& cached = engine->golden();
-  EXPECT_EQ(cached.frames, reference.frames);
-  EXPECT_EQ(cached.activity.cycles_at_1, reference.activity.cycles_at_1);
-  EXPECT_EQ(cached.activity.state_changes, reference.activity.state_changes);
-  EXPECT_EQ(cached.activity.total_cycles, reference.activity.total_cycles);
-  EXPECT_EQ(cached.eval_count, reference.eval_count);
+/// Per-FF activity of the fault-free run on the naive ReferenceSimulator,
+/// driven the way the runners drive a testbench: inputs and loopbacks set at
+/// the top of each cycle, Q sampled after eval, loopbacks captured before the
+/// clock edge.
+sim::ActivityTrace reference_activity(const netlist::Netlist& nl,
+                                      const sim::Testbench& tb) {
+  sim::ReferenceSimulator reference(nl);
+  const auto ffs = nl.flip_flops();
+  const auto pis = nl.primary_inputs();
+  sim::ActivityTrace trace;
+  trace.cycles_at_1.assign(ffs.size(), 0);
+  trace.state_changes.assign(ffs.size(), 0);
+  std::vector<bool> prev_q(ffs.size());
+  for (std::size_t i = 0; i < ffs.size(); ++i) {
+    prev_q[i] = reference.value(nl.cell(ffs[i]).output);
+  }
+  std::vector<bool> loop_values;
+  for (const sim::Loopback& loop : tb.loopbacks) loop_values.push_back(loop.initial);
+  for (std::size_t cycle = 0; cycle < tb.stimulus.num_cycles(); ++cycle) {
+    for (std::size_t i = 0; i < pis.size(); ++i) {
+      reference.set_input(pis[i], tb.stimulus.get(i, cycle));
+    }
+    for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
+      reference.set_input(tb.loopbacks[i].to_input, loop_values[i]);
+    }
+    reference.eval();
+    for (std::size_t i = 0; i < ffs.size(); ++i) {
+      const bool q = reference.value(nl.cell(ffs[i]).output);
+      trace.cycles_at_1[i] += q;
+      trace.state_changes[i] += q != prev_q[i];
+      prev_q[i] = q;
+    }
+    for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
+      loop_values[i] = reference.value(tb.loopbacks[i].from_net);
+    }
+    reference.tick();
+  }
+  trace.total_cycles = tb.stimulus.num_cycles();
+  return trace;
+}
+
+TEST_F(MacEngineFixture, GoldenFramesMatchFlatOracleLaneZero) {
+  // The engine golden and sim::run_golden share one path; check it against
+  // the flat full-sweep oracle instead.
+  const sim::RunResult flat = sim::run_testbench(mac->netlist, bench->tb);
+  const sim::GoldenResult& golden = engine->golden();
+  EXPECT_FALSE(golden.frames.empty());
+  EXPECT_EQ(golden.frames, flat.lane_frames[0]);
+  EXPECT_EQ(golden.eval_count, flat.eval_count);
+  EXPECT_EQ(golden.activity.total_cycles, bench->tb.stimulus.num_cycles());
+}
+
+TEST_F(MacEngineFixture, GoldenActivityMatchesReferenceSimulator) {
+  const sim::ActivityTrace want = reference_activity(mac->netlist, bench->tb);
+  EXPECT_EQ(engine->golden().activity.cycles_at_1, want.cycles_at_1);
+  EXPECT_EQ(engine->golden().activity.state_changes, want.state_changes);
+}
+
+TEST(PipelineEngine, GoldenActivityMatchesReferenceSimulator) {
+  const circuits::PipelineCore core = circuits::build_pipeline_core();
+  const circuits::PipelineTestbench bench =
+      circuits::build_pipeline_testbench(core);
+  const CampaignEngine engine(core.netlist, bench.tb);
+  const sim::ActivityTrace want = reference_activity(core.netlist, bench.tb);
+  const sim::GoldenResult& golden = engine.golden();
+  EXPECT_EQ(golden.activity.cycles_at_1, want.cycles_at_1);
+  EXPECT_EQ(golden.activity.state_changes, want.state_changes);
+  EXPECT_EQ(golden.activity.total_cycles, want.total_cycles);
+  std::uint64_t changes = 0;
+  for (const std::uint64_t c : want.state_changes) changes += c;
+  EXPECT_GT(changes, 0u);
 }
 
 TEST_F(MacEngineFixture, BitExactWithFlatCampaignOnMac) {
@@ -204,33 +270,32 @@ TEST_F(MacEngineFixture, RepeatedFlowInvocationsReuseGoldenDeterministically) {
   }
 }
 
-TEST_F(MacEngineFixture, ReplayRunnerIsBitExactAcrossReuse) {
-  // The engine's per-worker simulator reuse rests on this contract: a
-  // ReplayRunner's n-th run equals a fresh run_testbench with the same
+TEST_F(MacEngineFixture, WideReplayRunnerIsBitExactAcrossReuse) {
+  // The engine's per-worker runner reuse rests on this contract: a
+  // WideReplayRunner's n-th run equals a fresh run_testbench with the same
   // schedule, including after interleaved fault runs.
   const sim::CompiledStimulus stimulus(mac->netlist, bench->tb);
-  sim::ReplayRunner runner(stimulus);
+  sim::WideReplayRunner<1> runner(stimulus);
   const sim::RunResult clean_first = runner.run();
-  sim::InjectionEvent ev;
+  sim::LaneInjection ev;
   ev.ff_cell = mac->netlist.flip_flops()[3];
   ev.cycle = static_cast<std::uint32_t>(bench->tb.inject_begin + 5);
-  ev.lane_mask = 0x10;
-  const sim::InjectionEvent events[] = {ev};
+  ev.lane = 4;
+  const sim::LaneInjection events[] = {ev};
   const sim::RunResult faulty = runner.run(events);
   const sim::RunResult clean_again = runner.run();
   const sim::RunResult reference = sim::run_testbench(mac->netlist, bench->tb);
+  const sim::InjectionEvent flat_events[] = {{ev.ff_cell, ev.cycle, sim::Lanes{1} << 4}};
+  const sim::RunResult flat_faulty =
+      sim::run_testbench(mac->netlist, bench->tb, flat_events);
   for (std::size_t lane = 0; lane < sim::kNumLanes; ++lane) {
     EXPECT_EQ(clean_first.lane_frames[lane], reference.lane_frames[lane]);
     EXPECT_EQ(clean_again.lane_frames[lane], reference.lane_frames[lane]);
+    EXPECT_EQ(faulty.lane_frames[lane], flat_faulty.lane_frames[lane]);
   }
   EXPECT_EQ(clean_first.eval_count, reference.eval_count);
   EXPECT_EQ(clean_again.eval_count, reference.eval_count);
-  // The faulted lane differs from golden somewhere or classifies as OK —
-  // either way the other 63 lanes must still match the clean run.
-  for (std::size_t lane = 0; lane < sim::kNumLanes; ++lane) {
-    if (lane == 4) continue;
-    EXPECT_EQ(faulty.lane_frames[lane], reference.lane_frames[lane]);
-  }
+  EXPECT_EQ(faulty.ops_evaluated, flat_faulty.ops_evaluated);
 }
 
 TEST_F(MacEngineFixture, EmptyWindowRejected) {

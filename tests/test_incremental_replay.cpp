@@ -1,10 +1,11 @@
 // Property and differential tests for the incremental checkpointed replay
-// subsystem: dirty-set eval_incremental() vs full eval() equivalence on
-// random circuits, golden checkpoint record/restore bit-exactness on
-// mac_core and pipeline_core (relay_core is covered in test_relay_core.cpp),
-// replay-mode equivalence of the batched CampaignEngine against the flat
-// reference campaign, cost-accounting invariants, and validation of the new
-// CampaignConfig knobs.
+// subsystem: WideSimulator's dirty-set eval_incremental() and event-driven
+// tick() vs the full sweep on random circuits, golden checkpoint
+// record/restore bit-exactness on mac_core and pipeline_core (relay_core is
+// covered in test_relay_core.cpp), 64-lane engine-style passes against the
+// flat run_testbench() oracle, replay-mode equivalence of the batched
+// CampaignEngine against the flat reference campaign, cost-accounting
+// invariants, and validation of the CampaignConfig knobs.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,6 @@
 #include "fault/campaign.hpp"
 #include "fault/engine.hpp"
 #include "netlist/builder.hpp"
-#include "sim/packed_sim.hpp"
 #include "sim/runner.hpp"
 #include "sim/wide_runner.hpp"
 #include "sim/wide_sim.hpp"
@@ -29,95 +29,7 @@
 namespace ffr {
 namespace {
 
-// ---- dirty-set evaluation vs full evaluation ---------------------------------
-
-TEST(DirtySetEval, MatchesFullEvalOnRandomCircuits) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    circuits::RandomCircuitConfig cc;
-    cc.num_inputs = 5;
-    cc.num_outputs = 4;
-    cc.num_gates = 60 + 30 * static_cast<std::size_t>(seed % 3);
-    cc.num_flip_flops = 8 + 4 * static_cast<std::size_t>(seed % 2);
-    cc.seed = seed;
-    const netlist::Netlist nl = circuits::build_random_circuit(cc);
-    sim::PackedSimulator full(nl);
-    sim::PackedSimulator incremental(nl);
-    util::Rng rng(seed * 77 + 1);
-    const auto pis = nl.primary_inputs();
-    const auto ffs = nl.flip_flops();
-    for (int cycle = 0; cycle < 40; ++cycle) {
-      for (const netlist::NetId pi : pis) {
-        // Lane-varying words, not broadcasts: the dirty-set comparison is
-        // word-level and must survive diverged lanes.
-        const sim::Lanes value = rng();
-        full.set_input(pi, value);
-        incremental.set_input(pi, value);
-      }
-      if (!ffs.empty() && rng.bernoulli(0.3)) {
-        const netlist::CellId cell = ffs[rng.below(ffs.size())];
-        const sim::Lanes mask = rng();
-        full.inject(cell, mask);
-        incremental.inject(cell, mask);
-      }
-      full.eval();
-      incremental.eval_incremental();
-      for (netlist::NetId net = 0; net < nl.num_nets(); ++net) {
-        ASSERT_EQ(full.value(net), incremental.value(net))
-            << "seed " << seed << " cycle " << cycle << " net " << net << " ("
-            << nl.net(net).name << ")";
-      }
-      full.tick();
-      incremental.tick();
-    }
-    // The whole point: the event-driven sweep must not do more gate
-    // evaluations than the full sweep.
-    EXPECT_LE(incremental.ops_evaluated(), full.ops_evaluated()) << "seed " << seed;
-  }
-}
-
-TEST(DirtySetEval, QuiescentSweepEvaluatesNothing) {
-  const netlist::Netlist nl = circuits::build_random_circuit({});
-  sim::PackedSimulator sim(nl);
-  sim.eval();
-  const std::uint64_t before = sim.ops_evaluated();
-  sim.eval_incremental();  // no inputs changed since the full sweep
-  EXPECT_EQ(sim.ops_evaluated(), before);
-}
-
-TEST(DirtySetEval, RestoreForcesFullResyncSweep) {
-  const netlist::Netlist nl = circuits::build_random_circuit({});
-  sim::PackedSimulator reference(nl);
-  sim::PackedSimulator sim(nl);
-  util::Rng rng(99);
-  const auto pis = nl.primary_inputs();
-  // Walk `sim` into an arbitrary state, then restore `reference`'s flip-flop
-  // state into it: the next incremental sweep must fall back to a full eval
-  // and converge to reference's net values exactly.
-  for (int cycle = 0; cycle < 5; ++cycle) {
-    for (const netlist::NetId pi : pis) sim.set_input(pi, rng());
-    sim.eval();
-    sim.tick();
-  }
-  std::vector<sim::Lanes> state;
-  reference.snapshot_ff_state(state);
-  sim.restore_ff_state(state);
-  for (const netlist::NetId pi : pis) {
-    sim.set_input(pi, reference.value(pi));
-  }
-  sim.eval_incremental();
-  for (netlist::NetId net = 0; net < nl.num_nets(); ++net) {
-    ASSERT_EQ(sim.value(net), reference.value(net)) << "net " << net;
-  }
-}
-
-TEST(DirtySetEval, RestoreRejectsSizeMismatch) {
-  const netlist::Netlist nl = circuits::build_random_circuit({});
-  sim::PackedSimulator sim(nl);
-  const std::vector<sim::Lanes> wrong(sim.num_ffs() + 1, 0);
-  EXPECT_THROW(sim.restore_ff_state(wrong), std::invalid_argument);
-}
-
-// ---- wide (SIMD lane-block) simulator: same dirty-set contracts ----------------
+// ---- wide (SIMD lane-block) simulator: dirty-set evaluation vs full sweep ------
 
 template <std::size_t W>
 sim::LaneBlock<W> random_block(util::Rng& rng) {
@@ -328,6 +240,18 @@ void check_wide_restore_forces_resync() {
   }
 }
 
+TEST(WideDirtySetEval, QuiescentSweepEvaluatesNothing) {
+  const netlist::Netlist nl = circuits::build_random_circuit({});
+  sim::WideSimulator<1> sim(nl);
+  sim.eval();
+  const std::uint64_t before = sim.ops_evaluated();
+  sim.eval_incremental();  // no inputs changed since the full sweep
+  EXPECT_EQ(sim.ops_evaluated(), before);
+}
+
+TEST(WideDirtySetEval, RestoreForcesFullResyncAt64) {
+  check_wide_restore_forces_resync<1>();
+}
 TEST(WideDirtySetEval, RestoreForcesFullResyncAt256) {
   check_wide_restore_forces_resync<4>();
 }
@@ -362,14 +286,6 @@ void expect_same_run(const sim::RunResult& full, const sim::RunResult& resumed) 
   }
 }
 
-void expect_same_ff_state(const netlist::Netlist& nl, const sim::ReplayRunner& a,
-                          const sim::ReplayRunner& b) {
-  for (const netlist::CellId ff : nl.flip_flops()) {
-    ASSERT_EQ(a.simulator().ff_state(ff), b.simulator().ff_state(ff))
-        << "ff " << nl.cell(ff).name;
-  }
-}
-
 /// For every recorded checkpoint: an injection schedule that lands right at,
 /// right after, and far beyond the snapshot cycle must replay bit-exactly
 /// (frames of all 64 lanes, final flip-flop state) whether it starts from
@@ -379,38 +295,35 @@ void check_checkpoint_property(const netlist::Netlist& nl, const sim::Testbench&
   const sim::CompiledStimulus stimulus(nl, tb);
   sim::GoldenCheckpoints ckpts;
   ckpts.interval = interval;
-  sim::ReplayRunner recorder(stimulus);
-  sim::RunOptions record_options;
-  record_options.record = &ckpts;
-  (void)recorder.run({}, record_options);
+  (void)sim::run_golden(stimulus, &ckpts);
   ASSERT_EQ(ckpts.snapshots.size(), (stimulus.num_cycles() + interval - 1) / interval);
   for (std::size_t k = 0; k < ckpts.snapshots.size(); ++k) {
     ASSERT_EQ(ckpts.snapshots[k].cycle, k * interval);
   }
 
   const auto ffs = nl.flip_flops();
-  sim::ReplayRunner full_runner(stimulus);
-  sim::ReplayRunner resumed_runner(stimulus);
+  sim::WideReplayRunner<1> full_runner(stimulus);
+  sim::WideReplayRunner<1> resumed_runner(stimulus);
   util::Rng rng(interval * 1234567ULL + 9);
   for (std::size_t k = 0; k < ckpts.snapshots.size(); ++k) {
     const std::size_t base = ckpts.snapshots[k].cycle;
-    std::vector<sim::InjectionEvent> events;
-    sim::InjectionEvent first;
+    std::vector<sim::LaneInjection> events;
+    sim::LaneInjection first;
     first.ff_cell = ffs[rng.below(ffs.size())];
     first.cycle = static_cast<std::uint32_t>(base);
-    first.lane_mask = sim::Lanes{1} << (k % sim::kNumLanes);
+    first.lane = static_cast<std::uint32_t>(k % sim::kNumLanes);
     events.push_back(first);
     if (base + interval / 2 + 1 < stimulus.num_cycles()) {
-      sim::InjectionEvent second;
+      sim::LaneInjection second;
       second.ff_cell = ffs[rng.below(ffs.size())];
       second.cycle = static_cast<std::uint32_t>(base + interval / 2 + 1);
-      second.lane_mask = sim::Lanes{1} << ((k + 17) % sim::kNumLanes);
+      second.lane = static_cast<std::uint32_t>((k + 17) % sim::kNumLanes);
       events.push_back(second);
     }
     const sim::RunResult full = full_runner.run(events);
     EXPECT_EQ(full.start_cycle, 0u);
     for (const bool incremental : {false, true}) {
-      sim::RunOptions options;
+      sim::WideRunOptions options;
       options.resume = &ckpts;
       options.incremental_eval = incremental;
       const sim::RunResult resumed = resumed_runner.run(events, options);
@@ -419,7 +332,8 @@ void check_checkpoint_property(const netlist::Netlist& nl, const sim::Testbench&
       EXPECT_EQ(resumed.start_cycle, base);
       EXPECT_EQ(resumed.cycles_simulated, stimulus.num_cycles() - base);
       expect_same_run(full, resumed);
-      expect_same_ff_state(nl, full_runner, resumed_runner);
+      expect_same_ff_state(nl, full_runner.simulator(), resumed_runner.simulator(),
+                           "checkpoint " + std::to_string(k));
     }
   }
 }
@@ -445,51 +359,12 @@ TEST(CheckpointRestore, ReproducesFullRunOnPipeline) {
   check_checkpoint_property(core.netlist, bench.tb, 9);
 }
 
-TEST(CheckpointRestore, RunnerContractsRejectMisuse) {
-  const circuits::PipelineCore core = circuits::build_pipeline_core();
-  const circuits::PipelineTestbench bench =
-      circuits::build_pipeline_testbench(core, 24);
-  const sim::CompiledStimulus stimulus(core.netlist, bench.tb);
-  sim::ReplayRunner runner(stimulus);
-  sim::GoldenCheckpoints ckpts;
-
-  sim::RunOptions bad_interval;
-  bad_interval.record = &ckpts;
-  ckpts.interval = 0;
-  EXPECT_THROW((void)runner.run({}, bad_interval), std::invalid_argument);
-  ckpts.interval = stimulus.num_cycles() + 1;
-  EXPECT_THROW((void)runner.run({}, bad_interval), std::invalid_argument);
-
-  ckpts.interval = 8;
-  sim::InjectionEvent ev;
-  ev.ff_cell = core.netlist.flip_flops()[0];
-  ev.cycle = static_cast<std::uint32_t>(bench.tb.inject_begin);
-  ev.lane_mask = 1;
-  const sim::InjectionEvent events[] = {ev};
-  sim::RunOptions record_with_faults;
-  record_with_faults.record = &ckpts;
-  EXPECT_THROW((void)runner.run(events, record_with_faults), std::invalid_argument);
-
-  (void)runner.run({}, sim::RunOptions{.record = &ckpts});
-  sim::RunOptions resume_with_activity;
-  resume_with_activity.resume = &ckpts;
-  resume_with_activity.trace_activity = true;
-  EXPECT_THROW((void)runner.run(events, resume_with_activity),
-               std::invalid_argument);
-
-  // Empty checkpoints cannot serve a resume.
-  const sim::GoldenCheckpoints empty;
-  sim::RunOptions resume_empty;
-  resume_empty.resume = &empty;
-  EXPECT_THROW((void)runner.run(events, resume_empty), std::logic_error);
-}
-
-// ---- bit-packed checkpoints: one shared representation, two consumers --------
+// ---- bit-packed checkpoints: one shared representation, any pass shape -------
 
 /// Restoring a bit-packed snapshot must behave identically whether the
-/// consumer is the scalar 64-lane ReplayRunner or a multi-block wide runner:
+/// consumer is a single-block 64-lane runner or a multi-block wide runner:
 /// the packed golden bit is splat across every lane of every block, so the
-/// same checkpoint set drives both paths to bit-identical frames and state.
+/// same checkpoint set drives both shapes to bit-identical frames and state.
 TEST(PackedCheckpoints, RestoreFromPackedEqualsRestoreFromWide) {
   circuits::MacConfig mc;
   mc.tx_depth_log2 = 3;
@@ -505,15 +380,12 @@ TEST(PackedCheckpoints, RestoreFromPackedEqualsRestoreFromWide) {
 
   sim::GoldenCheckpoints ckpts;
   ckpts.interval = 10;
-  sim::ReplayRunner recorder(stimulus);
-  sim::RunOptions record_options;
-  record_options.record = &ckpts;
-  (void)recorder.run({}, record_options);
+  (void)sim::run_golden(stimulus, &ckpts);
 
   constexpr std::size_t kW = 4;
   constexpr std::size_t kBlocks = 2;
   const auto ffs = mac.netlist.flip_flops();
-  sim::ReplayRunner scalar(stimulus);
+  sim::WideReplayRunner<1> narrow(stimulus);
   sim::WideReplayRunner<kW> wide(stimulus, kBlocks);
   ASSERT_EQ(wide.lanes(), kBlocks * kW * 64);
 
@@ -523,38 +395,32 @@ TEST(PackedCheckpoints, RestoreFromPackedEqualsRestoreFromWide) {
   const std::size_t cycles[] = {bench.tb.inject_begin + 1,
                                 bench.tb.inject_begin + 11,
                                 bench.tb.inject_end - 1};
-  const std::size_t scalar_lanes[] = {0, 13, 40};
+  const std::size_t narrow_lanes[] = {0, 13, 40};
   const std::size_t wide_lanes[] = {0, kW * 64 - 7, kW * 64 + 129};
-  std::vector<sim::InjectionEvent> scalar_events;
+  std::vector<sim::LaneInjection> narrow_events;
   std::vector<sim::LaneInjection> wide_events;
   for (std::size_t i = 0; i < 3; ++i) {
-    sim::InjectionEvent sev;
-    sev.ff_cell = ffs[(i * 37 + 5) % ffs.size()];
-    sev.cycle = static_cast<std::uint32_t>(cycles[i]);
-    sev.lane_mask = sim::Lanes{1} << scalar_lanes[i];
-    scalar_events.push_back(sev);
-    sim::LaneInjection wev;
-    wev.ff_cell = sev.ff_cell;
-    wev.cycle = sev.cycle;
-    wev.lane = static_cast<std::uint32_t>(wide_lanes[i]);
-    wide_events.push_back(wev);
+    sim::LaneInjection ev;
+    ev.ff_cell = ffs[(i * 37 + 5) % ffs.size()];
+    ev.cycle = static_cast<std::uint32_t>(cycles[i]);
+    ev.lane = static_cast<std::uint32_t>(narrow_lanes[i]);
+    narrow_events.push_back(ev);
+    ev.lane = static_cast<std::uint32_t>(wide_lanes[i]);
+    wide_events.push_back(ev);
   }
 
   for (const bool incremental : {false, true}) {
     SCOPED_TRACE(std::string("incremental ") + std::to_string(incremental));
-    sim::RunOptions scalar_options;
-    scalar_options.resume = &ckpts;
-    scalar_options.incremental_eval = incremental;
-    const sim::RunResult from_scalar = scalar.run(scalar_events, scalar_options);
-    sim::WideRunOptions wide_options;
-    wide_options.resume = &ckpts;
-    wide_options.incremental_eval = incremental;
-    const sim::RunResult from_wide = wide.run(wide_events, wide_options);
+    sim::WideRunOptions options;
+    options.resume = &ckpts;
+    options.incremental_eval = incremental;
+    const sim::RunResult from_narrow = narrow.run(narrow_events, options);
+    const sim::RunResult from_wide = wide.run(wide_events, options);
 
-    EXPECT_EQ(from_scalar.start_cycle, from_wide.start_cycle);
+    EXPECT_EQ(from_narrow.start_cycle, from_wide.start_cycle);
     ASSERT_EQ(from_wide.lane_frames.size(), wide.lanes());
     for (std::size_t i = 0; i < 3; ++i) {
-      const sim::FrameList& a = from_scalar.lane_frames[scalar_lanes[i]];
+      const sim::FrameList& a = from_narrow.lane_frames[narrow_lanes[i]];
       const sim::FrameList& b = from_wide.lane_frames[wide_lanes[i]];
       ASSERT_EQ(a.size(), b.size()) << "injection " << i;
       for (std::size_t f = 0; f < a.size(); ++f) {
@@ -566,13 +432,12 @@ TEST(PackedCheckpoints, RestoreFromPackedEqualsRestoreFromWide) {
     }
     // Final flip-flop state, per corresponding lane.
     for (const netlist::CellId ff : ffs) {
-      const sim::Lanes scalar_state = scalar.simulator().ff_state(ff);
       for (std::size_t i = 0; i < 3; ++i) {
         const std::size_t g = wide_lanes[i];
         const std::uint64_t wide_word =
             wide.simulator().ff_state(ff, g / (kW * 64)).word((g / 64) % kW);
-        ASSERT_EQ((scalar_state >> scalar_lanes[i]) & 1u,
-                  (wide_word >> (g % 64)) & 1u)
+        ASSERT_EQ(narrow.simulator().ff_state(ff).lane(narrow_lanes[i]),
+                  ((wide_word >> (g % 64)) & 1u) != 0)
             << "ff " << mac.netlist.cell(ff).name << " injection " << i;
       }
     }
@@ -586,10 +451,7 @@ TEST(PackedCheckpoints, PackedMemoryIsWellBelowBroadcastWords) {
   const sim::CompiledStimulus stimulus(core.netlist, bench.tb);
   sim::GoldenCheckpoints ckpts;
   ckpts.interval = 8;
-  sim::ReplayRunner recorder(stimulus);
-  sim::RunOptions options;
-  options.record = &ckpts;
-  (void)recorder.run({}, options);
+  (void)sim::run_golden(stimulus, &ckpts);
 
   // One bit per FF (+ loopback) per snapshot, rounded up to whole words.
   EXPECT_EQ(ckpts.state_bits.size(),
@@ -678,16 +540,16 @@ TEST(PackedCheckpoints, WideRunnerContractsRejectMisuse) {
                std::invalid_argument);
 }
 
-// ---- wide W = 1 against the scalar runner on engine-style passes -------------
+// ---- 64-lane engine-style passes against the flat oracle ----------------------
 
-/// The same resumed, incremental 64-lane passes on WideReplayRunner<1> and
-/// the scalar ReplayRunner, sliced like the engine's (cycle-sorted jobs, 64
-/// lanes per pass). Frames of every lane, the cycle and op counters and the
-/// resume point must agree — the wide kernel's pending-bit scan visits
-/// exactly the ops the scalar level buckets visit. The golden-relative
+/// Resumed, incremental 64-lane passes on WideReplayRunner<1>, sliced like
+/// the engine's (cycle-sorted jobs, 64 lanes per pass), against the flat
+/// run_testbench() oracle replaying the same 64 injections from reset: every
+/// lane's frames must agree, delivery cycles included. The golden-relative
 /// monitor must leave only lanes whose frames equal the golden frames
-/// (delivery cycles included) flagged as golden.
-void check_wide_matches_scalar(const netlist::Netlist& nl, const sim::Testbench& tb) {
+/// flagged as golden. (The engine's 64x1 counters are pinned in
+/// test_lane_width.cpp.)
+void check_wide_matches_flat(const netlist::Netlist& nl, const sim::Testbench& tb) {
   const fault::CampaignEngine engine(nl, tb);
   const auto ckpts = engine.checkpoints(fault::CampaignConfig{}.checkpoint_interval);
   ASSERT_EQ(ckpts->interface_tape.size(), tb.stimulus.num_cycles());
@@ -706,24 +568,20 @@ void check_wide_matches_scalar(const netlist::Netlist& nl, const sim::Testbench&
                    });
 
   const sim::CompiledStimulus stimulus(nl, tb);
-  sim::ReplayRunner scalar(stimulus);
   sim::WideReplayRunner<1> wide(stimulus);
   std::size_t golden_lanes = 0;
   std::size_t diverged_lanes = 0;
   for (std::size_t begin = 0; begin < jobs.size(); begin += 5 * sim::kNumLanes) {
     const std::size_t end = std::min(jobs.size(), begin + sim::kNumLanes);
-    std::vector<sim::InjectionEvent> scalar_events;
+    std::vector<sim::InjectionEvent> flat_events;
     std::vector<sim::LaneInjection> wide_events;
     for (std::size_t j = begin; j < end; ++j) {
       sim::LaneInjection ev = jobs[j];
       ev.lane = static_cast<std::uint32_t>(j - begin);
       wide_events.push_back(ev);
-      scalar_events.push_back({ev.ff_cell, ev.cycle, sim::Lanes{1} << ev.lane});
+      flat_events.push_back({ev.ff_cell, ev.cycle, sim::Lanes{1} << ev.lane});
     }
-    sim::RunOptions scalar_options;
-    scalar_options.resume = ckpts.get();
-    scalar_options.incremental_eval = true;
-    const sim::RunResult want = scalar.run(scalar_events, scalar_options);
+    const sim::RunResult want = sim::run_testbench(nl, tb, flat_events);
     for (const bool golden_relative : {false, true}) {
       SCOPED_TRACE("pass at job " + std::to_string(begin) + " golden-relative " +
                    std::to_string(golden_relative));
@@ -732,11 +590,7 @@ void check_wide_matches_scalar(const netlist::Netlist& nl, const sim::Testbench&
       options.incremental_eval = true;
       options.golden = golden_relative ? ckpts.get() : nullptr;
       const sim::RunResult got = wide.run(wide_events, options);
-      EXPECT_EQ(got.start_cycle, want.start_cycle);
-      EXPECT_EQ(got.cycles_simulated, want.cycles_simulated);
-      EXPECT_EQ(got.ops_evaluated, want.ops_evaluated);
-      EXPECT_EQ(got.op_block_evals, want.op_block_evals);
-      EXPECT_LE(got.ff_block_ticks, want.ff_block_ticks);
+      EXPECT_LE(got.ff_block_ticks, got.cycles_simulated * ffs.size());
       ASSERT_EQ(got.lane_frames.size(), sim::kNumLanes);
       ASSERT_EQ(got.lane_is_golden.size(), golden_relative ? sim::kNumLanes : 0u);
       for (std::size_t lane = 0; lane < sim::kNumLanes; ++lane) {
@@ -761,16 +615,16 @@ void check_wide_matches_scalar(const netlist::Netlist& nl, const sim::Testbench&
   EXPECT_GT(diverged_lanes, 0u);
 }
 
-TEST(WideMatchesScalar, ResumedIncrementalPassesOnRelay) {
+TEST(WideMatchesFlat, ResumedIncrementalPassesOnRelay) {
   const circuits::RelayCore relay = circuits::build_relay_core();
   const circuits::RelayTestbench bench = circuits::build_relay_testbench(relay);
-  check_wide_matches_scalar(relay.netlist, bench.tb);
+  check_wide_matches_flat(relay.netlist, bench.tb);
 }
 
-TEST(WideMatchesScalar, ResumedIncrementalPassesOnMac) {
+TEST(WideMatchesFlat, ResumedIncrementalPassesOnMac) {
   const circuits::MacCore mac = circuits::build_mac_core();
   const circuits::MacTestbench bench = circuits::build_mac_testbench(mac);
-  check_wide_matches_scalar(mac.netlist, bench.tb);
+  check_wide_matches_flat(mac.netlist, bench.tb);
 }
 
 // ---- engine-level differential across replay modes ---------------------------

@@ -20,6 +20,7 @@
 #include "service/content_hash.hpp"
 #include "sim/runner.hpp"
 #include "sim/testbench.hpp"
+#include "sim/wide_runner.hpp"
 
 namespace ffr::circuits {
 namespace {
@@ -127,15 +128,12 @@ TEST_F(RelayFixture, CheckpointRestoreReproducesFullRunAtPaperScale) {
   const sim::CompiledStimulus stimulus(core->netlist, bench->tb);
   sim::GoldenCheckpoints ckpts;
   ckpts.interval = 29;
-  sim::ReplayRunner recorder(stimulus);
-  sim::RunOptions record_options;
-  record_options.record = &ckpts;
-  (void)recorder.run({}, record_options);
+  (void)sim::run_golden(stimulus, &ckpts);
   ASSERT_EQ(ckpts.snapshots.size(), (stimulus.num_cycles() + 28) / 29);
 
   const auto ffs = core->netlist.flip_flops();
-  sim::ReplayRunner full_runner(stimulus);
-  sim::ReplayRunner resumed_runner(stimulus);
+  sim::WideReplayRunner<1> full_runner(stimulus);
+  sim::WideReplayRunner<1> resumed_runner(stimulus);
   // Early / mid / late injections across the chain (ingress storage,
   // mid-chain pointer, egress CRC region).
   const std::size_t window = bench->tb.inject_end - bench->tb.inject_begin;
@@ -144,16 +142,16 @@ TEST_F(RelayFixture, CheckpointRestoreReproducesFullRunAtPaperScale) {
                                       bench->tb.inject_end - 1};
   const std::size_t probe_ffs[] = {1, ffs.size() / 2, ffs.size() - 1};
   for (std::size_t p = 0; p < 3; ++p) {
-    sim::InjectionEvent ev;
+    sim::LaneInjection ev;
     ev.ff_cell = ffs[probe_ffs[p]];
     ev.cycle = static_cast<std::uint32_t>(probe_cycles[p]);
-    ev.lane_mask = sim::Lanes{1} << (p * 11);
-    const sim::InjectionEvent events[] = {ev};
+    ev.lane = static_cast<std::uint32_t>(p * 11);
+    const sim::LaneInjection events[] = {ev};
     const sim::RunResult full = full_runner.run(events);
     for (const bool incremental : {false, true}) {
       SCOPED_TRACE("probe " + std::to_string(p) + " incremental " +
                    std::to_string(incremental));
-      sim::RunOptions options;
+      sim::WideRunOptions options;
       options.resume = &ckpts;
       options.incremental_eval = incremental;
       const sim::RunResult resumed = resumed_runner.run(events, options);
@@ -171,8 +169,8 @@ TEST_F(RelayFixture, CheckpointRestoreReproducesFullRunAtPaperScale) {
         }
       }
       for (const netlist::CellId ff : ffs) {
-        ASSERT_EQ(full_runner.simulator().ff_state(ff),
-                  resumed_runner.simulator().ff_state(ff))
+        ASSERT_FALSE(differs(full_runner.simulator().ff_state(ff),
+                             resumed_runner.simulator().ff_state(ff)))
             << "ff " << core->netlist.cell(ff).name;
       }
     }
