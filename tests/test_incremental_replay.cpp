@@ -116,6 +116,89 @@ TEST(WideDirtySetEval, MatchesFullEvalAt64) { check_wide_dirty_set_matches_full<
 TEST(WideDirtySetEval, MatchesFullEvalAt256) { check_wide_dirty_set_matches_full<4>(); }
 TEST(WideDirtySetEval, MatchesFullEvalAt512) { check_wide_dirty_set_matches_full<8>(); }
 
+/// Each dirty-set sweep visits exactly the ops with at least one input net
+/// whose value changed since the previous sweep: no op twice, none left
+/// pending, no reader missed. The changed nets come from a full-sweep twin.
+/// Circuits of 300+ ops span several pending words, so level ranges
+/// straddle word boundaries. Stimulus flips single lanes as well as whole
+/// blocks, to keep the active cone sparse. At most one injection per cycle,
+/// so no net is marked dirty by flips that cancel out.
+template <std::size_t W>
+void check_wide_dirty_set_visit_set(std::size_t blocks) {
+  using Block = sim::LaneBlock<W>;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    circuits::RandomCircuitConfig cc;
+    cc.num_inputs = 6;
+    cc.num_gates = 300 + 60 * static_cast<std::size_t>(seed);
+    cc.num_flip_flops = 24;
+    cc.seed = seed;
+    const netlist::Netlist nl = circuits::build_random_circuit(cc);
+    sim::WideSimulator<W> full(nl, blocks);
+    sim::WideSimulator<W> incremental(nl, blocks);
+    util::Rng rng(seed * 71 + blocks);
+    const auto pis = nl.primary_inputs();
+    const auto ffs = nl.flip_flops();
+    const auto flip = [&] {
+      return rng.bernoulli(0.5) ? random_block<W>(rng)
+                                : Block::lane_mask(rng.below(Block::kLanes));
+    };
+    std::vector<Block> before(nl.num_nets() * blocks);
+    const auto record = [&](std::vector<Block>& values) {
+      for (netlist::NetId net = 0; net < nl.num_nets(); ++net) {
+        for (std::size_t b = 0; b < blocks; ++b) values[net * blocks + b] = full.value(net, b);
+      }
+    };
+    record(before);
+    std::vector<std::uint8_t> changed(nl.num_nets());
+    for (int cycle = 0; cycle < 32; ++cycle) {
+      for (const netlist::NetId pi : pis) {
+        if (!rng.bernoulli(0.3)) continue;
+        const std::size_t b = rng.below(blocks);
+        const Block value = full.value(pi, b) ^ flip();
+        full.set_input_block(pi, b, value);
+        incremental.set_input_block(pi, b, value);
+      }
+      if (rng.bernoulli(0.5)) {
+        const netlist::CellId cell = ffs[rng.below(ffs.size())];
+        const Block mask = flip();
+        const std::size_t block = rng.below(blocks);
+        full.inject(cell, mask, block);
+        incremental.inject(cell, mask, block);
+      }
+      full.eval();
+      const std::uint64_t ops_before = incremental.ops_evaluated();
+      incremental.eval_incremental();
+      for (netlist::NetId net = 0; net < nl.num_nets(); ++net) {
+        changed[net] = 0;
+        for (std::size_t b = 0; b < blocks; ++b) {
+          if (differs(full.value(net, b), before[net * blocks + b])) changed[net] = 1;
+        }
+      }
+      std::uint64_t want = 0;
+      for (const netlist::CellId id : nl.topo_order()) {
+        const auto& inputs = nl.cell(id).inputs;
+        if (std::any_of(inputs.begin(), inputs.end(),
+                        [&](netlist::NetId in) { return changed[in] != 0; })) {
+          ++want;
+        }
+      }
+      ASSERT_EQ(incremental.ops_evaluated() - ops_before, want)
+          << "W=" << W << " blocks " << blocks << " seed " << seed << " cycle "
+          << cycle;
+      record(before);
+      full.tick();
+      incremental.tick();
+    }
+  }
+}
+
+TEST(WideDirtySetEval, VisitsExactlyTheOpsWithAChangedInput) {
+  for (const std::size_t blocks : {std::size_t{1}, std::size_t{3}}) {
+    check_wide_dirty_set_visit_set<1>(blocks);
+    check_wide_dirty_set_visit_set<8>(blocks);
+  }
+}
+
 /// A netlist with every way a flip-flop's D can change: D is a primary
 /// input, another FF's Q (a 3-stage shift chain), a loopback input, an op
 /// output, or a constant (only injections move those FFs' Q).
