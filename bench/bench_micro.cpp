@@ -1,19 +1,25 @@
-// Micro-benchmarks (google-benchmark): throughput of the substrates — packed
-// gate-level simulation, fault-injection batches, feature extraction, and
-// the ML kernels (k-NN predict, SVR fit, linear fit) at workload scale.
+// Micro-benchmarks (google-benchmark): throughput of the substrates — the
+// golden run, one wide incremental fault pass, fault-injection batches,
+// feature extraction, and the ML kernels (k-NN predict, SVR fit, linear fit)
+// at workload scale.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <string>
 
 #include "circuits/mac_core.hpp"
 #include "circuits/mac_testbench.hpp"
 #include "fault/campaign.hpp"
+#include "fault/engine.hpp"
 #include "features/extractor.hpp"
 #include "ml/knn.hpp"
 #include "ml/linear.hpp"
 #include "ml/svr.hpp"
 #include "sim/runner.hpp"
+#include "sim/wide_runner.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -54,7 +60,7 @@ const MicroContext& micro_context() {
   return ctx;
 }
 
-void BM_PackedSimGoldenRun(benchmark::State& state) {
+void BM_GoldenRun(benchmark::State& state) {
   const auto& ctx = micro_context();
   for (auto _ : state) {
     auto result = sim::run_golden(ctx.mac.netlist, ctx.bench.tb);
@@ -68,7 +74,90 @@ void BM_PackedSimGoldenRun(benchmark::State& state) {
       cells * cycles * 64.0 * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_PackedSimGoldenRun)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GoldenRun)->Unit(benchmark::kMillisecond);
+
+/// The default mac_core campaign's inputs: golden checkpoints at the default
+/// interval and every default job, sorted by injection cycle as the engine
+/// slices them into passes.
+struct PassContext {
+  circuits::MacCore mac = circuits::build_mac_core();
+  circuits::MacTestbench bench = circuits::build_mac_testbench(mac);
+  sim::CompiledStimulus stimulus{mac.netlist, bench.tb};
+  sim::GoldenCheckpoints checkpoints;
+  std::vector<sim::LaneInjection> jobs;
+
+  PassContext() {
+    const fault::CampaignConfig config;
+    checkpoints.interval = config.checkpoint_interval;
+    (void)sim::run_golden(stimulus, &checkpoints);
+    const auto ffs = mac.netlist.flip_flops();
+    for (std::size_t i = 0; i < ffs.size(); ++i) {
+      for (const std::size_t cycle : fault::injection_cycles(config, bench.tb, i)) {
+        jobs.push_back({ffs[i], static_cast<std::uint32_t>(cycle), 0});
+      }
+    }
+    std::stable_sort(jobs.begin(), jobs.end(),
+                     [](const sim::LaneInjection& a, const sim::LaneInjection& b) {
+                       return a.cycle < b.cycle;
+                     });
+  }
+};
+
+const PassContext& pass_context() {
+  static const PassContext ctx;
+  return ctx;
+}
+
+template <std::size_t W>
+void run_wide_incremental_pass(benchmark::State& state, std::size_t blocks) {
+  const PassContext& ctx = pass_context();
+  sim::WideReplayRunner<W> runner(ctx.stimulus, blocks);
+  // A full pass from the middle of the cycle-sorted job list.
+  const std::size_t begin = (ctx.jobs.size() - runner.lanes()) / 2;
+  std::vector<sim::LaneInjection> slice(ctx.jobs.begin() + begin,
+                                        ctx.jobs.begin() + begin + runner.lanes());
+  for (std::size_t lane = 0; lane < slice.size(); ++lane) {
+    slice[lane].lane = static_cast<std::uint32_t>(lane);
+  }
+  sim::WideRunOptions options;
+  options.resume = &ctx.checkpoints;
+  options.incremental_eval = true;
+  options.golden = &ctx.checkpoints;
+  std::uint64_t ops = 0;
+  std::chrono::steady_clock::duration elapsed{};
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    const sim::RunResult result = runner.run(slice, options);
+    elapsed += std::chrono::steady_clock::now() - start;
+    ops += result.ops_evaluated;
+  }
+  // Wall time per gate evaluation.
+  const double ns = std::chrono::duration<double, std::nano>(elapsed).count();
+  state.counters["ns/op"] = ns / static_cast<double>(ops);
+}
+
+/// One resumed, incremental, golden-relative fault pass on the default
+/// mac_core at the native default shape (resolved lane width times the
+/// default blocks_per_pass): the unit of work CampaignEngine::run repeats.
+void BM_WideIncrementalPass(benchmark::State& state) {
+  const PassContext& ctx = pass_context();
+  const std::size_t lanes =
+      sim::lanes_of(sim::resolve_lane_width(sim::LaneWidth::kAuto).width);
+  const std::size_t blocks =
+      fault::resolve_blocks_per_pass(0, lanes, ctx.mac.netlist.num_nets());
+  state.SetLabel(std::to_string(lanes) + "x" + std::to_string(blocks));
+  switch (lanes) {
+    case 512:
+      run_wide_incremental_pass<8>(state, blocks);
+      break;
+    case 256:
+      run_wide_incremental_pass<4>(state, blocks);
+      break;
+    default:
+      run_wide_incremental_pass<1>(state, blocks);
+  }
+}
+BENCHMARK(BM_WideIncrementalPass)->Unit(benchmark::kMillisecond);
 
 void BM_FaultBatch64Lanes(benchmark::State& state) {
   const auto& ctx = micro_context();

@@ -132,9 +132,8 @@ struct LaneBlock {
   }
 };
 
-/// Upper bound on lane blocks a WideSimulator sweeps per pass. Small enough
-/// that an incremental-eval scratch row fits on the stack, large enough that
-/// per-pass state streams past any useful L1/L2 footprint budget.
+/// Upper bound on lane blocks a WideSimulator sweeps per pass: large enough
+/// that per-pass state streams past any useful L1/L2 footprint budget.
 inline constexpr std::size_t kMaxLaneBlocksPerPass = 8;
 
 /// Lane-block width of a campaign pass. The numeric value is the lane count.

@@ -16,47 +16,49 @@ namespace {
 /// advances W * 64 lanes per block. The operand pointers are formed once per
 /// op and the block loop runs inside each case: `blocks` independent SIMD
 /// ops on contiguous storage, which keeps the vector units busy once the
-/// register width itself is exhausted. Kept internal-linkage so each
-/// translation unit compiles it at its own vector width, and always inlined
-/// so each sweep loop specializes the dispatch to its own call site.
-template <std::size_t W>
+/// register width itself is exhausted. Each result block b is handed to
+/// `store(b, value)`, so the dirty-set sweep can fold its change check into
+/// the same loop. Kept internal-linkage so each translation unit compiles it
+/// at its own vector width, and always inlined so each sweep loop
+/// specializes the dispatch and the store to its own call site.
+template <std::size_t W, typename Store>
 [[gnu::always_inline]] inline void eval_op_blocks(CellFunc func,
                                                   const netlist::NetId* in,
                                                   const LaneBlock<W>* v,
                                                   std::size_t blocks,
-                                                  LaneBlock<W>* out) {
+                                                  Store&& store) {
   using B = LaneBlock<W>;
   const auto arg = [&](std::size_t k) {
     return v + static_cast<std::size_t>(in[k]) * blocks;
   };
   switch (func) {
     case CellFunc::kConst0:
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = B::zero();
+      for (std::size_t b = 0; b < blocks; ++b) store(b, B::zero());
       return;
     case CellFunc::kConst1:
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = B::ones();
+      for (std::size_t b = 0; b < blocks; ++b) store(b, B::ones());
       return;
     case CellFunc::kBuf: {
       const B* a = arg(0);
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = a[b];
+      for (std::size_t b = 0; b < blocks; ++b) store(b, a[b]);
       return;
     }
     case CellFunc::kInv: {
       const B* a = arg(0);
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = ~a[b];
+      for (std::size_t b = 0; b < blocks; ++b) store(b, ~a[b]);
       return;
     }
     case CellFunc::kAnd2: {
       const B* a = arg(0);
       const B* c = arg(1);
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = a[b] & c[b];
+      for (std::size_t b = 0; b < blocks; ++b) store(b, a[b] & c[b]);
       return;
     }
     case CellFunc::kAnd3: {
       const B* a = arg(0);
       const B* c = arg(1);
       const B* d = arg(2);
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = a[b] & c[b] & d[b];
+      for (std::size_t b = 0; b < blocks; ++b) store(b, a[b] & c[b] & d[b]);
       return;
     }
     case CellFunc::kAnd4: {
@@ -65,21 +67,21 @@ template <std::size_t W>
       const B* d = arg(2);
       const B* e = arg(3);
       for (std::size_t b = 0; b < blocks; ++b) {
-        out[b] = a[b] & c[b] & d[b] & e[b];
+        store(b, a[b] & c[b] & d[b] & e[b]);
       }
       return;
     }
     case CellFunc::kNand2: {
       const B* a = arg(0);
       const B* c = arg(1);
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = ~(a[b] & c[b]);
+      for (std::size_t b = 0; b < blocks; ++b) store(b, ~(a[b] & c[b]));
       return;
     }
     case CellFunc::kNand3: {
       const B* a = arg(0);
       const B* c = arg(1);
       const B* d = arg(2);
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = ~(a[b] & c[b] & d[b]);
+      for (std::size_t b = 0; b < blocks; ++b) store(b, ~(a[b] & c[b] & d[b]));
       return;
     }
     case CellFunc::kNand4: {
@@ -88,21 +90,21 @@ template <std::size_t W>
       const B* d = arg(2);
       const B* e = arg(3);
       for (std::size_t b = 0; b < blocks; ++b) {
-        out[b] = ~(a[b] & c[b] & d[b] & e[b]);
+        store(b, ~(a[b] & c[b] & d[b] & e[b]));
       }
       return;
     }
     case CellFunc::kOr2: {
       const B* a = arg(0);
       const B* c = arg(1);
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = a[b] | c[b];
+      for (std::size_t b = 0; b < blocks; ++b) store(b, a[b] | c[b]);
       return;
     }
     case CellFunc::kOr3: {
       const B* a = arg(0);
       const B* c = arg(1);
       const B* d = arg(2);
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = a[b] | c[b] | d[b];
+      for (std::size_t b = 0; b < blocks; ++b) store(b, a[b] | c[b] | d[b]);
       return;
     }
     case CellFunc::kOr4: {
@@ -111,21 +113,21 @@ template <std::size_t W>
       const B* d = arg(2);
       const B* e = arg(3);
       for (std::size_t b = 0; b < blocks; ++b) {
-        out[b] = a[b] | c[b] | d[b] | e[b];
+        store(b, a[b] | c[b] | d[b] | e[b]);
       }
       return;
     }
     case CellFunc::kNor2: {
       const B* a = arg(0);
       const B* c = arg(1);
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = ~(a[b] | c[b]);
+      for (std::size_t b = 0; b < blocks; ++b) store(b, ~(a[b] | c[b]));
       return;
     }
     case CellFunc::kNor3: {
       const B* a = arg(0);
       const B* c = arg(1);
       const B* d = arg(2);
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = ~(a[b] | c[b] | d[b]);
+      for (std::size_t b = 0; b < blocks; ++b) store(b, ~(a[b] | c[b] | d[b]));
       return;
     }
     case CellFunc::kNor4: {
@@ -134,20 +136,20 @@ template <std::size_t W>
       const B* d = arg(2);
       const B* e = arg(3);
       for (std::size_t b = 0; b < blocks; ++b) {
-        out[b] = ~(a[b] | c[b] | d[b] | e[b]);
+        store(b, ~(a[b] | c[b] | d[b] | e[b]));
       }
       return;
     }
     case CellFunc::kXor2: {
       const B* a = arg(0);
       const B* c = arg(1);
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = a[b] ^ c[b];
+      for (std::size_t b = 0; b < blocks; ++b) store(b, a[b] ^ c[b]);
       return;
     }
     case CellFunc::kXnor2: {
       const B* a = arg(0);
       const B* c = arg(1);
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = ~(a[b] ^ c[b]);
+      for (std::size_t b = 0; b < blocks; ++b) store(b, ~(a[b] ^ c[b]));
       return;
     }
     case CellFunc::kMux2: {
@@ -155,7 +157,7 @@ template <std::size_t W>
       const B* hi = arg(1);
       const B* sel = arg(2);
       for (std::size_t b = 0; b < blocks; ++b) {
-        out[b] = (sel[b] & hi[b]) | (~sel[b] & lo[b]);
+        store(b, (sel[b] & hi[b]) | (~sel[b] & lo[b]));
       }
       return;
     }
@@ -163,14 +165,14 @@ template <std::size_t W>
       const B* a = arg(0);
       const B* c = arg(1);
       const B* d = arg(2);
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = ~((a[b] & c[b]) | d[b]);
+      for (std::size_t b = 0; b < blocks; ++b) store(b, ~((a[b] & c[b]) | d[b]));
       return;
     }
     case CellFunc::kOai21: {
       const B* a = arg(0);
       const B* c = arg(1);
       const B* d = arg(2);
-      for (std::size_t b = 0; b < blocks; ++b) out[b] = ~((a[b] | c[b]) & d[b]);
+      for (std::size_t b = 0; b < blocks; ++b) store(b, ~((a[b] | c[b]) & d[b]));
       return;
     }
     case CellFunc::kDff:
@@ -212,16 +214,7 @@ WideSimulator<W>::WideSimulator(const netlist::Netlist& nl, std::size_t blocks)
     throw std::invalid_argument("WideSimulator: blocks out of range");
   }
   values_.assign(nl.num_nets() * blocks_, Block::zero());
-  ops_.reserve(nl.topo_order().size());
-  for (const netlist::CellId id : nl.topo_order()) {
-    const netlist::Cell& cell = nl.cell(id);
-    Op op;
-    op.func = cell.func;
-    op.num_inputs = static_cast<std::uint8_t>(cell.inputs.size());
-    for (std::size_t i = 0; i < cell.inputs.size(); ++i) op.in[i] = cell.inputs[i];
-    op.out = cell.output;
-    ops_.push_back(op);
-  }
+  build_ops(nl);
   ff_slot_.assign(nl.num_cells(), ~std::uint32_t{0});
   for (const netlist::CellId id : nl.flip_flops()) {
     const netlist::Cell& cell = nl.cell(id);
@@ -250,6 +243,45 @@ WideSimulator<W>::WideSimulator(const netlist::Netlist& nl, std::size_t blocks)
   dirty_nets_.reserve(64);
 
   reset();
+}
+
+template <std::size_t W>
+void WideSimulator<W>::build_ops(const netlist::Netlist& nl) {
+  // Level of every op in topological order: constants are level 0, any
+  // other op is one above its deepest input net. Nets not driven by an op
+  // (primary inputs, FF Qs) are level 0, like constant outputs.
+  constexpr std::size_t kNumFuncs = static_cast<std::size_t>(CellFunc::kDff) + 1;
+  const std::span<const netlist::CellId> topo = nl.topo_order();
+  std::vector<std::uint32_t> net_level(nl.num_nets(), 0);
+  std::vector<std::uint32_t> key(topo.size());
+  std::uint32_t num_levels = 1;
+  for (std::size_t i = 0; i < topo.size(); ++i) {
+    const netlist::Cell& cell = nl.cell(topo[i]);
+    std::uint32_t level = 0;
+    for (const netlist::NetId in : cell.inputs) {
+      level = std::max(level, net_level[in] + 1);
+    }
+    net_level[cell.output] = level;
+    num_levels = std::max(num_levels, level + 1);
+    key[i] = level * kNumFuncs + static_cast<std::uint32_t>(cell.func);
+  }
+  // One counting sort over (level, function) keys, stable in topological
+  // position: level-major order is still topological, and grouping each
+  // level by function keeps the gate dispatch predictable.
+  std::vector<std::uint32_t> bucket(num_levels * kNumFuncs + 1, 0);
+  for (const std::uint32_t k : key) ++bucket[k + 1];
+  for (std::size_t k = 1; k < bucket.size(); ++k) bucket[k] += bucket[k - 1];
+  level_begin_.resize(num_levels + 1);
+  for (std::size_t l = 0; l <= num_levels; ++l) level_begin_[l] = bucket[l * kNumFuncs];
+  ops_.resize(topo.size());
+  for (std::size_t i = 0; i < topo.size(); ++i) {
+    const netlist::Cell& cell = nl.cell(topo[i]);
+    Op& op = ops_[bucket[key[i]]++];
+    op.func = cell.func;
+    op.num_inputs = static_cast<std::uint8_t>(cell.inputs.size());
+    std::copy(cell.inputs.begin(), cell.inputs.end(), op.in);
+    op.out = cell.output;
+  }
 }
 
 template <std::size_t W>
@@ -325,11 +357,16 @@ void WideSimulator<W>::eval() {
   if (blocks_ == 1) {
     // Single-block sweeps (64-lane passes, the golden run) with the block
     // count folded into the inlined kernel.
-    for (const Op& op : ops_) eval_op_blocks<W>(op.func, op.in, v, 1, v + op.out);
+    for (const Op& op : ops_) {
+      Block* out = v + op.out;
+      eval_op_blocks<W>(op.func, op.in, v, 1,
+                        [out](std::size_t b, const Block& x) { out[b] = x; });
+    }
   } else {
     for (const Op& op : ops_) {
+      Block* out = v + static_cast<std::size_t>(op.out) * blocks_;
       eval_op_blocks<W>(op.func, op.in, v, blocks_,
-                        v + static_cast<std::size_t>(op.out) * blocks_);
+                        [out](std::size_t b, const Block& x) { out[b] = x; });
     }
   }
   clear_dirty();
@@ -357,26 +394,34 @@ void WideSimulator<W>::eval_incremental() {
   }
   dirty_nets_.clear();
   std::uint64_t evaluated = 0;
-  Block scratch[kMaxLaneBlocksPerPass];
-  // ops_ is topologically sorted, so an evaluated op only ever schedules ops
-  // at higher indices: one ascending scan of the pending bits settles
-  // everything (the current word is re-read after every op for that reason).
-  for (std::size_t w = 0; w < op_pending_.size(); ++w) {
-    while (op_pending_[w] != 0) {
-      const std::uint64_t bits = op_pending_[w];
-      op_pending_[w] = bits & (bits - 1);
-      const Op& op = ops_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
-      eval_op_blocks<W>(op.func, op.in, v, blocks_, scratch);
-      ++evaluated;
-      Block* out = v + static_cast<std::size_t>(op.out) * blocks_;
-      bool changed = false;
-      for (std::size_t blk = 0; blk < blocks_; ++blk) {
-        if (differs(scratch[blk], out[blk])) {
-          out[blk] = scratch[blk];
-          changed = true;
-        }
+  std::uint64_t* const pending = op_pending_.data();
+  // An op of level k reads only lower levels, so it schedules only ops of
+  // later levels: once the lower levels are done, a level's pending bits
+  // are final. Each word overlapping the level's range is read and cleared
+  // once, and that snapshot is evaluated.
+  for (std::size_t level = 0; level + 1 < level_begin_.size(); ++level) {
+    const std::size_t begin = level_begin_[level];
+    const std::size_t end = level_begin_[level + 1];
+    for (std::size_t w = begin / 64; w * 64 < end; ++w) {
+      std::uint64_t range = ~std::uint64_t{0};
+      if (w == begin / 64) range <<= begin % 64;
+      if (end < (w + 1) * 64) range &= (std::uint64_t{1} << (end % 64)) - 1;
+      std::uint64_t bits = pending[w] & range;
+      if (bits == 0) continue;
+      pending[w] &= ~range;
+      evaluated += static_cast<std::uint64_t>(std::popcount(bits));
+      for (; bits != 0; bits &= bits - 1) {
+        const Op& op = ops_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+        // Store unconditionally; propagate iff any block changed.
+        Block* out = v + static_cast<std::size_t>(op.out) * blocks_;
+        Block diff = Block::zero();
+        eval_op_blocks<W>(op.func, op.in, v, blocks_,
+                          [out, &diff](std::size_t b, const Block& x) {
+                            diff |= x ^ out[b];
+                            out[b] = x;
+                          });
+        if (any(diff)) schedule_fanout(op.out);
       }
-      if (changed) schedule_fanout(op.out);
     }
   }
   ops_evaluated_ += evaluated;

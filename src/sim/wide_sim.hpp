@@ -15,12 +15,22 @@
 /// WideSimulator<W> is the simulator of every campaign pass and golden run
 /// (W = 1 for 64-lane passes). Every lane is bit-identical to the
 /// full-sweep PackedSimulator oracle (packed_sim.hpp) running that lane's
-/// scenario; see tests/test_lane_width.cpp. Its event-driven paths cost what
-/// actually changes:
-///   - eval_incremental() keeps one pending bit per op in topological op
-///     order and settles them in one ascending scan, evaluating an op only
-///     when one of its input nets changed (dirty is tracked per net; a net
-///     is dirty when any of its blocks changed).
+/// scenario; see tests/test_lane_width.cpp.
+///
+/// Ops are stored level-major: an op's level is one above its deepest input
+/// (primary inputs, FF Qs and constants are level 0), and within a level ops
+/// are grouped by cell function, in topological order otherwise. That is
+/// still a topological order, so eval() sweeps it as is, and runs of equal
+/// functions keep the gate dispatch predictable.
+///
+/// Its event-driven paths cost what actually changes:
+///   - eval_incremental() keeps one pending bit per op and evaluates an op
+///     only when one of its input nets changed (dirty is tracked per net; a
+///     net is dirty when any of its blocks changed). An op only schedules
+///     ops of higher levels, so the sweep walks the levels in order and
+///     reads and clears each pending word once per level range. An
+///     evaluated op stores its output blocks unconditionally and schedules
+///     its readers iff the OR of the block differences is non-zero.
 ///   - tick() only visits the FFs whose D net changed since the last tick
 ///     (a changed op output, or a dirty primary-input or Q net) or whose Q
 ///     inject() flipped; every other FF already holds Q == D. The tick after
@@ -139,13 +149,15 @@ class WideSimulator {
     Block init;
   };
 
+  void build_ops(const netlist::Netlist& nl);
   void mark_dirty(netlist::NetId net);
   void schedule_fanout(netlist::NetId net);
   void clear_dirty();
 
   const netlist::Netlist* nl_;
   std::size_t blocks_ = 1;
-  std::vector<Op> ops_;              // combinational cells, topo order
+  std::vector<Op> ops_;              // combinational cells, level-major
+  std::vector<std::uint32_t> level_begin_;  // ops_ index of each level, + end
   std::vector<FfSlot> ffs_;          // all flip-flops
   std::vector<Block> values_;        // net-major: blocks_ blocks per net
   std::vector<Block> next_state_;    // scratch for tick(), tick_slots_ order

@@ -143,12 +143,14 @@ void check_wide_dirty_set_visit_set(std::size_t blocks) {
                                 : Block::lane_mask(rng.below(Block::kLanes));
     };
     std::vector<Block> before(nl.num_nets() * blocks);
-    const auto record = [&](std::vector<Block>& values) {
+    const auto record = [&] {
       for (netlist::NetId net = 0; net < nl.num_nets(); ++net) {
-        for (std::size_t b = 0; b < blocks; ++b) values[net * blocks + b] = full.value(net, b);
+        for (std::size_t b = 0; b < blocks; ++b) {
+          before[net * blocks + b] = full.value(net, b);
+        }
       }
     };
-    record(before);
+    record();
     std::vector<std::uint8_t> changed(nl.num_nets());
     for (int cycle = 0; cycle < 32; ++cycle) {
       for (const netlist::NetId pi : pis) {
@@ -185,7 +187,7 @@ void check_wide_dirty_set_visit_set(std::size_t blocks) {
       ASSERT_EQ(incremental.ops_evaluated() - ops_before, want)
           << "W=" << W << " blocks " << blocks << " seed " << seed << " cycle "
           << cycle;
-      record(before);
+      record();
       full.tick();
       incremental.tick();
     }
