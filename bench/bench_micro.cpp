@@ -129,6 +129,7 @@ void run_wide_incremental_pass(benchmark::State& state, std::size_t blocks) {
     const auto start = std::chrono::steady_clock::now();
     const sim::RunResult result = runner.run(slice, options);
     elapsed += std::chrono::steady_clock::now() - start;
+    benchmark::DoNotOptimize(result.lane_frames.size());
     ops += result.ops_evaluated;
   }
   // Wall time per gate evaluation.

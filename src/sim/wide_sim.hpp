@@ -23,7 +23,7 @@
 /// still a topological order, so eval() sweeps it as is, and runs of equal
 /// functions keep the gate dispatch predictable.
 ///
-/// Its event-driven paths cost what actually changes:
+/// The event-driven paths cost what actually changes:
 ///   - eval_incremental() keeps one pending bit per op and evaluates an op
 ///     only when one of its input nets changed (dirty is tracked per net; a
 ///     net is dirty when any of its blocks changed). An op only schedules
