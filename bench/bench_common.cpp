@@ -43,21 +43,16 @@ void build_context(PaperContext& ctx) {
               ctx.workload.sent_payloads.size(),
               ctx.workload.tb.stimulus.num_cycles(), ctx.golden.frames.size());
 
-  const std::filesystem::path cache_dir = env_path("FFR_CACHE_DIR", "ffr_cache");
-  const std::filesystem::path cache_file =
-      cache_dir / ("mac_campaign_" + std::to_string(ctx.injections_per_ff) + ".csv");
   fault::CampaignConfig config;
   config.injections_per_ff = ctx.injections_per_ff;
-  const bool cached = std::filesystem::exists(cache_file);
-  ctx.campaign = ctx.engine->run_cached(config, cache_file);
+  ctx.campaign = ctx.engine->run(config);
   ctx.fdr = ctx.campaign.fdr_vector();
   std::printf(
-      "# flat SFI campaign: %zu FFs x %zu injections = %llu runs (%s, %.1fs), "
+      "# batched SFI campaign: %zu FFs x %zu injections = %llu runs (%.1fs), "
       "mean FDR %.3f\n\n",
       ctx.num_ffs(), ctx.injections_per_ff,
       static_cast<unsigned long long>(ctx.campaign.total_injections),
-      cached ? "cache hit" : "freshly simulated", stopwatch.elapsed_seconds(),
-      ctx.campaign.mean_fdr());
+      stopwatch.elapsed_seconds(), ctx.campaign.mean_fdr());
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 #pragma once
 // Shared context for the paper-reproduction benches: builds the MAC core and
 // its workload testbench at full scale, runs the golden simulation, extracts
-// features, and loads (or runs + caches) the flat statistical fault
-// injection campaign that serves as ground truth for every table/figure.
+// features, and runs the batched statistical fault injection campaign that
+// serves as ground truth for every table/figure.
 //
 // Environment knobs:
 //   FFR_INJECTIONS  injections per flip-flop (default 170, the paper's value)
-//   FFR_CACHE_DIR   campaign cache directory  (default ./ffr_cache)
 //   FFR_RESULTS_DIR output directory for CSV series (default ./ffr_results)
 
 #include <filesystem>

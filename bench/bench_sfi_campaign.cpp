@@ -30,7 +30,6 @@
 #include "circuits/relay_core.hpp"
 #include "fault/engine.hpp"
 #include "fault/shard.hpp"
-#include "service/content_hash.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table_printer.hpp"
 
@@ -410,8 +409,6 @@ int main() {
               "replay, 64-lane pinned; shard k owns the global-schedule "
               "passes with pass %% %zu == k — fault/shard.hpp):\n",
               kShardCount, full.injections_per_ff, kShardCount);
-  const std::string relay_hash =
-      service::content_hash(relay.netlist, relay_tb.tb).hex();
   fault::CampaignConfig shard_config = full;
   shard_config.replay_mode = fault::ReplayMode::kIncremental;
   std::vector<fault::CampaignPartial> partials;
@@ -419,7 +416,7 @@ int main() {
       {"shard", "injections", "sim passes", "cycles[M]", "wall[s]"});
   for (std::size_t k = 0; k < kShardCount; ++k) {
     shard_config.shard = {k, kShardCount};
-    partials.push_back(fault::run_shard(engine, shard_config, relay_hash));
+    partials.push_back(fault::run_shard(engine, shard_config));
     const fault::CampaignResult& share = partials.back().result;
     print_warnings(share);
     shard_table.add_row(

@@ -28,7 +28,6 @@
 #include "circuits/relay_core.hpp"
 #include "fault/engine.hpp"
 #include "fault/shard.hpp"
-#include "service/content_hash.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -97,8 +96,7 @@ int run_one_shard(const Design& design, const ffr::fault::ShardSpec& shard,
                   const std::filesystem::path& dir) {
   ffr::util::Stopwatch stopwatch;
   const ffr::fault::CampaignEngine engine(design.netlist, design.tb);
-  const std::string hash =
-      ffr::service::content_hash(design.netlist, design.tb).hex();
+  const std::string hash = engine.content_hash().hex();
   std::printf("engine   : %s (content %s)\n", design.netlist.summary().c_str(),
               hash.c_str());
 
@@ -106,7 +104,7 @@ int run_one_shard(const Design& design, const ffr::fault::ShardSpec& shard,
   config.shard = shard;
   bool resumed = false;
   const ffr::fault::CampaignPartial partial =
-      ffr::fault::load_or_run_shard(engine, config, hash, dir, &resumed);
+      ffr::fault::load_or_run_shard(engine, config, dir, &resumed);
   std::printf("shard %zu/%zu: %s — %llu injections in %llu passes, %llu "
               "cycles simulated\n",
               shard.index, shard.count,

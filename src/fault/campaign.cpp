@@ -1,11 +1,8 @@
 #include "fault/campaign.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <fstream>
 #include <stdexcept>
 
-#include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -24,81 +21,6 @@ double CampaignResult::mean_fdr() const {
   double sum = 0.0;
   for (const FfResult& ff : per_ff) sum += ff.fdr();
   return sum / static_cast<double>(per_ff.size());
-}
-
-void CampaignResult::save_csv(const std::filesystem::path& path) const {
-  util::CsvTable table;
-  table.header = {"ff_index", "name", "injections", "fdr"};
-  for (std::size_t c = 0; c < kNumFailureClasses; ++c) {
-    table.header.push_back(std::string(to_string(static_cast<FailureClass>(c))));
-  }
-  for (const FfResult& ff : per_ff) {
-    std::vector<std::string> row = {
-        std::to_string(ff.ff_index), ff.name, std::to_string(ff.injections),
-        util::CsvWriter::format_double(ff.fdr())};
-    for (const auto count : ff.classes.counts) row.push_back(std::to_string(count));
-    table.rows.push_back(std::move(row));
-  }
-  util::write_csv_file(path, table);
-}
-
-CampaignResult CampaignResult::load_csv(const std::filesystem::path& path) {
-  const util::CsvTable table = util::read_csv_file(path);
-  const auto fail = [&path](const std::string& what) {
-    return std::runtime_error("CampaignResult::load_csv(" + path.string() +
-                              "): " + what);
-  };
-  const auto column = [&](std::string_view name) {
-    try {
-      return table.column_index(name);
-    } catch (const std::out_of_range&) {
-      throw fail("missing column '" + std::string(name) + "'");
-    }
-  };
-  CampaignResult result;
-  const std::size_t idx_col = column("ff_index");
-  const std::size_t name_col = column("name");
-  const std::size_t inj_col = column("injections");
-  std::array<std::size_t, kNumFailureClasses> class_cols{};
-  for (std::size_t c = 0; c < kNumFailureClasses; ++c) {
-    class_cols[c] = column(to_string(static_cast<FailureClass>(c)));
-  }
-  for (std::size_t r = 0; r < table.rows.size(); ++r) {
-    const auto& row = table.rows[r];
-    if (row.size() != table.header.size()) {
-      throw fail("row " + std::to_string(r + 1) + " has " +
-                 std::to_string(row.size()) + " fields, expected " +
-                 std::to_string(table.header.size()));
-    }
-    const auto parse_count = [&](std::size_t col) {
-      const std::string& field = row[col];
-      std::uint64_t value = 0;
-      const auto [end, ec] =
-          std::from_chars(field.data(), field.data() + field.size(), value);
-      if (ec != std::errc{} || end != field.data() + field.size()) {
-        throw fail("bad count '" + field + "' in column '" + table.header[col] +
-                   "', row " + std::to_string(r + 1));
-      }
-      return value;
-    };
-    FfResult ff;
-    ff.ff_index = parse_count(idx_col);
-    ff.name = row[name_col];
-    ff.injections = parse_count(inj_col);
-    std::uint64_t class_total = 0;
-    for (std::size_t c = 0; c < kNumFailureClasses; ++c) {
-      ff.classes.counts[c] = parse_count(class_cols[c]);
-      class_total += ff.classes.counts[c];
-    }
-    if (class_total != ff.injections) {
-      throw fail("row " + std::to_string(r + 1) + " class counts sum to " +
-                 std::to_string(class_total) + " but injections is " +
-                 std::to_string(ff.injections));
-    }
-    result.total_injections += ff.injections;
-    result.per_ff.push_back(std::move(ff));
-  }
-  return result;
 }
 
 std::vector<std::size_t> injection_cycles(const CampaignConfig& config,
@@ -199,53 +121,6 @@ CampaignResult run_campaign(const netlist::Netlist& nl, const sim::Testbench& tb
       PassShapeCount{sim::kNumLanes, 1, result.total_sim_passes}};
   result.wall_seconds = stopwatch.elapsed_seconds();
   return result;
-}
-
-std::optional<CampaignResult> load_campaign_cache(
-    const netlist::Netlist& nl, const CampaignConfig& config,
-    const std::filesystem::path& path) {
-  if (path.empty() || !std::filesystem::exists(path)) return std::nullopt;
-  // A shard's accumulators are a CampaignPartial (fault/shard.hpp), not a
-  // result CSV: an unsharded cache must never satisfy a shard request (its
-  // per-FF injection counts would pass the checks below for shard configs
-  // whose share happens to match).
-  if (config.shard.is_sharded()) return std::nullopt;
-  CampaignResult cached;
-  try {
-    cached = CampaignResult::load_csv(path);
-  } catch (const std::runtime_error&) {
-    return std::nullopt;  // corrupt cache: fall back to a fresh run
-  }
-  // Validate against the current netlist + config before trusting it: the
-  // cached rows must target exactly the config's resolved subset, in order,
-  // with matching cell names and injection counts.
-  const auto ffs = nl.flip_flops();
-  const std::vector<std::size_t> subset = resolve_ff_subset(config, ffs.size());
-  if (cached.per_ff.size() != subset.size()) return std::nullopt;
-  for (std::size_t i = 0; i < subset.size(); ++i) {
-    const FfResult& ff = cached.per_ff[i];
-    if (ff.ff_index != subset[i] || nl.cell(ffs[ff.ff_index]).name != ff.name ||
-        ff.injections != config.injections_per_ff) {
-      return std::nullopt;
-    }
-  }
-  return cached;
-}
-
-CampaignResult run_campaign_cached(const netlist::Netlist& nl,
-                                   const sim::Testbench& tb,
-                                   const sim::GoldenResult& golden,
-                                   const CampaignConfig& config,
-                                   const std::filesystem::path& cache_path) {
-  if (auto cached = load_campaign_cache(nl, config, cache_path)) {
-    return *std::move(cached);
-  }
-  CampaignResult fresh = run_campaign(nl, tb, golden, config);
-  if (!cache_path.empty()) {
-    std::filesystem::create_directories(cache_path.parent_path());
-    fresh.save_csv(cache_path);
-  }
-  return fresh;
 }
 
 }  // namespace ffr::fault

@@ -15,8 +15,6 @@
 /// tested against.
 
 #include <cstdint>
-#include <filesystem>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,7 +64,6 @@ struct ShardSpec {
   std::size_t index = 0;  ///< This shard's id in [0, count).
   std::size_t count = 1;  ///< Total shards; 1 = unsharded.
 
-  [[nodiscard]] bool is_sharded() const noexcept { return count > 1; }
   [[nodiscard]] bool operator==(const ShardSpec&) const = default;
 };
 
@@ -168,8 +165,7 @@ struct CampaignResult {
   /// run_campaign() reports its single 64x1 shape here.
   std::vector<PassShapeCount> pass_histogram;
   /// Non-fatal configuration diagnostics, e.g. a lane_width request wider
-  /// than the host supports that fell back to the native width. Not
-  /// persisted by save_csv().
+  /// than the host supports that fell back to the native width.
   std::vector<std::string> warnings;
   /// Clock cycles actually advanced across all passes — with checkpointed
   /// replay this is the post-restore suffix only, so it measures the
@@ -203,12 +199,6 @@ struct CampaignResult {
 
   /// Circuit-level average FDR (unweighted over flip-flops).
   [[nodiscard]] double mean_fdr() const;
-
-  /// Persists the per-flip-flop results as CSV.
-  void save_csv(const std::filesystem::path& path) const;
-  /// Loads a result previously written by save_csv().
-  /// \throws std::runtime_error on a missing or malformed file.
-  [[nodiscard]] static CampaignResult load_csv(const std::filesystem::path& path);
 };
 
 /// The deterministic injection-cycle schedule for one flip-flop: cycles
@@ -237,25 +227,5 @@ struct CampaignResult {
                                           const sim::Testbench& tb,
                                           const sim::GoldenResult& golden,
                                           const CampaignConfig& config = {});
-
-/// Loads a cached campaign from `path` if the file exists and matches the
-/// netlist's flip-flop census and the config: the cached rows must cover
-/// exactly the resolved ff_subset in order, with matching cell names and
-/// injection counts; std::nullopt otherwise. The seed is not persisted in
-/// the CSV, so a cache produced with a different seed is indistinguishable —
-/// use distinct cache paths per seed. Shared by the cached entry points of
-/// the flat campaign and the batched CampaignEngine.
-[[nodiscard]] std::optional<CampaignResult> load_campaign_cache(
-    const netlist::Netlist& nl, const CampaignConfig& config,
-    const std::filesystem::path& path);
-
-/// Disk-cached campaign: loads `cache_path` if it exists and matches the
-/// netlist's flip-flop census; otherwise runs and saves. Pass an empty path
-/// to always run. Used by the benchmark harnesses so the flat campaign is
-/// executed once and shared.
-[[nodiscard]] CampaignResult run_campaign_cached(
-    const netlist::Netlist& nl, const sim::Testbench& tb,
-    const sim::GoldenResult& golden, const CampaignConfig& config,
-    const std::filesystem::path& cache_path);
 
 }  // namespace ffr::fault

@@ -413,19 +413,8 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
   return result;
 }
 
-CampaignResult CampaignEngine::run_cached(
-    const CampaignConfig& config, const std::filesystem::path& cache_path) const {
-  if (auto cached = load_campaign_cache(*nl_, config, cache_path)) {
-    return *std::move(cached);
-  }
-  CampaignResult fresh = run(config);
-  // Shard runs produce partial accumulators (fault/shard.hpp persists those
-  // with their merge fingerprint); never write one as an unsharded CSV cache.
-  if (!cache_path.empty() && !config.shard.is_sharded()) {
-    std::filesystem::create_directories(cache_path.parent_path());
-    fresh.save_csv(cache_path);
-  }
-  return fresh;
+netlist::ContentHash CampaignEngine::content_hash() const {
+  return sim::content_hash(*nl_, *tb_);
 }
 
 }  // namespace ffr::fault

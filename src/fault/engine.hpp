@@ -117,12 +117,13 @@ class CampaignEngine {
   /// on one engine are safe (each brings its own worker pool).
   [[nodiscard]] CampaignResult run(const CampaignConfig& config = {}) const;
 
-  /// Disk-cached variant of run(): loads `cache_path` when it matches the
-  /// netlist census + config (see load_campaign_cache), otherwise runs the
-  /// batched campaign and saves. Pass an empty path to always run.
-  [[nodiscard]] CampaignResult run_cached(
-      const CampaignConfig& config,
-      const std::filesystem::path& cache_path) const;
+  /// The engine's content key: sim::content_hash(netlist(), testbench()).
+  /// Campaign partials (fault/shard.hpp) carry it, so a persisted shard can
+  /// only be resumed or merged by an engine on the same netlist and
+  /// stimulus. Computed on each call, not at construction: the first key of
+  /// a netlist renders its whole Verilog (later calls reuse the memoized
+  /// Netlist::content_key() and fold only the testbench).
+  [[nodiscard]] netlist::ContentHash content_hash() const;
 
   /// Approximate bytes this engine keeps resident across campaigns: the
   /// pre-broadcast compiled stimulus, the golden frame stream and activity

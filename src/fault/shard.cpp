@@ -277,10 +277,9 @@ std::string partial_filename(std::size_t index, std::size_t count) {
 }
 
 CampaignPartial run_shard(const CampaignEngine& engine,
-                          const CampaignConfig& config,
-                          const std::string& engine_hash) {
+                          const CampaignConfig& config) {
   CampaignPartial partial;
-  partial.engine_hash = engine_hash;
+  partial.engine_hash = engine.content_hash().hex();
   partial.shard_index = config.shard.index;
   partial.shard_count = config.shard.count;
   partial.injections_per_ff = config.injections_per_ff;
@@ -293,7 +292,6 @@ CampaignPartial run_shard(const CampaignEngine& engine,
 
 CampaignPartial load_or_run_shard(const CampaignEngine& engine,
                                   const CampaignConfig& config,
-                                  const std::string& engine_hash,
                                   const std::filesystem::path& dir,
                                   bool* resumed) {
   const std::filesystem::path path =
@@ -305,6 +303,7 @@ CampaignPartial load_or_run_shard(const CampaignEngine& engine,
                                 ": partial does not match this campaign (" +
                                 what + ")");
     };
+    const std::string engine_hash = engine.content_hash().hex();
     if (partial.engine_hash != engine_hash) {
       throw mismatch("engine content hash " + partial.engine_hash +
                      ", expected " + engine_hash);
@@ -341,7 +340,7 @@ CampaignPartial load_or_run_shard(const CampaignEngine& engine,
     if (resumed != nullptr) *resumed = true;
     return partial;
   }
-  CampaignPartial partial = run_shard(engine, config, engine_hash);
+  CampaignPartial partial = run_shard(engine, config);
   partial.save_file(path);
   if (resumed != nullptr) *resumed = false;
   return partial;
@@ -490,7 +489,6 @@ CampaignResult merge_partials(const std::vector<CampaignPartial>& partials) {
 
 CampaignResult run_sharded_campaign(const CampaignEngine& engine,
                                     const CampaignConfig& config,
-                                    const std::string& engine_hash,
                                     const std::filesystem::path& dir,
                                     ResumeReport* report) {
   if (config.shard.count == 0) {
@@ -506,7 +504,7 @@ CampaignResult run_sharded_campaign(const CampaignEngine& engine,
     shard_config.shard.index = k;
     bool resumed = false;
     partials.push_back(
-        load_or_run_shard(engine, shard_config, engine_hash, dir, &resumed));
+        load_or_run_shard(engine, shard_config, dir, &resumed));
     if (resumed) {
       local.resumed.push_back(k);
     } else {

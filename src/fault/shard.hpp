@@ -68,10 +68,10 @@ inline constexpr int kPartialFormatVersion = 2;
 /// One shard's campaign accumulators plus the fingerprint that guards
 /// merging: two partials may only merge when they come from the same engine
 /// (content hash), the same N, and the same science-and-schedule-relevant
-/// config. The engine hash is kept as a plain hex string so fault/ stays
-/// independent of service/ — callers compute it via service::content_hash.
+/// config.
 struct CampaignPartial {
-  /// Hex content hash of the (netlist, testbench) pair the shard ran on.
+  /// Hex content hash of the (netlist, testbench) pair the shard ran on:
+  /// CampaignEngine::content_hash().hex() of the engine that produced it.
   std::string engine_hash;
   std::size_t shard_index = 0;  ///< This shard's id in [0, shard_count).
   std::size_t shard_count = 1;  ///< Total shards of the campaign.
@@ -110,21 +110,19 @@ struct CampaignPartial {
                                            std::size_t count);
 
 /// Runs one shard on the engine and wraps the result with its merge
-/// fingerprint. `config.shard` selects the shard; `engine_hash` is the
-/// engine's content hash (service::content_hash(nl, tb).hex()).
+/// fingerprint (the engine's content_hash() and the config). `config.shard`
+/// selects the shard.
 [[nodiscard]] CampaignPartial run_shard(const CampaignEngine& engine,
-                                        const CampaignConfig& config,
-                                        const std::string& engine_hash);
+                                        const CampaignConfig& config);
 
 /// Resume primitive: loads `dir / partial_filename(...)` when present,
 /// otherwise runs the shard and saves the partial there. A present file
-/// that fails to load or whose fingerprint does not match the requested
-/// (engine_hash, config) is an error, never silently re-run.
+/// that fails to load or whose fingerprint does not match the engine's
+/// content_hash() and `config` is an error, never silently re-run.
 /// `resumed` (optional) reports whether the partial came from disk.
 /// \throws std::runtime_error on an invalid or mismatched existing partial.
 [[nodiscard]] CampaignPartial load_or_run_shard(const CampaignEngine& engine,
                                                 const CampaignConfig& config,
-                                                const std::string& engine_hash,
                                                 const std::filesystem::path& dir,
                                                 bool* resumed = nullptr);
 
@@ -157,7 +155,6 @@ struct ResumeReport {
 ///         load_or_run_shard) or a failed merge.
 [[nodiscard]] CampaignResult run_sharded_campaign(
     const CampaignEngine& engine, const CampaignConfig& config,
-    const std::string& engine_hash, const std::filesystem::path& dir,
-    ResumeReport* report = nullptr);
+    const std::filesystem::path& dir, ResumeReport* report = nullptr);
 
 }  // namespace ffr::fault

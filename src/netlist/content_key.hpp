@@ -7,7 +7,7 @@
 /// the state after the "netlist" section holding netlist::to_verilog() — is
 /// defined here, next to the writer whose byte-stable output it hashes, and
 /// memoized per finalized netlist by Netlist::content_key(). Callers that
-/// key a netlist together with more content (service::content_keys adds the
+/// key a netlist together with more content (sim::content_keys adds the
 /// testbench section) continue the fold from it with fold_section().
 ///
 /// 128 bits of FNV-1a is not cryptographic; it keys trusted in-process

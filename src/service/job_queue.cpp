@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "fault/shard.hpp"
-#include "service/content_hash.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ffr::service {
@@ -178,15 +177,14 @@ JobId FfrService::submit_sharded_campaign(const netlist::Netlist& nl,
                  partial_dir, partials, k](Job& self) {
       std::shared_ptr<const fault::CampaignEngine> engine =
           registry_.acquire(nl, tb);
-      const std::string hash = content_hash(nl, tb).hex();
       fault::CampaignPartial partial;
       if (partial_dir.empty()) {
-        partial = fault::run_shard(*engine, shard_config, hash);
+        partial = fault::run_shard(*engine, shard_config);
         metrics_.shards_completed.fetch_add(1, std::memory_order_relaxed);
       } else {
         bool resumed = false;
-        partial = fault::load_or_run_shard(*engine, shard_config, hash,
-                                           partial_dir, &resumed);
+        partial = fault::load_or_run_shard(*engine, shard_config, partial_dir,
+                                           &resumed);
         (resumed ? metrics_.shards_resumed : metrics_.shards_completed)
             .fetch_add(1, std::memory_order_relaxed);
       }

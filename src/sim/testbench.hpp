@@ -2,12 +2,37 @@
 /// \file testbench.hpp
 /// \brief Testbench description: open-loop input waveforms, registered loopback
 /// connections (e.g. XGMII TX -> RX in the paper's 10GE MAC bench), the
-/// packet-interface monitor specification and the fault-injection window.
+/// packet-interface monitor specification and the fault-injection window,
+/// plus the content key of a (netlist, testbench) pair.
+///
+/// ## Content keys
+///
+/// Engines, registry entries and campaign partials are keyed by the
+/// *content* of a design-plus-workload pair, not by object: two structurally
+/// identical netlists driven by the same stimulus — even one re-imported
+/// from a Verilog dump, whose NetIds differ — get the same key. The key is a
+/// 128-bit FNV-1a hash (netlist/content_key.hpp) over two length-prefixed
+/// canonical sections:
+///
+///   1. the netlist rendered by netlist::to_verilog(), which is
+///      deterministic and byte-stable (the round-trip contract of the
+///      Verilog writer), and
+///   2. a canonical testbench dump (canonical_testbench()) that refers to
+///      nets by *name*, so it is invariant under NetId remapping — a
+///      testbench rebound with retarget_testbench() hashes identically.
+///
+/// The FNV state after the first section is itself a key: the netlist key
+/// (ContentKeys::netlist) under which the service registry shares one
+/// netlist copy among every testbench on a design. It is
+/// Netlist::content_key(), memoized on the finalized netlist (and shared by
+/// its copies), so only the first key of a netlist object renders it; every
+/// later content_keys() call folds just the testbench section on top.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "netlist/content_key.hpp"
 #include "netlist/netlist.hpp"
 
 namespace ffr::sim {
@@ -90,5 +115,36 @@ using FrameList = std::vector<Frame>;
 [[nodiscard]] Testbench retarget_testbench(const Testbench& tb,
                                            const netlist::Netlist& from,
                                            const netlist::Netlist& to);
+
+/// Canonical text form of a testbench *relative to its netlist*: the
+/// injection window, the packed stimulus waveforms, and the loopback /
+/// packet-monitor bindings spelled with net names (never NetIds). Two
+/// testbenches that drive structurally identical netlists identically
+/// produce identical dumps.
+/// \throws std::out_of_range when the testbench references a net outside
+///         the netlist (a mismatched pair).
+[[nodiscard]] std::string canonical_testbench(const netlist::Netlist& nl,
+                                              const Testbench& tb);
+
+/// Both content keys of a (netlist, testbench) pair. The hashed stream is
+/// the length-prefixed netlist section followed by the length-prefixed
+/// testbench section; `netlist` is the FNV state after the first section
+/// (Netlist::content_key(), equal for every testbench on one design) and
+/// `full` is the state after both (the content_hash() key).
+struct ContentKeys {
+  netlist::ContentHash netlist;
+  netlist::ContentHash full;
+};
+
+/// \throws std::invalid_argument when the netlist is not finalized.
+[[nodiscard]] ContentKeys content_keys(const netlist::Netlist& nl,
+                                       const Testbench& tb);
+
+/// The content key of the pair: content_keys(nl, tb).full. It keys the
+/// service's engine registry and every campaign partial
+/// (fault::CampaignEngine::content_hash()).
+/// \throws std::invalid_argument when the netlist is not finalized.
+[[nodiscard]] netlist::ContentHash content_hash(const netlist::Netlist& nl,
+                                                const Testbench& tb);
 
 }  // namespace ffr::sim

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "circuits/mac_core.hpp"
 #include "circuits/mac_testbench.hpp"
 #include "circuits/pipeline_core.hpp"
@@ -226,20 +224,6 @@ TEST_F(MacEngineFixture, SubsetOrderIndependent) {
   const CampaignResult b = engine->run(config);
   EXPECT_EQ(a.per_ff[0].classes.counts, b.per_ff[1].classes.counts);  // ff 7
   EXPECT_EQ(a.per_ff[1].classes.counts, b.per_ff[0].classes.counts);  // ff 90
-}
-
-TEST_F(MacEngineFixture, RunCachedRoundTrips) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "ffr_engine_cache_test.csv";
-  std::filesystem::remove(path);
-  CampaignConfig config;
-  config.injections_per_ff = 8;
-  config.ff_subset = {0, 1, 2};
-  const CampaignResult first = engine->run_cached(config, path);
-  ASSERT_TRUE(std::filesystem::exists(path));
-  const CampaignResult second = engine->run_cached(config, path);
-  expect_bit_identical(first, second);
-  std::filesystem::remove(path);
 }
 
 TEST_F(MacEngineFixture, FlowOverloadMatchesStandaloneFlow) {

@@ -1,17 +1,13 @@
 // Tests for src/fault: failure classification semantics and the statistical
-// campaign (determinism, caching, FDR plausibility on the MAC core).
+// campaign (determinism, FDR plausibility on the MAC core).
 
 #include <gtest/gtest.h>
-
-#include <filesystem>
-#include <fstream>
 
 #include "circuits/mac_core.hpp"
 #include "circuits/mac_testbench.hpp"
 #include "fault/campaign.hpp"
 #include "fault/classification.hpp"
 #include "linalg/matrix.hpp"
-#include "util/rng.hpp"
 
 namespace ffr::fault {
 namespace {
@@ -158,240 +154,6 @@ TEST_F(CampaignFixture, FdrSpreadCoversBenignAndCritical) {
   EXPECT_GT(ffr::linalg::max_value(fdr), 0.5);
   EXPECT_GT(result.mean_fdr(), 0.01);
   EXPECT_LT(result.mean_fdr(), 0.9);
-}
-
-TEST_F(CampaignFixture, CsvRoundTrip) {
-  CampaignConfig config;
-  config.injections_per_ff = 8;
-  config.ff_subset = {0, 1, 2};
-  const CampaignResult result = run_campaign(mac.netlist, bench.tb, golden, config);
-  const auto path = std::filesystem::temp_directory_path() / "ffr_campaign_test.csv";
-  result.save_csv(path);
-  const CampaignResult loaded = CampaignResult::load_csv(path);
-  ASSERT_EQ(loaded.per_ff.size(), result.per_ff.size());
-  for (std::size_t i = 0; i < result.per_ff.size(); ++i) {
-    EXPECT_EQ(loaded.per_ff[i].name, result.per_ff[i].name);
-    EXPECT_EQ(loaded.per_ff[i].classes.counts, result.per_ff[i].classes.counts);
-    EXPECT_DOUBLE_EQ(loaded.per_ff[i].fdr(), result.per_ff[i].fdr());
-  }
-  std::filesystem::remove(path);
-}
-
-TEST_F(CampaignFixture, CachedCampaignReusesFile) {
-  const auto path = std::filesystem::temp_directory_path() / "ffr_cache_test.csv";
-  std::filesystem::remove(path);
-  CampaignConfig config;
-  config.injections_per_ff = 8;
-  config.ff_subset = {0, 1};
-  const CampaignResult first =
-      run_campaign_cached(mac.netlist, bench.tb, golden, config, path);
-  ASSERT_TRUE(std::filesystem::exists(path));
-  const CampaignResult second =
-      run_campaign_cached(mac.netlist, bench.tb, golden, config, path);
-  EXPECT_EQ(first.per_ff[0].classes.counts, second.per_ff[0].classes.counts);
-  // A mismatching config invalidates the cache (different injection count).
-  config.injections_per_ff = 4;
-  const CampaignResult third =
-      run_campaign_cached(mac.netlist, bench.tb, golden, config, path);
-  EXPECT_EQ(third.per_ff[0].injections, 4u);
-  std::filesystem::remove(path);
-}
-
-// ---- load_csv robustness --------------------------------------------------------
-
-class LoadCsvRobustness : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = std::filesystem::temp_directory_path() /
-            ("ffr_load_csv_" + std::string(::testing::UnitTest::GetInstance()
-                                               ->current_test_info()
-                                               ->name()) +
-             ".csv");
-    std::filesystem::remove(path_);
-  }
-  void TearDown() override { std::filesystem::remove(path_); }
-
-  void write(const std::string& text) {
-    std::ofstream out(path_);
-    out << text;
-  }
-
-  /// A header matching save_csv's layout: ff_index,name,injections,fdr + one
-  /// column per failure class.
-  static std::string header() {
-    std::string h = "ff_index,name,injections,fdr";
-    for (std::size_t c = 0; c < kNumFailureClasses; ++c) {
-      h += ",";
-      h += to_string(static_cast<FailureClass>(c));
-    }
-    return h + "\n";
-  }
-
-  /// A row with the given injections split as `ok` no-effect runs plus
-  /// failures in the first failure class.
-  static std::string row(std::size_t index, const std::string& name,
-                         std::uint64_t ok, std::uint64_t failures) {
-    std::string r = std::to_string(index) + "," + name + "," +
-                    std::to_string(ok + failures) + ",0.5," +
-                    std::to_string(ok) + "," + std::to_string(failures);
-    for (std::size_t c = 2; c < kNumFailureClasses; ++c) r += ",0";
-    return r + "\n";
-  }
-
-  std::filesystem::path path_;
-};
-
-TEST_F(LoadCsvRobustness, MissingFileThrows) {
-  EXPECT_THROW((void)CampaignResult::load_csv(path_), std::runtime_error);
-}
-
-TEST_F(LoadCsvRobustness, WellFormedFileLoads) {
-  write(header() + row(0, "a", 6, 2) + row(3, "b", 8, 0));
-  const CampaignResult result = CampaignResult::load_csv(path_);
-  ASSERT_EQ(result.per_ff.size(), 2u);
-  EXPECT_EQ(result.per_ff[0].name, "a");
-  EXPECT_EQ(result.per_ff[0].injections, 8u);
-  EXPECT_DOUBLE_EQ(result.per_ff[0].fdr(), 0.25);
-  EXPECT_EQ(result.per_ff[1].ff_index, 3u);
-  EXPECT_EQ(result.total_injections, 16u);
-}
-
-TEST_F(LoadCsvRobustness, MissingColumnThrowsRuntimeError) {
-  write("ff_index,name,fdr\n0,a,0.5\n");
-  EXPECT_THROW((void)CampaignResult::load_csv(path_), std::runtime_error);
-}
-
-TEST_F(LoadCsvRobustness, TruncatedRowThrowsRuntimeError) {
-  std::string text = header() + row(0, "a", 6, 2);
-  // Second row cut off mid-record (e.g. a crashed writer).
-  text += "1,b,8";
-  write(text);
-  EXPECT_THROW((void)CampaignResult::load_csv(path_), std::runtime_error);
-}
-
-TEST_F(LoadCsvRobustness, NonNumericCountThrowsRuntimeError) {
-  std::string text = header();
-  text += "zero,a,8,0.5,6,2";
-  for (std::size_t c = 2; c < kNumFailureClasses; ++c) text += ",0";
-  text += "\n";
-  write(text);
-  EXPECT_THROW((void)CampaignResult::load_csv(path_), std::runtime_error);
-}
-
-TEST_F(LoadCsvRobustness, NegativeCountThrowsRuntimeError) {
-  std::string text = header();
-  text += "0,a,8,0.5,-6,14";
-  for (std::size_t c = 2; c < kNumFailureClasses; ++c) text += ",0";
-  text += "\n";
-  write(text);
-  EXPECT_THROW((void)CampaignResult::load_csv(path_), std::runtime_error);
-}
-
-TEST_F(LoadCsvRobustness, ClassCountsMismatchingInjectionsThrows) {
-  // Census mismatch inside one row: classes sum to 7 but injections says 9.
-  std::string text = header();
-  text += "0,a,9,0.5,5,2";
-  for (std::size_t c = 2; c < kNumFailureClasses; ++c) text += ",0";
-  text += "\n";
-  write(text);
-  EXPECT_THROW((void)CampaignResult::load_csv(path_), std::runtime_error);
-}
-
-TEST_F(LoadCsvRobustness, CorruptCacheFallsBackToFreshRun) {
-  // run_campaign_cached must treat an unreadable cache as a miss, not die.
-  circuits::MacConfig mc;
-  mc.tx_depth_log2 = 3;
-  mc.rx_depth_log2 = 3;
-  const circuits::MacCore mac = circuits::build_mac_core(mc);
-  circuits::MacTestbenchConfig tbc;
-  tbc.num_frames = 2;
-  const circuits::MacTestbench bench = circuits::build_mac_testbench(mac, tbc);
-  const sim::GoldenResult golden = sim::run_golden(mac.netlist, bench.tb);
-  write("not,a,campaign\nfile,at,all\n");
-  CampaignConfig config;
-  config.injections_per_ff = 4;
-  config.ff_subset = {0, 1};
-  const CampaignResult result =
-      run_campaign_cached(mac.netlist, bench.tb, golden, config, path_);
-  EXPECT_EQ(result.per_ff.size(), 2u);
-  // The bad cache was overwritten with the fresh result.
-  const CampaignResult reloaded = CampaignResult::load_csv(path_);
-  EXPECT_EQ(reloaded.per_ff.size(), 2u);
-}
-
-TEST_F(LoadCsvRobustness, MismatchedCensusCacheIsIgnored) {
-  circuits::MacConfig mc;
-  mc.tx_depth_log2 = 3;
-  mc.rx_depth_log2 = 3;
-  const circuits::MacCore mac = circuits::build_mac_core(mc);
-  // A structurally valid file whose flip-flop names do not match the
-  // netlist census: load_campaign_cache must reject it.
-  write(header() + row(0, "not_a_real_ff", 3, 1));
-  CampaignConfig config;
-  config.injections_per_ff = 4;
-  config.ff_subset = {0};
-  EXPECT_FALSE(load_campaign_cache(mac.netlist, config, path_).has_value());
-  // Same shape but the real name and matching injection count: accepted.
-  const std::string real_name =
-      mac.netlist.cell(mac.netlist.flip_flops()[0]).name;
-  write(header() + row(0, real_name, 3, 1));
-  EXPECT_TRUE(load_campaign_cache(mac.netlist, config, path_).has_value());
-  // Injection-count mismatch: rejected again.
-  config.injections_per_ff = 8;
-  EXPECT_FALSE(load_campaign_cache(mac.netlist, config, path_).has_value());
-}
-
-TEST_F(LoadCsvRobustness, DifferentSubsetCacheIsRejected) {
-  // A cache saved for one flip-flop subset must not be returned for a
-  // different subset of the same size — results are positional.
-  circuits::MacConfig mc;
-  mc.tx_depth_log2 = 3;
-  mc.rx_depth_log2 = 3;
-  const circuits::MacCore mac = circuits::build_mac_core(mc);
-  const auto ffs = mac.netlist.flip_flops();
-  const auto name_of = [&](std::size_t i) { return mac.netlist.cell(ffs[i]).name; };
-  write(header() + row(0, name_of(0), 3, 1) + row(1, name_of(1), 3, 1));
-  CampaignConfig config;
-  config.injections_per_ff = 4;
-  config.ff_subset = {0, 1};
-  EXPECT_TRUE(load_campaign_cache(mac.netlist, config, path_).has_value());
-  config.ff_subset = {2, 3};  // same size, different flip-flops
-  EXPECT_FALSE(load_campaign_cache(mac.netlist, config, path_).has_value());
-  config.ff_subset = {1, 0};  // same set, different order
-  EXPECT_FALSE(load_campaign_cache(mac.netlist, config, path_).has_value());
-}
-
-TEST_F(LoadCsvRobustness, SaveLoadRoundTripProperty) {
-  // Property test: random synthetic results — including names that need CSV
-  // quoting — survive save/load bit-exactly.
-  util::Rng rng(0xC5F);
-  for (int trial = 0; trial < 20; ++trial) {
-    CampaignResult original;
-    const std::size_t num_ffs = 1 + rng.below(12);
-    for (std::size_t i = 0; i < num_ffs; ++i) {
-      FfResult ff;
-      ff.ff_index = i * (1 + rng.below(3));
-      ff.name = "reg_" + std::to_string(trial) + "[" + std::to_string(i) + "]";
-      if (rng.bernoulli(0.3)) ff.name += ",quoted\"name";  // stress escaping
-      for (std::size_t c = 0; c < kNumFailureClasses; ++c) {
-        ff.classes.counts[c] = rng.below(50);
-      }
-      ff.injections = ff.classes.total();
-      original.total_injections += ff.injections;
-      original.per_ff.push_back(std::move(ff));
-    }
-    original.save_csv(path_);
-    const CampaignResult loaded = CampaignResult::load_csv(path_);
-    ASSERT_EQ(loaded.per_ff.size(), original.per_ff.size());
-    EXPECT_EQ(loaded.total_injections, original.total_injections);
-    for (std::size_t i = 0; i < original.per_ff.size(); ++i) {
-      EXPECT_EQ(loaded.per_ff[i].ff_index, original.per_ff[i].ff_index);
-      EXPECT_EQ(loaded.per_ff[i].name, original.per_ff[i].name);
-      EXPECT_EQ(loaded.per_ff[i].injections, original.per_ff[i].injections);
-      EXPECT_EQ(loaded.per_ff[i].classes.counts, original.per_ff[i].classes.counts);
-      EXPECT_EQ(loaded.per_ff[i].fdr(), original.per_ff[i].fdr());
-    }
-  }
 }
 
 TEST_F(CampaignFixture, EmptyWindowRejected) {

@@ -17,7 +17,6 @@
 #include "netlist/verilog_reader.hpp"
 #include "netlist/verilog_writer.hpp"
 #include "rtl/crc.hpp"
-#include "service/content_hash.hpp"
 #include "sim/runner.hpp"
 #include "sim/testbench.hpp"
 #include "sim/wide_runner.hpp"
@@ -274,8 +273,6 @@ TEST_F(RelayFixture, ShardedCampaignMergesBitIdenticalAtPaperScale) {
   // relay design, merged in every shard permutation, must be bit-identical
   // to the unsharded engine run — FDR and every deterministic counter.
   fault::CampaignEngine engine(core->netlist, bench->tb);
-  const std::string hash =
-      service::content_hash(core->netlist, bench->tb).hex();
   fault::CampaignConfig config;
   config.injections_per_ff = 24;
   const std::size_t n = core->netlist.num_flip_flops();
@@ -288,7 +285,7 @@ TEST_F(RelayFixture, ShardedCampaignMergesBitIdenticalAtPaperScale) {
   for (std::size_t k = 0; k < kShards; ++k) {
     fault::CampaignConfig shard = config;
     shard.shard = fault::ShardSpec{k, kShards};
-    partials.push_back(fault::run_shard(engine, shard, hash));
+    partials.push_back(fault::run_shard(engine, shard));
   }
 
   std::vector<std::size_t> order = {0, 1, 2};

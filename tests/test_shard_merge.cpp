@@ -6,7 +6,9 @@
 // and match the flat run_campaign science reference. Also covers the partial
 // text format round-trip, crash-recovery (truncated / corrupt /
 // wrong-version / wrong-hash partials rejected with positioned errors,
-// missing shards re-run exactly), and warning deduplication on merge.
+// missing shards re-run exactly), the engine's own content key guarding
+// resume against another design, stimulus or seed, and warning
+// deduplication on merge.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +26,11 @@
 #include "fault/campaign.hpp"
 #include "fault/engine.hpp"
 #include "fault/shard.hpp"
+#include "netlist/verilog_reader.hpp"
+#include "netlist/verilog_writer.hpp"
 #include "service/content_hash.hpp"
+#include "service/engine_registry.hpp"
+#include "sim/testbench.hpp"
 
 namespace ffr::fault {
 namespace {
@@ -86,13 +92,12 @@ void expect_science_identical(const CampaignResult& a, const CampaignResult& b) 
 /// Runs all N shards of `config` and returns the partials in shard order.
 std::vector<CampaignPartial> run_all_shards(const CampaignEngine& engine,
                                             CampaignConfig config,
-                                            const std::string& hash,
                                             std::size_t count) {
   std::vector<CampaignPartial> partials;
   partials.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
     config.shard = ShardSpec{k, count};
-    partials.push_back(run_shard(engine, config, hash));
+    partials.push_back(run_shard(engine, config));
   }
   return partials;
 }
@@ -110,12 +115,8 @@ struct MacShardFixture : public ::testing::Test {
     tbc.seed = 5;
     bench = new circuits::MacTestbench(circuits::build_mac_testbench(*mac, tbc));
     engine = new CampaignEngine(mac->netlist, bench->tb);
-    hash = new std::string(
-        service::content_hash(mac->netlist, bench->tb).hex());
   }
   static void TearDownTestSuite() {
-    delete hash;
-    hash = nullptr;
     delete engine;
     engine = nullptr;
     delete bench;
@@ -139,13 +140,11 @@ struct MacShardFixture : public ::testing::Test {
   static circuits::MacCore* mac;
   static circuits::MacTestbench* bench;
   static CampaignEngine* engine;
-  static std::string* hash;
 };
 
 circuits::MacCore* MacShardFixture::mac = nullptr;
 circuits::MacTestbench* MacShardFixture::bench = nullptr;
 CampaignEngine* MacShardFixture::engine = nullptr;
-std::string* MacShardFixture::hash = nullptr;
 
 // ---- merge property: every N, every permutation -----------------------------
 
@@ -158,7 +157,7 @@ TEST_F(MacShardFixture, EveryPermutationMergesBitIdenticalToUnsharded) {
   for (const std::size_t count : {std::size_t{1}, std::size_t{2},
                                   std::size_t{3}, std::size_t{7}}) {
     const std::vector<CampaignPartial> partials =
-        run_all_shards(*engine, config, *hash, count);
+        run_all_shards(*engine, config, count);
 
     std::vector<std::size_t> order(count);
     std::iota(order.begin(), order.end(), std::size_t{0});
@@ -185,7 +184,7 @@ TEST_F(MacShardFixture, ShardSharesArePartialAndDisjoint) {
   CampaignConfig config = base_config();
   config.lane_width = sim::LaneWidth::k64;
   const std::vector<CampaignPartial> partials =
-      run_all_shards(*engine, config, *hash, 3);
+      run_all_shards(*engine, config, 3);
   std::uint64_t passes = 0;
   for (const CampaignPartial& partial : partials) {
     // Every shard did real, strictly partial work.
@@ -212,7 +211,7 @@ TEST_F(MacShardFixture, MergeHoldsAcrossModesWidthsAndThreads) {
         config.num_threads = threads;
         const CampaignResult unsharded = engine->run(config);
         const CampaignResult merged =
-            merge_partials(run_all_shards(*engine, config, *hash, 3));
+            merge_partials(run_all_shards(*engine, config, 3));
         expect_result_identical(merged, unsharded);
         if (::testing::Test::HasFailure()) {
           FAIL() << "mode=" << to_string(mode)
@@ -232,7 +231,7 @@ TEST_F(MacShardFixture, MoreShardsThanPassesLeavesEmptyShards) {
   const CampaignResult unsharded = engine->run(config);
   ASSERT_EQ(unsharded.total_sim_passes, 1u);
   const std::vector<CampaignPartial> partials =
-      run_all_shards(*engine, config, *hash, 7);
+      run_all_shards(*engine, config, 7);
   for (std::size_t k = 1; k < partials.size(); ++k) {
     EXPECT_EQ(partials[k].result.total_sim_passes, 0u) << "shard " << k;
     EXPECT_EQ(partials[k].result.total_injections, 0u) << "shard " << k;
@@ -255,7 +254,7 @@ TEST_F(MacShardFixture, WarningsDeduplicatedOnMerge) {
   const CampaignResult unsharded = engine->run(config);
   ASSERT_EQ(unsharded.warnings.size(), 1u);
   const std::vector<CampaignPartial> partials =
-      run_all_shards(*engine, config, *hash, 3);
+      run_all_shards(*engine, config, 3);
   for (const CampaignPartial& partial : partials) {
     EXPECT_EQ(partial.result.warnings, unsharded.warnings);
   }
@@ -271,7 +270,7 @@ TEST_F(MacShardFixture, WarningsDeduplicatedOnMerge) {
 TEST_F(MacShardFixture, MergeRejectsInconsistentPartialSets) {
   CampaignConfig config = base_config();
   const std::vector<CampaignPartial> partials =
-      run_all_shards(*engine, config, *hash, 3);
+      run_all_shards(*engine, config, 3);
 
   EXPECT_THROW((void)merge_partials({}), std::runtime_error);
 
@@ -302,7 +301,7 @@ TEST_F(MacShardFixture, MergeRejectsInconsistentPartialSets) {
     CampaignConfig other = config;
     other.injections_per_ff += 8;
     const std::vector<CampaignPartial> foreign =
-        run_all_shards(*engine, other, *hash, 3);
+        run_all_shards(*engine, other, 3);
     EXPECT_THROW(
         (void)merge_partials({partials[0], foreign[1], partials[2]}),
         std::runtime_error);
@@ -316,7 +315,7 @@ TEST_F(MacShardFixture, PartialRoundTripsThroughTextFormat) {
   config.replay_mode = ReplayMode::kCheckpoint;
   config.seed = 0xFFFF'FFFF'FFFF'FFFFULL;  // exercise full 64-bit fields
   config.shard = ShardSpec{1, 3};
-  const CampaignPartial original = run_shard(*engine, config, *hash);
+  const CampaignPartial original = run_shard(*engine, config);
 
   std::stringstream stream;
   original.save(stream);
@@ -341,7 +340,7 @@ TEST_F(MacShardFixture, PartialFileRoundTripAndMerge) {
   std::vector<CampaignPartial> reloaded;
   for (std::size_t k = 0; k < 3; ++k) {
     config.shard = ShardSpec{k, 3};
-    const CampaignPartial partial = run_shard(*engine, config, *hash);
+    const CampaignPartial partial = run_shard(*engine, config);
     const auto path = dir / partial_filename(k, 3);
     partial.save_file(path);
     reloaded.push_back(CampaignPartial::load_file(path));
@@ -370,7 +369,7 @@ void expect_positioned_error(const Body& body, const std::string& source,
 TEST_F(MacShardFixture, LoadRejectsTruncatedCorruptAndWrongVersion) {
   CampaignConfig config = base_config();
   config.shard = ShardSpec{0, 2};
-  const CampaignPartial partial = run_shard(*engine, config, *hash);
+  const CampaignPartial partial = run_shard(*engine, config);
   std::stringstream reference;
   partial.save(reference);
   const std::string text = reference.str();
@@ -458,7 +457,7 @@ TEST_F(ResumeFixture, ResumeRerunsExactlyTheMissingShard) {
 
   ResumeReport first;
   const CampaignResult merged =
-      run_sharded_campaign(*engine, config, *hash, dir, &first);
+      run_sharded_campaign(*engine, config, dir, &first);
   EXPECT_EQ(first.executed, (std::vector<std::size_t>{0, 1, 2}));
   EXPECT_TRUE(first.resumed.empty());
   CampaignConfig unsharded = config;
@@ -472,7 +471,7 @@ TEST_F(ResumeFixture, ResumeRerunsExactlyTheMissingShard) {
 
   ResumeReport second;
   const CampaignResult resumed =
-      run_sharded_campaign(*engine, config, *hash, dir, &second);
+      run_sharded_campaign(*engine, config, dir, &second);
   EXPECT_EQ(second.resumed, (std::vector<std::size_t>{0, 2}));
   EXPECT_EQ(second.executed, (std::vector<std::size_t>{1}));
   // Exactly shard 1's work was redone — pinned via the deterministic
@@ -484,7 +483,7 @@ TEST_F(ResumeFixture, ResumeRerunsExactlyTheMissingShard) {
   // A third run resumes everything and simulates nothing.
   ResumeReport third;
   const CampaignResult all_resumed =
-      run_sharded_campaign(*engine, config, *hash, dir, &third);
+      run_sharded_campaign(*engine, config, dir, &third);
   EXPECT_EQ(third.resumed, (std::vector<std::size_t>{0, 1, 2}));
   EXPECT_TRUE(third.executed.empty());
   EXPECT_EQ(third.passes_executed, 0u);
@@ -495,11 +494,11 @@ TEST_F(ResumeFixture, ResumeRerunsExactlyTheMissingShard) {
 TEST_F(ResumeFixture, ResumeRejectsWrongContentHash) {
   CampaignConfig config = base_config();
   config.shard = ShardSpec{0, 2};
-  const CampaignPartial partial =
-      run_shard(*engine, config, "feedfacefeedfacefeedfacefeedface");
+  CampaignPartial partial = run_shard(*engine, config);
+  partial.engine_hash = "feedfacefeedfacefeedfacefeedface";
   partial.save_file(dir / partial_filename(0, 2));
   try {
-    (void)load_or_run_shard(*engine, config, *hash, dir);
+    (void)load_or_run_shard(*engine, config, dir);
     FAIL() << "expected a content-hash mismatch error";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -508,15 +507,94 @@ TEST_F(ResumeFixture, ResumeRejectsWrongContentHash) {
   }
 }
 
+/// Expects resuming `config` on `other` over the partial in `dir` to throw a
+/// std::runtime_error saying the partial does not match.
+void expect_resume_mismatch(const CampaignEngine& other,
+                            const CampaignConfig& config,
+                            const std::filesystem::path& dir) {
+  try {
+    (void)load_or_run_shard(other, config, dir);
+    FAIL() << "expected a partial mismatch error";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("does not match"), std::string::npos) << what;
+  }
+}
+
+TEST_F(ResumeFixture, ResumeRejectsPartialOfAnotherDesignOrSeed) {
+  CampaignConfig config = base_config();
+  config.shard = ShardSpec{0, 2};
+  const CampaignPartial partial = run_shard(*engine, config);
+  partial.save_file(dir / partial_filename(0, 2));
+
+  {
+    // (a) Same netlist, one stimulus bit flipped.
+    sim::Testbench flipped = bench->tb;
+    const std::size_t cycle = flipped.inject_begin;
+    flipped.stimulus.set(0, cycle, !flipped.stimulus.get(0, cycle));
+    const CampaignEngine other(mac->netlist, flipped);
+    SCOPED_TRACE("stimulus bit flipped");
+    expect_resume_mismatch(other, config, dir);
+  }
+  {
+    // (b) One combinational cell's function changed; every FF name, net id
+    // and the testbench binding are kept.
+    netlist::Netlist changed = mac->netlist;
+    netlist::CellId target = changed.num_cells();
+    for (netlist::CellId id = 0; id < changed.num_cells(); ++id) {
+      if (changed.cell(id).func == netlist::CellFunc::kAnd2) {
+        target = id;
+        break;
+      }
+    }
+    ASSERT_LT(target, changed.num_cells());
+    changed.mutable_cell(target).func = netlist::CellFunc::kOr2;
+    changed.finalize();
+    ASSERT_EQ(changed.num_flip_flops(), mac->netlist.num_flip_flops());
+    for (std::size_t i = 0; i < changed.num_flip_flops(); ++i) {
+      ASSERT_EQ(changed.cell(changed.flip_flops()[i]).name,
+                mac->netlist.cell(mac->netlist.flip_flops()[i]).name);
+    }
+    const CampaignEngine other(changed, bench->tb);
+    SCOPED_TRACE("combinational cell function changed");
+    expect_resume_mismatch(other, config, dir);
+  }
+  {
+    // (c) The same engine with the next seed.
+    CampaignConfig reseeded = config;
+    reseeded.seed = config.seed + 1;
+    SCOPED_TRACE("seed + 1");
+    expect_resume_mismatch(*engine, reseeded, dir);
+  }
+}
+
+TEST_F(MacShardFixture, EngineContentHashIsTheServiceKey) {
+  EXPECT_EQ(engine->content_hash(),
+            service::content_hash(mac->netlist, bench->tb));
+
+  // A registry engine on a write -> read -> retarget import carries the
+  // same key: the import is the same content.
+  const netlist::Netlist imported =
+      netlist::read_verilog(netlist::to_verilog(mac->netlist), "mac_copy.v");
+  const sim::Testbench retargeted =
+      sim::retarget_testbench(bench->tb, mac->netlist, imported);
+  service::EngineRegistry registry;
+  const std::shared_ptr<const CampaignEngine> acquired =
+      registry.acquire(imported, retargeted);
+  EXPECT_EQ(acquired->content_hash(),
+            service::content_hash(imported, retargeted));
+  EXPECT_EQ(acquired->content_hash(), engine->content_hash());
+}
+
 TEST_F(ResumeFixture, ResumeRejectsForeignCampaignConfig) {
   CampaignConfig config = base_config();
   config.shard = ShardSpec{0, 2};
-  const CampaignPartial partial = run_shard(*engine, config, *hash);
+  const CampaignPartial partial = run_shard(*engine, config);
   partial.save_file(dir / partial_filename(0, 2));
 
   CampaignConfig other = config;
   other.injections_per_ff += 8;
-  EXPECT_THROW((void)load_or_run_shard(*engine, other, *hash, dir),
+  EXPECT_THROW((void)load_or_run_shard(*engine, other, dir),
                std::runtime_error);
 }
 
@@ -533,7 +611,7 @@ TEST_F(ResumeFixture, ResumeRejectsPresentButCorruptPartial) {
   // Present-but-invalid partials must never be silently re-run: resuming
   // over them could merge science from a half-written file.
   expect_positioned_error(
-      [&] { (void)load_or_run_shard(*engine, config, *hash, dir); },
+      [&] { (void)load_or_run_shard(*engine, config, dir); },
       path.string(), "end of stream");
 }
 
@@ -544,8 +622,6 @@ TEST(PipelineShard, EveryPermutationMergesBitIdentical) {
   const circuits::PipelineTestbench bench =
       circuits::build_pipeline_testbench(core);
   const CampaignEngine engine(core.netlist, bench.tb);
-  const std::string hash =
-      service::content_hash(core.netlist, bench.tb).hex();
 
   CampaignConfig config;
   config.injections_per_ff = 20;
@@ -557,7 +633,7 @@ TEST(PipelineShard, EveryPermutationMergesBitIdentical) {
   for (const std::size_t count :
        {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{7}}) {
     const std::vector<CampaignPartial> partials =
-        run_all_shards(engine, config, hash, count);
+        run_all_shards(engine, config, count);
     std::vector<std::size_t> order(count);
     std::iota(order.begin(), order.end(), std::size_t{0});
     do {
