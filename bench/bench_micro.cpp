@@ -76,7 +76,7 @@ void BM_GoldenRun(benchmark::State& state) {
 }
 BENCHMARK(BM_GoldenRun)->Unit(benchmark::kMillisecond);
 
-/// The default mac_core campaign's inputs: golden checkpoints at the default
+/// The default mac_core campaign's inputs: golden checkpoints at the engine's
 /// interval and every default job, sorted by injection cycle as the engine
 /// slices them into passes.
 struct PassContext {
@@ -88,7 +88,7 @@ struct PassContext {
 
   PassContext() {
     const fault::CampaignConfig config;
-    checkpoints.interval = config.checkpoint_interval;
+    checkpoints.interval = fault::kCheckpointInterval;
     (void)sim::run_golden(stimulus, &checkpoints);
     const auto ffs = mac.netlist.flip_flops();
     for (std::size_t i = 0; i < ffs.size(); ++i) {
@@ -121,7 +121,6 @@ void run_wide_incremental_pass(benchmark::State& state, std::size_t blocks) {
   }
   sim::WideRunOptions options;
   options.resume = &ctx.checkpoints;
-  options.incremental_eval = true;
   options.golden = &ctx.checkpoints;
   std::uint64_t ops = 0;
   std::chrono::steady_clock::duration elapsed{};

@@ -2,17 +2,17 @@
 // flip-flop FDR from N random-time injections, with the failure-class
 // breakdown, the FDR distribution histogram, per-block FDR summary, and
 // simulation throughput (the cost the ML methodology amortizes) — then
-// benchmarks the CampaignEngine replay modes (full / checkpoint /
-// incremental) against the flat campaign on the paper-scale relay circuit
+// benchmarks the CampaignEngine (checkpointed, dirty-set "incremental"
+// replay) against the flat campaign on the paper-scale relay circuit
 // (≥947 FFs), reports the simulated-cycle and op-evaluation savings, sweeps
 // the SIMD lane-block width (64 / 256 / 512 fault lanes per pass) and the
 // thread / batch-size scheduling knobs, runs a k-of-N sharded campaign
 // (fault/shard.hpp) whose merged partials must stay bit-identical to the
-// unsharded incremental run, and emits every measurement as
-// machine-readable JSON (BENCH_sfi_campaign.json) so the perf trajectory is
-// tracked across PRs. The replay-mode and scheduling rows are pinned to the
-// 64-lane scalar path so they stay comparable with earlier PRs; the width
-// sweep reports the SIMD speedup on top of the incremental baseline.
+// unsharded engine run, and emits every measurement as machine-readable
+// JSON (BENCH_sfi_campaign.json) so the perf trajectory is tracked across
+// PRs. The engine headline and scheduling rows are pinned to the 64-lane
+// scalar path so they stay comparable with earlier PRs; the width sweep
+// reports the SIMD speedup on top of that 64-lane baseline.
 //
 // Environment knobs (besides bench_common's):
 //   FFR_SWEEP_INJECTIONS  injections per FF for the scheduling sweep
@@ -38,7 +38,7 @@ namespace {
 // One benchmark measurement, serialized to BENCH_sfi_campaign.json.
 struct BenchRecord {
   std::string circuit;
-  std::string mode;  // "flat" or a fault::ReplayMode name
+  std::string mode;  // "flat", "incremental" (the engine) or a shard label
   std::size_t threads = 0;
   std::size_t batch = 0;
   std::size_t checkpoint_interval = 0;
@@ -190,9 +190,9 @@ int main() {
                                            {{"fdr", ctx.fdr}});
   std::printf("\nper-FF FDR series -> %s\n", csv.string().c_str());
 
-  // ---- paper-scale campaign: flat vs engine replay modes -----------------------
+  // ---- paper-scale campaign: flat vs the engine ------------------------------
 
-  std::printf("\n== Paper-scale campaign: relay_core (flat vs engine modes) ==\n");
+  std::printf("\n== Paper-scale campaign: relay_core (flat vs engine) ==\n");
   const circuits::RelayCore relay = circuits::build_relay_core();
   const circuits::RelayTestbench relay_tb = circuits::build_relay_testbench(relay);
   std::printf("# %s (%zu-cycle testbench)\n", relay.netlist.summary().c_str(),
@@ -203,13 +203,16 @@ int main() {
   std::printf("# engine precompute (compiled stimulus + golden run + "
               "checkpoints): %.2fs\n",
               stopwatch.elapsed_seconds());
+  // Engine rows carry the engine's replay label and checkpoint interval.
+  constexpr const char* kEngineMode = "incremental";
+  const std::size_t interval = engine.checkpoints().interval;
 
   std::vector<BenchRecord> records;
   fault::CampaignConfig full;
   full.injections_per_ff = ctx.injections_per_ff;
-  // The replay-mode comparison is pinned to the scalar 64-lane path so its
-  // rows stay comparable with the pre-SIMD baselines; the lane-width sweep
-  // below measures the SIMD win separately.
+  // The headline is pinned to the scalar 64-lane path so its rows stay
+  // comparable with the pre-SIMD baselines; the lane-width sweep below
+  // measures the SIMD win separately.
   full.lane_width = sim::LaneWidth::k64;
   const fault::CampaignResult flat =
       fault::run_campaign(relay.netlist, relay_tb.tb, engine.golden(), full);
@@ -235,53 +238,39 @@ int main() {
   };
   add_headline("flat", flat);
 
-  std::map<fault::ReplayMode, fault::CampaignResult> by_mode;
-  for (const fault::ReplayMode mode :
-       {fault::ReplayMode::kFull, fault::ReplayMode::kCheckpoint,
-        fault::ReplayMode::kIncremental}) {
-    fault::CampaignConfig config = full;
-    config.replay_mode = mode;
-    const fault::CampaignResult result = engine.run(config);
-    print_warnings(result);
-    add_headline(fault::to_string(mode), result);
-    records.push_back({"relay_core", fault::to_string(mode),
-                       config.num_threads, config.batch_size,
-                       config.checkpoint_interval, config.injections_per_ff,
-                       result});
-    by_mode.emplace(mode, result);
-  }
+  const fault::CampaignResult incremental = engine.run(full);
+  print_warnings(incremental);
+  add_headline("engine", incremental);
+  records.push_back({"relay_core", kEngineMode, full.num_threads,
+                     full.batch_size, interval, full.injections_per_ff,
+                     incremental});
   headline.print();
 
-  const fault::CampaignResult& batched = by_mode.at(fault::ReplayMode::kFull);
-  const fault::CampaignResult& incremental =
-      by_mode.at(fault::ReplayMode::kIncremental);
-  bool identical = true;
-  for (const auto& [mode, result] : by_mode) {
-    identical = identical && flat.fdr_vector() == result.fdr_vector();
-  }
-  std::printf("pass reduction: %.1f%% fewer 64-lane passes (%llu -> %llu), "
+  std::printf("engine vs flat: %.1f%% fewer 64-lane passes (%llu -> %llu), "
               "FDR vectors %s\n",
               100.0 *
-                  (1.0 - static_cast<double>(batched.total_sim_passes) /
+                  (1.0 - static_cast<double>(incremental.total_sim_passes) /
                              static_cast<double>(flat.total_sim_passes)),
               static_cast<unsigned long long>(flat.total_sim_passes),
-              static_cast<unsigned long long>(batched.total_sim_passes),
-              identical ? "bit-identical" : "DIVERGED (BUG)");
-  std::printf("incremental vs batched-full (PR 2 baseline): %.2fx wall "
-              "(%.2fs -> %.2fs), %.1f%% fewer simulated cycles "
-              "(%llu -> %llu), %.1f%% fewer op evaluations (%llu -> %llu), "
-              "%llu checkpoint restores\n",
-              batched.wall_seconds / incremental.wall_seconds,
-              batched.wall_seconds, incremental.wall_seconds,
+              static_cast<unsigned long long>(incremental.total_sim_passes),
+              flat.fdr_vector() == incremental.fdr_vector()
+                  ? "bit-identical"
+                  : "DIVERGED (BUG)");
+  std::printf("engine vs flat: %.2fx wall (%.2fs -> %.2fs), %.1f%% fewer "
+              "simulated cycles (%llu -> %llu), %.1f%% fewer op evaluations "
+              "(%llu -> %llu), %llu checkpoint restores (interval %zu)\n",
+              flat.wall_seconds / incremental.wall_seconds, flat.wall_seconds,
+              incremental.wall_seconds,
               100.0 * (1.0 - static_cast<double>(incremental.cycles_simulated) /
-                                 static_cast<double>(batched.cycles_simulated)),
-              static_cast<unsigned long long>(batched.cycles_simulated),
+                                 static_cast<double>(flat.cycles_simulated)),
+              static_cast<unsigned long long>(flat.cycles_simulated),
               static_cast<unsigned long long>(incremental.cycles_simulated),
               100.0 * (1.0 - static_cast<double>(incremental.ops_evaluated) /
-                                 static_cast<double>(batched.ops_evaluated)),
-              static_cast<unsigned long long>(batched.ops_evaluated),
+                                 static_cast<double>(flat.ops_evaluated)),
+              static_cast<unsigned long long>(flat.ops_evaluated),
               static_cast<unsigned long long>(incremental.ops_evaluated),
-              static_cast<unsigned long long>(incremental.checkpoint_restores));
+              static_cast<unsigned long long>(incremental.checkpoint_restores),
+              interval);
   if (incremental.checkpoint_bytes > 0) {
     std::printf("golden checkpoints: %zu bytes bit-packed vs %zu bytes in the "
                 "broadcast-word layout (%.1fx smaller)\n",
@@ -324,9 +313,8 @@ int main() {
     const fault::CampaignResult result = engine.run(config);
     add_width_row(result);
     print_warnings(result);
-    records.push_back({"relay_core", fault::to_string(config.replay_mode),
-                       config.num_threads, config.batch_size,
-                       config.checkpoint_interval, config.injections_per_ff,
+    records.push_back({"relay_core", kEngineMode, config.num_threads,
+                       config.batch_size, interval, config.injections_per_ff,
                        result});
     if (flat.fdr_vector() != result.fdr_vector()) {
       std::printf("# WIDTH %s DIVERGED FROM FLAT REFERENCE (BUG)\n",
@@ -373,9 +361,8 @@ int main() {
          util::TablePrinter::format(
              incremental.wall_seconds / result.wall_seconds, 2) +
              "x"});
-    records.push_back({"relay_core", fault::to_string(config.replay_mode),
-                       config.num_threads, config.batch_size,
-                       config.checkpoint_interval, config.injections_per_ff,
+    records.push_back({"relay_core", kEngineMode, config.num_threads,
+                       config.batch_size, interval, config.injections_per_ff,
                        result});
     if (flat.fdr_vector() != result.fdr_vector()) {
       std::printf("# BLOCKS=%zu DIVERGED FROM FLAT REFERENCE (BUG)\n", blocks);
@@ -410,7 +397,6 @@ int main() {
               "passes with pass %% %zu == k — fault/shard.hpp):\n",
               kShardCount, full.injections_per_ff, kShardCount);
   fault::CampaignConfig shard_config = full;
-  shard_config.replay_mode = fault::ReplayMode::kIncremental;
   std::vector<fault::CampaignPartial> partials;
   util::TablePrinter shard_table(
       {"shard", "injections", "sim passes", "cycles[M]", "wall[s]"});
@@ -430,8 +416,7 @@ int main() {
                        "shard" + std::to_string(k) + "of" +
                            std::to_string(kShardCount),
                        shard_config.num_threads, shard_config.batch_size,
-                       shard_config.checkpoint_interval,
-                       shard_config.injections_per_ff, share});
+                       interval, shard_config.injections_per_ff, share});
   }
   const fault::CampaignResult merged = fault::merge_partials(partials);
   shard_table.add_row(
@@ -451,7 +436,7 @@ int main() {
               kShardCount,
               shard_identical ? "bit-identical" : "DIVERGED (BUG)");
   records.push_back({"relay_core", "sharded-merge", shard_config.num_threads,
-                     shard_config.batch_size, shard_config.checkpoint_interval,
+                     shard_config.batch_size, interval,
                      shard_config.injections_per_ff, merged});
 
   // ---- scheduling sweep: threads x batch size ----------------------------------
@@ -481,9 +466,8 @@ int main() {
       sweep.batch_size = batch;
       const fault::CampaignResult r = engine.run(sweep);
       row.push_back(util::TablePrinter::format(r.wall_seconds, 2) + "s");
-      records.push_back({"relay_core", fault::to_string(sweep.replay_mode),
-                         threads, batch, sweep.checkpoint_interval,
-                         sweep.injections_per_ff, r});
+      records.push_back({"relay_core", kEngineMode, threads, batch,
+                         interval, sweep.injections_per_ff, r});
     }
     sweep_table.add_row(std::move(row));
   }

@@ -21,11 +21,15 @@ train_rows and target_ffs must match exactly, and r2/spearman/mae must
 match at a fixed decimal precision (default 6; host-ISA reduction-order
 differences live far below that).
 
-Rows are keyed by their full configuration tuple. Keys present in only one
-file are skipped with a note — CI runners without AVX-512 resolve k512
-requests to 256 lanes, so their key sets legitimately differ from a
-baseline generated on an AVX-512 host — but zero matching keys is an error
-(it means the key schema drifted and the guard is vacuous).
+Rows are keyed by their full configuration tuple. A baseline key missing
+from the current run fails the check: a row the bench stopped producing
+must be deleted from the baseline, not skipped silently. The one exception
+is a baseline row whose lane_width is wider than every lane_width in the
+current run — CI runners without AVX-512 resolve k512 requests to 256
+lanes, so they cannot produce a 512-lane baseline's rows; those are skipped
+with a note. Current rows missing from the baseline are noted. Zero
+matching keys is an error (it means the key schema drifted and the guard is
+vacuous).
 
 Usage: check_bench_regression.py BASELINE.json CURRENT.json
            [--tolerance F] [--precision N]
@@ -143,13 +147,34 @@ def main():
     def fixed(value, decimals):
         return f"{value:.{decimals}f}"
 
+    # Rows wider than the current host's widest lane block cannot be
+    # produced here; every other baseline row must be.
+    widest_current = max(
+        (row["lane_width"] for row in current.values() if "lane_width" in row),
+        default=None,
+    )
+
     matched = 0
     regressions = []
     improvements = []
     for key, base_row in baseline.items():
         cur_row = current.get(key)
         if cur_row is None:
-            print(f"skip (no current row): {describe(schema, key)}")
+            width = base_row.get("lane_width")
+            too_wide = (
+                width is not None
+                and widest_current is not None
+                and width > widest_current
+            )
+            if too_wide:
+                print(
+                    f"skip (lane_width {width} is wider than this run's "
+                    f"{widest_current}): {describe(schema, key)}"
+                )
+            else:
+                regressions.append(
+                    f"baseline row missing from the current run [{describe(schema, key)}]"
+                )
             continue
         matched += 1
         where = describe(schema, key)

@@ -10,9 +10,10 @@
 /// Injections are packed 64 per simulation pass (one lane per injection
 /// time), so a full 947-FF x 170-injection campaign costs ~3 passes per
 /// flip-flop. The batched CampaignEngine (fault/engine.hpp) additionally
-/// packs lanes across flip-flops and reuses the golden run; run_campaign()
-/// remains the simple reference implementation the engine is differentially
-/// tested against.
+/// packs lanes across flip-flops, reuses the golden run and resumes each
+/// pass from a golden checkpoint with dirty-set evaluation; run_campaign()
+/// replays every pass from reset with a full sweep and remains the simple
+/// reference implementation the engine is differentially tested against.
 
 #include <cstdint>
 #include <string>
@@ -25,40 +26,15 @@
 
 namespace ffr::fault {
 
-/// How the batched CampaignEngine replays each 64-lane fault pass. Every
-/// mode produces bit-identical per-flip-flop class counts and FDR vectors;
-/// they differ only in simulated work. The flat run_campaign() ignores this
-/// knob (it always replays in full — it is the differential reference).
-enum class ReplayMode {
-  /// Replay every pass from reset and evaluate the full op list each cycle
-  /// (the PR 2 batched-engine behaviour; kept as the perf baseline).
-  kFull,
-  /// Restore the latest golden checkpoint at or before the pass's earliest
-  /// injection and fast-forward from there, full eval per cycle.
-  kCheckpoint,
-  /// kCheckpoint plus dirty-set evaluation: post-injection cycles touch only
-  /// the divergence cone instead of every op. The default.
-  kIncremental,
-};
-
-[[nodiscard]] constexpr const char* to_string(ReplayMode mode) noexcept {
-  switch (mode) {
-    case ReplayMode::kFull: return "full";
-    case ReplayMode::kCheckpoint: return "checkpoint";
-    case ReplayMode::kIncremental: return "incremental";
-  }
-  return "?";
-}
-
 /// One shard of a k-of-N campaign. The batched CampaignEngine plans the
 /// full campaign's pass schedule exactly as if it were unsharded and then
 /// runs only the passes this shard owns (pass p belongs to shard
-/// `p % count == index` — round-robin, so under checkpointed replay the
-/// expensive early-injection passes spread evenly over the shards). Because
-/// every pass's science output and deterministic cost counters are
-/// independent of which other passes run alongside it, merge_partials()
-/// (fault/shard.hpp) over all N shards reconstructs the unsharded
-/// CampaignResult bit-identically. The flat run_campaign() ignores the
+/// `p % count == index` — round-robin, so the expensive early-injection
+/// passes, which resume from early checkpoints, spread evenly over the
+/// shards). Because every pass's science output and deterministic cost
+/// counters are independent of which other passes run alongside it,
+/// merge_partials() (fault/shard.hpp) over all N shards reconstructs the
+/// unsharded CampaignResult bit-identically. The flat run_campaign() ignores the
 /// shard spec (it is the unsharded differential reference).
 struct ShardSpec {
   std::size_t index = 0;  ///< This shard's id in [0, count).
@@ -79,15 +55,6 @@ struct CampaignConfig {
   /// CampaignEngine (0 = auto). Pure scheduling knob: results are identical
   /// for every value. Ignored by the flat run_campaign().
   std::size_t batch_size = 0;
-  /// Replay strategy of the batched CampaignEngine (see ReplayMode). Pure
-  /// cost knob: results are bit-identical in every mode. Ignored by the
-  /// flat run_campaign().
-  ReplayMode replay_mode = ReplayMode::kIncremental;
-  /// Cycles between golden-state checkpoints used by kCheckpoint /
-  /// kIncremental replay. CampaignEngine::run rejects 0 and values larger
-  /// than the testbench with std::invalid_argument. Pure cost knob: results
-  /// are bit-identical for every valid value. Ignored by run_campaign().
-  std::size_t checkpoint_interval = 16;
   /// SIMD lane-block width of each batched-engine pass: kAuto picks the
   /// widest block the host CPU natively supports (CPUID-dispatched), k64 is
   /// the scalar reference width, k256/k512 request LaneBlock<4>/<8> passes.
@@ -167,9 +134,9 @@ struct CampaignResult {
   /// Non-fatal configuration diagnostics, e.g. a lane_width request wider
   /// than the host supports that fell back to the native width.
   std::vector<std::string> warnings;
-  /// Clock cycles actually advanced across all passes — with checkpointed
-  /// replay this is the post-restore suffix only, so it measures the
-  /// incremental-replay saving against passes * testbench_length.
+  /// Clock cycles actually advanced across all passes — in the engine this
+  /// is the post-restore suffix only, so it measures the checkpoint saving
+  /// against passes * testbench_length.
   std::uint64_t cycles_simulated = 0;
   /// Individual gate evaluations across all passes; dirty-set evaluation
   /// shrinks this without changing cycles_simulated.
@@ -185,8 +152,8 @@ struct CampaignResult {
   /// Passes that resumed from a checkpoint later than cycle 0.
   std::uint64_t checkpoint_restores = 0;
   /// Bytes held by the golden checkpoint set used by this campaign (the
-  /// bit-packed sim::GoldenCheckpoints representation; 0 in kFull mode and
-  /// in the flat campaign, which replay from reset).
+  /// bit-packed sim::GoldenCheckpoints representation; 0 in the flat
+  /// campaign, which replays from reset).
   std::size_t checkpoint_bytes = 0;
   /// Bytes the same checkpoint set would occupy in the pre-packed layout
   /// (one broadcast 64-bit word per FF per snapshot plus per-snapshot frame

@@ -25,18 +25,6 @@ namespace {
 /// machine-independent.
 constexpr std::size_t kAutoBlockFootprintBytes = std::size_t{1} << 20;
 
-void validate_checkpoint_interval(std::size_t interval, std::size_t num_cycles) {
-  if (interval == 0) {
-    throw std::invalid_argument(
-        "CampaignEngine: checkpoint_interval must be >= 1");
-  }
-  if (interval > num_cycles) {
-    throw std::invalid_argument(
-        "CampaignEngine: checkpoint_interval (" + std::to_string(interval) +
-        ") exceeds the " + std::to_string(num_cycles) + "-cycle testbench");
-  }
-}
-
 /// One injection of the flat campaign-wide job list; the pass schedule
 /// (build_pass_schedule) slices this list into contiguous job ranges.
 struct Job {
@@ -64,9 +52,9 @@ struct WorkerCost {
 /// width W: replays each planned pass on a per-worker WideReplayRunner<W>
 /// sized to that pass's block count. The per-job outcomes are written
 /// disjointly — science output can never depend on scheduling, block width
-/// or block count. `golden` supplies the interface tape of the
-/// golden-relative monitor and the golden frames the lanes that left golden
-/// are classified against.
+/// or block count. `ckpts` supplies the resume points, the interface tape of
+/// the golden-relative monitor and the golden frames the lanes that left
+/// golden are classified against.
 template <std::size_t W>
 void run_wide_group(const sim::CompiledStimulus& stimulus,
                     std::span<const netlist::CellId> ffs,
@@ -74,8 +62,7 @@ void run_wide_group(const sim::CompiledStimulus& stimulus,
                     const std::vector<Job>& jobs,
                     const std::vector<PlannedPass>& schedule,
                     const std::vector<std::size_t>& pass_indices,
-                    const sim::GoldenCheckpoints* ckpts,
-                    const sim::GoldenCheckpoints& golden,
+                    const sim::GoldenCheckpoints& ckpts,
                     const CampaignConfig& config,
                     util::ThreadPool& pool,
                     std::vector<FailureClass>& outcome,
@@ -89,10 +76,8 @@ void run_wide_group(const sim::CompiledStimulus& stimulus,
       pass_indices.size(), config.batch_size,
       [&](std::size_t begin, std::size_t end, std::size_t worker) {
         sim::WideRunOptions options;
-        options.resume = ckpts;
-        options.incremental_eval =
-            config.replay_mode == ReplayMode::kIncremental;
-        options.golden = &golden;
+        options.resume = &ckpts;
+        options.golden = &ckpts;
         std::vector<sim::LaneInjection> events;
         for (std::size_t i = begin; i < end; ++i) {
           const PlannedPass& pass = schedule[pass_indices[i]];
@@ -118,7 +103,7 @@ void run_wide_group(const sim::CompiledStimulus& stimulus,
             const std::size_t lane = j - pass.job_begin;
             outcome[j] = run.lane_is_golden[lane]
                              ? FailureClass::kOk
-                             : classify(golden.golden_frames, run.lane_frames[lane]);
+                             : classify(ckpts.golden_frames, run.lane_frames[lane]);
           }
           costs[worker].add(run);
         }
@@ -214,37 +199,11 @@ std::size_t resolve_blocks_per_pass(std::size_t requested,
 
 CampaignEngine::CampaignEngine(const netlist::Netlist& nl, const sim::Testbench& tb)
     : nl_(&nl), tb_(&tb), stimulus_(nl, tb) {
-  // Record checkpoints during the one golden run the engine pays anyway.
-  // Short testbenches clamp the default interval; run() still validates the
-  // caller's interval strictly.
-  auto checkpoints = std::make_shared<sim::GoldenCheckpoints>();
+  // Record checkpoints during the one golden run the engine pays anyway. A
+  // zero-cycle testbench has nothing to record; run() rejects it.
   const std::size_t num_cycles = stimulus_.num_cycles();
-  checkpoints->interval = std::min(CampaignConfig{}.checkpoint_interval, num_cycles);
-  golden_ = sim::run_golden(stimulus_, num_cycles > 0 ? checkpoints.get() : nullptr);
-  if (num_cycles > 0) {
-    golden_tape_ = checkpoints;
-    checkpoints_by_interval_[checkpoints->interval] = std::move(checkpoints);
-  }
-}
-
-std::shared_ptr<const sim::GoldenCheckpoints> CampaignEngine::checkpoints(
-    std::size_t interval) const {
-  validate_checkpoint_interval(interval, stimulus_.num_cycles());
-  {
-    std::lock_guard<std::mutex> lock(checkpoints_mutex_);
-    auto it = checkpoints_by_interval_.find(interval);
-    if (it != checkpoints_by_interval_.end()) return it->second;
-  }
-  // Record outside the lock: a golden replay takes a while at paper scale
-  // and must not serialize concurrent run() calls. If two threads race on
-  // the same interval, one recording wins and the other is dropped —
-  // snapshots for a given interval are identical either way.
-  auto fresh = std::make_shared<sim::GoldenCheckpoints>();
-  fresh->interval = interval;
-  (void)sim::run_golden(stimulus_, fresh.get());
-  std::lock_guard<std::mutex> lock(checkpoints_mutex_);
-  return checkpoints_by_interval_.emplace(interval, std::move(fresh))
-      .first->second;
+  checkpoints_.interval = std::min(kCheckpointInterval, num_cycles);
+  golden_ = sim::run_golden(stimulus_, num_cycles > 0 ? &checkpoints_ : nullptr);
 }
 
 std::size_t CampaignEngine::resident_bytes() const {
@@ -254,14 +213,15 @@ std::size_t CampaignEngine::resident_bytes() const {
   }
   bytes += golden_.activity.cycles_at_1.size() * sizeof(std::uint64_t);
   bytes += golden_.activity.state_changes.size() * sizeof(std::uint64_t);
-  std::lock_guard<std::mutex> lock(checkpoints_mutex_);
-  for (const auto& [interval, checkpoints] : checkpoints_by_interval_) {
-    bytes += checkpoints->memory_bytes();
-  }
-  return bytes;
+  return bytes + checkpoints_.memory_bytes();
 }
 
 CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
+  if (stimulus_.num_cycles() == 0) {
+    throw std::invalid_argument(
+        "CampaignEngine::run: the testbench has zero cycles, so there is no "
+        "golden recording to replay against");
+  }
   if (tb_->inject_end <= tb_->inject_begin) {
     throw std::invalid_argument("CampaignEngine::run: empty injection window");
   }
@@ -274,8 +234,6 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
         std::to_string(config.shard.index) + " out of range for " +
         std::to_string(config.shard.count) + " shards");
   }
-  validate_checkpoint_interval(config.checkpoint_interval,
-                               stimulus_.num_cycles());
   const auto ffs = nl_->flip_flops();
   const std::vector<std::size_t> subset = resolve_ff_subset(config, ffs.size());
 
@@ -314,31 +272,24 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
     }
   }
 
-  // Checkpointed replay starts each pass at the latest checkpoint before its
-  // EARLIEST injection, so the saving is governed by the slowest lane:
-  // sorting jobs by injection cycle makes the lanes of one pass share a
-  // late start. The stable sort keeps job order deterministic; per-job
-  // outcomes are lane-independent, so sorting can never change the science.
-  const bool checkpointed = config.replay_mode != ReplayMode::kFull;
-  if (checkpointed) {
-    std::stable_sort(jobs.begin(), jobs.end(),
-                     [](const Job& a, const Job& b) { return a.cycle < b.cycle; });
-  }
-  const std::shared_ptr<const sim::GoldenCheckpoints> ckpts =
-      checkpointed ? checkpoints(config.checkpoint_interval) : nullptr;
-  if (ckpts) {
-    result.checkpoint_bytes = ckpts->memory_bytes();
-    result.checkpoint_bytes_unpacked = ckpts->broadcast_word_bytes();
-  }
+  // Each pass resumes from the latest checkpoint before its EARLIEST
+  // injection, so the saving is governed by the slowest lane: sorting jobs
+  // by injection cycle makes the lanes of one pass share a late start. The
+  // stable sort keeps job order deterministic; per-job outcomes are
+  // lane-independent, so sorting can never change the science.
+  std::stable_sort(jobs.begin(), jobs.end(),
+                   [](const Job& a, const Job& b) { return a.cycle < b.cycle; });
+  result.checkpoint_bytes = checkpoints_.memory_bytes();
+  result.checkpoint_bytes_unpacked = checkpoints_.broadcast_word_bytes();
 
   // Adaptive pass schedule: full (width x blocks) passes plus a re-sliced
   // tail. Deterministic given (jobs, width, blocks), so pass counts are
   // exact regression-guard counters. The schedule is always planned over the
   // FULL job list — a k-of-N shard then owns every N-th pass (round-robin,
-  // so the expensive early-injection passes of checkpointed replay spread
-  // evenly). Each pass's outcomes and cost counters depend only on its own
-  // job range, never on which other passes run in the same process, which is
-  // what makes merged shard partials bit-identical to an unsharded run.
+  // so the expensive early-injection passes spread evenly). Each pass's
+  // outcomes and cost counters depend only on its own job range, never on
+  // which other passes run in the same process, which is what makes merged
+  // shard partials bit-identical to an unsharded run.
   const std::vector<PlannedPass> schedule =
       build_pass_schedule(jobs.size(), block_lanes, blocks);
   std::vector<std::size_t> owned;
@@ -382,15 +333,15 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
   }
   if (!by_width[0].empty()) {
     run_wide_group<1>(stimulus_, ffs, subset, jobs, schedule, by_width[0],
-                      ckpts.get(), *golden_tape_, config, pool, outcome, costs);
+                      checkpoints_, config, pool, outcome, costs);
   }
   if (!by_width[1].empty()) {
     run_wide_group<4>(stimulus_, ffs, subset, jobs, schedule, by_width[1],
-                      ckpts.get(), *golden_tape_, config, pool, outcome, costs);
+                      checkpoints_, config, pool, outcome, costs);
   }
   if (!by_width[2].empty()) {
     run_wide_group<8>(stimulus_, ffs, subset, jobs, schedule, by_width[2],
-                      ckpts.get(), *golden_tape_, config, pool, outcome, costs);
+                      checkpoints_, config, pool, outcome, costs);
   }
 
   for (const std::size_t p : owned) {

@@ -5,37 +5,35 @@
 /// CampaignEngine precomputes everything that is invariant across a
 /// campaign's simulation passes — the compiled stimulus (waveforms validated
 /// once and pre-broadcast to 64-lane words), the golden frame stream /
-/// activity trace and bit-packed golden-state checkpoints with the golden
-/// interface tape (sim::GoldenCheckpoints at 1 bit per FF), all from one
-/// sim::run_golden() call — and keeps one sim::WideReplayRunner per worker
-/// thread and pass shape so the levelized evaluation order is built once
-/// per worker instead of once per pass. Every pass, 64-lane ones included,
-/// runs on that one replay engine. run() packs injection windows
-/// across flip-flops: the whole campaign's injections form one flat job
-/// list planned into an adaptive pass schedule (build_pass_schedule). Full
-/// passes carry lane_width * blocks_per_pass fault lanes — lane_width picks
-/// the SIMD block (64 = one 64-bit word, 256 AVX2, 512 AVX-512; kAuto dispatches via
-/// CPUID) and blocks_per_pass sweeps several blocks per op to keep the
-/// vector pipelines busy past the register width — and the ragged job tail
-/// is re-sliced widest-first into narrower passes instead of running one
-/// mostly-masked full pass. Under the checkpointed replay modes the job
-/// list is additionally sorted by injection cycle, so the lanes of one pass
-/// share a late start point: each pass restores the latest golden
-/// checkpoint at or before its earliest injection (splatting each packed
-/// golden bit across whole blocks) and fast-forwards from there, and (in
-/// kIncremental mode) evaluates only the dirty cone per cycle. Passes are
-/// distributed over a work-stealing pool in chunks of
+/// activity trace and bit-packed golden-state checkpoints every
+/// kCheckpointInterval cycles with the golden interface tape
+/// (sim::GoldenCheckpoints at 1 bit per FF), all from one sim::run_golden()
+/// call — and keeps one sim::WideReplayRunner per worker thread and pass
+/// shape so the levelized evaluation order is built once per worker instead
+/// of once per pass. Every pass, 64-lane ones included, runs on that one
+/// replay engine. run() packs injection windows across flip-flops: the
+/// whole campaign's injections form one flat job list, stable-sorted by
+/// injection cycle and planned into an adaptive pass schedule
+/// (build_pass_schedule). Full passes carry lane_width * blocks_per_pass
+/// fault lanes — lane_width picks the SIMD block (64 = one 64-bit word, 256
+/// AVX2, 512 AVX-512; kAuto dispatches via CPUID) and blocks_per_pass
+/// sweeps several blocks per op to keep the vector pipelines busy past the
+/// register width — and the ragged job tail is re-sliced widest-first into
+/// narrower passes instead of running one mostly-masked full pass. The
+/// cycle sort makes the lanes of one pass share a late start point: each
+/// pass restores the latest golden checkpoint at or before its earliest
+/// injection (splatting each packed golden bit across whole blocks),
+/// fast-forwards from there and evaluates only the dirty cone per cycle.
+/// Passes are distributed over a work-stealing pool in chunks of
 /// CampaignConfig::batch_size.
 ///
 /// Guarantee: for the same CampaignConfig seed/injection knobs, run() is
 /// bit-identical to run_campaign() — same per-flip-flop class counts and
-/// FDR vector — for every thread count, batch size, replay mode, checkpoint
-/// interval and lane width (see tests/test_campaign_engine.cpp,
+/// FDR vector — for every thread count, batch size, lane width, block count
+/// and shard split (see tests/test_campaign_engine.cpp,
 /// tests/test_incremental_replay.cpp and tests/test_lane_width.cpp).
 
-#include <map>
-#include <memory>
-#include <mutex>
+#include <string>
 #include <vector>
 
 #include "fault/campaign.hpp"
@@ -43,6 +41,11 @@
 #include "sim/runner.hpp"
 
 namespace ffr::fault {
+
+/// Cycles between the golden checkpoints the engine records, clamped to the
+/// testbench length. Results are bit-identical at any interval; the cost
+/// counters are not (see kPartialFormatVersion in fault/shard.hpp).
+inline constexpr std::size_t kCheckpointInterval = 16;
 
 /// One planned pass of the engine's adaptive schedule: jobs
 /// [job_begin, job_end) run as `blocks` SIMD lane blocks of `width` fault
@@ -85,8 +88,8 @@ struct PlannedPass {
 class CampaignEngine {
  public:
   /// Compiles the stimulus and runs the golden simulation once, recording
-  /// golden-state checkpoints at the default CampaignConfig interval. The
-  /// netlist and testbench must outlive the engine.
+  /// golden-state checkpoints every min(kCheckpointInterval, testbench
+  /// length) cycles. The netlist and testbench must outlive the engine.
   CampaignEngine(const netlist::Netlist& nl, const sim::Testbench& tb);
 
   [[nodiscard]] const netlist::Netlist& netlist() const noexcept { return *nl_; }
@@ -96,25 +99,25 @@ class CampaignEngine {
   /// on this engine (frames, per-FF activity trace, eval accounting).
   [[nodiscard]] const sim::GoldenResult& golden() const noexcept { return golden_; }
 
-  /// Golden checkpoints for the given snapshot interval. The constructor
-  /// pre-records the default interval; other intervals are recorded on
-  /// first use (one extra fault-free replay) and cached. Thread-safe.
-  /// \throws std::invalid_argument when `interval` is 0 or exceeds the
-  ///         testbench length.
-  [[nodiscard]] std::shared_ptr<const sim::GoldenCheckpoints> checkpoints(
-      std::size_t interval) const;
+  /// The golden checkpoints recorded by the constructor: every pass resumes
+  /// from them, and their interface tape drives the golden-relative monitor.
+  /// Empty (no snapshots, interval 0) on a zero-cycle testbench.
+  [[nodiscard]] const sim::GoldenCheckpoints& checkpoints() const noexcept {
+    return checkpoints_;
+  }
 
   /// Batched campaign over the configured flip-flop subset. Bit-identical to
-  /// run_campaign(netlist(), testbench(), golden(), config) in every replay
-  /// mode, but with cross-flip-flop lane packing, checkpointed mid-stream
-  /// starts, dirty-set evaluation, a golden-relative monitor and chunked
-  /// work-stealing scheduling.
+  /// run_campaign(netlist(), testbench(), golden(), config), but with
+  /// cross-flip-flop lane packing, checkpointed mid-stream starts, dirty-set
+  /// evaluation, a golden-relative monitor and chunked work-stealing
+  /// scheduling.
   /// With config.shard.count > 1 only the shard's round-robin share of the
   /// full pass schedule runs (see ShardSpec / fault/shard.hpp); merging all
   /// N shards' results reconstructs the unsharded run bit-identically.
-  /// const because every precomputed member is read-only here (the
-  /// checkpoint cache is internally synchronized) — concurrent run() calls
+  /// The engine is immutable after construction, so concurrent run() calls
   /// on one engine are safe (each brings its own worker pool).
+  /// \throws std::invalid_argument on a zero-cycle testbench, an empty
+  ///         injection window or an invalid shard spec.
   [[nodiscard]] CampaignResult run(const CampaignConfig& config = {}) const;
 
   /// The engine's content key: sim::content_hash(netlist(), testbench()).
@@ -127,9 +130,9 @@ class CampaignEngine {
 
   /// Approximate bytes this engine keeps resident across campaigns: the
   /// pre-broadcast compiled stimulus, the golden frame stream and activity
-  /// trace, and every cached bit-packed checkpoint set. This is the cost
-  /// the service-layer engine registry charges an entry against its byte
-  /// budget (the bit-packed checkpoints are what keep it small). Thread-safe.
+  /// trace, and the bit-packed checkpoint set. This is the cost the
+  /// service-layer engine registry charges an entry against its byte budget
+  /// (the bit-packed checkpoints are what keep it small).
   [[nodiscard]] std::size_t resident_bytes() const;
 
  private:
@@ -137,13 +140,7 @@ class CampaignEngine {
   const sim::Testbench* tb_;
   sim::CompiledStimulus stimulus_;
   sim::GoldenResult golden_;
-  /// The constructor's recording: its interface tape drives the
-  /// golden-relative monitor of every pass, at any replay mode.
-  std::shared_ptr<const sim::GoldenCheckpoints> golden_tape_;
-  /// Checkpoint sets keyed by snapshot interval, recorded lazily.
-  mutable std::map<std::size_t, std::shared_ptr<const sim::GoldenCheckpoints>>
-      checkpoints_by_interval_;
-  mutable std::mutex checkpoints_mutex_;
+  sim::GoldenCheckpoints checkpoints_;
 };
 
 }  // namespace ffr::fault

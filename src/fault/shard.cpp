@@ -93,22 +93,13 @@ struct Reader {
   }
 };
 
-ReplayMode parse_replay_mode(const Reader& r) {
-  const std::string t = r.token();
-  if (t == "full") return ReplayMode::kFull;
-  if (t == "checkpoint") return ReplayMode::kCheckpoint;
-  if (t == "incremental") return ReplayMode::kIncremental;
-  r.fail("unknown replay mode '" + t + "'");
-}
-
 }  // namespace
 
 void CampaignPartial::save(std::ostream& os) const {
   os << "ffr-partial " << kPartialFormatVersion << " campaign_shard\n";
   os << "engine " << engine_hash << '\n';
   os << "shard " << shard_index << ' ' << shard_count << '\n';
-  os << "config " << injections_per_ff << ' ' << seed << ' '
-     << to_string(replay_mode) << ' ' << checkpoint_interval << '\n';
+  os << "config " << injections_per_ff << ' ' << seed << '\n';
   os << "shape " << result.lanes_per_pass << ' ' << result.blocks_per_pass
      << '\n';
   os << "counters " << result.total_injections << ' ' << result.total_sim_passes
@@ -181,8 +172,6 @@ CampaignPartial CampaignPartial::load(std::istream& is,
   r.expect("config");
   partial.injections_per_ff = static_cast<std::size_t>(r.u64());
   partial.seed = r.u64();
-  partial.replay_mode = parse_replay_mode(r);
-  partial.checkpoint_interval = static_cast<std::size_t>(r.u64());
   r.expect("shape");
   partial.result.lanes_per_pass = static_cast<std::size_t>(r.u64());
   partial.result.blocks_per_pass = static_cast<std::size_t>(r.u64());
@@ -284,8 +273,6 @@ CampaignPartial run_shard(const CampaignEngine& engine,
   partial.shard_count = config.shard.count;
   partial.injections_per_ff = config.injections_per_ff;
   partial.seed = config.seed;
-  partial.replay_mode = config.replay_mode;
-  partial.checkpoint_interval = config.checkpoint_interval;
   partial.result = engine.run(config);
   return partial;
 }
@@ -316,9 +303,7 @@ CampaignPartial load_or_run_shard(const CampaignEngine& engine,
                      std::to_string(config.shard.count));
     }
     if (partial.injections_per_ff != config.injections_per_ff ||
-        partial.seed != config.seed ||
-        partial.replay_mode != config.replay_mode ||
-        partial.checkpoint_interval != config.checkpoint_interval) {
+        partial.seed != config.seed) {
       throw mismatch("campaign config differs");
     }
     // The partial records the RESOLVED pass shape; re-resolve the request on
@@ -372,8 +357,7 @@ CampaignResult merge_partials(const std::vector<CampaignPartial>& partials) {
                  std::to_string(ref.shard_count));
     }
     if (partial.injections_per_ff != ref.injections_per_ff ||
-        partial.seed != ref.seed || partial.replay_mode != ref.replay_mode ||
-        partial.checkpoint_interval != ref.checkpoint_interval) {
+        partial.seed != ref.seed) {
       throw fail("campaign config mismatch at shard " +
                  std::to_string(partial.shard_index));
     }

@@ -19,7 +19,7 @@
 ///     ffr-partial <version> campaign_shard
 ///     engine <content-hash-hex>
 ///     shard <index> <count>
-///     config <injections_per_ff> <seed> <replay_mode> <checkpoint_interval>
+///     config <injections_per_ff> <seed>
 ///     shape <lanes_per_pass> <blocks_per_pass>
 ///     counters <total_injections> <total_sim_passes> <cycles_simulated>
 ///              <ops_evaluated> <op_block_evals> <ff_block_ticks>
@@ -62,8 +62,12 @@ namespace ffr::fault {
 
 /// Current (and only supported) version of the partial text format.
 /// Version 2 added op_block_evals and ff_block_ticks to `counters`; version
-/// 1 files are rejected like any other unsupported version.
-inline constexpr int kPartialFormatVersion = 2;
+/// 3 dropped the replay mode and checkpoint interval from `config`, since
+/// the engine has one replay path at the fixed kCheckpointInterval. Older
+/// files are rejected like any other unsupported version. The cost
+/// counters depend on kCheckpointInterval (fault/engine.hpp): changing it
+/// requires another version bump.
+inline constexpr int kPartialFormatVersion = 3;
 
 /// One shard's campaign accumulators plus the fingerprint that guards
 /// merging: two partials may only merge when they come from the same engine
@@ -82,8 +86,6 @@ struct CampaignPartial {
   /// silently mixing pass schedules.
   std::size_t injections_per_ff = 0;
   std::uint64_t seed = 0;
-  ReplayMode replay_mode = ReplayMode::kIncremental;
-  std::size_t checkpoint_interval = 0;
   /// This shard's share of the campaign: per-FF accumulators over the owned
   /// passes' jobs only, plus this shard's deterministic cost counters.
   CampaignResult result;

@@ -11,7 +11,7 @@
 /// reference_sim checks it, and the flat run_testbench()/run_campaign()
 /// reference rests on it. Every campaign pass and golden run executes on
 /// WideSimulator<W> (wide_sim.hpp), whose lanes must match this simulator
-/// bit-for-bit on every circuit and replay mode.
+/// bit-for-bit on every circuit, from reset or from a checkpoint.
 
 #include <cstdint>
 #include <vector>

@@ -384,11 +384,7 @@ RunResult WideReplayRunner<W>::run(std::span<const LaneInjection> injections,
                   Block::lane_mask(lane % Block::kLanes), lane / Block::kLanes);
       ++next_event;
     }
-    if (options.incremental_eval) {
-      sim_.eval_incremental();
-    } else {
-      sim_.eval();
-    }
+    sim_.eval_incremental();
     monitor.observe(sim_, cycle);
     if (options.record != nullptr) {
       options.record->interface_tape.push_back(monitor.sample_lane0(sim_));

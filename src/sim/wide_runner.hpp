@@ -7,6 +7,10 @@
 /// checkpoint resume splats each packed golden bit into whole blocks —
 /// golden state is identical on every lane by construction, so the
 /// bit-per-FF snapshot reproduces the golden prefix on all lanes bit-exactly.
+/// Every cycle is evaluated with the simulator's dirty-set
+/// eval_incremental(): reset() ends in a full sweep and a restore forces the
+/// next sweep to be full, so dirty-set evaluation is exact from the first
+/// simulated cycle.
 ///
 /// Fault passes can observe the packet interface relative to golden
 /// (WideRunOptions::golden): the monitored nets are XORed against the
@@ -55,8 +59,6 @@ struct WideRunOptions {
   /// bit-identical to golden by construction. Ignored when the schedule is
   /// empty. Incompatible with trace_activity.
   const GoldenCheckpoints* resume = nullptr;
-  /// Use dirty-set eval_incremental() per cycle instead of the full sweep.
-  bool incremental_eval = false;
   /// Golden-relative monitor: compare the monitored nets against
   /// `golden->interface_tape` every cycle and build frames only for lanes
   /// that differ; the others are flagged in RunResult::lane_is_golden. Needs
@@ -69,10 +71,9 @@ struct WideRunOptions {
 /// op list and fanout tables are built once per worker and only reset +
 /// replayed per run(). Frames observed on lane L are bit-identical to the
 /// flat run_testbench() oracle running the same injection in any of its 64
-/// lanes, whether the run starts from reset or from a checkpoint, with full
-/// or dirty-set evaluation (golden-relative runs report a lane that never
-/// left golden as such, with the golden frames implied). Not thread-safe;
-/// use one runner per worker.
+/// lanes, whether the run starts from reset or from a checkpoint
+/// (golden-relative runs report a lane that never left golden as such, with
+/// the golden frames implied). Not thread-safe; use one runner per worker.
 template <std::size_t W>
 class WideReplayRunner {
  public:

@@ -13,9 +13,11 @@
 /// contiguous at [n * blocks, (n + 1) * blocks)).
 ///
 /// WideSimulator<W> is the simulator of every campaign pass and golden run
-/// (W = 1 for 64-lane passes). Every lane is bit-identical to the
-/// full-sweep PackedSimulator oracle (packed_sim.hpp) running that lane's
-/// scenario; see tests/test_lane_width.cpp.
+/// (W = 1 for 64-lane passes); WideReplayRunner drives both with
+/// eval_incremental() only, and eval() is the full sweep behind reset(),
+/// the post-restore resync and the tests' oracle comparisons. Every lane is
+/// bit-identical to the full-sweep PackedSimulator oracle (packed_sim.hpp)
+/// running that lane's scenario; see tests/test_lane_width.cpp.
 ///
 /// Ops are stored level-major: an op's level is one above its deepest input
 /// (primary inputs, FF Qs and constants are level 0), and within a level ops

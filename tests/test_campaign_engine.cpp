@@ -279,7 +279,10 @@ TEST_F(MacEngineFixture, WideReplayRunnerIsBitExactAcrossReuse) {
   }
   EXPECT_EQ(clean_first.eval_count, reference.eval_count);
   EXPECT_EQ(clean_again.eval_count, reference.eval_count);
-  EXPECT_EQ(faulty.ops_evaluated, flat_faulty.ops_evaluated);
+  // One sweep per cycle like the oracle, but a dirty-set sweep visits only
+  // the ops whose inputs changed, never more than the oracle's full sweep.
+  EXPECT_EQ(faulty.eval_count, flat_faulty.eval_count);
+  EXPECT_LT(faulty.ops_evaluated, flat_faulty.ops_evaluated);
 }
 
 TEST_F(MacEngineFixture, EmptyWindowRejected) {

@@ -2,10 +2,11 @@
 // subsystem: WideSimulator's dirty-set eval_incremental() and event-driven
 // tick() vs the full sweep on random circuits, golden checkpoint
 // record/restore bit-exactness on mac_core and pipeline_core (relay_core is
-// covered in test_relay_core.cpp), 64-lane engine-style passes against the
-// flat run_testbench() oracle, replay-mode equivalence of the batched
-// CampaignEngine against the flat reference campaign, cost-accounting
-// invariants, and validation of the CampaignConfig knobs.
+// covered in test_relay_core.cpp) at intervals from 1 to the testbench
+// length, 64-lane engine-style passes against the flat run_testbench()
+// oracle, equivalence of the batched CampaignEngine with the flat reference
+// campaign (short and zero-cycle testbenches included), and its
+// cost-accounting invariants.
 
 #include <gtest/gtest.h>
 
@@ -374,7 +375,7 @@ void expect_same_run(const sim::RunResult& full, const sim::RunResult& resumed) 
 /// For every recorded checkpoint: an injection schedule that lands right at,
 /// right after, and far beyond the snapshot cycle must replay bit-exactly
 /// (frames of all 64 lanes, final flip-flop state) whether it starts from
-/// reset or from the checkpoint — with and without dirty-set evaluation.
+/// reset or from the checkpoint.
 void check_checkpoint_property(const netlist::Netlist& nl, const sim::Testbench& tb,
                                std::size_t interval) {
   const sim::CompiledStimulus stimulus(nl, tb);
@@ -407,19 +408,16 @@ void check_checkpoint_property(const netlist::Netlist& nl, const sim::Testbench&
     }
     const sim::RunResult full = full_runner.run(events);
     EXPECT_EQ(full.start_cycle, 0u);
-    for (const bool incremental : {false, true}) {
-      sim::WideRunOptions options;
-      options.resume = &ckpts;
-      options.incremental_eval = incremental;
-      const sim::RunResult resumed = resumed_runner.run(events, options);
-      SCOPED_TRACE("checkpoint " + std::to_string(k) + " incremental " +
-                   std::to_string(incremental));
-      EXPECT_EQ(resumed.start_cycle, base);
-      EXPECT_EQ(resumed.cycles_simulated, stimulus.num_cycles() - base);
-      expect_same_run(full, resumed);
-      expect_same_ff_state(nl, full_runner.simulator(), resumed_runner.simulator(),
-                           "checkpoint " + std::to_string(k));
-    }
+    sim::WideRunOptions options;
+    options.resume = &ckpts;
+    const sim::RunResult resumed = resumed_runner.run(events, options);
+    SCOPED_TRACE("interval " + std::to_string(interval) + " checkpoint " +
+                 std::to_string(k));
+    EXPECT_EQ(resumed.start_cycle, base);
+    EXPECT_EQ(resumed.cycles_simulated, stimulus.num_cycles() - base);
+    expect_same_run(full, resumed);
+    expect_same_ff_state(nl, full_runner.simulator(), resumed_runner.simulator(),
+                         "checkpoint " + std::to_string(k));
   }
 }
 
@@ -438,10 +436,18 @@ TEST(CheckpointRestore, ReproducesFullRunOnMac) {
 }
 
 TEST(CheckpointRestore, ReproducesFullRunOnPipeline) {
+  // The engine records at one fixed interval, so the recording and restore
+  // paths carry the interval edge cases: a snapshot every cycle, intervals
+  // that do not divide the testbench, and a single snapshot at cycle 0
+  // (interval == testbench length).
   const circuits::PipelineCore core = circuits::build_pipeline_core();
   const circuits::PipelineTestbench bench =
       circuits::build_pipeline_testbench(core, 48);
-  check_checkpoint_property(core.netlist, bench.tb, 9);
+  const std::size_t num_cycles = bench.tb.stimulus.num_cycles();
+  for (const std::size_t interval :
+       {std::size_t{1}, std::size_t{7}, std::size_t{9}, num_cycles}) {
+    check_checkpoint_property(core.netlist, bench.tb, interval);
+  }
 }
 
 // ---- bit-packed checkpoints: one shared representation, any pass shape -------
@@ -494,37 +500,33 @@ TEST(PackedCheckpoints, RestoreFromPackedEqualsRestoreFromWide) {
     wide_events.push_back(ev);
   }
 
-  for (const bool incremental : {false, true}) {
-    SCOPED_TRACE(std::string("incremental ") + std::to_string(incremental));
-    sim::WideRunOptions options;
-    options.resume = &ckpts;
-    options.incremental_eval = incremental;
-    const sim::RunResult from_narrow = narrow.run(narrow_events, options);
-    const sim::RunResult from_wide = wide.run(wide_events, options);
+  sim::WideRunOptions options;
+  options.resume = &ckpts;
+  const sim::RunResult from_narrow = narrow.run(narrow_events, options);
+  const sim::RunResult from_wide = wide.run(wide_events, options);
 
-    EXPECT_EQ(from_narrow.start_cycle, from_wide.start_cycle);
-    ASSERT_EQ(from_wide.lane_frames.size(), wide.lanes());
-    for (std::size_t i = 0; i < 3; ++i) {
-      const sim::FrameList& a = from_narrow.lane_frames[narrow_lanes[i]];
-      const sim::FrameList& b = from_wide.lane_frames[wide_lanes[i]];
-      ASSERT_EQ(a.size(), b.size()) << "injection " << i;
-      for (std::size_t f = 0; f < a.size(); ++f) {
-        EXPECT_EQ(a[f].bytes, b[f].bytes) << "injection " << i << " frame " << f;
-        EXPECT_EQ(a[f].err, b[f].err) << "injection " << i << " frame " << f;
-        EXPECT_EQ(a[f].end_cycle, b[f].end_cycle)
-            << "injection " << i << " frame " << f;
-      }
+  EXPECT_EQ(from_narrow.start_cycle, from_wide.start_cycle);
+  ASSERT_EQ(from_wide.lane_frames.size(), wide.lanes());
+  for (std::size_t i = 0; i < 3; ++i) {
+    const sim::FrameList& a = from_narrow.lane_frames[narrow_lanes[i]];
+    const sim::FrameList& b = from_wide.lane_frames[wide_lanes[i]];
+    ASSERT_EQ(a.size(), b.size()) << "injection " << i;
+    for (std::size_t f = 0; f < a.size(); ++f) {
+      EXPECT_EQ(a[f].bytes, b[f].bytes) << "injection " << i << " frame " << f;
+      EXPECT_EQ(a[f].err, b[f].err) << "injection " << i << " frame " << f;
+      EXPECT_EQ(a[f].end_cycle, b[f].end_cycle)
+          << "injection " << i << " frame " << f;
     }
-    // Final flip-flop state, per corresponding lane.
-    for (const netlist::CellId ff : ffs) {
-      for (std::size_t i = 0; i < 3; ++i) {
-        const std::size_t g = wide_lanes[i];
-        const std::uint64_t wide_word =
-            wide.simulator().ff_state(ff, g / (kW * 64)).word((g / 64) % kW);
-        ASSERT_EQ(narrow.simulator().ff_state(ff).lane(narrow_lanes[i]),
-                  ((wide_word >> (g % 64)) & 1u) != 0)
-            << "ff " << mac.netlist.cell(ff).name << " injection " << i;
-      }
+  }
+  // Final flip-flop state, per corresponding lane.
+  for (const netlist::CellId ff : ffs) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      const std::size_t g = wide_lanes[i];
+      const std::uint64_t wide_word =
+          wide.simulator().ff_state(ff, g / (kW * 64)).word((g / 64) % kW);
+      ASSERT_EQ(narrow.simulator().ff_state(ff).lane(narrow_lanes[i]),
+                ((wide_word >> (g % 64)) & 1u) != 0)
+          << "ff " << mac.netlist.cell(ff).name << " injection " << i;
     }
   }
 }
@@ -636,8 +638,8 @@ TEST(PackedCheckpoints, WideRunnerContractsRejectMisuse) {
 /// test_lane_width.cpp.)
 void check_wide_matches_flat(const netlist::Netlist& nl, const sim::Testbench& tb) {
   const fault::CampaignEngine engine(nl, tb);
-  const auto ckpts = engine.checkpoints(fault::CampaignConfig{}.checkpoint_interval);
-  ASSERT_EQ(ckpts->interface_tape.size(), tb.stimulus.num_cycles());
+  const sim::GoldenCheckpoints& ckpts = engine.checkpoints();
+  ASSERT_EQ(ckpts.interface_tape.size(), tb.stimulus.num_cycles());
   fault::CampaignConfig config;
   config.injections_per_ff = 8;
   const auto ffs = nl.flip_flops();
@@ -671,9 +673,8 @@ void check_wide_matches_flat(const netlist::Netlist& nl, const sim::Testbench& t
       SCOPED_TRACE("pass at job " + std::to_string(begin) + " golden-relative " +
                    std::to_string(golden_relative));
       sim::WideRunOptions options;
-      options.resume = ckpts.get();
-      options.incremental_eval = true;
-      options.golden = golden_relative ? ckpts.get() : nullptr;
+      options.resume = &ckpts;
+      options.golden = golden_relative ? &ckpts : nullptr;
       const sim::RunResult got = wide.run(wide_events, options);
       EXPECT_LE(got.ff_block_ticks, got.cycles_simulated * ffs.size());
       ASSERT_EQ(got.lane_frames.size(), sim::kNumLanes);
@@ -712,7 +713,7 @@ TEST(WideMatchesFlat, ResumedIncrementalPassesOnMac) {
   check_wide_matches_flat(mac.netlist, bench.tb);
 }
 
-// ---- engine-level differential across replay modes ---------------------------
+// ---- engine-level differential against the flat campaign ---------------------
 
 void expect_bit_identical(const fault::CampaignResult& a,
                           const fault::CampaignResult& b) {
@@ -762,7 +763,7 @@ circuits::MacCore* MacIncrementalFixture::mac = nullptr;
 circuits::MacTestbench* MacIncrementalFixture::bench = nullptr;
 fault::CampaignEngine* MacIncrementalFixture::engine = nullptr;
 
-TEST_F(MacIncrementalFixture, AllModesMatchFlatAcrossIntervalsAndThreads) {
+TEST_F(MacIncrementalFixture, MatchesFlatAcrossThreads) {
   fault::CampaignConfig base;
   base.injections_per_ff = 24;
   for (std::size_t i = 0; i < mac->netlist.num_flip_flops(); i += 11) {
@@ -770,24 +771,11 @@ TEST_F(MacIncrementalFixture, AllModesMatchFlatAcrossIntervalsAndThreads) {
   }
   const fault::CampaignResult flat =
       fault::run_campaign(mac->netlist, bench->tb, engine->golden(), base);
-  const std::size_t num_cycles = bench->tb.stimulus.num_cycles();
-  for (const fault::ReplayMode mode :
-       {fault::ReplayMode::kFull, fault::ReplayMode::kCheckpoint,
-        fault::ReplayMode::kIncremental}) {
-    for (const std::size_t interval :
-         {std::size_t{1}, std::size_t{7}, std::size_t{16}, num_cycles}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
-        fault::CampaignConfig config = base;
-        config.replay_mode = mode;
-        config.checkpoint_interval = interval;
-        config.num_threads = threads;
-        SCOPED_TRACE(std::string("mode=") + fault::to_string(mode) +
-                     " interval=" + std::to_string(interval) +
-                     " threads=" + std::to_string(threads));
-        const fault::CampaignResult result = engine->run(config);
-        expect_bit_identical(flat, result);
-      }
-    }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+    fault::CampaignConfig config = base;
+    config.num_threads = threads;
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_bit_identical(flat, engine->run(config));
   }
 }
 
@@ -797,56 +785,77 @@ TEST_F(MacIncrementalFixture, CheckpointedReplaySimulatesFewerCyclesAndOps) {
   for (std::size_t i = 0; i < mac->netlist.num_flip_flops(); i += 7) {
     config.ff_subset.push_back(i);
   }
-  config.checkpoint_interval = 8;
+  config.lane_width = sim::LaneWidth::k64;
+  const fault::CampaignResult flat =
+      fault::run_campaign(mac->netlist, bench->tb, engine->golden(), config);
+  const fault::CampaignResult engine_result = engine->run(config);
+  expect_bit_identical(flat, engine_result);
 
-  config.replay_mode = fault::ReplayMode::kFull;
-  const fault::CampaignResult full = engine->run(config);
-  config.replay_mode = fault::ReplayMode::kCheckpoint;
-  const fault::CampaignResult checkpointed = engine->run(config);
-  config.replay_mode = fault::ReplayMode::kIncremental;
-  const fault::CampaignResult incremental = engine->run(config);
-
-  expect_bit_identical(full, checkpointed);
-  expect_bit_identical(full, incremental);
-
-  // Full mode replays every pass from reset.
-  EXPECT_EQ(full.cycles_simulated,
-            full.total_sim_passes * bench->tb.stimulus.num_cycles());
-  EXPECT_EQ(full.checkpoint_restores, 0u);
   // The injection window opens after cycle 0, so sorted lane packing must
-  // let most passes skip a prefix.
-  EXPECT_LT(checkpointed.cycles_simulated, full.cycles_simulated);
-  EXPECT_GT(checkpointed.checkpoint_restores, 0u);
-  EXPECT_EQ(incremental.cycles_simulated, checkpointed.cycles_simulated);
-  // Dirty-set evaluation shrinks gate evaluations further still.
-  EXPECT_LT(incremental.ops_evaluated, checkpointed.ops_evaluated);
+  // let most passes skip a prefix, and dirty-set evaluation must visit far
+  // fewer ops than the full-sweep replay of the same passes from reset.
+  EXPECT_GT(engine_result.checkpoint_restores, 0u);
+  EXPECT_LT(engine_result.cycles_simulated,
+            engine_result.total_sim_passes * bench->tb.stimulus.num_cycles());
+  EXPECT_LT(engine_result.ops_evaluated,
+            engine_result.cycles_simulated * mac->netlist.num_cells());
+  EXPECT_GT(engine_result.checkpoint_bytes, 0u);
+  EXPECT_EQ(engine_result.checkpoint_bytes,
+            engine->checkpoints().memory_bytes());
 }
 
-TEST_F(MacIncrementalFixture, KnobValidation) {
-  fault::CampaignConfig config;
-  config.injections_per_ff = 4;
-  config.ff_subset = {0};
-  config.checkpoint_interval = 0;
-  EXPECT_THROW((void)engine->run(config), std::invalid_argument);
-  config.checkpoint_interval = bench->tb.stimulus.num_cycles() + 1;
-  EXPECT_THROW((void)engine->run(config), std::invalid_argument);
-  // Validated in every mode — a kFull config must not silently accept knobs
-  // that would break a later switch to incremental replay.
-  config.replay_mode = fault::ReplayMode::kFull;
-  EXPECT_THROW((void)engine->run(config), std::invalid_argument);
-  EXPECT_THROW((void)engine->checkpoints(0), std::invalid_argument);
-  EXPECT_THROW((void)engine->checkpoints(bench->tb.stimulus.num_cycles() + 1),
-               std::invalid_argument);
+/// The first `cycles` cycles of `tb`, injecting in [inject_begin, inject_end).
+sim::Testbench cut_testbench(const sim::Testbench& tb, std::size_t cycles,
+                             std::size_t inject_begin, std::size_t inject_end) {
+  sim::Testbench cut = tb;
+  cut.stimulus = sim::Stimulus(tb.stimulus.num_inputs(), cycles);
+  for (std::size_t pi = 0; pi < tb.stimulus.num_inputs(); ++pi) {
+    for (std::size_t cycle = 0; cycle < cycles; ++cycle) {
+      cut.stimulus.set(pi, cycle, tb.stimulus.get(pi, cycle));
+    }
+  }
+  cut.inject_begin = inject_begin;
+  cut.inject_end = inject_end;
+  return cut;
 }
 
-TEST_F(MacIncrementalFixture, CheckpointCacheIsSharedPerInterval) {
-  const auto a = engine->checkpoints(10);
-  const auto b = engine->checkpoints(10);
-  EXPECT_EQ(a.get(), b.get());
-  const auto c = engine->checkpoints(20);
-  EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(c->snapshots.size(),
-            (bench->tb.stimulus.num_cycles() + 19) / 20);
+TEST(ShortTestbench, DefaultConfigMatchesFlatBelowTheCheckpointInterval) {
+  // A testbench shorter than kCheckpointInterval: the engine records at the
+  // clamped interval (one snapshot at cycle 0) and the default config runs.
+  const circuits::PipelineCore core = circuits::build_pipeline_core();
+  const circuits::PipelineTestbench bench =
+      circuits::build_pipeline_testbench(core);
+  const sim::Testbench tb = cut_testbench(bench.tb, 12, 1, 10);
+  ASSERT_LT(tb.stimulus.num_cycles(), fault::kCheckpointInterval);
+  const fault::CampaignEngine engine(core.netlist, tb);
+  EXPECT_EQ(engine.checkpoints().interval, 12u);
+  EXPECT_EQ(engine.checkpoints().snapshots.size(), 1u);
+
+  const fault::CampaignConfig config;
+  const fault::CampaignResult flat =
+      fault::run_campaign(core.netlist, tb, engine.golden(), config);
+  const fault::CampaignResult result = engine.run(config);
+  expect_bit_identical(flat, result);
+  EXPECT_EQ(result.checkpoint_restores, 0u);  // the only snapshot is cycle 0
+}
+
+TEST(ShortTestbench, ZeroCycleTestbenchIsRejectedByName) {
+  // The constructor records nothing on a zero-cycle testbench; run() must
+  // say so instead of replaying against a missing golden recording, even
+  // when the injection window itself is non-empty.
+  const circuits::PipelineCore core = circuits::build_pipeline_core();
+  const circuits::PipelineTestbench bench =
+      circuits::build_pipeline_testbench(core);
+  const sim::Testbench tb = cut_testbench(bench.tb, 0, 0, 4);
+  const fault::CampaignEngine engine(core.netlist, tb);
+  EXPECT_TRUE(engine.checkpoints().snapshots.empty());
+  try {
+    (void)engine.run();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("zero cycles"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PipelineIncremental, DefaultModeMatchesFlat) {
@@ -856,7 +865,6 @@ TEST(PipelineIncremental, DefaultModeMatchesFlat) {
   fault::CampaignEngine engine(core.netlist, bench.tb);
   fault::CampaignConfig config;
   config.injections_per_ff = 32;
-  ASSERT_EQ(config.replay_mode, fault::ReplayMode::kIncremental);
   const fault::CampaignResult flat =
       fault::run_campaign(core.netlist, bench.tb, engine.golden(), config);
   const fault::CampaignResult incremental = engine.run(config);

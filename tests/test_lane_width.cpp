@@ -2,8 +2,8 @@
 // (sim/lane_block.hpp, sim/wide_sim.hpp, sim/wide_runner.hpp, the
 // CampaignEngine width dispatch): every lane width (64 / 256 / 512) must be
 // bit-identical to the flat 64-lane run_campaign() reference on seeded
-// random circuits and on the MAC / pipeline cores, across every replay mode
-// and thread count — the block width is a pure cost knob. Also covers
+// random circuits and on the MAC / pipeline cores, across every thread
+// count — the block width is a pure cost knob. Also covers
 // tail-block masking (injection totals that only partially fill the last
 // block), the knob-validation fallback (requests wider than the host's
 // native width fall back with a recorded warning) and the CPUID dispatch
@@ -34,8 +34,6 @@ namespace {
 
 constexpr sim::LaneWidth kAllWidths[] = {
     sim::LaneWidth::k64, sim::LaneWidth::k256, sim::LaneWidth::k512};
-constexpr ReplayMode kAllModes[] = {
-    ReplayMode::kFull, ReplayMode::kCheckpoint, ReplayMode::kIncremental};
 
 /// RAII pin of the detected native lane width; restores real CPU detection
 /// on scope exit so tests cannot leak a forced width into each other.
@@ -87,10 +85,9 @@ void expect_bit_identical(const CampaignResult& a, const CampaignResult& b,
   EXPECT_EQ(a.total_injections, b.total_injections) << label;
 }
 
-std::string case_label(sim::LaneWidth width, ReplayMode mode,
-                       std::size_t threads) {
-  return std::string("width=") + sim::to_string(width) + " mode=" +
-         to_string(mode) + " threads=" + std::to_string(threads);
+std::string case_label(sim::LaneWidth width, std::size_t threads) {
+  return std::string("width=") + sim::to_string(width) +
+         " threads=" + std::to_string(threads);
 }
 
 // ---- synthetic testbench over random netlists -----------------------------------
@@ -138,7 +135,7 @@ sim::Testbench make_random_testbench(const netlist::Netlist& nl,
   return tb;
 }
 
-// ---- random-circuit sweep: every width x mode x thread count --------------------
+// ---- random-circuit sweep: every width x thread count ---------------------------
 
 class RandomLaneWidthSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -152,30 +149,26 @@ TEST_P(RandomLaneWidthSweep, AllWidthsMatchFlatReference) {
   CampaignConfig base;
   base.injections_per_ff = 131;  // not a lane-count multiple: ragged tails
   base.seed = 0xBEEF + GetParam();
-  base.checkpoint_interval = 8;
 
   const CampaignResult flat = run_campaign(nl, tb, engine.golden(), base);
 
   for (const sim::LaneWidth width : kAllWidths) {
-    for (const ReplayMode mode : kAllModes) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-        CampaignConfig config = base;
-        config.lane_width = width;
-        config.replay_mode = mode;
-        config.num_threads = threads;
-        const CampaignResult result = engine.run(config);
-        const std::string label = case_label(width, mode, threads);
-        EXPECT_EQ(result.lanes_per_pass,
-                  sim::lanes_of(width) * result.blocks_per_pass)
-            << label;
-        if (width == sim::LaneWidth::k64) {
-          // Auto blocks never widen the scalar reference path.
-          EXPECT_EQ(result.blocks_per_pass, 1u) << label;
-        }
-        EXPECT_TRUE(result.warnings.empty()) << label;
-        expect_schedule_consistent(result, label);
-        expect_bit_identical(flat, result, label);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      CampaignConfig config = base;
+      config.lane_width = width;
+      config.num_threads = threads;
+      const CampaignResult result = engine.run(config);
+      const std::string label = case_label(width, threads);
+      EXPECT_EQ(result.lanes_per_pass,
+                sim::lanes_of(width) * result.blocks_per_pass)
+          << label;
+      if (width == sim::LaneWidth::k64) {
+        // Auto blocks never widen the scalar reference path.
+        EXPECT_EQ(result.blocks_per_pass, 1u) << label;
       }
+      EXPECT_TRUE(result.warnings.empty()) << label;
+      expect_schedule_consistent(result, label);
+      expect_bit_identical(flat, result, label);
     }
   }
 }
@@ -216,7 +209,7 @@ circuits::MacCore* MacLaneWidthFixture::mac = nullptr;
 circuits::MacTestbench* MacLaneWidthFixture::bench = nullptr;
 CampaignEngine* MacLaneWidthFixture::engine = nullptr;
 
-TEST_F(MacLaneWidthFixture, AllWidthsMatchFlatAcrossModes) {
+TEST_F(MacLaneWidthFixture, AllWidthsMatchFlat) {
   const ForcedNativeWidth pin(sim::LaneWidth::k512);
   CampaignConfig base;
   base.injections_per_ff = 24;
@@ -226,60 +219,41 @@ TEST_F(MacLaneWidthFixture, AllWidthsMatchFlatAcrossModes) {
   const CampaignResult flat =
       run_campaign(mac->netlist, bench->tb, engine->golden(), base);
   for (const sim::LaneWidth width : kAllWidths) {
-    for (const ReplayMode mode : kAllModes) {
-      CampaignConfig config = base;
-      config.lane_width = width;
-      config.replay_mode = mode;
-      const CampaignResult result = engine->run(config);
-      const std::string label = case_label(width, mode, 0);
-      EXPECT_EQ(result.lanes_per_pass,
-                sim::lanes_of(width) * result.blocks_per_pass)
-          << label;
-      expect_schedule_consistent(result, label);
-      expect_bit_identical(flat, result, label);
-    }
+    CampaignConfig config = base;
+    config.lane_width = width;
+    const CampaignResult result = engine->run(config);
+    const std::string label = case_label(width, 0);
+    EXPECT_EQ(result.lanes_per_pass,
+              sim::lanes_of(width) * result.blocks_per_pass)
+        << label;
+    expect_schedule_consistent(result, label);
+    expect_bit_identical(flat, result, label);
   }
 }
 
 TEST_F(MacLaneWidthFixture, PinnedCountersAt64x1) {
-  // The 64x1 shape's deterministic cost counters in every replay mode, as
-  // literals: a change of executor must reproduce the same passes, cycles,
-  // op evaluations and restores. FF-block ticks may only fall below a full
-  // tick of every flip-flop on every simulated cycle.
-  struct Expected {
-    ReplayMode mode;
-    std::uint64_t passes;
-    std::uint64_t cycles;
-    std::uint64_t ops;
-    std::uint64_t restores;
-  };
-  constexpr Expected kExpected[] = {
-      {ReplayMode::kFull, 31, 8215, 18998784, 0},
-      {ReplayMode::kCheckpoint, 31, 5175, 11923200, 30},
-      {ReplayMode::kIncremental, 31, 5175, 1817595, 30},
-  };
-  CampaignConfig base;
-  base.injections_per_ff = 40;
-  base.lane_width = sim::LaneWidth::k64;
+  // The 64x1 shape's deterministic cost counters at the engine's 16-cycle
+  // checkpoint interval, as literals: a change of executor must reproduce
+  // the same passes, cycles, op evaluations and restores. FF-block ticks
+  // may only fall below a full tick of every flip-flop on every simulated
+  // cycle.
+  ASSERT_EQ(engine->checkpoints().interval, 16u);
+  CampaignConfig config;
+  config.injections_per_ff = 40;
+  config.lane_width = sim::LaneWidth::k64;
   for (std::size_t i = 0; i < mac->netlist.num_flip_flops(); i += 9) {
-    base.ff_subset.push_back(i);
+    config.ff_subset.push_back(i);
   }
-  for (const Expected& want : kExpected) {
-    CampaignConfig config = base;
-    config.replay_mode = want.mode;
-    const CampaignResult result = engine->run(config);
-    const std::string label = to_string(want.mode);
-    EXPECT_EQ(result.lanes_per_pass, 64u) << label;
-    EXPECT_EQ(result.blocks_per_pass, 1u) << label;
-    EXPECT_EQ(result.total_sim_passes, want.passes) << label;
-    EXPECT_EQ(result.cycles_simulated, want.cycles) << label;
-    EXPECT_EQ(result.ops_evaluated, want.ops) << label;
-    EXPECT_EQ(result.op_block_evals, want.ops) << label;
-    EXPECT_EQ(result.checkpoint_restores, want.restores) << label;
-    EXPECT_LE(result.ff_block_ticks,
-              result.cycles_simulated * mac->netlist.num_flip_flops())
-        << label;
-  }
+  const CampaignResult result = engine->run(config);
+  EXPECT_EQ(result.lanes_per_pass, 64u);
+  EXPECT_EQ(result.blocks_per_pass, 1u);
+  EXPECT_EQ(result.total_sim_passes, 31u);
+  EXPECT_EQ(result.cycles_simulated, 5175u);
+  EXPECT_EQ(result.ops_evaluated, 1817595u);
+  EXPECT_EQ(result.op_block_evals, 1817595u);
+  EXPECT_EQ(result.checkpoint_restores, 30u);
+  EXPECT_LE(result.ff_block_ticks,
+            result.cycles_simulated * mac->netlist.num_flip_flops());
 }
 
 TEST_F(MacLaneWidthFixture, TailBlockMaskingAt512) {
@@ -330,8 +304,7 @@ TEST_F(MacLaneWidthFixture, TailBlockMaskingAt256) {
 
 TEST_F(MacLaneWidthFixture, MultiBlockRaggedTailsMatchFlat) {
   // Every SIMD width x explicit block count (including the non-power-of-two
-  // 3) x replay mode, at an injection total that leaves a ragged multi-word
-  // tail — all bit-identical to the flat reference, with the engine's pass
+  // 3), at an injection total that leaves a ragged multi-word tail — all bit-identical to the flat reference, with the engine's pass
   // accounting matching the deterministic planner.
   const ForcedNativeWidth pin(sim::LaneWidth::k512);
   CampaignConfig base;
@@ -342,21 +315,18 @@ TEST_F(MacLaneWidthFixture, MultiBlockRaggedTailsMatchFlat) {
   for (const sim::LaneWidth width : kAllWidths) {
     for (const std::size_t blocks :
          {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
-      for (const ReplayMode mode : kAllModes) {
-        CampaignConfig config = base;
-        config.lane_width = width;
-        config.blocks_per_pass = blocks;
-        config.replay_mode = mode;
-        const CampaignResult result = engine->run(config);
-        const std::string label =
-            case_label(width, mode, 0) + " blocks=" + std::to_string(blocks);
-        EXPECT_EQ(result.blocks_per_pass, blocks) << label;
-        EXPECT_EQ(result.lanes_per_pass, sim::lanes_of(width) * blocks)
-            << label;
-        EXPECT_TRUE(result.warnings.empty()) << label;
-        expect_schedule_consistent(result, label);
-        expect_bit_identical(flat, result, label);
-      }
+      CampaignConfig config = base;
+      config.lane_width = width;
+      config.blocks_per_pass = blocks;
+      const CampaignResult result = engine->run(config);
+      const std::string label =
+          case_label(width, 0) + " blocks=" + std::to_string(blocks);
+      EXPECT_EQ(result.blocks_per_pass, blocks) << label;
+      EXPECT_EQ(result.lanes_per_pass, sim::lanes_of(width) * blocks)
+          << label;
+      EXPECT_TRUE(result.warnings.empty()) << label;
+      expect_schedule_consistent(result, label);
+      expect_bit_identical(flat, result, label);
     }
   }
 }
@@ -501,7 +471,7 @@ TEST(BuildPassSchedule, FullMultiBlockPassesThenNarrowerTail) {
 
 // ---- pipeline core --------------------------------------------------------------
 
-TEST(PipelineLaneWidth, AllWidthsMatchFlatAcrossModes) {
+TEST(PipelineLaneWidth, AllWidthsMatchFlat) {
   const ForcedNativeWidth pin(sim::LaneWidth::k512);
   const circuits::PipelineCore core = circuits::build_pipeline_core();
   const circuits::PipelineTestbench bench =
@@ -512,13 +482,10 @@ TEST(PipelineLaneWidth, AllWidthsMatchFlatAcrossModes) {
   const CampaignResult flat =
       run_campaign(core.netlist, bench.tb, engine.golden(), base);
   for (const sim::LaneWidth width : kAllWidths) {
-    for (const ReplayMode mode : kAllModes) {
-      CampaignConfig config = base;
-      config.lane_width = width;
-      config.replay_mode = mode;
-      const CampaignResult result = engine.run(config);
-      expect_bit_identical(flat, result, case_label(width, mode, 0));
-    }
+    CampaignConfig config = base;
+    config.lane_width = width;
+    const CampaignResult result = engine.run(config);
+    expect_bit_identical(flat, result, case_label(width, 0));
   }
 }
 

@@ -1,6 +1,6 @@
 // Differential shard-equivalence harness for sharded campaigns
-// (fault/shard.hpp): for every shard count, merge order, replay mode, lane
-// width and thread count, merge_partials() over the k-of-N partials must
+// (fault/shard.hpp): for every shard count, merge order, lane width and
+// thread count, merge_partials() over the k-of-N partials must
 // reconstruct the unsharded CampaignEngine::run bit-identically — per-FF
 // class counts, FDR vector and every deterministic cost counter included —
 // and match the flat run_campaign science reference. Also covers the partial
@@ -199,25 +199,20 @@ TEST_F(MacShardFixture, ShardSharesArePartialAndDisjoint) {
   EXPECT_EQ(passes, engine->run(config).total_sim_passes);
 }
 
-TEST_F(MacShardFixture, MergeHoldsAcrossModesWidthsAndThreads) {
-  for (const ReplayMode mode :
-       {ReplayMode::kFull, ReplayMode::kCheckpoint, ReplayMode::kIncremental}) {
-    for (const sim::LaneWidth width :
-         {sim::LaneWidth::k64, sim::LaneWidth::kAuto}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        CampaignConfig config = base_config();
-        config.replay_mode = mode;
-        config.lane_width = width;
-        config.num_threads = threads;
-        const CampaignResult unsharded = engine->run(config);
-        const CampaignResult merged =
-            merge_partials(run_all_shards(*engine, config, 3));
-        expect_result_identical(merged, unsharded);
-        if (::testing::Test::HasFailure()) {
-          FAIL() << "mode=" << to_string(mode)
-                 << " width=" << static_cast<int>(width)
-                 << " threads=" << threads;
-        }
+TEST_F(MacShardFixture, MergeHoldsAcrossWidthsAndThreads) {
+  for (const sim::LaneWidth width :
+       {sim::LaneWidth::k64, sim::LaneWidth::kAuto}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      CampaignConfig config = base_config();
+      config.lane_width = width;
+      config.num_threads = threads;
+      const CampaignResult unsharded = engine->run(config);
+      const CampaignResult merged =
+          merge_partials(run_all_shards(*engine, config, 3));
+      expect_result_identical(merged, unsharded);
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "width=" << static_cast<int>(width)
+               << " threads=" << threads;
       }
     }
   }
@@ -312,7 +307,6 @@ TEST_F(MacShardFixture, MergeRejectsInconsistentPartialSets) {
 
 TEST_F(MacShardFixture, PartialRoundTripsThroughTextFormat) {
   CampaignConfig config = base_config();
-  config.replay_mode = ReplayMode::kCheckpoint;
   config.seed = 0xFFFF'FFFF'FFFF'FFFFULL;  // exercise full 64-bit fields
   config.shard = ShardSpec{1, 3};
   const CampaignPartial original = run_shard(*engine, config);
@@ -326,8 +320,6 @@ TEST_F(MacShardFixture, PartialRoundTripsThroughTextFormat) {
   EXPECT_EQ(loaded.shard_count, original.shard_count);
   EXPECT_EQ(loaded.injections_per_ff, original.injections_per_ff);
   EXPECT_EQ(loaded.seed, original.seed);
-  EXPECT_EQ(loaded.replay_mode, original.replay_mode);
-  EXPECT_EQ(loaded.checkpoint_interval, original.checkpoint_interval);
   expect_result_identical(loaded.result, original.result);
   EXPECT_EQ(loaded.result.wall_seconds, original.result.wall_seconds);
 }
@@ -398,12 +390,13 @@ TEST_F(MacShardFixture, LoadRejectsTruncatedCorruptAndWrongVersion) {
         "expected 'counters'");
   }
   {
-    // A future version, and the previous one (version 1 lacked the
-    // op_block_evals / ff_block_ticks counters), are both refused.
+    // A future version and the previous ones are all refused: version 1
+    // lacked the op_block_evals / ff_block_ticks counters, and version 2
+    // carried the replay mode and checkpoint interval in `config`.
     const std::string header =
         "ffr-partial " + std::to_string(kPartialFormatVersion);
     ASSERT_EQ(text.find(header), 0u);
-    for (const char* version : {"9", "1"}) {
+    for (const char* version : {"9", "2", "1"}) {
       std::string wrong_version = text;
       wrong_version.replace(0, header.size(),
                             std::string("ffr-partial ") + version);
