@@ -77,8 +77,8 @@ void BM_GoldenRun(benchmark::State& state) {
 BENCHMARK(BM_GoldenRun)->Unit(benchmark::kMillisecond);
 
 /// The default mac_core campaign's inputs: golden checkpoints at the engine's
-/// interval and every default job, sorted by injection cycle as the engine
-/// slices them into passes.
+/// interval and every default job, in the engine's (checkpoint segment,
+/// flip-flop, cycle) order as it slices them into passes.
 struct PassContext {
   circuits::MacCore mac = circuits::build_mac_core();
   circuits::MacTestbench bench = circuits::build_mac_testbench(mac);
@@ -91,15 +91,12 @@ struct PassContext {
     checkpoints.interval = fault::kCheckpointInterval;
     (void)sim::run_golden(stimulus, &checkpoints);
     const auto ffs = mac.netlist.flip_flops();
-    for (std::size_t i = 0; i < ffs.size(); ++i) {
-      for (const std::size_t cycle : fault::injection_cycles(config, bench.tb, i)) {
-        jobs.push_back({ffs[i], static_cast<std::uint32_t>(cycle), 0});
-      }
+    const std::vector<std::size_t> subset =
+        fault::resolve_ff_subset(config, ffs.size());
+    for (const fault::CampaignJob& job : fault::order_campaign_jobs(
+             config, bench.tb, subset, checkpoints.interval)) {
+      jobs.push_back({ffs[subset[job.task]], job.cycle, 0});
     }
-    std::stable_sort(jobs.begin(), jobs.end(),
-                     [](const sim::LaneInjection& a, const sim::LaneInjection& b) {
-                       return a.cycle < b.cycle;
-                     });
   }
 };
 
@@ -112,7 +109,7 @@ template <std::size_t W>
 void run_wide_incremental_pass(benchmark::State& state, std::size_t blocks) {
   const PassContext& ctx = pass_context();
   sim::WideReplayRunner<W> runner(ctx.stimulus, blocks);
-  // A full pass from the middle of the cycle-sorted job list.
+  // A full pass from the middle of the segment-sorted job list.
   const std::size_t begin = (ctx.jobs.size() - runner.lanes()) / 2;
   std::vector<sim::LaneInjection> slice(ctx.jobs.begin() + begin,
                                         ctx.jobs.begin() + begin + runner.lanes());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -24,13 +25,6 @@ namespace {
 /// constant (not a host probe) keeps schedules and deterministic counters
 /// machine-independent.
 constexpr std::size_t kAutoBlockFootprintBytes = std::size_t{1} << 20;
-
-/// One injection of the flat campaign-wide job list; the pass schedule
-/// (build_pass_schedule) slices this list into contiguous job ranges.
-struct Job {
-  std::uint32_t task;
-  std::uint32_t cycle;
-};
 
 struct WorkerCost {
   std::uint64_t cycles = 0;
@@ -59,7 +53,7 @@ template <std::size_t W>
 void run_wide_group(const sim::CompiledStimulus& stimulus,
                     std::span<const netlist::CellId> ffs,
                     const std::vector<std::size_t>& subset,
-                    const std::vector<Job>& jobs,
+                    const std::vector<CampaignJob>& jobs,
                     const std::vector<PlannedPass>& schedule,
                     const std::vector<std::size_t>& pass_indices,
                     const sim::GoldenCheckpoints& ckpts,
@@ -170,6 +164,36 @@ std::vector<PlannedPass> build_pass_schedule(std::size_t num_jobs,
   return schedule;
 }
 
+std::vector<CampaignJob> order_campaign_jobs(
+    const CampaignConfig& config, const sim::Testbench& tb,
+    const std::vector<std::size_t>& subset, std::size_t interval) {
+  if (interval == 0) {
+    throw std::invalid_argument("order_campaign_jobs: interval must be >= 1");
+  }
+  // A counting pass sizes each segment; a placing pass then walks the
+  // flip-flops in order with each one's cycles sorted, so every segment
+  // fills in (task, cycle) order without a comparison sort.
+  std::vector<std::size_t> segment_begin(tb.inject_end / interval + 2, 0);
+  for (const std::size_t ff_index : subset) {
+    for (const std::size_t cycle : injection_cycles(config, tb, ff_index)) {
+      ++segment_begin[cycle / interval + 1];
+    }
+  }
+  std::partial_sum(segment_begin.begin(), segment_begin.end(),
+                   segment_begin.begin());
+  std::vector<CampaignJob> jobs(segment_begin.back());
+  for (std::size_t task = 0; task < subset.size(); ++task) {
+    std::vector<std::size_t> cycles =
+        injection_cycles(config, tb, subset[task]);
+    std::sort(cycles.begin(), cycles.end());
+    for (const std::size_t cycle : cycles) {
+      jobs[segment_begin[cycle / interval]++] = CampaignJob{
+          static_cast<std::uint32_t>(task), static_cast<std::uint32_t>(cycle)};
+    }
+  }
+  return jobs;
+}
+
 std::size_t resolve_blocks_per_pass(std::size_t requested,
                                     std::size_t width_lanes,
                                     std::size_t num_nets,
@@ -255,30 +279,17 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
   if (!resolved.warning.empty()) result.warnings.push_back(resolved.warning);
   if (!blocks_warning.empty()) result.warnings.push_back(blocks_warning);
 
-  // Flat job list in deterministic (task-major, schedule-order) order: job j
-  // is one injection. Slicing it into lane-block passes packs lanes across
-  // flip-flop boundaries, which is where the pass saving over the flat
-  // campaign comes from.
-  std::vector<Job> jobs;
-  jobs.reserve(subset.size() * config.injections_per_ff);
   for (std::size_t task = 0; task < subset.size(); ++task) {
-    const std::size_t ff_index = subset[task];
     FfResult& ff_result = result.per_ff[task];
-    ff_result.ff_index = ff_index;
-    ff_result.name = nl_->cell(ffs[ff_index]).name;
-    for (const std::size_t cycle : injection_cycles(config, *tb_, ff_index)) {
-      jobs.push_back(Job{static_cast<std::uint32_t>(task),
-                         static_cast<std::uint32_t>(cycle)});
-    }
+    ff_result.ff_index = subset[task];
+    ff_result.name = nl_->cell(ffs[subset[task]]).name;
   }
 
-  // Each pass resumes from the latest checkpoint before its EARLIEST
-  // injection, so the saving is governed by the slowest lane: sorting jobs
-  // by injection cycle makes the lanes of one pass share a late start. The
-  // stable sort keeps job order deterministic; per-job outcomes are
-  // lane-independent, so sorting can never change the science.
-  std::stable_sort(jobs.begin(), jobs.end(),
-                   [](const Job& a, const Job& b) { return a.cycle < b.cycle; });
+  // Flat job list: job j is one injection. Slicing it into lane-block
+  // passes packs lanes across flip-flop boundaries, which is where the pass
+  // saving over the flat campaign comes from.
+  const std::vector<CampaignJob> jobs =
+      order_campaign_jobs(config, *tb_, subset, checkpoints_.interval);
   result.checkpoint_bytes = checkpoints_.memory_bytes();
   result.checkpoint_bytes_unpacked = checkpoints_.broadcast_word_bytes();
 

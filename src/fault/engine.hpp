@@ -12,20 +12,20 @@
 /// shape so the levelized evaluation order is built once per worker instead
 /// of once per pass. Every pass, 64-lane ones included, runs on that one
 /// replay engine. run() packs injection windows across flip-flops: the
-/// whole campaign's injections form one flat job list, stable-sorted by
-/// injection cycle and planned into an adaptive pass schedule
-/// (build_pass_schedule). Full passes carry lane_width * blocks_per_pass
-/// fault lanes — lane_width picks the SIMD block (64 = one 64-bit word, 256
-/// AVX2, 512 AVX-512; kAuto dispatches via CPUID) and blocks_per_pass
-/// sweeps several blocks per op to keep the vector pipelines busy past the
-/// register width — and the ragged job tail is re-sliced widest-first into
-/// narrower passes instead of running one mostly-masked full pass. The
-/// cycle sort makes the lanes of one pass share a late start point: each
-/// pass restores the latest golden checkpoint at or before its earliest
-/// injection (splatting each packed golden bit across whole blocks),
-/// fast-forwards from there and evaluates only the dirty cone per cycle.
-/// Passes are distributed over a work-stealing pool in chunks of
-/// CampaignConfig::batch_size.
+/// whole campaign's injections form one flat job list, sorted by
+/// (checkpoint segment, flip-flop, cycle) and planned into an adaptive
+/// pass schedule (build_pass_schedule). Full passes carry
+/// lane_width * blocks_per_pass fault lanes — lane_width picks the SIMD
+/// block (64 = one 64-bit word, 256 AVX2, 512 AVX-512; kAuto dispatches via
+/// CPUID) and blocks_per_pass sweeps several blocks per op to keep the
+/// vector pipelines busy past the register width — and the ragged job tail
+/// is re-sliced widest-first into narrower passes instead of running one
+/// mostly-masked full pass. Each pass restores the latest golden checkpoint
+/// at or before its earliest injection (splatting each packed golden bit
+/// across whole blocks), fast-forwards from there and evaluates only the
+/// dirty cone per cycle; the job order (order_campaign_jobs) keeps that
+/// start late and that cone small. Passes are distributed over a
+/// work-stealing pool in chunks of CampaignConfig::batch_size.
 ///
 /// Guarantee: for the same CampaignConfig seed/injection knobs, run() is
 /// bit-identical to run_campaign() — same per-flip-flop class counts and
@@ -33,6 +33,7 @@
 /// and shard split (see tests/test_campaign_engine.cpp,
 /// tests/test_incremental_replay.cpp and tests/test_lane_width.cpp).
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -43,9 +44,38 @@
 namespace ffr::fault {
 
 /// Cycles between the golden checkpoints the engine records, clamped to the
-/// testbench length. Results are bit-identical at any interval; the cost
-/// counters are not (see kPartialFormatVersion in fault/shard.hpp).
+/// testbench length. The interval is also the segment width of run()'s
+/// (segment, flip-flop, cycle) job order, so it moves two costs at once: a
+/// shorter one lets passes restore closer to their injections (fewer cycles
+/// simulated), a longer one groups more of each flip-flop's injections in
+/// one segment, so a pass's lanes can mix fewer flip-flops (fewer visited
+/// ops).
+/// Results are bit-identical at any interval; the cost counters are not
+/// (see kPartialFormatVersion in fault/shard.hpp).
 inline constexpr std::size_t kCheckpointInterval = 16;
+
+/// One injection of a campaign: the flip-flop at position `task` of the
+/// campaign's flip-flop subset is upset at the start of `cycle`.
+struct CampaignJob {
+  std::uint32_t task = 0;
+  std::uint32_t cycle = 0;
+};
+
+/// Every injection of a campaign over `subset` (injection_cycles() of each
+/// subset flip-flop) in the order run() slices into passes: (cycle /
+/// interval, task, cycle), where `interval` is the engine's checkpoint
+/// interval. A pass resumes from the latest checkpoint at or before its
+/// earliest injection, and its cost is the union of its lanes' fan-out
+/// cones. The segment sets where a pass starts, exactly as a plain cycle
+/// sort would, so passes, cycles and restores match it; grouping by
+/// flip-flop within the segment sets how much cone the lanes share. The
+/// key therefore trades nothing, and since per-job outcomes are
+/// lane-independent, the order never changes the science.
+/// \throws std::invalid_argument when `interval` is 0 or the testbench's
+///         injection window is empty.
+[[nodiscard]] std::vector<CampaignJob> order_campaign_jobs(
+    const CampaignConfig& config, const sim::Testbench& tb,
+    const std::vector<std::size_t>& subset, std::size_t interval);
 
 /// One planned pass of the engine's adaptive schedule: jobs
 /// [job_begin, job_end) run as `blocks` SIMD lane blocks of `width` fault

@@ -63,11 +63,13 @@ namespace ffr::fault {
 /// Current (and only supported) version of the partial text format.
 /// Version 2 added op_block_evals and ff_block_ticks to `counters`; version
 /// 3 dropped the replay mode and checkpoint interval from `config`, since
-/// the engine has one replay path at the fixed kCheckpointInterval. Older
+/// the engine has one replay path at the fixed kCheckpointInterval; version
+/// 4 marks the engine's (checkpoint segment, flip-flop, cycle) job order,
+/// which changed which jobs each pass, and so each shard, carries. Older
 /// files are rejected like any other unsupported version. The cost
-/// counters depend on kCheckpointInterval (fault/engine.hpp): changing it
-/// requires another version bump.
-inline constexpr int kPartialFormatVersion = 3;
+/// counters depend on kCheckpointInterval and on the job order
+/// (fault/engine.hpp): changing either requires another version bump.
+inline constexpr int kPartialFormatVersion = 4;
 
 /// One shard's campaign accumulators plus the fingerprint that guards
 /// merging: two partials may only merge when they come from the same engine

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include "circuits/mac_core.hpp"
 #include "circuits/mac_testbench.hpp"
 #include "circuits/pipeline_core.hpp"
@@ -193,6 +197,37 @@ TEST_F(MacEngineFixture, PacksLanesAcrossFlipFlops) {
                                 auto_width.blocks_per_pass)
                 .size());
   expect_bit_identical(flat, auto_width);
+}
+
+TEST_F(MacEngineFixture, JobOrderIsSegmentThenFlipFlopThenCycle) {
+  // run()'s pass order: every injection of the subset exactly once, sorted
+  // by (checkpoint segment, subset position, cycle). The subset is given
+  // out of flip-flop index order: the key is the position in the subset.
+  CampaignConfig config;
+  config.injections_per_ff = 40;
+  const std::vector<std::size_t> subset = {90, 7, 33, 120};
+  const std::size_t interval = engine->checkpoints().interval;
+  const std::vector<CampaignJob> jobs =
+      order_campaign_jobs(config, bench->tb, subset, interval);
+  ASSERT_EQ(jobs.size(), subset.size() * config.injections_per_ff);
+  const auto key = [interval](const CampaignJob& job) {
+    return std::tuple(job.cycle / interval, job.task, job.cycle);
+  };
+  EXPECT_TRUE(std::is_sorted(
+      jobs.begin(), jobs.end(),
+      [&](const CampaignJob& a, const CampaignJob& b) { return key(a) < key(b); }));
+  for (std::size_t task = 0; task < subset.size(); ++task) {
+    std::vector<std::size_t> want =
+        injection_cycles(config, bench->tb, subset[task]);
+    std::sort(want.begin(), want.end());
+    std::vector<std::size_t> got;
+    for (const CampaignJob& job : jobs) {
+      if (job.task == task) got.push_back(job.cycle);
+    }
+    EXPECT_EQ(got, want) << "task " << task;
+  }
+  EXPECT_THROW((void)order_campaign_jobs(config, bench->tb, subset, 0),
+               std::invalid_argument);
 }
 
 TEST_F(MacEngineFixture, DeterministicAcrossThreadsAndBatchSizes) {

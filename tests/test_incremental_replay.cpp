@@ -630,7 +630,7 @@ TEST(PackedCheckpoints, WideRunnerContractsRejectMisuse) {
 // ---- 64-lane engine-style passes against the flat oracle ----------------------
 
 /// Resumed, incremental 64-lane passes on WideReplayRunner<1>, sliced like
-/// the engine's (cycle-sorted jobs, 64 lanes per pass), against the flat
+/// the engine's (its job order, 64 lanes per pass), against the flat
 /// run_testbench() oracle replaying the same 64 injections from reset: every
 /// lane's frames must agree, delivery cycles included. The golden-relative
 /// monitor must leave only lanes whose frames equal the golden frames
@@ -643,16 +643,13 @@ void check_wide_matches_flat(const netlist::Netlist& nl, const sim::Testbench& t
   fault::CampaignConfig config;
   config.injections_per_ff = 8;
   const auto ffs = nl.flip_flops();
+  std::vector<std::size_t> subset;
+  for (std::size_t i = 0; i < ffs.size(); i += 5) subset.push_back(i);
   std::vector<sim::LaneInjection> jobs;
-  for (std::size_t i = 0; i < ffs.size(); i += 5) {
-    for (const std::size_t cycle : fault::injection_cycles(config, tb, i)) {
-      jobs.push_back({ffs[i], static_cast<std::uint32_t>(cycle), 0});
-    }
+  for (const fault::CampaignJob& job :
+       fault::order_campaign_jobs(config, tb, subset, ckpts.interval)) {
+    jobs.push_back({ffs[subset[job.task]], job.cycle, 0});
   }
-  std::stable_sort(jobs.begin(), jobs.end(),
-                   [](const sim::LaneInjection& a, const sim::LaneInjection& b) {
-                     return a.cycle < b.cycle;
-                   });
 
   const sim::CompiledStimulus stimulus(nl, tb);
   sim::WideReplayRunner<1> wide(stimulus);

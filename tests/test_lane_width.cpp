@@ -249,8 +249,8 @@ TEST_F(MacLaneWidthFixture, PinnedCountersAt64x1) {
   EXPECT_EQ(result.blocks_per_pass, 1u);
   EXPECT_EQ(result.total_sim_passes, 31u);
   EXPECT_EQ(result.cycles_simulated, 5175u);
-  EXPECT_EQ(result.ops_evaluated, 1817595u);
-  EXPECT_EQ(result.op_block_evals, 1817595u);
+  EXPECT_EQ(result.ops_evaluated, 1461486u);
+  EXPECT_EQ(result.op_block_evals, 1461486u);
   EXPECT_EQ(result.checkpoint_restores, 30u);
   EXPECT_LE(result.ff_block_ticks,
             result.cycles_simulated * mac->netlist.num_flip_flops());

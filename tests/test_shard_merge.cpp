@@ -7,8 +7,8 @@
 // text format round-trip, crash-recovery (truncated / corrupt /
 // wrong-version / wrong-hash partials rejected with positioned errors,
 // missing shards re-run exactly), the engine's own content key guarding
-// resume against another design, stimulus or seed, and warning
-// deduplication on merge.
+// resume against another design, stimulus or seed, warning deduplication
+// on merge, and the cost balance of round-robin pass ownership.
 
 #include <gtest/gtest.h>
 
@@ -234,6 +234,35 @@ TEST_F(MacShardFixture, MoreShardsThanPassesLeavesEmptyShards) {
   expect_result_identical(merge_partials(partials), unsharded);
 }
 
+TEST(MacShardBalance, RoundRobinOwnershipBalancesShardCost) {
+  // Round-robin pass ownership must spread a campaign's cost, not just its
+  // passes. Under the (segment, flip-flop, cycle) job order, passes of one
+  // segment carry different flip-flops' cones, so a shard's cost is set by
+  // which flip-flop groups it draws. On the full-size mac_core (592 64-lane
+  // passes) no shard may do more than 1.15x the op-block work of another.
+  // Campaigns with only a dozen passes per segment can alias with the
+  // 3-way rotation, so this bounds the full-size case only.
+  const circuits::MacCore mac = circuits::build_mac_core();
+  const circuits::MacTestbench bench = circuits::build_mac_testbench(mac);
+  const CampaignEngine engine(mac.netlist, bench.tb);
+  CampaignConfig config;
+  config.injections_per_ff = 40;
+  config.num_threads = 2;
+  config.lane_width = sim::LaneWidth::k64;
+  config.blocks_per_pass = 1;
+  const std::vector<CampaignPartial> partials =
+      run_all_shards(engine, config, 3);
+  std::uint64_t smallest = partials.front().result.op_block_evals;
+  std::uint64_t largest = smallest;
+  for (const CampaignPartial& partial : partials) {
+    smallest = std::min(smallest, partial.result.op_block_evals);
+    largest = std::max(largest, partial.result.op_block_evals);
+  }
+  ASSERT_GT(smallest, 0u);
+  EXPECT_LE(static_cast<double>(largest), 1.15 * static_cast<double>(smallest))
+      << "largest shard " << largest << " vs smallest " << smallest;
+}
+
 TEST_F(MacShardFixture, EngineRejectsInvalidShardSpec) {
   CampaignConfig config = base_config();
   config.shard = ShardSpec{0, 0};
@@ -391,12 +420,13 @@ TEST_F(MacShardFixture, LoadRejectsTruncatedCorruptAndWrongVersion) {
   }
   {
     // A future version and the previous ones are all refused: version 1
-    // lacked the op_block_evals / ff_block_ticks counters, and version 2
-    // carried the replay mode and checkpoint interval in `config`.
+    // lacked the op_block_evals / ff_block_ticks counters, version 2
+    // carried the replay mode and checkpoint interval in `config`, and
+    // version 3 shards were cut from the cycle-only job order.
     const std::string header =
         "ffr-partial " + std::to_string(kPartialFormatVersion);
     ASSERT_EQ(text.find(header), 0u);
-    for (const char* version : {"9", "2", "1"}) {
+    for (const char* version : {"9", "3", "2", "1"}) {
       std::string wrong_version = text;
       wrong_version.replace(0, header.size(),
                             std::string("ffr-partial ") + version);
