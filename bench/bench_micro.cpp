@@ -108,7 +108,7 @@ const PassContext& pass_context() {
 template <std::size_t W>
 void run_wide_incremental_pass(benchmark::State& state, std::size_t blocks) {
   const PassContext& ctx = pass_context();
-  sim::WideReplayRunner<W> runner(ctx.stimulus, blocks);
+  sim::WideReplayRunner<W> runner(ctx.stimulus, ctx.checkpoints, blocks);
   // A full pass from the middle of the segment-sorted job list.
   const std::size_t begin = (ctx.jobs.size() - runner.lanes()) / 2;
   std::vector<sim::LaneInjection> slice(ctx.jobs.begin() + begin,
@@ -116,14 +116,11 @@ void run_wide_incremental_pass(benchmark::State& state, std::size_t blocks) {
   for (std::size_t lane = 0; lane < slice.size(); ++lane) {
     slice[lane].lane = static_cast<std::uint32_t>(lane);
   }
-  sim::WideRunOptions options;
-  options.resume = &ctx.checkpoints;
-  options.golden = &ctx.checkpoints;
   std::uint64_t ops = 0;
   std::chrono::steady_clock::duration elapsed{};
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
-    const sim::RunResult result = runner.run(slice, options);
+    const sim::RunResult result = runner.run(slice);
     elapsed += std::chrono::steady_clock::now() - start;
     benchmark::DoNotOptimize(result.lane_frames.size());
     ops += result.ops_evaluated;

@@ -63,7 +63,6 @@ FlowResult run_estimation_flow(const fault::CampaignEngine& engine,
   campaign_config.injections_per_ff = config.injections_per_ff;
   campaign_config.seed = config.seed;
   campaign_config.num_threads = config.num_threads;
-  campaign_config.batch_size = config.batch_size;
   campaign_config.ff_subset = result.train_indices;
   const fault::CampaignResult campaign = engine.run(campaign_config);
   result.campaign_seconds = stopwatch.elapsed_seconds();

@@ -39,9 +39,6 @@ struct FlowConfig {
   std::uint64_t seed = 0xF10F;
   /// Worker threads for the campaign; 0 = hardware concurrency.
   std::size_t num_threads = 0;
-  /// Campaign work-stealing granularity (see CampaignConfig::batch_size);
-  /// 0 = auto. Never affects the numerical results.
-  std::size_t batch_size = 0;
 };
 
 /// Everything a flow run produces: the feature matrix, the train/predict

@@ -20,10 +20,8 @@ namespace {
 /// of a W-lane pass costs num_nets * W / 8 bytes of hot value storage, and
 /// sweeping more blocks only helps while the working set stays cache-class.
 /// 1 MB lands relay_core (5739 nets, 359 KB per 512-lane block) on 2 blocks
-/// per pass — the fastest measured shape (bench_sfi_campaign: 2 blocks beat
-/// 1/4/8 at 512 lanes; 4 blocks already spill mid-level cache). A fixed
-/// constant (not a host probe) keeps schedules and deterministic counters
-/// machine-independent.
+/// per pass. A fixed constant (not a host probe) keeps schedules and
+/// deterministic counters machine-independent.
 constexpr std::size_t kAutoBlockFootprintBytes = std::size_t{1} << 20;
 
 struct WorkerCost {
@@ -69,15 +67,12 @@ void run_wide_group(const sim::CompiledStimulus& stimulus,
   pool.parallel_for_chunked(
       pass_indices.size(), config.batch_size,
       [&](std::size_t begin, std::size_t end, std::size_t worker) {
-        sim::WideRunOptions options;
-        options.resume = &ckpts;
-        options.golden = &ckpts;
         std::vector<sim::LaneInjection> events;
         for (std::size_t i = begin; i < end; ++i) {
           const PlannedPass& pass = schedule[pass_indices[i]];
           auto& slot = runners[worker][pass.blocks];
           if (!slot) {
-            slot = std::make_unique<sim::WideReplayRunner<W>>(stimulus,
+            slot = std::make_unique<sim::WideReplayRunner<W>>(stimulus, ckpts,
                                                               pass.blocks);
           }
           sim::WideReplayRunner<W>& runner = *slot;
@@ -90,7 +85,7 @@ void run_wide_group(const sim::CompiledStimulus& stimulus,
             ev.lane = static_cast<std::uint32_t>(j - pass.job_begin);
             events.push_back(ev);
           }
-          const sim::RunResult run = runner.run(events, options);
+          const sim::RunResult run = runner.run(events);
           // A lane whose interface never left golden's is kOk by
           // construction: its frames are the golden frames.
           for (std::size_t j = pass.job_begin; j < pass.job_end; ++j) {

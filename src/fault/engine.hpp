@@ -120,6 +120,8 @@ class CampaignEngine {
   /// Compiles the stimulus and runs the golden simulation once, recording
   /// golden-state checkpoints every min(kCheckpointInterval, testbench
   /// length) cycles. The netlist and testbench must outlive the engine.
+  /// \throws std::invalid_argument when sim::validate_testbench() rejects
+  /// the pair.
   CampaignEngine(const netlist::Netlist& nl, const sim::Testbench& tb);
 
   [[nodiscard]] const netlist::Netlist& netlist() const noexcept { return *nl_; }

@@ -15,12 +15,8 @@ namespace {
 /// oracle; WidePacketMonitor (wide_runner.cpp) is the campaign counterpart.
 class PacketMonitor {
  public:
-  explicit PacketMonitor(const PacketMonitorSpec& spec) : spec_(&spec) {
-    if (spec.valid == netlist::kNoNet || spec.data.empty()) {
-      throw std::invalid_argument("PacketMonitor: incomplete monitor spec");
-    }
-    lanes_.resize(kNumLanes);
-  }
+  explicit PacketMonitor(const PacketMonitorSpec& spec)
+      : spec_(&spec), lanes_(kNumLanes) {}
 
   void observe(const PackedSimulator& simulator, std::size_t cycle) {
     const Lanes valid = simulator.value(spec_->valid);
@@ -29,7 +25,7 @@ class PacketMonitor {
     const Lanes eop = simulator.value(spec_->eop);
     const Lanes err = simulator.value(spec_->err);
     std::uint64_t data_bits[8] = {};
-    const std::size_t width = std::min<std::size_t>(spec_->data.size(), 8);
+    const std::size_t width = spec_->data.size();
     for (std::size_t b = 0; b < width; ++b) {
       data_bits[b] = simulator.value(spec_->data[b]);
     }
@@ -161,10 +157,8 @@ std::size_t GoldenCheckpoints::broadcast_word_bytes() const noexcept {
 
 CompiledStimulus::CompiledStimulus(const netlist::Netlist& nl, const Testbench& tb)
     : nl_(&nl), tb_(&tb) {
+  validate_testbench(nl, tb);
   const Stimulus& stim = tb.stimulus;
-  if (stim.num_inputs() != nl.primary_inputs().size()) {
-    throw std::invalid_argument("CompiledStimulus: stimulus/PI count mismatch");
-  }
   num_pis_ = stim.num_inputs();
   num_cycles_ = stim.num_cycles();
   waves_.resize(num_pis_ * num_cycles_);
@@ -177,11 +171,9 @@ CompiledStimulus::CompiledStimulus(const netlist::Netlist& nl, const Testbench& 
 
 RunResult run_testbench(const netlist::Netlist& nl, const Testbench& tb,
                         std::span<const InjectionEvent> injections) {
+  validate_testbench(nl, tb);
   const Stimulus& stim = tb.stimulus;
   const auto pis = nl.primary_inputs();
-  if (stim.num_inputs() != pis.size()) {
-    throw std::invalid_argument("run_testbench: stimulus/PI count mismatch");
-  }
   const std::size_t num_cycles = stim.num_cycles();
   for (const InjectionEvent& ev : injections) {
     if (ev.cycle >= num_cycles) {

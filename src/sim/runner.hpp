@@ -3,9 +3,9 @@
 /// \brief Types shared by every testbench run (injection events, frames per
 /// lane, activity traces, golden checkpoints, precompiled stimulus) plus the
 /// flat oracle run_testbench(): a fresh PackedSimulator driven from reset
-/// with a full eval() and tick() every cycle. Campaign passes and golden runs
-/// execute on WideReplayRunner<W> (wide_runner.hpp); run_golden() here is
-/// that runner's fault-free single-block run.
+/// with a full eval() and tick() every cycle. Campaign passes execute on
+/// WideReplayRunner<W> and the golden run on run_golden() (both in
+/// wide_runner.hpp); run_golden() here compiles the stimulus and calls it.
 
 #include <cstdint>
 #include <span>
@@ -50,7 +50,7 @@ struct ActivityTrace {
 /// each snapshot keeps only the count of frames completed before its cycle.
 /// A recording also keeps the golden interface tape, which lets fault
 /// passes compare their monitored nets against golden instead of building
-/// frames for every lane (WideRunOptions::golden).
+/// frames for every lane (WideReplayRunner's golden-relative monitor).
 struct GoldenCheckpoints {
   struct Snapshot {
     std::size_t cycle = 0;                 ///< Resume point.
@@ -129,38 +129,39 @@ struct GoldenCheckpoints {
 
 struct RunResult {
   std::vector<FrameList> lane_frames;  // one per lane
-  ActivityTrace activity;              // filled by activity-tracing wide runs
-  std::uint64_t eval_count = 0;        // evaluation sweeps (+1 reset sweep)
+  std::uint64_t eval_count = 0;        // evaluation sweeps (flat: +1 reset)
   std::uint64_t cycles_simulated = 0;  // cycles actually advanced
   std::uint64_t ops_evaluated = 0;     // individual gate evaluations
   std::uint64_t op_block_evals = 0;    // wide: ops_evaluated x lane blocks
   std::uint64_t ff_block_ticks = 0;    // wide: FF-block captures by tick()
   std::uint64_t start_cycle = 0;       // 0 unless resumed from a checkpoint
-  /// Golden-relative wide runs only (WideRunOptions::golden): 1 when lane L's
-  /// monitored interface never differed from the golden tape, so its frames
-  /// are the golden frames and lane_frames[L] is left empty. Empty otherwise.
+  /// Wide fault passes only: 1 when lane L's monitored interface never
+  /// differed from the golden tape, so its frames are the golden frames and
+  /// lane_frames[L] is left empty. Empty for the flat oracle.
   std::vector<std::uint8_t> lane_is_golden;
 };
 
 /// The flat oracle: simulates the whole testbench from reset on a fresh
 /// PackedSimulator with a full eval() and tick() every cycle, and extracts
 /// every lane's frames. `injections` may target any flip-flops/cycles;
-/// events outside [0, num_cycles) are rejected with std::invalid_argument.
-/// eval_count and ops_evaluated include the reset sweep.
+/// events outside [0, num_cycles) are rejected with std::invalid_argument,
+/// as is a testbench that validate_testbench() rejects. eval_count and
+/// ops_evaluated include the reset sweep.
 [[nodiscard]] RunResult run_testbench(const netlist::Netlist& nl,
                                       const Testbench& tb,
                                       std::span<const InjectionEvent> injections = {});
 
 /// Precompiled, shareable stimulus for one (netlist, testbench) pair:
-/// validates the waveform/PI binding once and pre-broadcasts every input
-/// sample into a 64-lane word, so a replay pass skips the per-cycle
-/// bool -> Lanes expansion. Holds references; the netlist and testbench must
-/// outlive it. Immutable after construction, so one instance can feed many
-/// WideReplayRunners concurrently. input() takes any cycle in [0, num_cycles),
-/// so replays may start mid-stream.
+/// validates the testbench once (validate_testbench) and pre-broadcasts
+/// every input sample into a 64-lane word, so a replay pass skips the
+/// per-cycle bool -> Lanes expansion. Holds references; the netlist and
+/// testbench must outlive it. Immutable after construction, so one instance
+/// can feed many WideReplayRunners concurrently. input() takes any cycle in
+/// [0, num_cycles), so replays may start mid-stream.
 class CompiledStimulus {
  public:
-  /// \throws std::invalid_argument on a stimulus/PI count mismatch.
+  /// \throws std::invalid_argument when validate_testbench() rejects the
+  /// pair.
   CompiledStimulus(const netlist::Netlist& nl, const Testbench& tb);
 
   [[nodiscard]] const netlist::Netlist& netlist() const noexcept { return *nl_; }

@@ -23,8 +23,9 @@ netlist::NetId map_net(const netlist::Netlist& from, const netlist::Netlist& to,
   return *mapped;
 }
 
-/// Appends "name" for a bound net, "-" for kNoNet (e.g. an unused monitor
-/// error line), keeping the dump unambiguous via a trailing newline.
+/// Appends "name" for a bound net and "-" for kNoNet, so a testbench that
+/// validate_testbench() rejects still has a dump; the trailing newline keeps
+/// it unambiguous.
 void append_net_ref(std::string& out, const netlist::Netlist& nl,
                     netlist::NetId id) {
   out += ' ';
@@ -35,7 +36,43 @@ void append_net_ref(std::string& out, const netlist::Netlist& nl,
   }
 }
 
+/// \throws std::invalid_argument when `net` is unset or outside `nl`.
+void check_net(const netlist::Netlist& nl, netlist::NetId net, const char* role) {
+  if (net == netlist::kNoNet) {
+    throw std::invalid_argument(std::string("validate_testbench: ") + role +
+                                " net is unset");
+  }
+  if (net >= nl.num_nets()) {
+    throw std::invalid_argument(std::string("validate_testbench: ") + role +
+                                " net id " + std::to_string(net) +
+                                " is outside netlist '" + nl.name() + "'");
+  }
+}
+
 }  // namespace
+
+void validate_testbench(const netlist::Netlist& nl, const Testbench& tb) {
+  if (tb.stimulus.num_inputs() != nl.primary_inputs().size()) {
+    throw std::invalid_argument("validate_testbench: stimulus/PI count mismatch");
+  }
+  for (const Loopback& loop : tb.loopbacks) {
+    check_net(nl, loop.from_net, "loopback source");
+    check_net(nl, loop.to_input, "loopback target");
+  }
+  const PacketMonitorSpec& monitor = tb.monitor;
+  check_net(nl, monitor.valid, "monitor valid");
+  check_net(nl, monitor.sop, "monitor sop");
+  check_net(nl, monitor.eop, "monitor eop");
+  check_net(nl, monitor.err, "monitor err");
+  if (monitor.data.empty() || monitor.data.size() > 8) {
+    throw std::invalid_argument(
+        "validate_testbench: monitor data needs 1 to 8 nets, got " +
+        std::to_string(monitor.data.size()));
+  }
+  for (const netlist::NetId data : monitor.data) {
+    check_net(nl, data, "monitor data");
+  }
+}
 
 Testbench retarget_testbench(const Testbench& tb, const netlist::Netlist& from,
                              const netlist::Netlist& to) {

@@ -76,7 +76,7 @@ struct PacketMonitorSpec {
   netlist::NetId sop = netlist::kNoNet;
   netlist::NetId eop = netlist::kNoNet;
   netlist::NetId err = netlist::kNoNet;
-  std::vector<netlist::NetId> data;  // 8 nets, LSB first
+  std::vector<netlist::NetId> data;  // 1 to 8 nets, LSB first
 };
 
 struct Testbench {
@@ -87,6 +87,14 @@ struct Testbench {
   std::size_t inject_begin = 0;
   std::size_t inject_end = 0;
 };
+
+/// Checks that `tb` can drive `nl`: one stimulus waveform per primary input,
+/// every loopback and packet-monitor net bound to a net of `nl`, and 1 to 8
+/// monitored data nets (the golden interface tape carries one byte). Every
+/// simulation entry point (CompiledStimulus, run_testbench) calls it.
+/// \throws std::invalid_argument naming the offending role, e.g.
+///         "monitor err".
+void validate_testbench(const netlist::Netlist& nl, const Testbench& tb);
 
 /// One received frame as seen at the packet interface.
 struct Frame {

@@ -8,91 +8,96 @@ namespace ffr::sim {
 
 namespace {
 
-/// Incremental per-lane frame extraction over `blocks` lane blocks, with the
-/// same frame rules as the flat oracle's PacketMonitor (runner.cpp). Lane L
-/// of word w in block b is global lane b * W * 64 + w * 64 + L.
-///
-/// Golden-relative mode (follow_golden) keeps per-lane frame state only for
-/// lanes whose monitored nets have differed from the golden interface tape.
-/// One golden lane state advances on the tape in lockstep; a lane copies it
-/// the cycle it first diverges, which is exactly the state that lane would
-/// have built itself, since every earlier observation equalled golden's.
+/// One lane's frame extraction, with the frame rules of the flat oracle's
+/// PacketMonitor (runner.cpp). The golden run's lane and every fault lane
+/// that left golden step one of these.
+struct FrameState {
+  FrameList frames;
+  Frame current;
+  bool open = false;
+
+  /// One valid cycle of this lane.
+  void step(bool sop, bool eop, bool err, std::uint8_t byte, std::size_t cycle) {
+    if (eop) {
+      // End marker: close the open frame (or record a headless end).
+      current.err = err;
+      current.end_cycle = cycle;
+      frames.push_back(std::move(current));
+      current = Frame{};
+      open = false;
+      return;
+    }
+    if (sop) {
+      if (open) {
+        // Truncated previous frame (no end marker): emit as errored.
+        current.err = true;
+        current.end_cycle = cycle;
+        frames.push_back(std::move(current));
+        current = Frame{};
+      }
+      open = true;
+    }
+    current.bytes.push_back(byte);
+  }
+
+  /// One cycle of an interface sample in GoldenCheckpoints::interface_tape
+  /// form.
+  void observe(std::uint16_t sample, std::size_t cycle) {
+    if ((sample & GoldenCheckpoints::kTapeValid) == 0) return;
+    step((sample & GoldenCheckpoints::kTapeSop) != 0,
+         (sample & GoldenCheckpoints::kTapeEop) != 0,
+         (sample & GoldenCheckpoints::kTapeErr) != 0,
+         static_cast<std::uint8_t>(sample >> 8), cycle);
+  }
+
+  /// The lane's frames at the end of simulation.
+  FrameList finish() {
+    if (open && !current.bytes.empty()) {
+      // Frame left open at end of simulation: the circuit stopped
+      // delivering data mid-frame.
+      current.err = true;
+      frames.push_back(std::move(current));
+    }
+    return std::move(frames);
+  }
+};
+
+/// Golden-relative per-lane frame extraction over `blocks` lane blocks: lane
+/// L of word w in block b is global lane b * W * 64 + w * 64 + L. Per-lane
+/// frame state is kept only for lanes whose monitored nets have differed
+/// from the golden interface tape. One golden lane state advances on the
+/// tape in lockstep; a lane copies it the cycle it first diverges, which is
+/// exactly the state that lane would have built itself, since every earlier
+/// observation equalled golden's.
 template <std::size_t W>
 class WidePacketMonitor {
  public:
   using Block = LaneBlock<W>;
 
-  WidePacketMonitor(const PacketMonitorSpec& spec, std::size_t blocks)
+  /// Every lane starts on the golden progress at `snap`, held once: the
+  /// golden frames completed before it and the bytes of the frame in flight.
+  WidePacketMonitor(const PacketMonitorSpec& spec, const GoldenCheckpoints& ckpts,
+                    const GoldenCheckpoints::Snapshot& snap, std::size_t blocks)
       : spec_(&spec),
-        blocks_(blocks),
-        width_(std::min<std::size_t>(spec.data.size(), 8)) {
-    if (spec.valid == netlist::kNoNet || spec.data.empty()) {
-      throw std::invalid_argument("WidePacketMonitor: incomplete monitor spec");
-    }
-    lanes_.resize(blocks * Block::kLanes);
-  }
-
-  /// Seeds every lane with the golden progress at a checkpoint (the golden
-  /// prefix is identical on all lanes, so one snapshot seeds every block).
-  void seed(std::span<const Frame> frames,
-            const std::vector<std::uint8_t>& open_bytes, bool frame_open) {
-    for (LaneState& state : lanes_) seed_lane(state, frames, open_bytes, frame_open);
-  }
-
-  /// Switches to golden-relative observation: every lane starts on the
-  /// golden progress given here, held once, and `tape` is the golden
-  /// interface per cycle (GoldenCheckpoints::interface_tape).
-  void follow_golden(std::span<const std::uint16_t> tape,
-                     std::span<const Frame> frames,
-                     const std::vector<std::uint8_t>& open_bytes,
-                     bool frame_open) {
-    tape_ = tape;
-    seed_lane(golden_, frames, open_bytes, frame_open);
-    diverged_.assign(blocks_, Block::zero());
-  }
-
-  /// Captures lane 0's progress for a golden checkpoint: the count of frames
-  /// completed so far (the frames themselves live once in
-  /// GoldenCheckpoints::golden_frames) plus the partial frame. While a frame
-  /// is in flight only its bytes carry state: err/end_cycle are assigned at
-  /// close time.
-  void snapshot(std::size_t& frames_completed,
-                std::vector<std::uint8_t>& open_bytes, bool& frame_open) const {
-    const LaneState& lane0 = lanes_.front();
-    frames_completed = lane0.frames.size();
-    open_bytes = lane0.current.bytes;
-    frame_open = lane0.open;
-  }
-
-  /// Lane 0's interface sample in GoldenCheckpoints::interface_tape form.
-  [[nodiscard]] std::uint16_t sample_lane0(const WideSimulator<W>& simulator) const {
-    const auto bit = [&](netlist::NetId net) {
-      return static_cast<std::uint16_t>(simulator.value(net).word(0) & 1u);
-    };
-    std::uint16_t sample = 0;
-    if (bit(spec_->valid)) sample |= GoldenCheckpoints::kTapeValid;
-    if (bit(spec_->sop)) sample |= GoldenCheckpoints::kTapeSop;
-    if (bit(spec_->eop)) sample |= GoldenCheckpoints::kTapeEop;
-    if (bit(spec_->err)) sample |= GoldenCheckpoints::kTapeErr;
-    for (std::size_t b = 0; b < width_; ++b) {
-      sample |= static_cast<std::uint16_t>(bit(spec_->data[b]) << (8 + b));
-    }
-    return sample;
+        tape_(ckpts.interface_tape),
+        lanes_(blocks * Block::kLanes),
+        diverged_(blocks, Block::zero()) {
+    const std::size_t completed =
+        std::min(snap.frames_completed, ckpts.golden_frames.size());
+    golden_.frames.assign(ckpts.golden_frames.begin(),
+                          ckpts.golden_frames.begin() +
+                              static_cast<std::ptrdiff_t>(completed));
+    golden_.current.bytes = snap.open_bytes;
+    golden_.open = snap.frame_open;
   }
 
   void observe(const WideSimulator<W>& simulator, std::size_t cycle) {
-    if (diverged_.empty()) {
-      for (std::size_t blk = 0; blk < blocks_; ++blk) {
-        observe_lanes(simulator, blk, simulator.value(spec_->valid, blk), cycle);
-      }
-      return;
-    }
     const std::uint16_t golden = tape_[cycle];
     const auto splat = [&](std::uint16_t flag) {
       return (golden & flag) != 0 ? Block::ones() : Block::zero();
     };
     const bool golden_valid = (golden & GoldenCheckpoints::kTapeValid) != 0;
-    for (std::size_t blk = 0; blk < blocks_; ++blk) {
+    for (std::size_t blk = 0; blk < diverged_.size(); ++blk) {
       const Block& valid = simulator.value(spec_->valid, blk);
       // Lanes whose observation this cycle may differ from golden's: valid
       // differs, or both are valid and a marker or data bit differs.
@@ -101,7 +106,7 @@ class WidePacketMonitor {
         differ |= simulator.value(spec_->sop, blk) ^ splat(GoldenCheckpoints::kTapeSop);
         differ |= simulator.value(spec_->eop, blk) ^ splat(GoldenCheckpoints::kTapeEop);
         differ |= simulator.value(spec_->err, blk) ^ splat(GoldenCheckpoints::kTapeErr);
-        for (std::size_t b = 0; b < width_; ++b) {
+        for (std::size_t b = 0; b < spec_->data.size(); ++b) {
           differ |= simulator.value(spec_->data[b], blk) ^
                     splat(static_cast<std::uint16_t>(1u << (8 + b)));
         }
@@ -116,75 +121,24 @@ class WidePacketMonitor {
       diverged_[blk] |= fresh;
       observe_lanes(simulator, blk, valid & diverged_[blk], cycle);
     }
-    if (golden_valid) {
-      step(golden_, (golden & GoldenCheckpoints::kTapeSop) != 0,
-           (golden & GoldenCheckpoints::kTapeEop) != 0,
-           (golden & GoldenCheckpoints::kTapeErr) != 0,
-           static_cast<std::uint8_t>(golden >> 8), cycle);
-    }
+    golden_.observe(golden, cycle);
   }
 
-  /// Per-lane frames; in golden-relative mode never-diverged lanes are
-  /// flagged in `result.lane_is_golden` and their frame lists left empty.
+  /// Per-lane frames; never-diverged lanes are flagged in
+  /// `result.lane_is_golden` and their frame lists left empty.
   void finish(RunResult& result) {
-    result.lane_frames.reserve(lanes_.size());
-    if (!diverged_.empty()) result.lane_is_golden.assign(lanes_.size(), 0);
+    result.lane_frames.resize(lanes_.size());
+    result.lane_is_golden.assign(lanes_.size(), 0);
     for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
-      LaneState& state = lanes_[lane];
-      if (!diverged_.empty() &&
-          !diverged_[lane / Block::kLanes].lane(lane % Block::kLanes)) {
+      if (diverged_[lane / Block::kLanes].lane(lane % Block::kLanes)) {
+        result.lane_frames[lane] = lanes_[lane].finish();
+      } else {
         result.lane_is_golden[lane] = 1;
-      } else if (state.open && !state.current.bytes.empty()) {
-        // Frame left open at end of simulation: the circuit stopped
-        // delivering data mid-frame.
-        state.current.err = true;
-        state.frames.push_back(std::move(state.current));
       }
-      result.lane_frames.push_back(std::move(state.frames));
     }
   }
 
  private:
-  struct LaneState {
-    FrameList frames;
-    Frame current;
-    bool open = false;
-  };
-
-  static void seed_lane(LaneState& state, std::span<const Frame> frames,
-                        const std::vector<std::uint8_t>& open_bytes,
-                        bool frame_open) {
-    state.frames.assign(frames.begin(), frames.end());
-    state.current = Frame{};
-    state.current.bytes = open_bytes;
-    state.open = frame_open;
-  }
-
-  /// One valid cycle of one lane.
-  static void step(LaneState& state, bool sop, bool eop, bool err,
-                   std::uint8_t byte, std::size_t cycle) {
-    if (eop) {
-      // End marker: close the open frame (or record a headless end).
-      state.current.err = err;
-      state.current.end_cycle = cycle;
-      state.frames.push_back(std::move(state.current));
-      state.current = Frame{};
-      state.open = false;
-      return;
-    }
-    if (sop) {
-      if (state.open) {
-        // Truncated previous frame (no end marker): emit as errored.
-        state.current.err = true;
-        state.current.end_cycle = cycle;
-        state.frames.push_back(std::move(state.current));
-        state.current = Frame{};
-      }
-      state.open = true;
-    }
-    state.current.bytes.push_back(byte);
-  }
-
   /// Steps every lane of block `blk` set in `mask` with its own values.
   void observe_lanes(const WideSimulator<W>& simulator, std::size_t blk,
                      const Block& mask, std::size_t cycle) {
@@ -193,7 +147,7 @@ class WidePacketMonitor {
     const Block& eop = simulator.value(spec_->eop, blk);
     const Block& err = simulator.value(spec_->err, blk);
     const Block* data_bits[8] = {};
-    for (std::size_t b = 0; b < width_; ++b) {
+    for (std::size_t b = 0; b < spec_->data.size(); ++b) {
       data_bits[b] = &simulator.value(spec_->data[b], blk);
     }
     for (std::size_t w = 0; w < W; ++w) {
@@ -202,39 +156,74 @@ class WidePacketMonitor {
         const int lane = std::countr_zero(remaining);
         const std::uint64_t bit = std::uint64_t{1} << lane;
         std::uint8_t byte = 0;
-        for (std::size_t b = 0; b < width_; ++b) {
+        for (std::size_t b = 0; b < spec_->data.size(); ++b) {
           if (data_bits[b]->word(w) & bit) byte |= static_cast<std::uint8_t>(1u << b);
         }
-        step(lanes_[blk * Block::kLanes + w * 64 + static_cast<std::size_t>(lane)],
-             (sop.word(w) & bit) != 0, (eop.word(w) & bit) != 0,
-             (err.word(w) & bit) != 0, byte, cycle);
+        lanes_[blk * Block::kLanes + w * 64 + static_cast<std::size_t>(lane)].step(
+            (sop.word(w) & bit) != 0, (eop.word(w) & bit) != 0,
+            (err.word(w) & bit) != 0, byte, cycle);
       }
     }
   }
 
   const PacketMonitorSpec* spec_;
-  std::size_t blocks_;
-  std::size_t width_;  // monitored data bits (at most 8)
-  std::vector<LaneState> lanes_;
-  // Golden-relative mode (diverged_ non-empty): the tape, the golden lane
-  // state, and per block the lanes that have diverged from it (these own
-  // their state in lanes_).
   std::span<const std::uint16_t> tape_;
-  LaneState golden_;
-  std::vector<Block> diverged_;
+  FrameState golden_;
+  // Per global lane; only the lanes set in diverged_ are stepped.
+  std::vector<FrameState> lanes_;
+  std::vector<Block> diverged_;  // per block: lanes that have left golden
 };
+
+/// Drives cycle `cycle`'s primary inputs into every block, and each
+/// loopback's pending value (loopback-major, num_blocks() per loopback) into
+/// its block.
+template <std::size_t W>
+void drive_inputs(WideSimulator<W>& sim, const CompiledStimulus& stimulus,
+                  std::size_t cycle, std::span<const LaneBlock<W>> loop_values) {
+  const auto pis = stimulus.netlist().primary_inputs();
+  for (std::size_t i = 0; i < pis.size(); ++i) {
+    sim.set_input(pis[i], LaneBlock<W>::splat(stimulus.input(cycle, i)));
+  }
+  const std::vector<Loopback>& loopbacks = stimulus.testbench().loopbacks;
+  const std::size_t blocks = sim.num_blocks();
+  for (std::size_t i = 0; i < loopbacks.size(); ++i) {
+    for (std::size_t b = 0; b < blocks; ++b) {
+      sim.set_input_block(loopbacks[i].to_input, b, loop_values[i * blocks + b]);
+    }
+  }
+}
+
+/// Captures every loopback's source net, the value it drives next cycle.
+template <std::size_t W>
+void latch_loopbacks(const WideSimulator<W>& sim, const Testbench& tb,
+                     std::span<LaneBlock<W>> loop_values) {
+  const std::size_t blocks = sim.num_blocks();
+  for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
+    for (std::size_t b = 0; b < blocks; ++b) {
+      loop_values[i * blocks + b] = sim.value(tb.loopbacks[i].from_net, b);
+    }
+  }
+}
 
 }  // namespace
 
 template <std::size_t W>
 WideReplayRunner<W>::WideReplayRunner(const CompiledStimulus& stimulus,
+                                      const GoldenCheckpoints& golden,
                                       std::size_t blocks)
-    : stim_(&stimulus), sim_(stimulus.netlist(), blocks) {}
+    : stim_(&stimulus), golden_(&golden), sim_(stimulus.netlist(), blocks) {
+  if (golden.interface_tape.size() != stimulus.num_cycles()) {
+    throw std::invalid_argument(
+        "WideReplayRunner: the golden recording needs a full interface tape");
+  }
+  if (golden.num_loopbacks != stimulus.testbench().loopbacks.size()) {
+    throw std::invalid_argument(
+        "WideReplayRunner: checkpoint/testbench loopback mismatch");
+  }
+}
 
 template <std::size_t W>
-RunResult WideReplayRunner<W>::run(std::span<const LaneInjection> injections,
-                                   const WideRunOptions& options) {
-  const netlist::Netlist& nl = stim_->netlist();
+RunResult WideReplayRunner<W>::run(std::span<const LaneInjection> injections) {
   const Testbench& tb = stim_->testbench();
   const std::size_t num_cycles = stim_->num_cycles();
   const std::size_t blocks = sim_.num_blocks();
@@ -244,39 +233,6 @@ RunResult WideReplayRunner<W>::run(std::span<const LaneInjection> injections,
     }
     if (ev.lane >= lanes()) {
       throw std::invalid_argument("WideReplayRunner: injection lane out of block");
-    }
-  }
-  if (options.record != nullptr) {
-    if (!injections.empty()) {
-      throw std::invalid_argument(
-          "WideReplayRunner: checkpoint recording requires a fault-free run");
-    }
-    if (options.resume != nullptr) {
-      throw std::invalid_argument(
-          "WideReplayRunner: cannot record and resume in the same run");
-    }
-    if (options.record->interval == 0) {
-      throw std::invalid_argument(
-          "WideReplayRunner: checkpoint interval must be >= 1");
-    }
-    if (options.record->interval > num_cycles) {
-      throw std::invalid_argument(
-          "WideReplayRunner: checkpoint interval exceeds the testbench length");
-    }
-    options.record->begin_recording(nl.flip_flops().size(), tb.loopbacks.size());
-  }
-  if (options.resume != nullptr && options.trace_activity) {
-    throw std::invalid_argument(
-        "WideReplayRunner: activity tracing requires a full replay from reset");
-  }
-  if (options.golden != nullptr) {
-    if (options.record != nullptr) {
-      throw std::invalid_argument(
-          "WideReplayRunner: a recording run cannot be golden-relative");
-    }
-    if (options.golden->interface_tape.size() != num_cycles) {
-      throw std::invalid_argument(
-          "WideReplayRunner: golden-relative run needs a full interface tape");
     }
   }
 
@@ -290,94 +246,31 @@ RunResult WideReplayRunner<W>::run(std::span<const LaneInjection> injections,
   const std::uint64_t evals_before = sim_.eval_count();
   const std::uint64_t ops_before = sim_.ops_evaluated();
   const std::uint64_t ticks_before = sim_.ff_block_ticks();
-  WidePacketMonitor<W> monitor(tb.monitor, blocks);
 
-  // Loopback registers, driven with their idle value on the first cycle.
-  loop_values_.resize(tb.loopbacks.size() * blocks);
-  for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
-    const Block initial = Block::splat(broadcast(tb.loopbacks[i].initial));
-    for (std::size_t b = 0; b < blocks; ++b) loop_values_[i * blocks + b] = initial;
-  }
-
-  // Start point: reset, or the latest golden checkpoint not after the first
+  // Start point: the latest golden checkpoint not after the first
   // injection. Golden state is identical on every lane by construction, so
   // splatting each packed snapshot bit across whole blocks restores
   // blocks * W * 64 lanes all sitting on the golden prefix.
-  std::size_t start_cycle = 0;
-  if (options.resume != nullptr && !schedule_.empty()) {
-    const GoldenCheckpoints& ckpts = *options.resume;
-    const std::size_t index = ckpts.index_at_or_before(schedule_.front().cycle);
-    const GoldenCheckpoints::Snapshot& snap = ckpts.snapshots[index];
-    if (ckpts.num_loopbacks != tb.loopbacks.size()) {
-      throw std::invalid_argument(
-          "WideReplayRunner: checkpoint/testbench loopback mismatch");
-    }
-    start_cycle = snap.cycle;
-    restore_state_.resize(ckpts.num_ffs * blocks);
-    for (std::size_t i = 0; i < ckpts.num_ffs; ++i) {
-      const Block value = ckpts.ff_bit(index, i) ? Block::ones() : Block::zero();
-      for (std::size_t b = 0; b < blocks; ++b) restore_state_[i * blocks + b] = value;
-    }
-    sim_.restore_ff_state(restore_state_);
-    for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
-      const Block value =
-          ckpts.loopback_bit(index, i) ? Block::ones() : Block::zero();
-      for (std::size_t b = 0; b < blocks; ++b) loop_values_[i * blocks + b] = value;
-    }
-    const auto prefix = std::span<const Frame>(ckpts.golden_frames)
-                            .first(std::min(snap.frames_completed,
-                                            ckpts.golden_frames.size()));
-    if (options.golden != nullptr) {
-      monitor.follow_golden(options.golden->interface_tape, prefix,
-                            snap.open_bytes, snap.frame_open);
-    } else {
-      monitor.seed(prefix, snap.open_bytes, snap.frame_open);
-    }
-  } else {
-    sim_.reset();
-    if (options.golden != nullptr) {
-      monitor.follow_golden(options.golden->interface_tape, {}, {}, false);
-    }
+  const GoldenCheckpoints& ckpts = *golden_;
+  const std::size_t index =
+      ckpts.index_at_or_before(schedule_.empty() ? 0 : schedule_.front().cycle);
+  const GoldenCheckpoints::Snapshot& snap = ckpts.snapshots[index];
+  restore_state_.resize(ckpts.num_ffs * blocks);
+  for (std::size_t i = 0; i < ckpts.num_ffs; ++i) {
+    const Block value = ckpts.ff_bit(index, i) ? Block::ones() : Block::zero();
+    for (std::size_t b = 0; b < blocks; ++b) restore_state_[i * blocks + b] = value;
   }
-
-  const auto ffs = nl.flip_flops();
-  ActivityTrace activity;
-  if (options.trace_activity) {
-    activity.cycles_at_1.assign(ffs.size(), 0);
-    activity.state_changes.assign(ffs.size(), 0);
-    prev_q_.resize(ffs.size());
-    for (std::size_t i = 0; i < ffs.size(); ++i) {
-      prev_q_[i] = static_cast<std::uint8_t>(sim_.ff_state(ffs[i]).word(0) & 1u);
-    }
+  sim_.restore_ff_state(restore_state_);
+  loop_values_.resize(tb.loopbacks.size() * blocks);
+  for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
+    const Block value = ckpts.loopback_bit(index, i) ? Block::ones() : Block::zero();
+    for (std::size_t b = 0; b < blocks; ++b) loop_values_[i * blocks + b] = value;
   }
+  WidePacketMonitor<W> monitor(tb.monitor, ckpts, snap, blocks);
 
   std::size_t next_event = 0;
-  const auto pis = nl.primary_inputs();
-  for (std::size_t cycle = start_cycle; cycle < num_cycles; ++cycle) {
-    if (options.record != nullptr && cycle % options.record->interval == 0) {
-      GoldenCheckpoints& rec = *options.record;
-      GoldenCheckpoints::Snapshot& snap = rec.add_snapshot(cycle);
-      const std::size_t index = rec.snapshots.size() - 1;
-      // Golden state is broadcast, so lane 0's bit is every lane's bit.
-      for (std::size_t i = 0; i < ffs.size(); ++i) {
-        if (sim_.ff_state(ffs[i]).word(0) & 1u) rec.set_state_bit(index, i);
-      }
-      for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
-        if (loop_values_[i * blocks].word(0) & 1u) {
-          rec.set_state_bit(index, ffs.size() + i);
-        }
-      }
-      monitor.snapshot(snap.frames_completed, snap.open_bytes, snap.frame_open);
-    }
-    for (std::size_t i = 0; i < pis.size(); ++i) {
-      sim_.set_input(pis[i], Block::splat(stim_->input(cycle, i)));
-    }
-    for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
-      for (std::size_t b = 0; b < blocks; ++b) {
-        sim_.set_input_block(tb.loopbacks[i].to_input, b,
-                             loop_values_[i * blocks + b]);
-      }
-    }
+  for (std::size_t cycle = snap.cycle; cycle < num_cycles; ++cycle) {
+    drive_inputs<W>(sim_, *stim_, cycle, loop_values_);
     while (next_event < schedule_.size() && schedule_[next_event].cycle == cycle) {
       const std::uint32_t lane = schedule_[next_event].lane;
       sim_.inject(schedule_[next_event].ff_cell,
@@ -386,40 +279,18 @@ RunResult WideReplayRunner<W>::run(std::span<const LaneInjection> injections,
     }
     sim_.eval_incremental();
     monitor.observe(sim_, cycle);
-    if (options.record != nullptr) {
-      options.record->interface_tape.push_back(monitor.sample_lane0(sim_));
-    }
-    if (options.trace_activity) {
-      for (std::size_t i = 0; i < ffs.size(); ++i) {
-        const std::uint8_t q =
-            static_cast<std::uint8_t>(sim_.ff_state(ffs[i]).word(0) & 1u);
-        activity.cycles_at_1[i] += q;
-        activity.state_changes[i] += static_cast<std::uint8_t>(q ^ prev_q_[i]);
-        prev_q_[i] = q;
-      }
-    }
-    for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
-      for (std::size_t b = 0; b < blocks; ++b) {
-        loop_values_[i * blocks + b] = sim_.value(tb.loopbacks[i].from_net, b);
-      }
-    }
+    latch_loopbacks<W>(sim_, tb, loop_values_);
     sim_.tick();
   }
-  if (options.trace_activity) activity.total_cycles = num_cycles;
 
   RunResult result;
   monitor.finish(result);
-  if (options.record != nullptr) {
-    // The shared frame stream every snapshot's frames_completed indexes into.
-    options.record->golden_frames = result.lane_frames[0];
-  }
-  result.activity = std::move(activity);
   result.eval_count = sim_.eval_count() - evals_before;
-  result.cycles_simulated = num_cycles - start_cycle;
+  result.cycles_simulated = num_cycles - snap.cycle;
   result.ops_evaluated = sim_.ops_evaluated() - ops_before;
   result.op_block_evals = result.ops_evaluated * blocks;
   result.ff_block_ticks = sim_.ff_block_ticks() - ticks_before;
-  result.start_cycle = start_cycle;
+  result.start_cycle = snap.cycle;
   return result;
 }
 
@@ -428,15 +299,84 @@ template class WideReplayRunner<4>;
 template class WideReplayRunner<8>;
 
 GoldenResult run_golden(const CompiledStimulus& stimulus, GoldenCheckpoints* record) {
-  WideReplayRunner<1> runner(stimulus);
-  WideRunOptions options;
-  options.trace_activity = true;
-  options.record = record;
-  RunResult run = runner.run({}, options);
+  const netlist::Netlist& nl = stimulus.netlist();
+  const Testbench& tb = stimulus.testbench();
+  const std::size_t num_cycles = stimulus.num_cycles();
+  const auto ffs = nl.flip_flops();
+  if (record != nullptr) {
+    if (record->interval == 0 || record->interval > num_cycles) {
+      throw std::invalid_argument(
+          "run_golden: checkpoint interval must be in [1, testbench length]");
+    }
+    record->begin_recording(ffs.size(), tb.loopbacks.size());
+  }
+
+  // Golden state is broadcast, so lane 0's bit is every lane's bit.
+  WideSimulator<1> sim(nl);  // constructed at reset
+  const auto lane0 = [&](netlist::NetId net) {
+    return static_cast<std::uint16_t>(sim.value(net).word(0) & 1u);
+  };
+  const auto q_bit = [&](std::size_t ff) {
+    return static_cast<std::uint8_t>(sim.ff_state(ffs[ff]).word(0) & 1u);
+  };
+  std::vector<LaneBlock<1>> loop_values;
+  for (const Loopback& loop : tb.loopbacks) {
+    loop_values.push_back(LaneBlock<1>::splat(broadcast(loop.initial)));
+  }
   GoldenResult golden;
-  golden.frames = std::move(run.lane_frames[0]);
-  golden.activity = std::move(run.activity);
-  golden.eval_count = run.eval_count;
+  ActivityTrace& activity = golden.activity;
+  activity.cycles_at_1.assign(ffs.size(), 0);
+  activity.state_changes.assign(ffs.size(), 0);
+  activity.total_cycles = num_cycles;
+  std::vector<std::uint8_t> prev_q(ffs.size());
+  for (std::size_t i = 0; i < ffs.size(); ++i) prev_q[i] = q_bit(i);
+
+  const PacketMonitorSpec& spec = tb.monitor;
+  FrameState frames;
+  for (std::size_t cycle = 0; cycle < num_cycles; ++cycle) {
+    if (record != nullptr && cycle % record->interval == 0) {
+      GoldenCheckpoints::Snapshot& snap = record->add_snapshot(cycle);
+      const std::size_t index = record->snapshots.size() - 1;
+      for (std::size_t i = 0; i < ffs.size(); ++i) {
+        if (q_bit(i) != 0) record->set_state_bit(index, i);
+      }
+      for (std::size_t i = 0; i < loop_values.size(); ++i) {
+        if (loop_values[i].word(0) & 1u) record->set_state_bit(index, ffs.size() + i);
+      }
+      // While a frame is in flight only its bytes carry state: err and
+      // end_cycle are assigned at close time.
+      snap.frames_completed = frames.frames.size();
+      snap.open_bytes = frames.current.bytes;
+      snap.frame_open = frames.open;
+    }
+    drive_inputs<1>(sim, stimulus, cycle, loop_values);
+    sim.eval_incremental();
+
+    std::uint16_t sample = 0;
+    if (lane0(spec.valid)) sample |= GoldenCheckpoints::kTapeValid;
+    if (lane0(spec.sop)) sample |= GoldenCheckpoints::kTapeSop;
+    if (lane0(spec.eop)) sample |= GoldenCheckpoints::kTapeEop;
+    if (lane0(spec.err)) sample |= GoldenCheckpoints::kTapeErr;
+    for (std::size_t b = 0; b < spec.data.size(); ++b) {
+      sample |= static_cast<std::uint16_t>(lane0(spec.data[b]) << (8 + b));
+    }
+    frames.observe(sample, cycle);
+    if (record != nullptr) record->interface_tape.push_back(sample);
+
+    for (std::size_t i = 0; i < ffs.size(); ++i) {
+      const std::uint8_t q = q_bit(i);
+      activity.cycles_at_1[i] += q;
+      activity.state_changes[i] += static_cast<std::uint8_t>(q ^ prev_q[i]);
+      prev_q[i] = q;
+    }
+    latch_loopbacks<1>(sim, tb, loop_values);
+    sim.tick();
+  }
+
+  golden.frames = frames.finish();
+  // The shared frame stream every snapshot's frames_completed indexes into.
+  if (record != nullptr) record->golden_frames = golden.frames;
+  golden.eval_count = sim.eval_count();
   return golden;
 }
 

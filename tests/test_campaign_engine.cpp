@@ -292,9 +292,16 @@ TEST_F(MacEngineFixture, RepeatedFlowInvocationsReuseGoldenDeterministically) {
 TEST_F(MacEngineFixture, WideReplayRunnerIsBitExactAcrossReuse) {
   // The engine's per-worker runner reuse rests on this contract: a
   // WideReplayRunner's n-th run equals a fresh run_testbench with the same
-  // schedule, including after interleaved fault runs.
+  // schedule, including after interleaved fault runs. Lanes the runner
+  // flags as golden deliver the golden frames.
   const sim::CompiledStimulus stimulus(mac->netlist, bench->tb);
-  sim::WideReplayRunner<1> runner(stimulus);
+  const sim::GoldenCheckpoints& ckpts = engine->checkpoints();
+  sim::WideReplayRunner<1> runner(stimulus, ckpts);
+  const auto frames_of = [&](const sim::RunResult& run, std::size_t lane)
+      -> const sim::FrameList& {
+    return run.lane_is_golden[lane] != 0 ? ckpts.golden_frames
+                                         : run.lane_frames[lane];
+  };
   const sim::RunResult clean_first = runner.run();
   sim::LaneInjection ev;
   ev.ff_cell = mac->netlist.flip_flops()[3];
@@ -308,15 +315,17 @@ TEST_F(MacEngineFixture, WideReplayRunnerIsBitExactAcrossReuse) {
   const sim::RunResult flat_faulty =
       sim::run_testbench(mac->netlist, bench->tb, flat_events);
   for (std::size_t lane = 0; lane < sim::kNumLanes; ++lane) {
-    EXPECT_EQ(clean_first.lane_frames[lane], reference.lane_frames[lane]);
-    EXPECT_EQ(clean_again.lane_frames[lane], reference.lane_frames[lane]);
-    EXPECT_EQ(faulty.lane_frames[lane], flat_faulty.lane_frames[lane]);
+    EXPECT_EQ(frames_of(clean_first, lane), reference.lane_frames[lane]);
+    EXPECT_EQ(frames_of(clean_again, lane), reference.lane_frames[lane]);
+    EXPECT_EQ(frames_of(faulty, lane), flat_faulty.lane_frames[lane]);
   }
-  EXPECT_EQ(clean_first.eval_count, reference.eval_count);
-  EXPECT_EQ(clean_again.eval_count, reference.eval_count);
-  // One sweep per cycle like the oracle, but a dirty-set sweep visits only
-  // the ops whose inputs changed, never more than the oracle's full sweep.
-  EXPECT_EQ(faulty.eval_count, flat_faulty.eval_count);
+  // One sweep per simulated cycle (a restored run has no reset sweep), and
+  // a dirty-set sweep visits only the ops whose inputs changed, never more
+  // than the oracle's full sweep.
+  for (const sim::RunResult* run : {&clean_first, &faulty, &clean_again}) {
+    EXPECT_EQ(run->eval_count, run->cycles_simulated);
+  }
+  EXPECT_EQ(clean_first.cycles_simulated, bench->tb.stimulus.num_cycles());
   EXPECT_LT(faulty.ops_evaluated, flat_faulty.ops_evaluated);
 }
 

@@ -122,8 +122,10 @@ TEST_F(RelayFixture, SmallSubsetCampaignCompletes) {
 
 TEST_F(RelayFixture, CheckpointRestoreReproducesFullRunAtPaperScale) {
   // Restoring any golden checkpoint and fast-forwarding must reproduce the
-  // full-run frames (all 64 lanes, including delivery cycles) and the final
-  // flip-flop state bit-exactly.
+  // frames (64 lanes, including delivery cycles) and the final flip-flop
+  // state of a pass started at cycle 0 bit-exactly. One extra cycle-0
+  // injection in spare lane 63 forces the cycle-0 start; that lane is left
+  // out of the comparison.
   const sim::CompiledStimulus stimulus(core->netlist, bench->tb);
   sim::GoldenCheckpoints ckpts;
   ckpts.interval = 29;
@@ -131,8 +133,14 @@ TEST_F(RelayFixture, CheckpointRestoreReproducesFullRunAtPaperScale) {
   ASSERT_EQ(ckpts.snapshots.size(), (stimulus.num_cycles() + 28) / 29);
 
   const auto ffs = core->netlist.flip_flops();
-  sim::WideReplayRunner<1> full_runner(stimulus);
-  sim::WideReplayRunner<1> resumed_runner(stimulus);
+  sim::WideReplayRunner<1> full_runner(stimulus, ckpts);
+  sim::WideReplayRunner<1> resumed_runner(stimulus, ckpts);
+  constexpr std::size_t kSpare = sim::kNumLanes - 1;
+  const auto frames_of = [&](const sim::RunResult& run, std::size_t lane)
+      -> const sim::FrameList& {
+    return run.lane_is_golden[lane] != 0 ? ckpts.golden_frames
+                                         : run.lane_frames[lane];
+  };
   // Early / mid / late injections across the chain (ingress storage,
   // mid-chain pointer, egress CRC region).
   const std::size_t window = bench->tb.inject_end - bench->tb.inject_begin;
@@ -146,16 +154,17 @@ TEST_F(RelayFixture, CheckpointRestoreReproducesFullRunAtPaperScale) {
     ev.cycle = static_cast<std::uint32_t>(probe_cycles[p]);
     ev.lane = static_cast<std::uint32_t>(p * 11);
     const sim::LaneInjection events[] = {ev};
-    const sim::RunResult full = full_runner.run(events);
+    const sim::LaneInjection full_events[] = {
+        ev, {ffs[0], 0, static_cast<std::uint32_t>(kSpare)}};
+    const sim::RunResult full = full_runner.run(full_events);
     SCOPED_TRACE("probe " + std::to_string(p));
-    sim::WideRunOptions options;
-    options.resume = &ckpts;
-    const sim::RunResult resumed = resumed_runner.run(events, options);
+    EXPECT_EQ(full.start_cycle, 0u);
+    const sim::RunResult resumed = resumed_runner.run(events);
     EXPECT_EQ(resumed.start_cycle, (probe_cycles[p] / 29) * 29);
     ASSERT_EQ(full.lane_frames.size(), resumed.lane_frames.size());
-    for (std::size_t lane = 0; lane < full.lane_frames.size(); ++lane) {
-      const sim::FrameList& a = full.lane_frames[lane];
-      const sim::FrameList& b = resumed.lane_frames[lane];
+    for (std::size_t lane = 0; lane < kSpare; ++lane) {
+      const sim::FrameList& a = frames_of(full, lane);
+      const sim::FrameList& b = frames_of(resumed, lane);
       ASSERT_EQ(a.size(), b.size()) << "lane " << lane;
       for (std::size_t f = 0; f < a.size(); ++f) {
         ASSERT_EQ(a[f].bytes, b[f].bytes) << "lane " << lane << " frame " << f;
@@ -164,9 +173,10 @@ TEST_F(RelayFixture, CheckpointRestoreReproducesFullRunAtPaperScale) {
             << "lane " << lane << " frame " << f;
       }
     }
+    const std::uint64_t compared = ~(std::uint64_t{1} << kSpare);
     for (const netlist::CellId ff : ffs) {
-      ASSERT_FALSE(differs(full_runner.simulator().ff_state(ff),
-                           resumed_runner.simulator().ff_state(ff)))
+      ASSERT_EQ(full_runner.simulator().ff_state(ff).word(0) & compared,
+                resumed_runner.simulator().ff_state(ff).word(0) & compared)
           << "ff " << core->netlist.cell(ff).name;
     }
   }

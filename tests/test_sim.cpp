@@ -1,8 +1,15 @@
 // Tests for src/sim: packed-lane semantics, fault injection mechanics,
-// testbench runner (stimulus, loopback, monitor, activity tracing).
+// testbench runner (stimulus, loopback, monitor, activity tracing), the
+// golden run against the flat oracle, and testbench validation.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "circuits/pipeline_core.hpp"
+#include "fault/engine.hpp"
 #include "netlist/builder.hpp"
 #include "rtl/sequential.hpp"
 #include "rtl/word.hpp"
@@ -248,10 +255,16 @@ TEST(Runner, InjectionBeyondEndRejected) {
                std::invalid_argument);
 }
 
-TEST(Runner, LoopbackFeedsOutputBackToInput) {
-  // DUT: out = reg(in); loop out -> in2; y = reg(in2). A pulse on `in`
-  // appears on y two cycles later (one DUT reg + one loopback delay... the
-  // loopback itself is registered by the harness, so three cycles total).
+/// DUT: a = reg(in); loop a -> in2; y = reg(in2). The testbench pulses `in`
+/// once and monitors y as a "frame byte" stream: valid = sop = data = y,
+/// eop/err = `in` (never high during valid cycles), so the one frame is
+/// left open at the end and closed with err set.
+struct LoopbackBench {
+  Netlist netlist{"loop"};
+  Testbench tb;
+};
+
+LoopbackBench build_loopback_bench() {
   NetlistBuilder bld("loop");
   const NetId in = bld.input("in");
   const NetId in2 = bld.input("in2");
@@ -259,27 +272,101 @@ TEST(Runner, LoopbackFeedsOutputBackToInput) {
   rtl::Register b = rtl::make_register(bld, "b", std::vector<NetId>{in2});
   bld.output(a.q[0], "a_out");
   bld.output(b.q[0], "y");
-  const Netlist nl = bld.build();
+  LoopbackBench bench;
+  bench.netlist = bld.build();
 
-  Stimulus stim(nl.primary_inputs().size(), 8);
+  Stimulus stim(bench.netlist.primary_inputs().size(), 8);
   stim.set(0, 1, true);  // pulse on `in` at cycle 1
-  Testbench tb;
+  Testbench& tb = bench.tb;
   tb.stimulus = stim;
   tb.loopbacks.push_back({a.q[0], in2, false});
-  // Monitor y as a "frame byte" stream: valid = y itself; single-bit data.
-  // sop tracks valid; eop/err track `in` (never high during valid cycles),
-  // so the frame is left open and finish() closes it with err set.
   tb.monitor.valid = b.q[0];
   tb.monitor.sop = b.q[0];
-  tb.monitor.eop = nl.primary_inputs()[0];
-  tb.monitor.err = nl.primary_inputs()[0];
+  tb.monitor.eop = bench.netlist.primary_inputs()[0];
+  tb.monitor.err = bench.netlist.primary_inputs()[0];
   tb.monitor.data = {b.q[0]};
+  tb.inject_end = 8;
+  return bench;
+}
 
-  const RunResult run = run_testbench(nl, tb);
+TEST(Runner, LoopbackFeedsOutputBackToInput) {
+  const LoopbackBench bench = build_loopback_bench();
+  const RunResult run = run_testbench(bench.netlist, bench.tb);
   // y pulses exactly once: in@1 -> a@2 -> loop captured end of cycle 2 ->
   // in2@3 -> y@4... frame extraction sees one 1-byte frame (left open).
   ASSERT_EQ(run.lane_frames[0].size(), 1u);
   EXPECT_EQ(run.lane_frames[0][0].bytes.size(), 1u);
+  EXPECT_TRUE(run.lane_frames[0][0].err);
+}
+
+/// The golden run and the flat oracle's lane 0 see the same frames (delivery
+/// cycles included) after the same number of sweeps, reset sweep included.
+void expect_golden_matches_flat(const Netlist& nl, const Testbench& tb) {
+  const GoldenResult golden = run_golden(nl, tb);
+  const RunResult flat = run_testbench(nl, tb);
+  const FrameList& want = flat.lane_frames[0];
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(golden.frames.size(), want.size());
+  for (std::size_t f = 0; f < want.size(); ++f) {
+    EXPECT_EQ(golden.frames[f].bytes, want[f].bytes) << "frame " << f;
+    EXPECT_EQ(golden.frames[f].err, want[f].err) << "frame " << f;
+    EXPECT_EQ(golden.frames[f].end_cycle, want[f].end_cycle) << "frame " << f;
+  }
+  EXPECT_EQ(golden.eval_count, flat.eval_count);
+}
+
+TEST(GoldenRun, MatchesFlatOracleOnPipeline) {
+  const circuits::PipelineCore core = circuits::build_pipeline_core();
+  const circuits::PipelineTestbench bench =
+      circuits::build_pipeline_testbench(core);
+  expect_golden_matches_flat(core.netlist, bench.tb);
+}
+
+TEST(GoldenRun, MatchesFlatOracleWithFrameOpenAtEnd) {
+  const LoopbackBench bench = build_loopback_bench();
+  expect_golden_matches_flat(bench.netlist, bench.tb);
+}
+
+TEST(Testbench, ValidationRejectsUnboundNetsAtEveryEntryPoint) {
+  const circuits::PipelineCore core = circuits::build_pipeline_core();
+  const circuits::PipelineTestbench bench =
+      circuits::build_pipeline_testbench(core, 24);
+  const Netlist& nl = core.netlist;
+  const NetId none = netlist::kNoNet;
+  const NetId outside = static_cast<NetId>(nl.num_nets());
+  const NetId net = bench.tb.monitor.valid;
+  std::vector<std::pair<std::string, Testbench>> cases;
+  const auto bad = [&](const char* role, const auto& mutate) {
+    Testbench tb = bench.tb;
+    mutate(tb);
+    cases.emplace_back(role, std::move(tb));
+  };
+  bad("monitor valid", [&](Testbench& tb) { tb.monitor.valid = none; });
+  bad("monitor sop", [&](Testbench& tb) { tb.monitor.sop = none; });
+  bad("monitor eop", [&](Testbench& tb) { tb.monitor.eop = outside; });
+  bad("monitor err", [&](Testbench& tb) { tb.monitor.err = none; });
+  bad("monitor err", [&](Testbench& tb) { tb.monitor.err = outside; });
+  bad("monitor data", [&](Testbench& tb) { tb.monitor.data.clear(); });
+  bad("monitor data", [&](Testbench& tb) { tb.monitor.data.assign(9, net); });
+  bad("monitor data", [&](Testbench& tb) { tb.monitor.data[0] = none; });
+  bad("loopback source",
+      [&](Testbench& tb) { tb.loopbacks.push_back({none, net, false}); });
+  bad("loopback target",
+      [&](Testbench& tb) { tb.loopbacks.push_back({net, outside, false}); });
+
+  for (const auto& [role, tb] : cases) {
+    SCOPED_TRACE(role);
+    try {
+      validate_testbench(nl, tb);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(role), std::string::npos) << e.what();
+    }
+    EXPECT_THROW((void)run_golden(nl, tb), std::invalid_argument);
+    EXPECT_THROW(fault::CampaignEngine(nl, tb), std::invalid_argument);
+    EXPECT_THROW((void)run_testbench(nl, tb), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(validate_testbench(nl, bench.tb));
 }
 
 }  // namespace
