@@ -10,9 +10,11 @@
 // (fault/shard.hpp) whose merged partials must stay bit-identical to the
 // unsharded engine run, and emits every measurement as machine-readable
 // JSON (BENCH_sfi_campaign.json) so the perf trajectory is tracked across
-// PRs. The engine headline and scheduling rows are pinned to the 64-lane
-// scalar path so they stay comparable with earlier PRs; the width sweep
-// reports the SIMD speedup on top of that 64-lane baseline.
+// PRs, plus one row for the mac_core ground-truth campaign at the auto pass
+// shape: the circuit whose unobservable flip-flops the engine answers
+// without simulation. The engine headline and scheduling rows are pinned to
+// the 64-lane scalar path so they stay comparable with earlier PRs; the
+// width sweep reports the SIMD speedup on top of that 64-lane baseline.
 //
 // Environment knobs (besides bench_common's):
 //   FFR_SWEEP_INJECTIONS  injections per FF for the scheduling sweep
@@ -72,7 +74,8 @@ void write_bench_json(const char* path, const std::vector<BenchRecord>& records)
         f,
         "  {\"circuit\": \"%s\", \"mode\": \"%s\", \"threads\": %zu, "
         "\"batch\": %zu, \"checkpoint_interval\": %zu, "
-        "\"injections_per_ff\": %zu, \"injections\": %llu, \"passes\": %llu, "
+        "\"injections_per_ff\": %zu, \"injections\": %llu, "
+        "\"proven_injections\": %llu, \"passes\": %llu, "
         "\"cycles_simulated\": %llu, \"ops_evaluated\": %llu, "
         "\"op_block_evals\": %llu, \"ff_block_ticks\": %llu, "
         "\"checkpoint_restores\": %llu, \"lane_width\": %zu, "
@@ -82,6 +85,7 @@ void write_bench_json(const char* path, const std::vector<BenchRecord>& records)
         r.circuit.c_str(), r.mode.c_str(), r.threads, r.batch,
         r.checkpoint_interval, r.injections_per_ff,
         static_cast<unsigned long long>(c.total_injections),
+        static_cast<unsigned long long>(c.proven_injections),
         static_cast<unsigned long long>(c.total_sim_passes),
         static_cast<unsigned long long>(c.cycles_simulated),
         static_cast<unsigned long long>(c.ops_evaluated),
@@ -208,6 +212,12 @@ int main() {
   const std::size_t interval = engine.checkpoints().interval;
 
   std::vector<BenchRecord> records;
+  // The paper context's ground-truth campaign on mac_core at the auto shape:
+  // the row on a circuit with flip-flops outside the observable cone, whose
+  // injections the engine answers without simulating them.
+  records.push_back({"mac_core", kEngineMode, 0, 0,
+                     ctx.engine->checkpoints().interval, ctx.injections_per_ff,
+                     ctx.campaign});
   fault::CampaignConfig full;
   full.injections_per_ff = ctx.injections_per_ff;
   // The headline is pinned to the scalar 64-lane path so its rows stay

@@ -105,11 +105,12 @@ int run_one_shard(const Design& design, const ffr::fault::ShardSpec& shard,
   bool resumed = false;
   const ffr::fault::CampaignPartial partial =
       ffr::fault::load_or_run_shard(engine, config, dir, &resumed);
-  std::printf("shard %zu/%zu: %s — %llu injections in %llu passes, %llu "
-              "cycles simulated\n",
+  std::printf("shard %zu/%zu: %s — %llu injections (%llu proven) in %llu "
+              "passes, %llu cycles simulated\n",
               shard.index, shard.count,
               resumed ? "resumed from partial" : "executed",
               static_cast<unsigned long long>(partial.result.total_injections),
+              static_cast<unsigned long long>(partial.result.proven_injections),
               static_cast<unsigned long long>(partial.result.total_sim_passes),
               static_cast<unsigned long long>(partial.result.cycles_simulated));
   std::printf("partial  : %s\n",
@@ -160,6 +161,8 @@ int merge_dir(const Design& design, const std::filesystem::path& dir,
   };
   check("total_injections", merged.total_injections,
         reference.total_injections);
+  check("proven_injections", merged.proven_injections,
+        reference.proven_injections);
   check("total_sim_passes", merged.total_sim_passes,
         reference.total_sim_passes);
   check("cycles_simulated", merged.cycles_simulated,

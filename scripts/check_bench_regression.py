@@ -64,7 +64,9 @@ SCHEMAS = {
             "op_block_evals",
             "ff_block_ticks",
         ),
-        "exact": (),
+        # Upsets answered without simulation: set by the observable cone
+        # and the injection schedule alone.
+        "exact": ("proven_injections",),
         "fixed": (),
         # mean_fdr is bit-identity by engine contract: compare at 9 decimals
         # (the serialized precision), flagged as identity breakage.
@@ -186,9 +188,9 @@ def main():
             elif cur_value < base_value:
                 improvements.append(f"{field} {base_value} -> {cur_value} [{where}]")
         for field in schema["exact"]:
-            if base_row[field] != cur_row[field]:
+            if base_row.get(field) != cur_row.get(field):
                 regressions.append(
-                    f"{field} {base_row[field]} -> {cur_row[field]} "
+                    f"{field} {base_row.get(field)} -> {cur_row.get(field)} "
                     f"(deterministic field changed) [{where}]"
                 )
         for field in schema["fixed"]:

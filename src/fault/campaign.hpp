@@ -116,6 +116,12 @@ struct PassShapeCount {
 struct CampaignResult {
   std::vector<FfResult> per_ff;        ///< One entry per targeted flip-flop.
   std::uint64_t total_injections = 0;  ///< Upsets injected overall.
+  /// Of total_injections, the upsets the batched engine answered kOk
+  /// without simulating them: their flip-flop lies outside the testbench's
+  /// sim::ObservableCone, so they can never reach the interface. Counted
+  /// by shard 0 of a sharded run; 0 from the flat run_campaign(), which
+  /// simulates every upset.
+  std::uint64_t proven_injections = 0;
   /// Simulator passes used. The batched engine schedules adaptively: full
   /// passes carry `lanes_per_pass` fault lanes and the job tail is re-sliced
   /// into narrower shapes (see pass_histogram), so the total is at most

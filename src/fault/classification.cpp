@@ -15,13 +15,21 @@ std::string_view to_string(FailureClass cls) noexcept {
 }
 
 FailureClass classify(const sim::FrameList& golden, const sim::FrameList& observed) {
-  if (observed.size() < golden.size()) return FailureClass::kFrameLoss;
-  if (observed.size() > golden.size()) return FailureClass::kSpuriousFrame;
+  return classify(golden, 0, observed);
+}
+
+FailureClass classify(const sim::FrameList& golden, std::size_t prefix,
+                      const sim::FrameList& suffix) {
+  const std::size_t observed = prefix + suffix.size();
+  if (observed < golden.size()) return FailureClass::kFrameLoss;
+  if (observed > golden.size()) return FailureClass::kSpuriousFrame;
+  // The shared prefix equals golden frame for frame; only the suffix can
+  // differ.
   bool any_silent_corruption = false;
   bool any_detected = false;
-  for (std::size_t f = 0; f < golden.size(); ++f) {
+  for (std::size_t f = prefix; f < golden.size(); ++f) {
     const sim::Frame& want = golden[f];
-    const sim::Frame& got = observed[f];
+    const sim::Frame& got = suffix[f - prefix];
     if (got.err && !want.err) {
       any_detected = true;
     } else if (got.err == want.err && got.bytes != want.bytes) {

@@ -37,6 +37,14 @@ inline constexpr std::size_t kNumFailureClasses =
 [[nodiscard]] FailureClass classify(const sim::FrameList& golden,
                                     const sim::FrameList& observed);
 
+/// classify() of the stream golden[0, prefix) followed by `suffix` — a fault
+/// lane that delivered the first `prefix` golden frames before it left
+/// golden (sim::RunResult::lane_golden_prefix) — without building it.
+/// Precondition: prefix <= golden.size().
+[[nodiscard]] FailureClass classify(const sim::FrameList& golden,
+                                    std::size_t prefix,
+                                    const sim::FrameList& suffix);
+
 /// Per-class tally.
 struct ClassCounts {
   std::array<std::uint64_t, kNumFailureClasses> counts{};

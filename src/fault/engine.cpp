@@ -92,7 +92,9 @@ void run_wide_group(const sim::CompiledStimulus& stimulus,
             const std::size_t lane = j - pass.job_begin;
             outcome[j] = run.lane_is_golden[lane]
                              ? FailureClass::kOk
-                             : classify(ckpts.golden_frames, run.lane_frames[lane]);
+                             : classify(ckpts.golden_frames,
+                                        run.lane_golden_prefix[lane],
+                                        run.lane_frames[lane]);
           }
           costs[worker].add(run);
         }
@@ -282,9 +284,25 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
 
   // Flat job list: job j is one injection. Slicing it into lane-block
   // passes packs lanes across flip-flop boundaries, which is where the pass
-  // saving over the flat campaign comes from.
-  const std::vector<CampaignJob> jobs =
+  // saving over the flat campaign comes from. An upset of a flip-flop
+  // outside the observable cone can never reach the interface, so it is
+  // answered kOk here and gets no lane; shard 0 owns these answers.
+  const std::vector<std::uint8_t>& observable = stimulus_.cone().flip_flops;
+  std::vector<CampaignJob> jobs =
       order_campaign_jobs(config, *tb_, subset, checkpoints_.interval);
+  std::size_t kept = 0;  // the simulated jobs, compacted in place in order
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const std::size_t task = jobs[j].task;
+    if (observable[subset[task]] != 0) {
+      jobs[kept++] = jobs[j];
+    } else if (config.shard.index == 0) {
+      result.per_ff[task].classes.add(FailureClass::kOk);
+      ++result.per_ff[task].injections;
+      ++result.proven_injections;
+    }
+  }
+  jobs.resize(kept);
+  result.total_injections = result.proven_injections;
   result.checkpoint_bytes = checkpoints_.memory_bytes();
   result.checkpoint_bytes_unpacked = checkpoints_.broadcast_word_bytes();
 

@@ -11,8 +11,10 @@
 /// call — and keeps one sim::WideReplayRunner per worker thread and pass
 /// shape so the levelized evaluation order is built once per worker instead
 /// of once per pass. Every pass, 64-lane ones included, runs on that one
-/// replay engine. run() packs injection windows across flip-flops: the
-/// whole campaign's injections form one flat job list, sorted by
+/// replay engine. An injection into a flip-flop outside the testbench's
+/// sim::ObservableCone is answered kOk without a lane
+/// (CampaignResult::proven_injections). run() packs the other injections
+/// across flip-flops: they form one flat job list, sorted by
 /// (checkpoint segment, flip-flop, cycle) and planned into an adaptive
 /// pass schedule (build_pass_schedule). Full passes carry
 /// lane_width * blocks_per_pass fault lanes — lane_width picks the SIMD
@@ -140,9 +142,10 @@ class CampaignEngine {
 
   /// Batched campaign over the configured flip-flop subset. Bit-identical to
   /// run_campaign(netlist(), testbench(), golden(), config), but with
-  /// cross-flip-flop lane packing, checkpointed mid-stream starts, dirty-set
-  /// evaluation, a golden-relative monitor and chunked work-stealing
-  /// scheduling.
+  /// unobservable upsets answered without simulation, cross-flip-flop lane
+  /// packing, checkpointed mid-stream starts, passes pruned to the
+  /// observable cone that stop once back on golden, dirty-set evaluation,
+  /// a golden-relative monitor and chunked work-stealing scheduling.
   /// With config.shard.count > 1 only the shard's round-robin share of the
   /// full pass schedule runs (see ShardSpec / fault/shard.hpp); merging all
   /// N shards' results reconstructs the unsharded run bit-identically.

@@ -102,8 +102,9 @@ void CampaignPartial::save(std::ostream& os) const {
   os << "config " << injections_per_ff << ' ' << seed << '\n';
   os << "shape " << result.lanes_per_pass << ' ' << result.blocks_per_pass
      << '\n';
-  os << "counters " << result.total_injections << ' ' << result.total_sim_passes
-     << ' ' << result.cycles_simulated << ' ' << result.ops_evaluated << ' '
+  os << "counters " << result.total_injections << ' '
+     << result.proven_injections << ' ' << result.total_sim_passes << ' '
+     << result.cycles_simulated << ' ' << result.ops_evaluated << ' '
      << result.op_block_evals << ' ' << result.ff_block_ticks << ' '
      << result.checkpoint_restores << ' ' << result.checkpoint_bytes << ' '
      << result.checkpoint_bytes_unpacked << '\n';
@@ -177,6 +178,7 @@ CampaignPartial CampaignPartial::load(std::istream& is,
   partial.result.blocks_per_pass = static_cast<std::size_t>(r.u64());
   r.expect("counters");
   partial.result.total_injections = r.u64();
+  partial.result.proven_injections = r.u64();
   partial.result.total_sim_passes = r.u64();
   partial.result.cycles_simulated = r.u64();
   partial.result.ops_evaluated = r.u64();
@@ -237,6 +239,12 @@ CampaignPartial CampaignPartial::load(std::istream& is,
   if (injection_total != partial.result.total_injections) {
     r.fail("per-flip-flop injections sum to " +
            std::to_string(injection_total) + " but total_injections is " +
+           std::to_string(partial.result.total_injections));
+  }
+  if (partial.result.proven_injections > partial.result.total_injections) {
+    r.fail("proven_injections " +
+           std::to_string(partial.result.proven_injections) +
+           " exceeds total_injections " +
            std::to_string(partial.result.total_injections));
   }
   std::uint64_t pass_total = 0;
@@ -421,6 +429,7 @@ CampaignResult merge_partials(const std::vector<CampaignPartial>& partials) {
       }
     }
     merged.total_injections += shard.total_injections;
+    merged.proven_injections += shard.proven_injections;
     merged.total_sim_passes += shard.total_sim_passes;
     merged.cycles_simulated += shard.cycles_simulated;
     merged.ops_evaluated += shard.ops_evaluated;

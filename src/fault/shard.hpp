@@ -6,9 +6,10 @@
 /// A k-of-N shard (CampaignConfig::shard) runs the batched CampaignEngine
 /// over every N-th pass of the FULL campaign's deterministic pass schedule.
 /// Each pass's science output and cost counters depend only on its own job
-/// range, so the N partials merge back into a CampaignResult bit-identical
-/// to the unsharded run — FDR vector, class counts, and every deterministic
-/// counter (total_sim_passes, cycles_simulated, ops_evaluated,
+/// range, and shard 0 alone answers the upsets proven unobservable, so the
+/// N partials merge back into a CampaignResult bit-identical to the
+/// unsharded run — FDR vector, class counts, and every deterministic counter
+/// (proven_injections, total_sim_passes, cycles_simulated, ops_evaluated,
 /// op_block_evals, ff_block_ticks, checkpoint_restores, pass_histogram)
 /// included.
 ///
@@ -21,7 +22,8 @@
 ///     shard <index> <count>
 ///     config <injections_per_ff> <seed>
 ///     shape <lanes_per_pass> <blocks_per_pass>
-///     counters <total_injections> <total_sim_passes> <cycles_simulated>
+///     counters <total_injections> <proven_injections> <total_sim_passes>
+///              <cycles_simulated>
 ///              <ops_evaluated> <op_block_evals> <ff_block_ticks>
 ///              <checkpoint_restores> <checkpoint_bytes>
 ///              <checkpoint_bytes_unpacked>
@@ -65,11 +67,13 @@ namespace ffr::fault {
 /// 3 dropped the replay mode and checkpoint interval from `config`, since
 /// the engine has one replay path at the fixed kCheckpointInterval; version
 /// 4 marks the engine's (checkpoint segment, flip-flop, cycle) job order,
-/// which changed which jobs each pass, and so each shard, carries. Older
-/// files are rejected like any other unsupported version. The cost
-/// counters depend on kCheckpointInterval and on the job order
-/// (fault/engine.hpp): changing either requires another version bump.
-inline constexpr int kPartialFormatVersion = 4;
+/// which changed which jobs each pass, and so each shard, carries; version
+/// 5 added proven_injections to `counters`, since upsets of unobservable
+/// flip-flops left the job list. Older files are rejected like any other
+/// unsupported version. The cost counters depend on kCheckpointInterval and
+/// on the job order (fault/engine.hpp): changing either requires another
+/// version bump.
+inline constexpr int kPartialFormatVersion = 5;
 
 /// One shard's campaign accumulators plus the fingerprint that guards
 /// merging: two partials may only merge when they come from the same engine

@@ -155,6 +155,18 @@ std::size_t GoldenCheckpoints::broadcast_word_bytes() const noexcept {
   return bytes;
 }
 
+FrameList lane_frames(const RunResult& run, const FrameList& golden,
+                      std::size_t lane) {
+  if (run.lane_is_golden.empty()) return run.lane_frames[lane];
+  if (run.lane_is_golden[lane] != 0) return golden;
+  FrameList frames(golden.begin(),
+                   golden.begin() + static_cast<std::ptrdiff_t>(
+                                        run.lane_golden_prefix[lane]));
+  frames.insert(frames.end(), run.lane_frames[lane].begin(),
+                run.lane_frames[lane].end());
+  return frames;
+}
+
 CompiledStimulus::CompiledStimulus(const netlist::Netlist& nl, const Testbench& tb)
     : nl_(&nl), tb_(&tb) {
   validate_testbench(nl, tb);
@@ -167,6 +179,7 @@ CompiledStimulus::CompiledStimulus(const netlist::Netlist& nl, const Testbench& 
       waves_[cycle * num_pis_ + i] = broadcast(stim.get(i, cycle));
     }
   }
+  cone_ = observable_cone(nl, tb);
 }
 
 RunResult run_testbench(const netlist::Netlist& nl, const Testbench& tb,

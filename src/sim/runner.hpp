@@ -139,7 +139,19 @@ struct RunResult {
   /// differed from the golden tape, so its frames are the golden frames and
   /// lane_frames[L] is left empty. Empty for the flat oracle.
   std::vector<std::uint8_t> lane_is_golden;
+  /// Wide fault passes only: the number of leading golden frames a lane
+  /// that left golden delivered before it did. Those frames are shared, not
+  /// copied: lane_frames[L] holds only the frames after them. Empty for the
+  /// flat oracle.
+  std::vector<std::size_t> lane_golden_prefix;
 };
+
+/// Lane `lane`'s full frame stream in `run`: `golden` (the golden frames of
+/// the same testbench) for a lane flagged golden, the shared golden prefix
+/// followed by lane_frames[lane] for one that left golden, and
+/// lane_frames[lane] as is for a flat-oracle run.
+[[nodiscard]] FrameList lane_frames(const RunResult& run, const FrameList& golden,
+                                    std::size_t lane);
 
 /// The flat oracle: simulates the whole testbench from reset on a fresh
 /// PackedSimulator with a full eval() and tick() every cycle, and extracts
@@ -152,12 +164,14 @@ struct RunResult {
                                       std::span<const InjectionEvent> injections = {});
 
 /// Precompiled, shareable stimulus for one (netlist, testbench) pair:
-/// validates the testbench once (validate_testbench) and pre-broadcasts
+/// validates the testbench once (validate_testbench), pre-broadcasts
 /// every input sample into a 64-lane word, so a replay pass skips the
-/// per-cycle bool -> Lanes expansion. Holds references; the netlist and
-/// testbench must outlive it. Immutable after construction, so one instance
-/// can feed many WideReplayRunners concurrently. input() takes any cycle in
-/// [0, num_cycles), so replays may start mid-stream.
+/// per-cycle bool -> Lanes expansion, and computes the pair's
+/// observable_cone() once for the fault passes that replay it. Holds
+/// references; the netlist and testbench must outlive it. Immutable after
+/// construction, so one instance can feed many WideReplayRunners
+/// concurrently. input() takes any cycle in [0, num_cycles), so replays may
+/// start mid-stream.
 class CompiledStimulus {
  public:
   /// \throws std::invalid_argument when validate_testbench() rejects the
@@ -168,16 +182,20 @@ class CompiledStimulus {
   [[nodiscard]] const Testbench& testbench() const noexcept { return *tb_; }
   [[nodiscard]] std::size_t num_cycles() const noexcept { return num_cycles_; }
 
+  /// The part of the netlist that can reach the monitored interface.
+  [[nodiscard]] const ObservableCone& cone() const noexcept { return cone_; }
+
   /// Broadcast value of the pi-th primary input at `cycle`.
   [[nodiscard]] Lanes input(std::size_t cycle, std::size_t pi) const noexcept {
     return waves_[cycle * num_pis_ + pi];
   }
 
-  /// Bytes held by the pre-broadcast waveform table — the dominant cost of
-  /// keeping a compiled stimulus resident (see CampaignEngine and the
-  /// service-layer engine registry's byte budget).
+  /// Bytes held by the pre-broadcast waveform table and the cone — the
+  /// dominant cost of keeping a compiled stimulus resident (see
+  /// CampaignEngine and the service-layer engine registry's byte budget).
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return waves_.size() * sizeof(Lanes);
+    return waves_.size() * sizeof(Lanes) + cone_.nets.size() +
+           cone_.flip_flops.size() + cone_.loopbacks.size();
   }
 
  private:
@@ -186,6 +204,7 @@ class CompiledStimulus {
   std::size_t num_pis_ = 0;
   std::size_t num_cycles_ = 0;
   std::vector<Lanes> waves_;  // cycle-major
+  ObservableCone cone_;
 };
 
 /// Fault-free golden run: frames of lane 0 plus the activity trace.

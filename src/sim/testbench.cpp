@@ -74,6 +74,55 @@ void validate_testbench(const netlist::Netlist& nl, const Testbench& tb) {
   }
 }
 
+std::size_t ObservableCone::num_observable_ffs() const noexcept {
+  std::size_t count = 0;
+  for (const std::uint8_t in_cone : flip_flops) count += in_cone;
+  return count;
+}
+
+ObservableCone observable_cone(const netlist::Netlist& nl, const Testbench& tb) {
+  ObservableCone cone;
+  cone.nets.assign(nl.num_nets(), 0);
+  std::vector<netlist::NetId> work;
+  const auto add = [&](netlist::NetId net) {
+    if (cone.nets[net] == 0) {
+      cone.nets[net] = 1;
+      work.push_back(net);
+    }
+  };
+  const PacketMonitorSpec& monitor = tb.monitor;
+  add(monitor.valid);
+  add(monitor.sop);
+  add(monitor.eop);
+  add(monitor.err);
+  for (const netlist::NetId net : monitor.data) add(net);
+  // A net is in the cone when it drives one that is: through a cell's
+  // inputs (a flip-flop's only input is its D pin), and through every
+  // loopback that feeds a primary input in the cone.
+  while (!work.empty()) {
+    const netlist::NetId net = work.back();
+    work.pop_back();
+    const netlist::CellId driver = nl.net(net).driver;
+    if (driver != netlist::kNoCell) {
+      for (const netlist::NetId in : nl.cell(driver).inputs) add(in);
+      continue;
+    }
+    for (const Loopback& loop : tb.loopbacks) {
+      if (loop.to_input == net) add(loop.from_net);
+    }
+  }
+  const auto ffs = nl.flip_flops();
+  cone.flip_flops.resize(ffs.size());
+  for (std::size_t i = 0; i < ffs.size(); ++i) {
+    cone.flip_flops[i] = cone.nets[nl.cell(ffs[i]).output];
+  }
+  cone.loopbacks.resize(tb.loopbacks.size());
+  for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
+    cone.loopbacks[i] = cone.nets[tb.loopbacks[i].to_input];
+  }
+  return cone;
+}
+
 Testbench retarget_testbench(const Testbench& tb, const netlist::Netlist& from,
                              const netlist::Netlist& to) {
   const auto from_pis = from.primary_inputs();

@@ -96,6 +96,32 @@ struct Testbench {
 ///         "monitor err".
 void validate_testbench(const netlist::Netlist& nl, const Testbench& tb);
 
+/// The part of a netlist that can influence the monitored packet interface
+/// under a testbench: the backward closure of the monitored nets through
+/// cell inputs, flip-flop D pins and loopbacks (a loopback whose target
+/// input is in the cone brings its source net in). Nothing outside the cone
+/// can ever change a monitored net, so an upset of a flip-flop outside it is
+/// a functional failure in no run (un-ACE at flip-flop grain; Mukherjee et
+/// al., MICRO 2003), and a fault pass need not simulate logic outside it.
+struct ObservableCone {
+  /// Per NetId: 1 when the net is in the cone.
+  std::vector<std::uint8_t> nets;
+  /// Per position in Netlist::flip_flops(): 1 when the flip-flop's Q net is
+  /// in the cone.
+  std::vector<std::uint8_t> flip_flops;
+  /// Per Testbench::loopbacks entry: 1 when its target input is in the cone.
+  std::vector<std::uint8_t> loopbacks;
+
+  /// Number of flip-flops in the cone.
+  [[nodiscard]] std::size_t num_observable_ffs() const noexcept;
+};
+
+/// The observable cone of `tb`'s monitor in `nl` (see ObservableCone).
+/// Linear in the size of the netlist. Precondition: validate_testbench(nl,
+/// tb) passes.
+[[nodiscard]] ObservableCone observable_cone(const netlist::Netlist& nl,
+                                             const Testbench& tb);
+
 /// One received frame as seen at the packet interface.
 struct Frame {
   std::vector<std::uint8_t> bytes;

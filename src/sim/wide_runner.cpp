@@ -66,27 +66,27 @@ struct FrameState {
 /// L of word w in block b is global lane b * W * 64 + w * 64 + L. Per-lane
 /// frame state is kept only for lanes whose monitored nets have differed
 /// from the golden interface tape. One golden lane state advances on the
-/// tape in lockstep; a lane copies it the cycle it first diverges, which is
-/// exactly the state that lane would have built itself, since every earlier
-/// observation equalled golden's.
+/// tape in lockstep; a lane takes over its open frame the cycle it first
+/// diverges and records how many golden frames were complete by then, which
+/// is exactly the state that lane would have built itself, since every
+/// earlier observation equalled golden's. The completed golden frames stay
+/// shared (RunResult::lane_golden_prefix), never copied per lane.
 template <std::size_t W>
 class WidePacketMonitor {
  public:
   using Block = LaneBlock<W>;
 
-  /// Every lane starts on the golden progress at `snap`, held once: the
-  /// golden frames completed before it and the bytes of the frame in flight.
+  /// Every lane starts on the golden progress at `snap`: the golden frames
+  /// completed before it and the bytes of the frame in flight.
   WidePacketMonitor(const PacketMonitorSpec& spec, const GoldenCheckpoints& ckpts,
                     const GoldenCheckpoints::Snapshot& snap, std::size_t blocks)
       : spec_(&spec),
         tape_(ckpts.interface_tape),
+        golden_completed_(
+            std::min(snap.frames_completed, ckpts.golden_frames.size())),
         lanes_(blocks * Block::kLanes),
+        lane_prefix_(blocks * Block::kLanes, 0),
         diverged_(blocks, Block::zero()) {
-    const std::size_t completed =
-        std::min(snap.frames_completed, ckpts.golden_frames.size());
-    golden_.frames.assign(ckpts.golden_frames.begin(),
-                          ckpts.golden_frames.begin() +
-                              static_cast<std::ptrdiff_t>(completed));
     golden_.current.bytes = snap.open_bytes;
     golden_.open = snap.frame_open;
   }
@@ -114,14 +114,30 @@ class WidePacketMonitor {
       const Block fresh = differ & ~diverged_[blk];
       for (std::size_t w = 0; w < W; ++w) {
         for (std::uint64_t bits = fresh.word(w); bits != 0; bits &= bits - 1) {
-          lanes_[blk * Block::kLanes + w * 64 +
-                 static_cast<std::size_t>(std::countr_zero(bits))] = golden_;
+          const std::size_t lane = blk * Block::kLanes + w * 64 +
+                                   static_cast<std::size_t>(std::countr_zero(bits));
+          lanes_[lane].current = golden_.current;
+          lanes_[lane].open = golden_.open;
+          lane_prefix_[lane] = golden_completed_;
         }
       }
       diverged_[blk] |= fresh;
       observe_lanes(simulator, blk, valid & diverged_[blk], cycle);
     }
     golden_.observe(golden, cycle);
+    golden_completed_ += golden_.frames.size();
+    golden_.frames.clear();
+  }
+
+  /// From `cycle` on, every lane's interface is the golden tape's: the
+  /// lanes that left golden observe the rest of the tape.
+  void observe_golden_tail(std::size_t cycle) {
+    for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
+      if (!diverged_[lane / Block::kLanes].lane(lane % Block::kLanes)) continue;
+      for (std::size_t c = cycle; c < tape_.size(); ++c) {
+        lanes_[lane].observe(tape_[c], c);
+      }
+    }
   }
 
   /// Per-lane frames; never-diverged lanes are flagged in
@@ -129,6 +145,7 @@ class WidePacketMonitor {
   void finish(RunResult& result) {
     result.lane_frames.resize(lanes_.size());
     result.lane_is_golden.assign(lanes_.size(), 0);
+    result.lane_golden_prefix = std::move(lane_prefix_);
     for (std::size_t lane = 0; lane < lanes_.size(); ++lane) {
       if (diverged_[lane / Block::kLanes].lane(lane % Block::kLanes)) {
         result.lane_frames[lane] = lanes_[lane].finish();
@@ -168,9 +185,14 @@ class WidePacketMonitor {
 
   const PacketMonitorSpec* spec_;
   std::span<const std::uint16_t> tape_;
+  // The golden lane: its open frame, and how many golden frames are
+  // complete (golden_.frames is emptied into the count every cycle).
   FrameState golden_;
-  // Per global lane; only the lanes set in diverged_ are stepped.
+  std::size_t golden_completed_;
+  // Per global lane; only the lanes set in diverged_ are stepped, and hold
+  // only the frames completed after they diverged.
   std::vector<FrameState> lanes_;
+  std::vector<std::size_t> lane_prefix_;  // golden frames before divergence
   std::vector<Block> diverged_;  // per block: lanes that have left golden
 };
 
@@ -211,7 +233,9 @@ template <std::size_t W>
 WideReplayRunner<W>::WideReplayRunner(const CompiledStimulus& stimulus,
                                       const GoldenCheckpoints& golden,
                                       std::size_t blocks)
-    : stim_(&stimulus), golden_(&golden), sim_(stimulus.netlist(), blocks) {
+    : stim_(&stimulus),
+      golden_(&golden),
+      sim_(stimulus.netlist(), blocks, stimulus.cone().nets) {
   if (golden.interface_tape.size() != stimulus.num_cycles()) {
     throw std::invalid_argument(
         "WideReplayRunner: the golden recording needs a full interface tape");
@@ -220,6 +244,34 @@ WideReplayRunner<W>::WideReplayRunner(const CompiledStimulus& stimulus,
     throw std::invalid_argument(
         "WideReplayRunner: checkpoint/testbench loopback mismatch");
   }
+  // The simulator keeps the observable flip-flops in flip_flops() order.
+  const std::vector<std::uint8_t>& observable = stimulus.cone().flip_flops;
+  for (std::size_t i = 0; i < observable.size(); ++i) {
+    if (observable[i] != 0) ff_positions_.push_back(i);
+  }
+}
+
+template <std::size_t W>
+bool WideReplayRunner<W>::on_golden(std::size_t snapshot) const {
+  const GoldenCheckpoints& ckpts = *golden_;
+  const auto ffs = stim_->netlist().flip_flops();
+  const std::size_t blocks = sim_.num_blocks();
+  const auto splat = [](bool bit) { return bit ? Block::ones() : Block::zero(); };
+  for (const std::size_t ff : ff_positions_) {
+    const Block want = splat(ckpts.ff_bit(snapshot, ff));
+    for (std::size_t b = 0; b < blocks; ++b) {
+      if (differs(sim_.ff_state(ffs[ff], b), want)) return false;
+    }
+  }
+  const std::vector<std::uint8_t>& observable = stim_->cone().loopbacks;
+  for (std::size_t i = 0; i < observable.size(); ++i) {
+    if (observable[i] == 0) continue;
+    const Block want = splat(ckpts.loopback_bit(snapshot, i));
+    for (std::size_t b = 0; b < blocks; ++b) {
+      if (differs(loop_values_[i * blocks + b], want)) return false;
+    }
+  }
+  return true;
 }
 
 template <std::size_t W>
@@ -255,9 +307,10 @@ RunResult WideReplayRunner<W>::run(std::span<const LaneInjection> injections) {
   const std::size_t index =
       ckpts.index_at_or_before(schedule_.empty() ? 0 : schedule_.front().cycle);
   const GoldenCheckpoints::Snapshot& snap = ckpts.snapshots[index];
-  restore_state_.resize(ckpts.num_ffs * blocks);
-  for (std::size_t i = 0; i < ckpts.num_ffs; ++i) {
-    const Block value = ckpts.ff_bit(index, i) ? Block::ones() : Block::zero();
+  restore_state_.resize(ff_positions_.size() * blocks);
+  for (std::size_t i = 0; i < ff_positions_.size(); ++i) {
+    const Block value =
+        ckpts.ff_bit(index, ff_positions_[i]) ? Block::ones() : Block::zero();
     for (std::size_t b = 0; b < blocks; ++b) restore_state_[i * blocks + b] = value;
   }
   sim_.restore_ff_state(restore_state_);
@@ -268,8 +321,18 @@ RunResult WideReplayRunner<W>::run(std::span<const LaneInjection> injections) {
   }
   WidePacketMonitor<W> monitor(tb.monitor, ckpts, snap, blocks);
 
+  // Once every injection is in, a checkpoint cycle at which each lane's
+  // observable state is golden's ends the pass: from there on the
+  // interface can only replay the golden tape.
+  const std::size_t stop_from =
+      schedule_.empty() ? snap.cycle : schedule_.back().cycle + 1;
   std::size_t next_event = 0;
-  for (std::size_t cycle = snap.cycle; cycle < num_cycles; ++cycle) {
+  std::size_t cycle = snap.cycle;
+  for (; cycle < num_cycles; ++cycle) {
+    if (cycle >= stop_from && cycle % ckpts.interval == 0 &&
+        on_golden(cycle / ckpts.interval)) {
+      break;
+    }
     drive_inputs<W>(sim_, *stim_, cycle, loop_values_);
     while (next_event < schedule_.size() && schedule_[next_event].cycle == cycle) {
       const std::uint32_t lane = schedule_[next_event].lane;
@@ -282,11 +345,12 @@ RunResult WideReplayRunner<W>::run(std::span<const LaneInjection> injections) {
     latch_loopbacks<W>(sim_, tb, loop_values_);
     sim_.tick();
   }
+  monitor.observe_golden_tail(cycle);
 
   RunResult result;
   monitor.finish(result);
   result.eval_count = sim_.eval_count() - evals_before;
-  result.cycles_simulated = num_cycles - snap.cycle;
+  result.cycles_simulated = cycle - snap.cycle;
   result.ops_evaluated = sim_.ops_evaluated() - ops_before;
   result.op_block_evals = result.ops_evaluated * blocks;
   result.ff_block_ticks = sim_.ff_block_ticks() - ticks_before;

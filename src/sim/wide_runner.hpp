@@ -20,7 +20,14 @@
 /// Per-cycle cost then follows the lanes that left golden, as the
 /// simulator's eval and tick follow the nets that changed.
 ///
-/// run_golden() is a fault-free loop on a single-block WideSimulator<1>: it
+/// A fault pass simulates only what the monitor can observe: its simulator
+/// is pruned to the stimulus's observable cone (testbench.hpp), and the
+/// pass stops at the first checkpoint cycle after its last injection at
+/// which every lane's observable state is golden's again; the interface
+/// can only replay the golden tape from there.
+///
+/// run_golden() is a fault-free loop on a single-block WideSimulator<1>
+/// over the whole netlist (the features need every flip-flop's activity): it
 /// traces activity, builds the golden frames from the same lane-0 interface
 /// sample it records on the tape (with the frame rules the fault passes
 /// use), and may record packed checkpoints. The flat run_testbench() oracle
@@ -44,15 +51,17 @@ struct LaneInjection {
   std::uint32_t lane = 0;
 };
 
-/// Reusable fault-pass runner: owns one WideSimulator<W>, so the
-/// topological op list and fanout tables are built once per worker and only
-/// restored + replayed per run(). Every run resumes from the latest golden
-/// checkpoint at or before its earliest injection and observes the interface
-/// relative to the golden tape: a lane that never left golden is flagged in
-/// RunResult::lane_is_golden (its frames are `golden.golden_frames`), and
-/// every other lane's frames are bit-identical to the flat run_testbench()
-/// oracle running the same injection in any of its 64 lanes. Not
-/// thread-safe; use one runner per worker.
+/// Reusable fault-pass runner: owns one WideSimulator<W> pruned to the
+/// observable cone, so the topological op list and fanout tables are built
+/// once per worker and only restored + replayed per run(). Every run
+/// resumes from the latest golden checkpoint at or before its earliest
+/// injection and observes the interface relative to the golden tape: a lane
+/// that never left golden is flagged in RunResult::lane_is_golden (its
+/// frames are `golden.golden_frames`), and every other lane's frames —
+/// golden_frames[0, lane_golden_prefix[L]) followed by lane_frames[L], see
+/// lane_frames() — are bit-identical to the flat run_testbench() oracle
+/// running the same injection in any of its 64 lanes. Not thread-safe; use
+/// one runner per worker.
 template <std::size_t W>
 class WideReplayRunner {
  public:
@@ -75,9 +84,14 @@ class WideReplayRunner {
 
   /// Replays the testbench with the given fault schedule from the latest
   /// golden checkpoint at or before the earliest injection (snapshot 0 for
-  /// an empty schedule). The returned RunResult carries lanes() frame
-  /// streams, global-lane indexed (lane L lives in block L / kLanes,
-  /// in-block lane L % kLanes).
+  /// an empty schedule), up to the end of the testbench or the first
+  /// checkpoint cycle after the last injection at which every lane's
+  /// observable flip-flops and pending loopback values equal that golden
+  /// snapshot, whichever comes first (an empty schedule stops at once).
+  /// An injection into a flip-flop outside the cone changes nothing. The
+  /// returned RunResult carries lanes() frame streams, global-lane indexed
+  /// (lane L lives in block L / kLanes, in-block lane L % kLanes), and
+  /// counts in cycles_simulated only the cycles actually run.
   /// \throws std::invalid_argument on an injection beyond the run or the
   /// lanes; std::logic_error when `golden` holds no snapshot.
   [[nodiscard]] RunResult run(std::span<const LaneInjection> injections = {});
@@ -88,9 +102,14 @@ class WideReplayRunner {
   }
 
  private:
+  /// True when every lane's observable flip-flops and observable pending
+  /// loopback values equal golden snapshot `snapshot`.
+  [[nodiscard]] bool on_golden(std::size_t snapshot) const;
+
   const CompiledStimulus* stim_;
   const GoldenCheckpoints* golden_;
-  WideSimulator<W> sim_;
+  WideSimulator<W> sim_;  // pruned to the stimulus's observable cone
+  std::vector<std::size_t> ff_positions_;  // simulated FFs in flip_flops()
   std::vector<LaneInjection> schedule_;  // scratch, reused across runs
   std::vector<Block> loop_values_;       // scratch, loopback-major
   std::vector<Block> restore_state_;     // scratch for block-splat restores

@@ -205,7 +205,8 @@ void build_reader_csr(std::size_t num_nets, std::size_t num_readers,
 }  // namespace
 
 template <std::size_t W>
-WideSimulator<W>::WideSimulator(const netlist::Netlist& nl, std::size_t blocks)
+WideSimulator<W>::WideSimulator(const netlist::Netlist& nl, std::size_t blocks,
+                                std::span<const std::uint8_t> live_nets)
     : nl_(&nl), blocks_(blocks) {
   if (!nl.finalized()) {
     throw std::invalid_argument("WideSimulator: netlist not finalized");
@@ -213,11 +214,18 @@ WideSimulator<W>::WideSimulator(const netlist::Netlist& nl, std::size_t blocks)
   if (blocks == 0 || blocks > kMaxLaneBlocksPerPass) {
     throw std::invalid_argument("WideSimulator: blocks out of range");
   }
+  if (!live_nets.empty() && live_nets.size() != nl.num_nets()) {
+    throw std::invalid_argument("WideSimulator: live_nets needs one flag per net");
+  }
   values_.assign(nl.num_nets() * blocks_, Block::zero());
-  build_ops(nl);
-  ff_slot_.assign(nl.num_cells(), ~std::uint32_t{0});
+  build_ops(nl, live_nets);
+  ff_slot_.assign(nl.num_cells(), kNotFlipFlop);
   for (const netlist::CellId id : nl.flip_flops()) {
     const netlist::Cell& cell = nl.cell(id);
+    if (!live_nets.empty() && live_nets[cell.output] == 0) {
+      ff_slot_[id] = kPrunedFlipFlop;
+      continue;
+    }
     ff_slot_[id] = static_cast<std::uint32_t>(ffs_.size());
     ffs_.push_back(FfSlot{cell.inputs[0], cell.output,
                           cell.init_value ? Block::ones() : Block::zero()});
@@ -246,12 +254,17 @@ WideSimulator<W>::WideSimulator(const netlist::Netlist& nl, std::size_t blocks)
 }
 
 template <std::size_t W>
-void WideSimulator<W>::build_ops(const netlist::Netlist& nl) {
+void WideSimulator<W>::build_ops(const netlist::Netlist& nl,
+                                 std::span<const std::uint8_t> live_nets) {
   // Level of every op in topological order: constants are level 0, any
   // other op is one above its deepest input net. Nets not driven by an op
   // (primary inputs, FF Qs) are level 0, like constant outputs.
   constexpr std::size_t kNumFuncs = static_cast<std::size_t>(CellFunc::kDff) + 1;
-  const std::span<const netlist::CellId> topo = nl.topo_order();
+  std::vector<netlist::CellId> topo;
+  topo.reserve(nl.topo_order().size());
+  for (const netlist::CellId id : nl.topo_order()) {
+    if (live_nets.empty() || live_nets[nl.cell(id).output] != 0) topo.push_back(id);
+  }
   std::vector<std::uint32_t> net_level(nl.num_nets(), 0);
   std::vector<std::uint32_t> key(topo.size());
   std::uint32_t num_levels = 1;
@@ -464,13 +477,13 @@ template <std::size_t W>
 void WideSimulator<W>::inject(netlist::CellId ff_cell, const Block& mask,
                               std::size_t block) {
   const std::uint32_t slot = ff_slot_.at(ff_cell);
-  if (slot == ~std::uint32_t{0}) {
+  if (slot == kNotFlipFlop) {
     throw std::invalid_argument("inject: cell is not a flip-flop");
   }
   if (block >= blocks_) {
     throw std::invalid_argument("inject: block out of range");
   }
-  if (any(mask)) {
+  if (slot != kPrunedFlipFlop && any(mask)) {
     values_[static_cast<std::size_t>(ffs_[slot].q) * blocks_ + block] ^= mask;
     mark_dirty(ffs_[slot].q);
     set_bit(ff_pending_, slot);  // Q != D now: the next tick must restore it
@@ -508,8 +521,11 @@ template <std::size_t W>
 const typename WideSimulator<W>::Block& WideSimulator<W>::ff_state(
     netlist::CellId ff_cell, std::size_t block) const {
   const std::uint32_t slot = ff_slot_.at(ff_cell);
-  if (slot == ~std::uint32_t{0}) {
+  if (slot == kNotFlipFlop) {
     throw std::invalid_argument("ff_state: cell is not a flip-flop");
+  }
+  if (slot == kPrunedFlipFlop) {
+    throw std::invalid_argument("ff_state: flip-flop pruned from the simulation");
   }
   return values_[static_cast<std::size_t>(ffs_[slot].q) * blocks_ + block];
 }

@@ -13,11 +13,13 @@
 /// contiguous at [n * blocks, (n + 1) * blocks)).
 ///
 /// WideSimulator<W> is the simulator of every campaign pass and golden run
-/// (W = 1 for 64-lane passes); WideReplayRunner drives both with
-/// eval_incremental() only, and eval() is the full sweep behind reset(),
-/// the post-restore resync and the tests' oracle comparisons. Every lane is
-/// bit-identical to the full-sweep PackedSimulator oracle (packed_sim.hpp)
-/// running that lane's scenario; see tests/test_lane_width.cpp.
+/// (W = 1 for 64-lane passes); a fault pass's is pruned to the observable
+/// cone (the `live_nets` constructor argument). WideReplayRunner drives
+/// both with eval_incremental() only, and eval() is the full sweep behind
+/// reset(), the post-restore resync and the tests' oracle comparisons.
+/// Every simulated net of every lane is bit-identical to the full-sweep
+/// PackedSimulator oracle (packed_sim.hpp) running that lane's scenario;
+/// see tests/test_lane_width.cpp.
 ///
 /// Ops are stored level-major: an op's level is one above its deepest input
 /// (primary inputs, FF Qs and constants are level 0), and within a level ops
@@ -60,9 +62,18 @@ class WideSimulator {
 
   /// The netlist must be finalized. The simulator keeps a reference; the
   /// netlist must outlive it. `blocks` lane blocks are swept per pass.
+  /// A non-empty `live_nets` (one flag per NetId, e.g.
+  /// ObservableCone::nets) prunes the simulation to the flagged nets: only
+  /// ops that drive a flagged net and flip-flops whose Q is flagged are
+  /// simulated, in Netlist::flip_flops() order. The flagged set must be
+  /// closed under fan-in (every input of a flagged op and the D of a
+  /// flagged flip-flop flagged, or a primary input); the value() of any
+  /// other net is then never computed.
   /// \throws std::invalid_argument when blocks is 0 or exceeds
-  /// kMaxLaneBlocksPerPass.
-  explicit WideSimulator(const netlist::Netlist& nl, std::size_t blocks = 1);
+  /// kMaxLaneBlocksPerPass, or when `live_nets` is neither empty nor one
+  /// flag per net.
+  explicit WideSimulator(const netlist::Netlist& nl, std::size_t blocks = 1,
+                         std::span<const std::uint8_t> live_nets = {});
 
   [[nodiscard]] std::size_t num_blocks() const noexcept { return blocks_; }
   [[nodiscard]] std::size_t lanes() const noexcept { return blocks_ * kLanes; }
@@ -93,9 +104,11 @@ class WideSimulator {
   void tick();
 
   /// Flips the stored state of a flip-flop in the lanes of block `block`
-  /// set in `mask`.
+  /// set in `mask`. A flip-flop pruned from the simulation is read by
+  /// nothing simulated, so flipping it is a no-op.
   void inject(netlist::CellId ff_cell, const Block& mask, std::size_t block = 0);
 
+  /// Simulated flip-flops (all of them unless pruned).
   [[nodiscard]] std::size_t num_ffs() const noexcept { return ffs_.size(); }
 
   /// Copies every flip-flop's Q blocks into `out`, flip-flop-major: FF i's
@@ -116,7 +129,9 @@ class WideSimulator {
     return values_[net * blocks_ + lane / kLanes].lane(lane % kLanes);
   }
 
-  /// Current Q block of a flip-flop.
+  /// Current Q block of a simulated flip-flop.
+  /// \throws std::invalid_argument for a cell that is not a flip-flop or a
+  /// flip-flop pruned from the simulation.
   [[nodiscard]] const Block& ff_state(netlist::CellId ff_cell,
                                       std::size_t block = 0) const;
 
@@ -151,19 +166,23 @@ class WideSimulator {
     Block init;
   };
 
-  void build_ops(const netlist::Netlist& nl);
+  // ff_slot_ entries of cells that are not simulated flip-flops.
+  static constexpr std::uint32_t kNotFlipFlop = ~std::uint32_t{0};
+  static constexpr std::uint32_t kPrunedFlipFlop = kNotFlipFlop - 1;
+
+  void build_ops(const netlist::Netlist& nl, std::span<const std::uint8_t> live_nets);
   void mark_dirty(netlist::NetId net);
   void schedule_fanout(netlist::NetId net);
   void clear_dirty();
 
   const netlist::Netlist* nl_;
   std::size_t blocks_ = 1;
-  std::vector<Op> ops_;              // combinational cells, level-major
+  std::vector<Op> ops_;              // simulated combinational cells, level-major
   std::vector<std::uint32_t> level_begin_;  // ops_ index of each level, + end
-  std::vector<FfSlot> ffs_;          // all flip-flops
+  std::vector<FfSlot> ffs_;          // simulated flip-flops
   std::vector<Block> values_;        // net-major: blocks_ blocks per net
   std::vector<Block> next_state_;    // scratch for tick(), tick_slots_ order
-  std::vector<std::uint32_t> ff_slot_;  // CellId -> index into ffs_ (or ~0)
+  std::vector<std::uint32_t> ff_slot_;  // CellId -> index into ffs_ (or kNot/kPruned)
 
   static void set_bit(std::vector<std::uint64_t>& bits, std::uint32_t index) {
     bits[index / 64] |= std::uint64_t{1} << (index % 64);

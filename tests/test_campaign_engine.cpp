@@ -3,12 +3,15 @@
 // per-flip-flop results bit-exactly for the same seed, across circuits, and
 // its output must be invariant under every threading / batching choice —
 // scheduling can never change science output. Also covers the cached-golden
-// estimation-flow overload, the engine golden against independent oracles
-// and the WideReplayRunner reuse contract.
+// estimation-flow overload, the engine golden against independent oracles,
+// the WideReplayRunner reuse contract, and the observable cone: which
+// flip-flops it proves unobservable, and how a fault pass uses it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "fault/engine.hpp"
 #include "sim/reference_sim.hpp"
 #include "sim/runner.hpp"
+#include "sim/testbench.hpp"
 #include "sim/wide_runner.hpp"
 
 namespace ffr::fault {
@@ -297,11 +301,6 @@ TEST_F(MacEngineFixture, WideReplayRunnerIsBitExactAcrossReuse) {
   const sim::CompiledStimulus stimulus(mac->netlist, bench->tb);
   const sim::GoldenCheckpoints& ckpts = engine->checkpoints();
   sim::WideReplayRunner<1> runner(stimulus, ckpts);
-  const auto frames_of = [&](const sim::RunResult& run, std::size_t lane)
-      -> const sim::FrameList& {
-    return run.lane_is_golden[lane] != 0 ? ckpts.golden_frames
-                                         : run.lane_frames[lane];
-  };
   const sim::RunResult clean_first = runner.run();
   sim::LaneInjection ev;
   ev.ff_cell = mac->netlist.flip_flops()[3];
@@ -315,17 +314,20 @@ TEST_F(MacEngineFixture, WideReplayRunnerIsBitExactAcrossReuse) {
   const sim::RunResult flat_faulty =
       sim::run_testbench(mac->netlist, bench->tb, flat_events);
   for (std::size_t lane = 0; lane < sim::kNumLanes; ++lane) {
-    EXPECT_EQ(frames_of(clean_first, lane), reference.lane_frames[lane]);
-    EXPECT_EQ(frames_of(clean_again, lane), reference.lane_frames[lane]);
-    EXPECT_EQ(frames_of(faulty, lane), flat_faulty.lane_frames[lane]);
+    const sim::FrameList& golden = ckpts.golden_frames;
+    EXPECT_EQ(sim::lane_frames(clean_first, golden, lane), reference.lane_frames[lane]);
+    EXPECT_EQ(sim::lane_frames(clean_again, golden, lane), reference.lane_frames[lane]);
+    EXPECT_EQ(sim::lane_frames(faulty, golden, lane), flat_faulty.lane_frames[lane]);
   }
-  // One sweep per simulated cycle (a restored run has no reset sweep), and
-  // a dirty-set sweep visits only the ops whose inputs changed, never more
-  // than the oracle's full sweep.
+  // One sweep per simulated cycle (a restored run has no reset sweep), a
+  // pass never runs past the end of the testbench (it may stop once every
+  // lane is back on golden), and a dirty-set sweep visits only the ops
+  // whose inputs changed, never more than the oracle's full sweep.
   for (const sim::RunResult* run : {&clean_first, &faulty, &clean_again}) {
     EXPECT_EQ(run->eval_count, run->cycles_simulated);
+    EXPECT_LE(run->cycles_simulated,
+              bench->tb.stimulus.num_cycles() - run->start_cycle);
   }
-  EXPECT_EQ(clean_first.cycles_simulated, bench->tb.stimulus.num_cycles());
   EXPECT_LT(faulty.ops_evaluated, flat_faulty.ops_evaluated);
 }
 
@@ -340,6 +342,120 @@ TEST_F(MacEngineFixture, OutOfRangeSubsetRejected) {
   CampaignConfig config;
   config.ff_subset = {mac->netlist.num_flip_flops()};
   EXPECT_THROW((void)engine->run(config), std::out_of_range);
+}
+
+// ---- the observable cone ----------------------------------------------------------
+
+TEST(ObservableCone, PinsTheUnobservablePartOfMacCore) {
+  // The monitor watches the RX user interface. The statistics counters, the
+  // configuration register, the BIST LFSR and signature, and the TX FIFO's
+  // start-of-frame bit (bit 8 of each entry, which the transmitter never
+  // reads) have no path to it; every loopback does.
+  const circuits::MacCore mac = circuits::build_mac_core();
+  const circuits::MacTestbench bench = circuits::build_mac_testbench(mac);
+  const netlist::Netlist& nl = mac.netlist;
+  const sim::ObservableCone cone = sim::observable_cone(nl, bench.tb);
+  const auto ffs = nl.flip_flops();
+  ASSERT_EQ(ffs.size(), 947u);
+  ASSERT_EQ(cone.flip_flops.size(), ffs.size());
+  EXPECT_EQ(cone.num_observable_ffs(), 803u);
+  std::map<std::string, std::size_t> unobservable;
+  for (std::size_t i = 0; i < ffs.size(); ++i) {
+    if (cone.flip_flops[i] != 0) continue;
+    const std::string& name = nl.cell(ffs[i]).name;
+    ++unobservable[name.substr(0, name.find('_'))];
+  }
+  const std::map<std::string, std::size_t> expected = {
+      {"bist", 24}, {"cfg", 8}, {"stat", 80}, {"tx", 32}};
+  EXPECT_EQ(unobservable, expected);
+  ASSERT_EQ(cone.loopbacks.size(), 9u);
+  EXPECT_EQ(std::count(cone.loopbacks.begin(), cone.loopbacks.end(), 1), 9);
+  std::size_t dead_cells = 0;
+  for (const netlist::CellId id : nl.topo_order()) {
+    dead_cells += cone.nets[nl.cell(id).output] == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(nl.topo_order().size(), 4598u);
+  EXPECT_EQ(dead_cells, 800u);
+  // The cone is closed under fan-in, which is what makes pruning sound.
+  for (const netlist::Cell& cell : nl.cells()) {
+    if (cone.nets[cell.output] == 0) continue;
+    for (const netlist::NetId in : cell.inputs) {
+      ASSERT_EQ(cone.nets[in], 1) << cell.name << " reads " << nl.net(in).name;
+    }
+  }
+}
+
+TEST_F(MacEngineFixture, PassOfUnobservableUpsetsStopsAtTheNextCheckpoint) {
+  // Every injection targets a flip-flop outside the cone, so no lane can
+  // leave golden: the pass resumes from the checkpoint at or before its
+  // first injection and stops at the first checkpoint after its last one.
+  const sim::CompiledStimulus stimulus(mac->netlist, bench->tb);
+  const sim::GoldenCheckpoints& ckpts = engine->checkpoints();
+  const auto ffs = mac->netlist.flip_flops();
+  std::vector<netlist::CellId> unobservable;
+  for (std::size_t i = 0; i < ffs.size(); ++i) {
+    if (stimulus.cone().flip_flops[i] == 0) unobservable.push_back(ffs[i]);
+  }
+  ASSERT_GE(unobservable.size(), 3u);
+  const std::size_t first = bench->tb.inject_begin + 3;
+  const std::size_t last = first + 2 * ckpts.interval + 5;
+  ASSERT_LT(last, bench->tb.inject_end);
+  std::vector<sim::LaneInjection> events;
+  for (std::size_t k = 0; k < 3; ++k) {
+    sim::LaneInjection ev;
+    ev.ff_cell = unobservable[k * (unobservable.size() - 1) / 2];
+    ev.cycle = static_cast<std::uint32_t>(k == 0 ? first : k == 1 ? first + 7 : last);
+    ev.lane = static_cast<std::uint32_t>(17 * k + 3);
+    events.push_back(ev);
+  }
+  sim::WideReplayRunner<4> runner(stimulus, ckpts, 2);
+  const sim::RunResult run = runner.run(events);
+  const std::size_t start = first / ckpts.interval * ckpts.interval;
+  const std::size_t stop = (last / ckpts.interval + 1) * ckpts.interval;
+  EXPECT_EQ(run.start_cycle, start);
+  EXPECT_EQ(run.cycles_simulated, stop - start);
+  EXPECT_EQ(run.eval_count, stop - start);
+  ASSERT_EQ(run.lane_is_golden.size(), runner.lanes());
+  for (std::size_t lane = 0; lane < runner.lanes(); ++lane) {
+    EXPECT_EQ(run.lane_is_golden[lane], 1) << "lane " << lane;
+  }
+  // The pass simulated none of them: their state is not even held.
+  EXPECT_LT(runner.simulator().num_ffs(), ffs.size());
+  EXPECT_THROW((void)runner.simulator().ff_state(unobservable[0]),
+               std::invalid_argument);
+}
+
+TEST_F(MacEngineFixture, UnobservableUpsetsAreAnsweredWithoutLanes) {
+  // A subset mixing unobservable flip-flops into observable ones: the
+  // unobservable ones' injections are all kOk, counted as proven, and get
+  // no lane; the flat oracle, which simulates them, agrees.
+  const sim::CompiledStimulus stimulus(mac->netlist, bench->tb);
+  const std::vector<std::uint8_t>& observable = stimulus.cone().flip_flops;
+  CampaignConfig config;
+  config.injections_per_ff = 40;
+  config.lane_width = sim::LaneWidth::k64;
+  std::size_t proven_ffs = 0;
+  for (std::size_t i = 0; i < observable.size(); i += 5) {
+    config.ff_subset.push_back(i);
+    proven_ffs += observable[i] == 0 ? 1 : 0;
+  }
+  ASSERT_GT(proven_ffs, 0u);
+  const CampaignResult batched = engine->run(config);
+  EXPECT_EQ(batched.proven_injections, proven_ffs * config.injections_per_ff);
+  EXPECT_EQ(batched.total_injections,
+            config.ff_subset.size() * config.injections_per_ff);
+  EXPECT_EQ(batched.total_sim_passes,
+            build_pass_schedule(batched.total_injections - batched.proven_injections,
+                                64, 1)
+                .size());
+  for (const FfResult& ff : batched.per_ff) {
+    if (observable[ff.ff_index] != 0) continue;
+    EXPECT_EQ(ff.classes.counts[0], config.injections_per_ff) << ff.name;
+  }
+  const CampaignResult flat =
+      run_campaign(mac->netlist, bench->tb, engine->golden(), config);
+  EXPECT_EQ(flat.proven_injections, 0u);
+  expect_bit_identical(flat, batched);
 }
 
 // ---- second circuit: the pipeline datapath --------------------------------------

@@ -49,13 +49,15 @@ struct ForcedNativeWidth {
 };
 
 /// The engine's pass accounting must be internally consistent and must match
-/// the deterministic schedule planner for the resolved (width, blocks) shape.
+/// the deterministic schedule planner for the resolved (width, blocks) shape
+/// over the injections it simulated (the proven ones get no lane).
 void expect_schedule_consistent(const CampaignResult& result,
                                 const std::string& label) {
   const std::size_t width =
       result.lanes_per_pass / std::max<std::size_t>(1, result.blocks_per_pass);
-  const std::vector<PlannedPass> schedule = build_pass_schedule(
-      result.total_injections, width, result.blocks_per_pass);
+  const std::vector<PlannedPass> schedule =
+      build_pass_schedule(result.total_injections - result.proven_injections,
+                          width, result.blocks_per_pass);
   EXPECT_EQ(result.total_sim_passes, schedule.size()) << label;
   std::uint64_t histogram_passes = 0;
   for (const PassShapeCount& shape : result.pass_histogram) {
@@ -247,11 +249,12 @@ TEST_F(MacLaneWidthFixture, PinnedCountersAt64x1) {
   const CampaignResult result = engine->run(config);
   EXPECT_EQ(result.lanes_per_pass, 64u);
   EXPECT_EQ(result.blocks_per_pass, 1u);
-  EXPECT_EQ(result.total_sim_passes, 31u);
-  EXPECT_EQ(result.cycles_simulated, 5175u);
-  EXPECT_EQ(result.ops_evaluated, 1461486u);
-  EXPECT_EQ(result.op_block_evals, 1461486u);
-  EXPECT_EQ(result.checkpoint_restores, 30u);
+  EXPECT_EQ(result.proven_injections, 560u);
+  EXPECT_EQ(result.total_sim_passes, 22u);
+  EXPECT_EQ(result.cycles_simulated, 3702u);
+  EXPECT_EQ(result.ops_evaluated, 920267u);
+  EXPECT_EQ(result.op_block_evals, 920267u);
+  EXPECT_EQ(result.checkpoint_restores, 21u);
   EXPECT_LE(result.ff_block_ticks,
             result.cycles_simulated * mac->netlist.num_flip_flops());
 }

@@ -48,6 +48,14 @@ TEST_F(RelayFixture, ReachesPaperScale) {
   EXPECT_GE(core->netlist.num_flip_flops(), 947u);
 }
 
+TEST_F(RelayFixture, EveryFlipFlopIsObservable) {
+  // Every relay_core flip-flop has a path to the monitored egress, so the
+  // engine proves none of them unobservable and every upset is simulated.
+  const sim::ObservableCone cone = sim::observable_cone(core->netlist, bench->tb);
+  EXPECT_EQ(core->netlist.num_flip_flops(), 1054u);
+  EXPECT_EQ(cone.num_observable_ffs(), 1054u);
+}
+
 TEST_F(RelayFixture, GoldenRunDeliversEveryFrameIntact) {
   const sim::GoldenResult golden = sim::run_golden(core->netlist, bench->tb);
   ASSERT_EQ(golden.frames.size(), bench->sent_frames.size());
@@ -122,10 +130,11 @@ TEST_F(RelayFixture, SmallSubsetCampaignCompletes) {
 
 TEST_F(RelayFixture, CheckpointRestoreReproducesFullRunAtPaperScale) {
   // Restoring any golden checkpoint and fast-forwarding must reproduce the
-  // frames (64 lanes, including delivery cycles) and the final flip-flop
-  // state of a pass started at cycle 0 bit-exactly. One extra cycle-0
-  // injection in spare lane 63 forces the cycle-0 start; that lane is left
-  // out of the comparison.
+  // frames (64 lanes, including delivery cycles) of a pass started at cycle
+  // 0 bit-exactly, and, when both passes stopped at the same cycle (e.g. the
+  // end), its final observable flip-flop state. One extra cycle-0 injection
+  // in spare lane 63 forces the cycle-0 start; that lane is left out of the
+  // comparison.
   const sim::CompiledStimulus stimulus(core->netlist, bench->tb);
   sim::GoldenCheckpoints ckpts;
   ckpts.interval = 29;
@@ -136,11 +145,7 @@ TEST_F(RelayFixture, CheckpointRestoreReproducesFullRunAtPaperScale) {
   sim::WideReplayRunner<1> full_runner(stimulus, ckpts);
   sim::WideReplayRunner<1> resumed_runner(stimulus, ckpts);
   constexpr std::size_t kSpare = sim::kNumLanes - 1;
-  const auto frames_of = [&](const sim::RunResult& run, std::size_t lane)
-      -> const sim::FrameList& {
-    return run.lane_is_golden[lane] != 0 ? ckpts.golden_frames
-                                         : run.lane_frames[lane];
-  };
+  std::size_t same_stop = 0;  // probes whose final states were compared
   // Early / mid / late injections across the chain (ingress storage,
   // mid-chain pointer, egress CRC region).
   const std::size_t window = bench->tb.inject_end - bench->tb.inject_begin;
@@ -163,8 +168,8 @@ TEST_F(RelayFixture, CheckpointRestoreReproducesFullRunAtPaperScale) {
     EXPECT_EQ(resumed.start_cycle, (probe_cycles[p] / 29) * 29);
     ASSERT_EQ(full.lane_frames.size(), resumed.lane_frames.size());
     for (std::size_t lane = 0; lane < kSpare; ++lane) {
-      const sim::FrameList& a = frames_of(full, lane);
-      const sim::FrameList& b = frames_of(resumed, lane);
+      const sim::FrameList a = sim::lane_frames(full, ckpts.golden_frames, lane);
+      const sim::FrameList b = sim::lane_frames(resumed, ckpts.golden_frames, lane);
       ASSERT_EQ(a.size(), b.size()) << "lane " << lane;
       for (std::size_t f = 0; f < a.size(); ++f) {
         ASSERT_EQ(a[f].bytes, b[f].bytes) << "lane " << lane << " frame " << f;
@@ -173,13 +178,20 @@ TEST_F(RelayFixture, CheckpointRestoreReproducesFullRunAtPaperScale) {
             << "lane " << lane << " frame " << f;
       }
     }
+    if (full.cycles_simulated != resumed.start_cycle + resumed.cycles_simulated) {
+      continue;
+    }
+    ++same_stop;
     const std::uint64_t compared = ~(std::uint64_t{1} << kSpare);
-    for (const netlist::CellId ff : ffs) {
+    for (std::size_t i = 0; i < ffs.size(); ++i) {
+      if (stimulus.cone().flip_flops[i] == 0) continue;
+      const netlist::CellId ff = ffs[i];
       ASSERT_EQ(full_runner.simulator().ff_state(ff).word(0) & compared,
                 resumed_runner.simulator().ff_state(ff).word(0) & compared)
           << "ff " << core->netlist.cell(ff).name;
     }
   }
+  EXPECT_GT(same_stop, 0u);
 }
 
 TEST_F(RelayFixture, IncrementalCampaignBitExactAndCheaper) {

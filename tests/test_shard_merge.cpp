@@ -53,6 +53,7 @@ void expect_result_identical(const CampaignResult& a, const CampaignResult& b) {
     EXPECT_EQ(fdr_a[i], fdr_b[i]) << "ff " << i;
   }
   EXPECT_EQ(a.total_injections, b.total_injections);
+  EXPECT_EQ(a.proven_injections, b.proven_injections);
   EXPECT_EQ(a.total_sim_passes, b.total_sim_passes);
   EXPECT_EQ(a.lanes_per_pass, b.lanes_per_pass);
   EXPECT_EQ(a.blocks_per_pass, b.blocks_per_pass);
@@ -151,6 +152,9 @@ CampaignEngine* MacShardFixture::engine = nullptr;
 TEST_F(MacShardFixture, EveryPermutationMergesBitIdenticalToUnsharded) {
   const CampaignConfig config = base_config();
   const CampaignResult unsharded = engine->run(config);
+  // The subset holds flip-flops outside the observable cone, whose
+  // injections shard 0 answers without lanes.
+  ASSERT_GT(unsharded.proven_injections, 0u);
   const CampaignResult flat =
       run_campaign(mac->netlist, bench->tb, engine->golden(), config);
 
@@ -421,12 +425,13 @@ TEST_F(MacShardFixture, LoadRejectsTruncatedCorruptAndWrongVersion) {
   {
     // A future version and the previous ones are all refused: version 1
     // lacked the op_block_evals / ff_block_ticks counters, version 2
-    // carried the replay mode and checkpoint interval in `config`, and
-    // version 3 shards were cut from the cycle-only job order.
+    // carried the replay mode and checkpoint interval in `config`, version
+    // 3 shards were cut from the cycle-only job order, and version 4 lacked
+    // proven_injections.
     const std::string header =
         "ffr-partial " + std::to_string(kPartialFormatVersion);
     ASSERT_EQ(text.find(header), 0u);
-    for (const char* version : {"9", "3", "2", "1"}) {
+    for (const char* version : {"9", "4", "3", "2", "1"}) {
       std::string wrong_version = text;
       wrong_version.replace(0, header.size(),
                             std::string("ffr-partial ") + version);
@@ -435,6 +440,22 @@ TEST_F(MacShardFixture, LoadRejectsTruncatedCorruptAndWrongVersion) {
           [&] { (void)CampaignPartial::load(is, "<version>"); }, "<version>",
           std::string("unsupported format version ") + version);
     }
+  }
+  {
+    // More proven injections than injections.
+    std::string too_many_proven = text;
+    const std::size_t pos = too_many_proven.find("counters ");
+    ASSERT_NE(pos, std::string::npos);
+    std::istringstream fields(too_many_proven.substr(pos));
+    std::string tag, total, proven;
+    fields >> tag >> total >> proven;
+    const std::size_t proven_pos = pos + tag.size() + 1 + total.size() + 1;
+    too_many_proven.replace(proven_pos, proven.size(),
+                            std::to_string(std::stoull(total) + 1));
+    std::stringstream is(too_many_proven);
+    expect_positioned_error(
+        [&] { (void)CampaignPartial::load(is, "<proven>"); }, "<proven>",
+        "exceeds total_injections");
   }
   {
     std::stringstream is("ffr-model 1 ridge");
