@@ -6,10 +6,10 @@
 // replay) against the flat campaign on the paper-scale relay circuit
 // (≥947 FFs), reports the simulated-cycle and op-evaluation savings, sweeps
 // the SIMD lane-block width (64 / 256 / 512 fault lanes per pass) and the
-// thread / batch-size scheduling knobs, runs a k-of-N sharded campaign
-// (fault/shard.hpp) whose merged partials must stay bit-identical to the
-// unsharded engine run, and emits every measurement as machine-readable
-// JSON (BENCH_sfi_campaign.json) so the perf trajectory is tracked across
+// worker-thread count, runs a k-of-N sharded campaign (fault/shard.hpp)
+// whose merged partials must stay bit-identical to the unsharded engine
+// run, and emits every measurement as machine-readable JSON
+// (BENCH_sfi_campaign.json) so the perf trajectory is tracked across
 // PRs, plus one row for the mac_core ground-truth campaign at the auto pass
 // shape: the circuit whose unobservable flip-flops the engine answers
 // without simulation. The engine headline and scheduling rows are pinned to
@@ -42,14 +42,13 @@ struct BenchRecord {
   std::string circuit;
   std::string mode;  // "flat", "incremental" (the engine) or a shard label
   std::size_t threads = 0;
-  std::size_t batch = 0;
   std::size_t checkpoint_interval = 0;
   std::size_t injections_per_ff = 0;
   ffr::fault::CampaignResult result;
 };
 
-/// Compact pass-schedule histogram, widest shape first: "512x2:349;64x1:2"
-/// means 349 passes of 2x512-lane blocks plus 2 scalar 64-lane passes.
+/// Compact pass-schedule histogram, most blocks first: "512x2:133;512x1:1"
+/// means 133 passes of 2x512-lane blocks plus one single-block tail pass.
 std::string histogram_string(const ffr::fault::CampaignResult& c) {
   std::string out;
   for (const ffr::fault::PassShapeCount& shape : c.pass_histogram) {
@@ -73,17 +72,17 @@ void write_bench_json(const char* path, const std::vector<BenchRecord>& records)
     std::fprintf(
         f,
         "  {\"circuit\": \"%s\", \"mode\": \"%s\", \"threads\": %zu, "
-        "\"batch\": %zu, \"checkpoint_interval\": %zu, "
+        "\"checkpoint_interval\": %zu, "
         "\"injections_per_ff\": %zu, \"injections\": %llu, "
         "\"proven_injections\": %llu, \"passes\": %llu, "
         "\"cycles_simulated\": %llu, \"ops_evaluated\": %llu, "
         "\"op_block_evals\": %llu, \"ff_block_ticks\": %llu, "
         "\"checkpoint_restores\": %llu, \"lane_width\": %zu, "
         "\"blocks_per_pass\": %zu, \"pass_histogram\": \"%s\", "
-        "\"peak_checkpoint_bytes\": %zu, \"checkpoint_bytes_unpacked\": %zu, "
+        "\"peak_checkpoint_bytes\": %zu, "
         "\"wall_seconds\": %.6f, \"mean_fdr\": %.9f}%s\n",
-        r.circuit.c_str(), r.mode.c_str(), r.threads, r.batch,
-        r.checkpoint_interval, r.injections_per_ff,
+        r.circuit.c_str(), r.mode.c_str(), r.threads, r.checkpoint_interval,
+        r.injections_per_ff,
         static_cast<unsigned long long>(c.total_injections),
         static_cast<unsigned long long>(c.proven_injections),
         static_cast<unsigned long long>(c.total_sim_passes),
@@ -94,7 +93,7 @@ void write_bench_json(const char* path, const std::vector<BenchRecord>& records)
         static_cast<unsigned long long>(c.checkpoint_restores),
         c.lanes_per_pass / std::max<std::size_t>(1, c.blocks_per_pass),
         c.blocks_per_pass, histogram_string(c).c_str(), c.checkpoint_bytes,
-        c.checkpoint_bytes_unpacked, c.wall_seconds, c.mean_fdr(),
+        c.wall_seconds, c.mean_fdr(),
         i + 1 < records.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
@@ -215,7 +214,7 @@ int main() {
   // The paper context's ground-truth campaign on mac_core at the auto shape:
   // the row on a circuit with flip-flops outside the observable cone, whose
   // injections the engine answers without simulating them.
-  records.push_back({"mac_core", kEngineMode, 0, 0,
+  records.push_back({"mac_core", kEngineMode, 0,
                      ctx.engine->checkpoints().interval, ctx.injections_per_ff,
                      ctx.campaign});
   fault::CampaignConfig full;
@@ -226,7 +225,7 @@ int main() {
   full.lane_width = sim::LaneWidth::k64;
   const fault::CampaignResult flat =
       fault::run_campaign(relay.netlist, relay_tb.tb, engine.golden(), full);
-  records.push_back({"relay_core", "flat", full.num_threads, 0, 0,
+  records.push_back({"relay_core", "flat", full.num_threads, 0,
                      full.injections_per_ff, flat});
 
   util::TablePrinter headline({"campaign", "injections", "sim passes",
@@ -251,9 +250,8 @@ int main() {
   const fault::CampaignResult incremental = engine.run(full);
   print_warnings(incremental);
   add_headline("engine", incremental);
-  records.push_back({"relay_core", kEngineMode, full.num_threads,
-                     full.batch_size, interval, full.injections_per_ff,
-                     incremental});
+  records.push_back({"relay_core", kEngineMode, full.num_threads, interval,
+                     full.injections_per_ff, incremental});
   headline.print();
 
   std::printf("engine vs flat: %.1f%% fewer 64-lane passes (%llu -> %llu), "
@@ -281,14 +279,8 @@ int main() {
               static_cast<unsigned long long>(incremental.ops_evaluated),
               static_cast<unsigned long long>(incremental.checkpoint_restores),
               interval);
-  if (incremental.checkpoint_bytes > 0) {
-    std::printf("golden checkpoints: %zu bytes bit-packed vs %zu bytes in the "
-                "broadcast-word layout (%.1fx smaller)\n",
-                incremental.checkpoint_bytes,
-                incremental.checkpoint_bytes_unpacked,
-                static_cast<double>(incremental.checkpoint_bytes_unpacked) /
-                    static_cast<double>(incremental.checkpoint_bytes));
-  }
+  std::printf("golden checkpoints: %zu bytes bit-packed\n",
+              incremental.checkpoint_bytes);
 
   // ---- SIMD lane-width sweep: 64 / 256 / 512 fault lanes per pass -------------
 
@@ -323,9 +315,8 @@ int main() {
     const fault::CampaignResult result = engine.run(config);
     add_width_row(result);
     print_warnings(result);
-    records.push_back({"relay_core", kEngineMode, config.num_threads,
-                       config.batch_size, interval, config.injections_per_ff,
-                       result});
+    records.push_back({"relay_core", kEngineMode, config.num_threads, interval,
+                       config.injections_per_ff, result});
     if (flat.fdr_vector() != result.fdr_vector()) {
       std::printf("# WIDTH %s DIVERGED FROM FLAT REFERENCE (BUG)\n",
                   sim::to_string(width));
@@ -371,9 +362,8 @@ int main() {
          util::TablePrinter::format(
              incremental.wall_seconds / result.wall_seconds, 2) +
              "x"});
-    records.push_back({"relay_core", kEngineMode, config.num_threads,
-                       config.batch_size, interval, config.injections_per_ff,
-                       result});
+    records.push_back({"relay_core", kEngineMode, config.num_threads, interval,
+                       config.injections_per_ff, result});
     if (flat.fdr_vector() != result.fdr_vector()) {
       std::printf("# BLOCKS=%zu DIVERGED FROM FLAT REFERENCE (BUG)\n", blocks);
     }
@@ -425,8 +415,8 @@ int main() {
     records.push_back({"relay_core",
                        "shard" + std::to_string(k) + "of" +
                            std::to_string(kShardCount),
-                       shard_config.num_threads, shard_config.batch_size,
-                       interval, shard_config.injections_per_ff, share});
+                       shard_config.num_threads, interval,
+                       shard_config.injections_per_ff, share});
   }
   const fault::CampaignResult merged = fault::merge_partials(partials);
   shard_table.add_row(
@@ -446,10 +436,9 @@ int main() {
               kShardCount,
               shard_identical ? "bit-identical" : "DIVERGED (BUG)");
   records.push_back({"relay_core", "sharded-merge", shard_config.num_threads,
-                     shard_config.batch_size, interval,
-                     shard_config.injections_per_ff, merged});
+                     interval, shard_config.injections_per_ff, merged});
 
-  // ---- scheduling sweep: threads x batch size ----------------------------------
+  // ---- scheduling sweep: worker threads ---------------------------------------
 
   std::size_t sweep_injections = 34;
   if (const char* env = std::getenv("FFR_SWEEP_INJECTIONS")) {
@@ -457,8 +446,8 @@ int main() {
   }
   const std::size_t hardware = std::thread::hardware_concurrency();
   std::printf("\nscheduling sweep (%zu injections/FF, incremental replay, "
-              "hardware = %zu threads; pure scheduling knobs — results are "
-              "identical in every cell):\n",
+              "hardware = %zu threads; results are identical in every "
+              "row):\n",
               sweep_injections, hardware);
   fault::CampaignConfig sweep;
   sweep.injections_per_ff = sweep_injections;
@@ -466,20 +455,14 @@ int main() {
   std::vector<std::size_t> thread_counts = {1};
   if (hardware >= 2) thread_counts.push_back(2);
   if (hardware > 2) thread_counts.push_back(hardware);
-  util::TablePrinter sweep_table({"threads", "batch=1", "batch=4", "batch=16",
-                                  "batch=auto"});
+  util::TablePrinter sweep_table({"threads", "wall[s]"});
   for (const std::size_t threads : thread_counts) {
-    std::vector<std::string> row = {std::to_string(threads)};
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{4},
-                                    std::size_t{16}, std::size_t{0}}) {
-      sweep.num_threads = threads;
-      sweep.batch_size = batch;
-      const fault::CampaignResult r = engine.run(sweep);
-      row.push_back(util::TablePrinter::format(r.wall_seconds, 2) + "s");
-      records.push_back({"relay_core", kEngineMode, threads, batch,
-                         interval, sweep.injections_per_ff, r});
-    }
-    sweep_table.add_row(std::move(row));
+    sweep.num_threads = threads;
+    const fault::CampaignResult r = engine.run(sweep);
+    sweep_table.add_row({std::to_string(threads),
+                         util::TablePrinter::format(r.wall_seconds, 2)});
+    records.push_back({"relay_core", kEngineMode, threads, interval,
+                       sweep.injections_per_ff, r});
   }
   sweep_table.print();
 

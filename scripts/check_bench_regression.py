@@ -7,13 +7,14 @@ The file schema is autodetected from the rows:
 
 SFI campaign rows (BENCH_sfi_campaign.json) carry cost counters —
 simulation passes, cycles simulated, op evaluations, op-block evaluations
-and flip-flop block ticks — which depend only on
-the campaign configuration and the adaptive pass schedule, never on host
-load, thread timing or SIMD throughput. A counter that grew beyond the
-tolerance is a real cost regression (a scheduling or replay change made the
-engine do more work), not noise, so the guard can be strict where a
-wall-clock gate could not be. mean_fdr must match exactly: every engine
-configuration is bit-identical to the flat reference by contract.
+and flip-flop block ticks — which depend only on the campaign configuration
+and the pass schedule, never on host load, thread timing or SIMD
+throughput. A counter that grew beyond the tolerance is a real cost
+regression (a scheduling or replay change made the engine do more work),
+not noise, so the guard can be strict where a wall-clock gate could not be.
+proven_injections and the pass_histogram string (passes per lane shape)
+must match exactly. mean_fdr must match exactly: every engine configuration
+is bit-identical to the flat reference by contract.
 
 Transfer rows (BENCH_transfer.json) carry model-quality metrics. The
 training pipeline is deterministic for a fixed injection count, so
@@ -51,7 +52,6 @@ SCHEMAS = {
             "circuit",
             "mode",
             "threads",
-            "batch",
             "checkpoint_interval",
             "injections_per_ff",
             "lane_width",
@@ -65,8 +65,10 @@ SCHEMAS = {
             "ff_block_ticks",
         ),
         # Upsets answered without simulation: set by the observable cone
-        # and the injection schedule alone.
-        "exact": ("proven_injections",),
+        # and the injection schedule alone. The pass histogram is the
+        # schedule's shape: a change that keeps the pass total but moves
+        # passes between shapes is a schedule change, not noise.
+        "exact": ("proven_injections", "pass_histogram"),
         "fixed": (),
         # mean_fdr is bit-identity by engine contract: compare at 9 decimals
         # (the serialized precision), flagged as identity breakage.

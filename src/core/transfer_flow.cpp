@@ -87,7 +87,6 @@ TransferModel TransferModel::load(std::istream& is) {
   model.model_name_ = io::read_token(is);
   io::expect_token(is, "circuits");
   const auto num_circuits = static_cast<std::size_t>(io::read_size(is));
-  model.train_circuits_.reserve(num_circuits);
   for (std::size_t i = 0; i < num_circuits; ++i) {
     model.train_circuits_.push_back(io::read_token(is));
   }
@@ -95,7 +94,6 @@ TransferModel TransferModel::load(std::istream& is) {
   model.train_rows_ = static_cast<std::size_t>(io::read_size(is));
   io::expect_token(is, "norms");
   const auto num_norms = static_cast<std::size_t>(io::read_size(is));
-  model.norms_.norms.reserve(num_norms);
   for (std::size_t i = 0; i < num_norms; ++i) {
     const std::uint64_t value = io::read_size(is);
     if (value > 2) {

@@ -51,10 +51,6 @@ struct CampaignConfig {
   std::uint64_t seed = 0xFA57;
   /// Worker threads; 0 = hardware concurrency.
   std::size_t num_threads = 0;
-  /// Simulation passes claimed per work-stealing chunk in the batched
-  /// CampaignEngine (0 = auto). Pure scheduling knob: results are identical
-  /// for every value. Ignored by the flat run_campaign().
-  std::size_t batch_size = 0;
   /// SIMD lane-block width of each batched-engine pass: kAuto picks the
   /// widest block the host CPU natively supports (CPUID-dispatched), k64 is
   /// the scalar reference width, k256/k512 request LaneBlock<4>/<8> passes.
@@ -101,7 +97,7 @@ struct FfResult {
   }
 };
 
-/// One row of the batched engine's adaptive pass schedule: `passes` passes
+/// One row of the batched engine's pass schedule: `passes` passes
 /// ran as `blocks` SIMD lane blocks of `width` fault lanes each.
 struct PassShapeCount {
   std::size_t width = sim::kNumLanes;  ///< Fault lanes per block (64/256/512).
@@ -122,10 +118,9 @@ struct CampaignResult {
   /// by shard 0 of a sharded run; 0 from the flat run_campaign(), which
   /// simulates every upset.
   std::uint64_t proven_injections = 0;
-  /// Simulator passes used. The batched engine schedules adaptively: full
-  /// passes carry `lanes_per_pass` fault lanes and the job tail is re-sliced
-  /// into narrower shapes (see pass_histogram), so the total is at most
-  /// ceil(total_injections / lanes_per_pass) plus a few tail passes.
+  /// Simulator passes used. In the batched engine every pass but the last
+  /// carries `lanes_per_pass` fault lanes, so an unsharded run takes exactly
+  /// ceil((total_injections - proven_injections) / lanes_per_pass) passes.
   std::uint64_t total_sim_passes = 0;
   /// Fault-lane capacity of a full-shape engine pass: the resolved
   /// CampaignConfig lane_width (after any fallback) times the resolved
@@ -133,9 +128,11 @@ struct CampaignResult {
   std::size_t lanes_per_pass = sim::kNumLanes;
   /// Lane blocks per full-shape pass after auto-resolution/clamping.
   std::size_t blocks_per_pass = 1;
-  /// The engine's pass schedule, widest shape first: how many passes ran at
-  /// each (width, blocks) shape. Sums to total_sim_passes. The flat
-  /// run_campaign() reports its single 64x1 shape here.
+  /// The engine's pass schedule: how many passes ran at each (width,
+  /// blocks) shape, most blocks first. At most two rows, both at the
+  /// resolved lane width: the full shape and the tail pass's block count.
+  /// Sums to total_sim_passes. The flat run_campaign() reports its single
+  /// 64x1 shape here.
   std::vector<PassShapeCount> pass_histogram;
   /// Non-fatal configuration diagnostics, e.g. a lane_width request wider
   /// than the host supports that fell back to the native width.
@@ -161,10 +158,6 @@ struct CampaignResult {
   /// bit-packed sim::GoldenCheckpoints representation; 0 in the flat
   /// campaign, which replays from reset).
   std::size_t checkpoint_bytes = 0;
-  /// Bytes the same checkpoint set would occupy in the pre-packed layout
-  /// (one broadcast 64-bit word per FF per snapshot plus per-snapshot frame
-  /// copies) — the baseline for the packing ratio.
-  std::size_t checkpoint_bytes_unpacked = 0;
   double wall_seconds = 0.0;           ///< Campaign wall-clock time.
 
   /// FDR values in per_ff order.

@@ -40,13 +40,13 @@ struct WorkerCost {
   }
 };
 
-/// SIMD lane-block pass executor for every scheduled pass of one block
-/// width W: replays each planned pass on a per-worker WideReplayRunner<W>
-/// sized to that pass's block count. The per-job outcomes are written
-/// disjointly — science output can never depend on scheduling, block width
-/// or block count. `ckpts` supplies the resume points, the interface tape of
-/// the golden-relative monitor and the golden frames the lanes that left
-/// golden are classified against.
+/// SIMD lane-block pass executor at the campaign's block width W: replays
+/// each owned pass on a per-worker WideReplayRunner<W> sized to that pass's
+/// block count. The per-job outcomes are written disjointly — science
+/// output can never depend on scheduling, block width or block count.
+/// `ckpts` supplies the resume points, the interface tape of the
+/// golden-relative monitor and the golden frames the lanes that left golden
+/// are classified against.
 template <std::size_t W>
 void run_wide_group(const sim::CompiledStimulus& stimulus,
                     std::span<const netlist::CellId> ffs,
@@ -55,17 +55,16 @@ void run_wide_group(const sim::CompiledStimulus& stimulus,
                     const std::vector<PlannedPass>& schedule,
                     const std::vector<std::size_t>& pass_indices,
                     const sim::GoldenCheckpoints& ckpts,
-                    const CampaignConfig& config,
                     util::ThreadPool& pool,
                     std::vector<FailureClass>& outcome,
                     std::vector<WorkerCost>& costs) {
-  // One runner per (worker, block count): the levelized op list is rebuilt
-  // only when a worker first sees a block count, not per pass.
+  // One runner per (worker, block count): a campaign has at most two block
+  // counts (full passes and the tail), so a worker builds at most two.
   std::vector<std::array<std::unique_ptr<sim::WideReplayRunner<W>>,
                          sim::kMaxLaneBlocksPerPass + 1>>
       runners(pool.size());
   pool.parallel_for_chunked(
-      pass_indices.size(), config.batch_size,
+      pass_indices.size(), 0,
       [&](std::size_t begin, std::size_t end, std::size_t worker) {
         std::vector<sim::LaneInjection> events;
         for (std::size_t i = begin; i < end; ++i) {
@@ -104,59 +103,20 @@ void run_wide_group(const sim::CompiledStimulus& stimulus,
 }  // namespace
 
 std::vector<PlannedPass> build_pass_schedule(std::size_t num_jobs,
-                                             std::size_t full_width,
+                                             std::size_t width,
                                              std::size_t full_blocks) {
-  std::vector<PlannedPass> schedule;
-  if (num_jobs == 0) return schedule;
-  std::size_t cursor = 0;
-  const auto emit = [&](std::size_t width, std::size_t blocks) {
-    PlannedPass pass;
-    pass.width = width;
-    pass.blocks = blocks;
-    pass.job_begin = cursor;
-    pass.job_end = std::min(num_jobs, cursor + width * blocks);
-    cursor = pass.job_end;
-    schedule.push_back(pass);
-  };
-
-  // Full-shape passes while whole ones fit.
-  const std::size_t capacity = full_width * full_blocks;
-  while (num_jobs - cursor >= capacity) emit(full_width, full_blocks);
-
-  // Re-slice the ragged tail widest-first over the shapes the campaign may
-  // use (never wider than the full shape): r remaining 64-lane words are
-  // packed into as few, as-wide-as-useful passes as possible. Cost per pass
-  // grows with width (wider SIMD kernels touch more state), so a tail that
-  // fits narrower shapes exactly beats one mostly-masked full-width pass.
-  std::size_t r = (num_jobs - cursor + 63) / 64;
-  for (const std::size_t width : {std::size_t{512}, std::size_t{256}}) {
-    if (width > full_width) continue;
-    const std::size_t words = width / 64;
-    while (r >= words) {
-      const std::size_t blocks = std::min(full_blocks, r / words);
-      emit(width, blocks);
-      r -= words * blocks;
-    }
+  if (width == 0 || full_blocks == 0) {
+    throw std::invalid_argument(
+        "build_pass_schedule: width and full_blocks must be >= 1");
   }
-  if (full_width == 64) {
-    // 64-lane campaigns: multi-block 64-lane passes until the tail is gone.
-    // With full_blocks == 1 this degenerates to ceil(num_jobs / 64) passes,
-    // so the pinned 64x1 pass counts never move.
-    while (r > 0) {
-      const std::size_t blocks = std::min(full_blocks, r);
-      emit(64, blocks);
-      r -= blocks;
-    }
-  } else if (r > 0) {
-    // Residual words (r in [1, 3]) below the narrowest SIMD shape used.
-    if (r <= full_blocks) {
-      emit(64, r);  // exact multi-block scalar-width pass
-    } else if (r == 2) {
-      emit(64, 1);  // 64+64 beats one mostly-masked 256
-      emit(64, 1);
-    } else {
-      emit(256, 1);  // r == 3 with full_blocks < 3: one masked 256 pass
-    }
+  std::vector<PlannedPass> schedule;
+  const std::size_t capacity = width * full_blocks;
+  for (std::size_t begin = 0; begin < num_jobs; begin += capacity) {
+    PlannedPass pass;
+    pass.job_begin = begin;
+    pass.job_end = std::min(num_jobs, begin + capacity);
+    pass.blocks = (pass.job_end - begin + width - 1) / width;
+    schedule.push_back(pass);
   }
   return schedule;
 }
@@ -304,16 +264,16 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
   jobs.resize(kept);
   result.total_injections = result.proven_injections;
   result.checkpoint_bytes = checkpoints_.memory_bytes();
-  result.checkpoint_bytes_unpacked = checkpoints_.broadcast_word_bytes();
 
-  // Adaptive pass schedule: full (width x blocks) passes plus a re-sliced
-  // tail. Deterministic given (jobs, width, blocks), so pass counts are
-  // exact regression-guard counters. The schedule is always planned over the
-  // FULL job list — a k-of-N shard then owns every N-th pass (round-robin,
-  // so the expensive early-injection passes spread evenly). Each pass's
-  // outcomes and cost counters depend only on its own job range, never on
-  // which other passes run in the same process, which is what makes merged
-  // shard partials bit-identical to an unsharded run.
+  // Pass schedule: full (width x blocks) passes plus one tail pass with just
+  // enough blocks, all at the resolved width. Deterministic given (jobs,
+  // width, blocks), so pass counts are exact regression-guard counters. The
+  // schedule is always planned over the FULL job list — a k-of-N shard then
+  // owns every N-th pass (round-robin, so the expensive early-injection
+  // passes spread evenly). Each pass's outcomes and cost counters depend
+  // only on its own job range, never on which other passes run in the same
+  // process, which is what makes merged shard partials bit-identical to an
+  // unsharded run.
   const std::vector<PlannedPass> schedule =
       build_pass_schedule(jobs.size(), block_lanes, blocks);
   std::vector<std::size_t> owned;
@@ -323,15 +283,13 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
     owned.push_back(p);
   }
   for (const std::size_t p : owned) {
-    const PlannedPass& pass = schedule[p];
-    auto it = std::find_if(result.pass_histogram.begin(),
-                           result.pass_histogram.end(),
-                           [&](const PassShapeCount& shape) {
-                             return shape.width == pass.width &&
-                                    shape.blocks == pass.blocks;
-                           });
+    const std::size_t pass_blocks = schedule[p].blocks;
+    auto it = std::find_if(
+        result.pass_histogram.begin(), result.pass_histogram.end(),
+        [&](const PassShapeCount& shape) { return shape.blocks == pass_blocks; });
     if (it == result.pass_histogram.end()) {
-      result.pass_histogram.push_back(PassShapeCount{pass.width, pass.blocks, 1});
+      result.pass_histogram.push_back(
+          PassShapeCount{block_lanes, pass_blocks, 1});
     } else {
       ++it->passes;
     }
@@ -344,28 +302,19 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
 
   util::ThreadPool pool(config.num_threads);
   std::vector<WorkerCost> costs(pool.size());
-  // Group the owned passes by block width and dispatch each group to its
-  // templated executor; a narrower-tail pass of a 512-lane campaign runs on
-  // the narrow kernel it was planned for.
-  std::vector<std::size_t> by_width[3];  // 64, 256, 512
-  for (const std::size_t p : owned) {
-    switch (schedule[p].width) {
-      case 64: by_width[0].push_back(p); break;
-      case 256: by_width[1].push_back(p); break;
-      default: by_width[2].push_back(p); break;
-    }
-  }
-  if (!by_width[0].empty()) {
-    run_wide_group<1>(stimulus_, ffs, subset, jobs, schedule, by_width[0],
-                      checkpoints_, config, pool, outcome, costs);
-  }
-  if (!by_width[1].empty()) {
-    run_wide_group<4>(stimulus_, ffs, subset, jobs, schedule, by_width[1],
-                      checkpoints_, config, pool, outcome, costs);
-  }
-  if (!by_width[2].empty()) {
-    run_wide_group<8>(stimulus_, ffs, subset, jobs, schedule, by_width[2],
-                      checkpoints_, config, pool, outcome, costs);
+  switch (block_lanes) {
+    case 64:
+      run_wide_group<1>(stimulus_, ffs, subset, jobs, schedule, owned,
+                        checkpoints_, pool, outcome, costs);
+      break;
+    case 256:
+      run_wide_group<4>(stimulus_, ffs, subset, jobs, schedule, owned,
+                        checkpoints_, pool, outcome, costs);
+      break;
+    default:
+      run_wide_group<8>(stimulus_, ffs, subset, jobs, schedule, owned,
+                        checkpoints_, pool, outcome, costs);
+      break;
   }
 
   for (const std::size_t p : owned) {

@@ -15,24 +15,23 @@
 /// sim::ObservableCone is answered kOk without a lane
 /// (CampaignResult::proven_injections). run() packs the other injections
 /// across flip-flops: they form one flat job list, sorted by
-/// (checkpoint segment, flip-flop, cycle) and planned into an adaptive
-/// pass schedule (build_pass_schedule). Full passes carry
-/// lane_width * blocks_per_pass fault lanes — lane_width picks the SIMD
-/// block (64 = one 64-bit word, 256 AVX2, 512 AVX-512; kAuto dispatches via
-/// CPUID) and blocks_per_pass sweeps several blocks per op to keep the
-/// vector pipelines busy past the register width — and the ragged job tail
-/// is re-sliced widest-first into narrower passes instead of running one
-/// mostly-masked full pass. Each pass restores the latest golden checkpoint
-/// at or before its earliest injection (splatting each packed golden bit
-/// across whole blocks), fast-forwards from there and evaluates only the
-/// dirty cone per cycle; the job order (order_campaign_jobs) keeps that
-/// start late and that cone small. Passes are distributed over a
-/// work-stealing pool in chunks of CampaignConfig::batch_size.
+/// (checkpoint segment, flip-flop, cycle) and sliced into passes
+/// (build_pass_schedule). Every pass runs at the campaign's resolved
+/// lane_width — the SIMD block (64 = one 64-bit word, 256 AVX2, 512
+/// AVX-512; kAuto dispatches via CPUID). Full passes sweep blocks_per_pass
+/// blocks per op to keep the vector pipelines busy past the register width;
+/// the one tail pass sweeps just enough blocks for the jobs left. Each pass
+/// restores the latest golden checkpoint at or before its earliest
+/// injection (splatting each packed golden bit across whole blocks),
+/// fast-forwards from there and evaluates only the dirty cone per cycle;
+/// the job order (order_campaign_jobs) keeps that start late and that cone
+/// small. Passes are distributed over a
+/// work-stealing pool in auto-sized chunks.
 ///
 /// Guarantee: for the same CampaignConfig seed/injection knobs, run() is
 /// bit-identical to run_campaign() — same per-flip-flop class counts and
-/// FDR vector — for every thread count, batch size, lane width, block count
-/// and shard split (see tests/test_campaign_engine.cpp,
+/// FDR vector — for every thread count, lane width, block count and shard
+/// split (see tests/test_campaign_engine.cpp,
 /// tests/test_incremental_replay.cpp and tests/test_lane_width.cpp).
 
 #include <cstdint>
@@ -79,29 +78,26 @@ struct CampaignJob {
     const CampaignConfig& config, const sim::Testbench& tb,
     const std::vector<std::size_t>& subset, std::size_t interval);
 
-/// One planned pass of the engine's adaptive schedule: jobs
-/// [job_begin, job_end) run as `blocks` SIMD lane blocks of `width` fault
-/// lanes each. Only the final pass of a schedule may be masked
-/// (job_end - job_begin < width * blocks).
+/// One planned pass of the engine's schedule: jobs [job_begin, job_end) run
+/// as `blocks` SIMD lane blocks at the campaign's lane width. Only the final
+/// pass of a schedule may be masked (fewer jobs than lanes).
 struct PlannedPass {
-  std::size_t width = sim::kNumLanes;  ///< Fault lanes per block (64/256/512).
-  std::size_t blocks = 1;              ///< Lane blocks swept in this pass.
-  std::size_t job_begin = 0;           ///< First job (inclusive).
-  std::size_t job_end = 0;             ///< Last job (exclusive).
+  std::size_t blocks = 1;     ///< Lane blocks swept in this pass.
+  std::size_t job_begin = 0;  ///< First job (inclusive).
+  std::size_t job_end = 0;    ///< Last job (exclusive).
 };
 
-/// Plans the engine's passes over a `num_jobs`-injection job list whose full
-/// shape is `full_blocks` blocks of `full_width` lanes. Full-shape passes
-/// are emitted while whole ones fit; the remaining tail is re-sliced
-/// widest-first into narrower shapes (a 70-job tail at 512 lanes runs as
-/// two 64-lane passes instead of one mostly-masked 512-lane pass — narrower
-/// SIMD kernels are cheaper per pass, and empty lanes still pay full cost).
-/// With full_width == 64 and full_blocks == 1 the schedule degenerates to
-/// exactly ceil(num_jobs / 64) single-block passes, so the pinned 64x1 pass
-/// counts never move. Deterministic — depends only on the arguments, never
-/// the host.
+/// Slices a `num_jobs`-injection job list into passes of `full_blocks`
+/// blocks of `width` lanes each: ceil(num_jobs / (width * full_blocks))
+/// contiguous passes, every one full but the last, which carries
+/// ceil(remaining jobs / width) blocks. A visited op costs about the same
+/// at every shape, so re-slicing the tail into narrower kernels saves no
+/// work worth a second kernel width per campaign. At 64x1 this is exactly
+/// ceil(num_jobs / 64) passes. Deterministic — depends only on the
+/// arguments, never the host.
+/// \throws std::invalid_argument when `width` or `full_blocks` is 0.
 [[nodiscard]] std::vector<PlannedPass> build_pass_schedule(std::size_t num_jobs,
-                                                           std::size_t full_width,
+                                                           std::size_t width,
                                                            std::size_t full_blocks);
 
 /// Resolves CampaignConfig::blocks_per_pass for a campaign at `width_lanes`

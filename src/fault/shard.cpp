@@ -106,8 +106,7 @@ void CampaignPartial::save(std::ostream& os) const {
      << result.proven_injections << ' ' << result.total_sim_passes << ' '
      << result.cycles_simulated << ' ' << result.ops_evaluated << ' '
      << result.op_block_evals << ' ' << result.ff_block_ticks << ' '
-     << result.checkpoint_restores << ' ' << result.checkpoint_bytes << ' '
-     << result.checkpoint_bytes_unpacked << '\n';
+     << result.checkpoint_restores << ' ' << result.checkpoint_bytes << '\n';
   os << "wall ";
   write_double(os, result.wall_seconds);
   os << '\n';
@@ -186,13 +185,11 @@ CampaignPartial CampaignPartial::load(std::istream& is,
   partial.result.ff_block_ticks = r.u64();
   partial.result.checkpoint_restores = r.u64();
   partial.result.checkpoint_bytes = static_cast<std::size_t>(r.u64());
-  partial.result.checkpoint_bytes_unpacked = static_cast<std::size_t>(r.u64());
   r.expect("wall");
   partial.result.wall_seconds = r.dbl();
 
   r.expect("histogram");
   const std::uint64_t num_shapes = r.u64(std::uint64_t{1} << 20);
-  partial.result.pass_histogram.reserve(static_cast<std::size_t>(num_shapes));
   for (std::uint64_t i = 0; i < num_shapes; ++i) {
     PassShapeCount shape;
     shape.width = static_cast<std::size_t>(r.u64());
@@ -203,7 +200,6 @@ CampaignPartial CampaignPartial::load(std::istream& is,
 
   r.expect("ffs");
   const std::uint64_t num_ffs = r.u64(std::uint64_t{1} << 32);
-  partial.result.per_ff.reserve(static_cast<std::size_t>(num_ffs));
   for (std::uint64_t i = 0; i < num_ffs; ++i) {
     FfResult ff;
     ff.ff_index = static_cast<std::size_t>(r.u64());
@@ -376,9 +372,7 @@ CampaignResult merge_partials(const std::vector<CampaignPartial>& partials) {
                  " (partials from hosts that resolved kAuto differently "
                  "cannot merge)");
     }
-    if (partial.result.checkpoint_bytes != ref.result.checkpoint_bytes ||
-        partial.result.checkpoint_bytes_unpacked !=
-            ref.result.checkpoint_bytes_unpacked) {
+    if (partial.result.checkpoint_bytes != ref.result.checkpoint_bytes) {
       throw fail("checkpoint footprint mismatch at shard " +
                  std::to_string(partial.shard_index));
     }
@@ -404,7 +398,6 @@ CampaignResult merge_partials(const std::vector<CampaignPartial>& partials) {
   merged.lanes_per_pass = ref.result.lanes_per_pass;
   merged.blocks_per_pass = ref.result.blocks_per_pass;
   merged.checkpoint_bytes = ref.result.checkpoint_bytes;
-  merged.checkpoint_bytes_unpacked = ref.result.checkpoint_bytes_unpacked;
   merged.per_ff.resize(ref.result.per_ff.size());
   for (std::size_t i = 0; i < merged.per_ff.size(); ++i) {
     merged.per_ff[i].ff_index = ref.result.per_ff[i].ff_index;
@@ -470,7 +463,7 @@ CampaignResult merge_partials(const std::vector<CampaignPartial>& partials) {
     }
   }
 
-  // Widest shape first — the order the unsharded engine's schedule emits
+  // Most blocks first — the order the unsharded engine's schedule emits
   // shapes in, so the merged histogram is bit-identical to its.
   std::sort(merged.pass_histogram.begin(), merged.pass_histogram.end(),
             [](const PassShapeCount& a, const PassShapeCount& b) {

@@ -26,7 +26,6 @@
 ///              <cycles_simulated>
 ///              <ops_evaluated> <op_block_evals> <ff_block_ticks>
 ///              <checkpoint_restores> <checkpoint_bytes>
-///              <checkpoint_bytes_unpacked>
 ///     wall <seconds>
 ///     histogram <n>  then n rows of <width> <blocks> <passes>
 ///     ffs <n>        then n rows of <ff_index> <injections> <5 class counts>
@@ -69,11 +68,14 @@ namespace ffr::fault {
 /// 4 marks the engine's (checkpoint segment, flip-flop, cycle) job order,
 /// which changed which jobs each pass, and so each shard, carries; version
 /// 5 added proven_injections to `counters`, since upsets of unobservable
-/// flip-flops left the job list. Older files are rejected like any other
-/// unsupported version. The cost counters depend on kCheckpointInterval and
-/// on the job order (fault/engine.hpp): changing either requires another
-/// version bump.
-inline constexpr int kPartialFormatVersion = 5;
+/// flip-flops left the job list; version 6 marks the schedule whose passes
+/// all run at the campaign's lane width, which moved a tail that used to be
+/// re-sliced into narrower passes (and so which shard owns which jobs), and
+/// dropped checkpoint_bytes_unpacked from `counters`. Older files are
+/// rejected like any other unsupported version. The cost counters depend on
+/// kCheckpointInterval, on the job order and on the pass schedule
+/// (fault/engine.hpp): changing any of them requires another version bump.
+inline constexpr int kPartialFormatVersion = 6;
 
 /// One shard's campaign accumulators plus the fingerprint that guards
 /// merging: two partials may only merge when they come from the same engine

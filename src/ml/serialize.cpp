@@ -1,5 +1,7 @@
 #include "ml/serialize.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -76,8 +78,10 @@ double read_double(std::istream& is) {
 std::uint64_t read_size(std::istream& is, std::uint64_t max) {
   const std::string token = read_token(is);
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-  if (end != token.c_str() + token.size() || token.empty() || token[0] == '-') {
+  if (end != token.c_str() + token.size() || token.empty() || token[0] == '-' ||
+      errno == ERANGE) {
     throw std::runtime_error("load_model: malformed count '" + token + "'");
   }
   if (value > max) {
@@ -87,11 +91,14 @@ std::uint64_t read_size(std::istream& is, std::uint64_t max) {
   return value;
 }
 
+// The readers below grow their storage only as values are read, so a count
+// field larger than the stream holds fails at the stream's end instead of
+// sizing an allocation first.
 linalg::Vector read_vector(std::istream& is, std::string_view key) {
   expect_token(is, key);
   const std::uint64_t n = read_size(is);
-  linalg::Vector values(static_cast<std::size_t>(n));
-  for (auto& v : values) v = read_double(is);
+  linalg::Vector values;
+  for (std::uint64_t i = 0; i < n; ++i) values.push_back(read_double(is));
   return values;
 }
 
@@ -103,9 +110,13 @@ linalg::Matrix read_matrix(std::istream& is, std::string_view key) {
     throw std::runtime_error("load_model: matrix " + std::to_string(rows) + "x" +
                              std::to_string(cols) + " exceeds the sanity limit");
   }
+  linalg::Vector values;
+  for (std::uint64_t i = 0; i < rows * cols; ++i) {
+    values.push_back(read_double(is));
+  }
   linalg::Matrix matrix(static_cast<std::size_t>(rows),
                         static_cast<std::size_t>(cols));
-  for (auto& v : matrix.data()) v = read_double(is);
+  std::copy(values.begin(), values.end(), matrix.data().begin());
   return matrix;
 }
 

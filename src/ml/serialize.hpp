@@ -86,7 +86,8 @@ void expect_token(std::istream& is, std::string_view expected);
 /// Reads a double (decimal, inf and nan accepted).
 [[nodiscard]] double read_double(std::istream& is);
 
-/// Reads a non-negative integer; rejects values above `max`.
+/// Reads a non-negative integer; rejects values above `max` and values
+/// that do not fit in 64 bits.
 [[nodiscard]] std::uint64_t read_size(
     std::istream& is, std::uint64_t max = std::uint64_t{1} << 32);
 

@@ -233,7 +233,6 @@ std::unique_ptr<DecisionTreeRegressor> DecisionTreeRegressor::load_body(
   model->depth_ = static_cast<std::size_t>(io::read_size(is));
   io::expect_token(is, "nodes");
   const auto count = static_cast<std::size_t>(io::read_size(is));
-  model->nodes_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     Node node;
     node.feature = static_cast<std::uint32_t>(io::read_size(is, ~std::uint32_t{0}));
@@ -334,7 +333,6 @@ std::unique_ptr<RandomForestRegressor> RandomForestRegressor::load_body(
   if (count == 0) {
     throw std::runtime_error("load_model: random_forest with no trees");
   }
-  model->trees_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     model->trees_.push_back(load_nested_tree(is));
   }
@@ -434,7 +432,6 @@ std::unique_ptr<GradientBoostingRegressor> GradientBoostingRegressor::load_body(
   if (count == 0) {
     throw std::runtime_error("load_model: gradient_boosting with no trees");
   }
-  model->trees_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     model->trees_.push_back(load_nested_tree(is));
   }

@@ -136,25 +136,6 @@ std::size_t GoldenCheckpoints::memory_bytes() const noexcept {
   return bytes;
 }
 
-std::size_t GoldenCheckpoints::broadcast_word_bytes() const noexcept {
-  // Reconstructs the footprint of the pre-packed layout: each snapshot held
-  // one 64-bit broadcast word per FF and per loopback plus a private copy of
-  // the frames completed before its cycle.
-  std::size_t bytes = sizeof(interval) + sizeof(std::vector<Snapshot>);
-  std::size_t prefix_bytes = 0;
-  std::size_t frame = 0;
-  for (const Snapshot& snap : snapshots) {
-    while (frame < snap.frames_completed && frame < golden_frames.size()) {
-      prefix_bytes += sizeof(Frame) + golden_frames[frame].bytes.size();
-      ++frame;
-    }
-    bytes += sizeof(Snapshot) + 2 * sizeof(std::vector<Lanes>) + sizeof(FrameList);
-    bytes += (num_ffs + num_loopbacks) * sizeof(Lanes);
-    bytes += prefix_bytes + snap.open_bytes.size();
-  }
-  return bytes;
-}
-
 FrameList lane_frames(const RunResult& run, const FrameList& golden,
                       std::size_t lane) {
   if (run.lane_is_golden.empty()) return run.lane_frames[lane];

@@ -41,11 +41,11 @@ struct ActivityTrace {
 ///
 /// Golden state is broadcast (every lane computes the identical bit), so
 /// storage is bit-packed: one bit per flip-flop / loopback per snapshot in
-/// `state_bits` (~64x smaller than the previous one-64-bit-word-per-FF
-/// layout, and the natural wire format for shipping checkpoints to campaign
-/// shards). Restoring splats each bit back to a full broadcast word — or to
-/// a whole LaneBlock, which is how WideReplayRunner (wide_runner.hpp) seeds
-/// all W * 64 lanes of a SIMD lane-block pass from the same snapshot.
+/// `state_bits` (the natural wire format for shipping checkpoints to
+/// campaign shards). Restoring splats each bit back to a full broadcast
+/// word — or to a whole LaneBlock, which is how WideReplayRunner
+/// (wide_runner.hpp) seeds all W * 64 lanes of a SIMD lane-block pass from
+/// the same snapshot.
 /// Completed golden frames are likewise stored once (`golden_frames`);
 /// each snapshot keeps only the count of frames completed before its cycle.
 /// A recording also keeps the golden interface tape, which lets fault
@@ -119,12 +119,6 @@ struct GoldenCheckpoints {
   /// snapshot bookkeeping, the shared golden frame stream and the interface
   /// tape.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
-
-  /// Bytes the same snapshots would occupy in the pre-packed layout (one
-  /// broadcast 64-bit word per FF/loopback per snapshot, plus a private
-  /// copy of the completed-frame prefix per snapshot). The honest baseline
-  /// for the packing ratio reported by the campaign bench.
-  [[nodiscard]] std::size_t broadcast_word_bytes() const noexcept;
 };
 
 struct RunResult {

@@ -189,8 +189,8 @@ TEST_F(MacEngineFixture, PacksLanesAcrossFlipFlops) {
   expect_bit_identical(flat, batched);
 
   // Same campaign at whatever (width, blocks) shape the host resolves for
-  // kAuto: the pass count follows the deterministic adaptive schedule, the
-  // science does not.
+  // kAuto: the pass count follows the deterministic schedule, the science
+  // does not.
   CampaignConfig wide = config;
   wide.lane_width = sim::LaneWidth::kAuto;
   const CampaignResult auto_width = engine->run(wide);
@@ -234,23 +234,18 @@ TEST_F(MacEngineFixture, JobOrderIsSegmentThenFlipFlopThenCycle) {
                std::invalid_argument);
 }
 
-TEST_F(MacEngineFixture, DeterministicAcrossThreadsAndBatchSizes) {
+TEST_F(MacEngineFixture, DeterministicAcrossThreads) {
   CampaignConfig base;
   base.injections_per_ff = 24;
   base.ff_subset = {1, 2, 5, 30, 60, 90, 120, 150};
   const CampaignResult reference = engine->run(base);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
-    for (const std::size_t batch :
-         {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
-      CampaignConfig config = base;
-      config.num_threads = threads;
-      config.batch_size = batch;
-      const CampaignResult result = engine->run(config);
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      expect_bit_identical(reference, result);
-      EXPECT_EQ(result.total_sim_passes, reference.total_sim_passes);
-    }
+    CampaignConfig config = base;
+    config.num_threads = threads;
+    const CampaignResult result = engine->run(config);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_bit_identical(reference, result);
+    EXPECT_EQ(result.total_sim_passes, reference.total_sim_passes);
   }
 }
 
@@ -484,7 +479,6 @@ TEST(PipelineEngine, DeterministicAcrossThreads) {
   config.num_threads = 1;
   const CampaignResult single = engine.run(config);
   config.num_threads = 0;  // hardware concurrency
-  config.batch_size = 2;
   const CampaignResult parallel = engine.run(config);
   expect_bit_identical(single, parallel);
 }

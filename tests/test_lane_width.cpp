@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "circuits/mac_core.hpp"
 #include "circuits/mac_testbench.hpp"
@@ -61,6 +62,7 @@ void expect_schedule_consistent(const CampaignResult& result,
   EXPECT_EQ(result.total_sim_passes, schedule.size()) << label;
   std::uint64_t histogram_passes = 0;
   for (const PassShapeCount& shape : result.pass_histogram) {
+    EXPECT_EQ(shape.width, width) << label << ": one lane width per campaign";
     histogram_passes += shape.passes;
   }
   EXPECT_EQ(histogram_passes, result.total_sim_passes) << label;
@@ -261,9 +263,8 @@ TEST_F(MacLaneWidthFixture, PinnedCountersAt64x1) {
 
 TEST_F(MacLaneWidthFixture, TailBlockMaskingAt512) {
   // 600 injections into one flip-flop at a single 512-lane block: one full
-  // 512-lane pass, and the 88-job tail is re-sliced into two scalar passes
-  // (64 + 24 live lanes) instead of one mostly-masked 512-lane pass. Idle
-  // lanes must not perturb the live ones.
+  // 512-lane pass, then an 88-job tail pass at the same width with 424 idle
+  // lanes in its live block. Idle lanes must not perturb the live ones.
   const ForcedNativeWidth pin(sim::LaneWidth::k512);
   CampaignConfig config;
   config.injections_per_ff = 600;
@@ -274,19 +275,18 @@ TEST_F(MacLaneWidthFixture, TailBlockMaskingAt512) {
   config.blocks_per_pass = 1;
   const CampaignResult wide = engine->run(config);
   EXPECT_EQ(wide.total_injections, 600u);
-  EXPECT_EQ(wide.total_sim_passes, 3u);
-  ASSERT_EQ(wide.pass_histogram.size(), 2u);
+  EXPECT_EQ(wide.total_sim_passes, 2u);
+  ASSERT_EQ(wide.pass_histogram.size(), 1u);
   EXPECT_EQ(wide.pass_histogram[0].width, 512u);
-  EXPECT_EQ(wide.pass_histogram[0].passes, 1u);
-  EXPECT_EQ(wide.pass_histogram[1].width, 64u);
-  EXPECT_EQ(wide.pass_histogram[1].passes, 2u);
+  EXPECT_EQ(wide.pass_histogram[0].blocks, 1u);
+  EXPECT_EQ(wide.pass_histogram[0].passes, 2u);
   EXPECT_EQ(flat.total_sim_passes, 10u);  // ceil(600 / 64)
   expect_bit_identical(flat, wide, "tail-block 600@512");
 }
 
 TEST_F(MacLaneWidthFixture, TailBlockMaskingAt256) {
-  // 257 = 256 + 1: the full 256-lane pass is followed by a 64-lane tail
-  // pass carrying a single live lane (adaptive re-slice of the tail).
+  // 257 = 256 + 1: the full 256-lane pass is followed by a 256-lane tail
+  // pass carrying a single live lane among 255 idle ones.
   const ForcedNativeWidth pin(sim::LaneWidth::k512);
   CampaignConfig config;
   config.injections_per_ff = 257;
@@ -297,9 +297,10 @@ TEST_F(MacLaneWidthFixture, TailBlockMaskingAt256) {
   config.blocks_per_pass = 1;
   const CampaignResult wide = engine->run(config);
   EXPECT_EQ(wide.total_sim_passes, 2u);
-  ASSERT_EQ(wide.pass_histogram.size(), 2u);
+  ASSERT_EQ(wide.pass_histogram.size(), 1u);
   EXPECT_EQ(wide.pass_histogram[0].width, 256u);
-  EXPECT_EQ(wide.pass_histogram[1].width, 64u);
+  EXPECT_EQ(wide.pass_histogram[0].blocks, 1u);
+  EXPECT_EQ(wide.pass_histogram[0].passes, 2u);
   expect_bit_identical(flat, wide, "tail-block 257@256");
 }
 
@@ -401,75 +402,43 @@ TEST_F(MacLaneWidthFixture, HonouredRequestsCarryNoWarning) {
 
 // ---- the deterministic pass planner itself --------------------------------------
 
-TEST(BuildPassSchedule, SeventyJobTailRunsAsTwoScalarPasses) {
-  // The motivating example: a 70-job tail at full shape 512x1 runs as two
-  // 64-lane passes (64 + 6 live) instead of one mostly-masked 512.
-  const auto schedule = build_pass_schedule(70, 512, 1);
-  ASSERT_EQ(schedule.size(), 2u);
-  EXPECT_EQ(schedule[0].width, 64u);
-  EXPECT_EQ(schedule[0].blocks, 1u);
-  EXPECT_EQ(schedule[0].job_begin, 0u);
-  EXPECT_EQ(schedule[0].job_end, 64u);
-  EXPECT_EQ(schedule[1].width, 64u);
-  EXPECT_EQ(schedule[1].job_begin, 64u);
-  EXPECT_EQ(schedule[1].job_end, 70u);
-}
-
-TEST(BuildPassSchedule, ScalarReferenceShapeIsNeverResliced) {
-  // full shape 64x1 must degenerate to exactly ceil(jobs / 64) passes so the
-  // pinned pre-adaptive pass counts stay byte-identical.
-  for (const std::size_t jobs : {1u, 63u, 64u, 65u, 1000u, 179180u}) {
-    const auto schedule = build_pass_schedule(jobs, 64, 1);
-    EXPECT_EQ(schedule.size(), (jobs + 63) / 64) << jobs;
-    for (const PlannedPass& pass : schedule) {
-      EXPECT_EQ(pass.width, 64u);
-      EXPECT_EQ(pass.blocks, 1u);
-    }
-  }
-}
-
-TEST(BuildPassSchedule, PartitionsJobsContiguouslyWithOneMaskedPassAtMost) {
-  for (const std::size_t full_width : {64u, 256u, 512u}) {
-    for (const std::size_t full_blocks : {1u, 2u, 3u, 8u}) {
-      for (const std::size_t jobs : {1u, 70u, 257u, 600u, 1023u, 4097u}) {
-        const auto schedule = build_pass_schedule(jobs, full_width, full_blocks);
+TEST(BuildPassSchedule, FullPassesThenOneTailSizedToItsJobs) {
+  // Every pass runs at the campaign's width: the passes tile the job list
+  // contiguously, every pass but the last is full, and the last carries
+  // ceil(rest / width) blocks. At 64x1 that is exactly ceil(jobs / 64)
+  // single-block passes, so the pinned 64x1 pass counts never move.
+  for (const std::size_t width : {64u, 256u, 512u}) {
+    for (const std::size_t blocks : {1u, 2u, 3u, 8u}) {
+      for (const std::size_t jobs :
+           {0u, 1u, 63u, 64u, 65u, 70u, 257u, 600u, 1023u, 1100u, 4097u,
+            179180u}) {
+        const auto schedule = build_pass_schedule(jobs, width, blocks);
         const std::string label = std::to_string(jobs) + " jobs @ " +
-                                  std::to_string(full_width) + "x" +
-                                  std::to_string(full_blocks);
+                                  std::to_string(width) + "x" +
+                                  std::to_string(blocks);
+        const std::size_t capacity = width * blocks;
+        ASSERT_EQ(schedule.size(), (jobs + capacity - 1) / capacity) << label;
         std::size_t cursor = 0;
-        std::size_t masked = 0;
-        for (const PlannedPass& pass : schedule) {
-          EXPECT_EQ(pass.job_begin, cursor) << label;
-          EXPECT_GT(pass.job_end, pass.job_begin) << label;
-          EXPECT_LE(pass.job_end - pass.job_begin, pass.width * pass.blocks)
-              << label;
-          EXPECT_LE(pass.width * pass.blocks, full_width * full_blocks) << label;
-          if (pass.job_end - pass.job_begin < pass.width * pass.blocks) ++masked;
+        for (std::size_t p = 0; p < schedule.size(); ++p) {
+          const PlannedPass& pass = schedule[p];
+          EXPECT_EQ(pass.job_begin, cursor) << label << " pass " << p;
+          const std::size_t live = pass.job_end - pass.job_begin;
+          if (p + 1 < schedule.size()) {
+            EXPECT_EQ(live, capacity) << label << " pass " << p;
+            EXPECT_EQ(pass.blocks, blocks) << label << " pass " << p;
+          } else {
+            EXPECT_GT(live, 0u) << label;
+            EXPECT_EQ(live, jobs - cursor) << label;
+            EXPECT_EQ(pass.blocks, (live + width - 1) / width) << label;
+          }
           cursor = pass.job_end;
         }
         EXPECT_EQ(cursor, jobs) << label;
-        EXPECT_LE(masked, 1u) << label;
-        if (masked == 1) {
-          EXPECT_LT(schedule.back().job_end - schedule.back().job_begin,
-                    schedule.back().width * schedule.back().blocks)
-              << label << ": only the final pass may be masked";
-        }
       }
     }
   }
-}
-
-TEST(BuildPassSchedule, FullMultiBlockPassesThenNarrowerTail) {
-  // 1100 jobs at 512x2: one full 1024-lane pass, then the 76-job tail fits
-  // one two-block scalar-width pass (2 x 64 lanes) exactly.
-  const auto schedule = build_pass_schedule(1100, 512, 2);
-  ASSERT_EQ(schedule.size(), 2u);
-  EXPECT_EQ(schedule[0].width, 512u);
-  EXPECT_EQ(schedule[0].blocks, 2u);
-  EXPECT_EQ(schedule[0].job_end, 1024u);
-  EXPECT_EQ(schedule[1].width, 64u);
-  EXPECT_EQ(schedule[1].blocks, 2u);
-  EXPECT_EQ(schedule[1].job_end, 1100u);
+  EXPECT_THROW((void)build_pass_schedule(10, 0, 1), std::invalid_argument);
+  EXPECT_THROW((void)build_pass_schedule(10, 64, 0), std::invalid_argument);
 }
 
 // ---- pipeline core --------------------------------------------------------------

@@ -48,6 +48,18 @@ std::string save_to_string(const Regressor& model) {
   return os.str();
 }
 
+/// `text` with the `index`-th token after the first "key " replaced by
+/// `value`.
+std::string replace_token_after(std::string text, const std::string& key,
+                                std::size_t index, const std::string& value) {
+  std::size_t pos = text.find(key + ' ');
+  EXPECT_NE(pos, std::string::npos) << key;
+  pos += key.size() + 1;
+  for (std::size_t i = 0; i < index; ++i) pos = text.find(' ', pos) + 1;
+  const std::size_t end = text.find_first_of(" \n", pos);
+  return text.replace(pos, end - pos, value);
+}
+
 std::unique_ptr<Regressor> round_trip(const Regressor& model) {
   std::istringstream is(save_to_string(model));
   return load_model(is);
@@ -192,6 +204,43 @@ TEST(Serialize, RejectsCorruptNumbersAndCounts) {
   corrupt.replace(corrupt.find("coef"), 4, "cofe");
   std::istringstream bad_key(corrupt);
   EXPECT_THROW((void)load_model(bad_key), std::runtime_error);
+
+  // A seed beyond 64 bits, which strtoull would clamp to 2^64 - 1.
+  DecisionTreeRegressor tree;
+  tree.fit(train.x, train.y);
+  corrupt = replace_token_after(save_to_string(tree), "tree_config", 4,
+                                "99999999999999999999999");
+  std::istringstream bad_seed(corrupt);
+  EXPECT_THROW((void)load_model(bad_seed), std::runtime_error);
+}
+
+TEST(Serialize, RejectsCountsLargerThanTheStreamWithoutAllocating) {
+  // Each count is within the sanity limit but far beyond the values that
+  // follow it. The loaders grow their storage as values are read, so each
+  // file fails at its end with a runtime_error instead of first sizing a
+  // multi-GiB allocation from the count.
+  const Problem train = make_problem(30, 3, 0x4a);
+  const auto saved = [&](const std::string& name) {
+    auto model = make_model(name);
+    model->fit(train.x, train.y);
+    return save_to_string(*model);
+  };
+  DecisionTreeRegressor tree;
+  tree.fit(train.x, train.y);
+  const std::string knn = saved("knn_paper");
+  const std::string cases[] = {
+      replace_token_after(saved("linear"), "coef", 0, "4294967296"),
+      replace_token_after(save_to_string(tree), "nodes", 0, "4294967296"),
+      replace_token_after(saved("random_forest"), "trees", 0, "4294967296"),
+      // 65536 x 65536 is exactly the matrix element limit.
+      replace_token_after(replace_token_after(knn, "train_x", 0, "65536"),
+                          "train_x", 1, "65536"),
+  };
+  for (const std::string& corrupt : cases) {
+    std::istringstream is(corrupt);
+    EXPECT_THROW((void)load_model(is), std::runtime_error)
+        << corrupt.substr(0, 200);
+  }
 }
 
 TEST(Serialize, RejectsOutOfRangeTreeChildren) {

@@ -72,7 +72,6 @@ void expect_result_identical(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.ff_block_ticks, b.ff_block_ticks);
   EXPECT_EQ(a.checkpoint_restores, b.checkpoint_restores);
   EXPECT_EQ(a.checkpoint_bytes, b.checkpoint_bytes);
-  EXPECT_EQ(a.checkpoint_bytes_unpacked, b.checkpoint_bytes_unpacked);
   EXPECT_EQ(a.warnings, b.warnings);
 }
 
@@ -426,12 +425,13 @@ TEST_F(MacShardFixture, LoadRejectsTruncatedCorruptAndWrongVersion) {
     // A future version and the previous ones are all refused: version 1
     // lacked the op_block_evals / ff_block_ticks counters, version 2
     // carried the replay mode and checkpoint interval in `config`, version
-    // 3 shards were cut from the cycle-only job order, and version 4 lacked
-    // proven_injections.
+    // 3 shards were cut from the cycle-only job order, version 4 lacked
+    // proven_injections, and version 5 re-sliced the tail into narrower
+    // passes and carried checkpoint_bytes_unpacked.
     const std::string header =
         "ffr-partial " + std::to_string(kPartialFormatVersion);
     ASSERT_EQ(text.find(header), 0u);
-    for (const char* version : {"9", "4", "3", "2", "1"}) {
+    for (const char* version : {"9", "5", "4", "3", "2", "1"}) {
       std::string wrong_version = text;
       wrong_version.replace(0, header.size(),
                             std::string("ffr-partial ") + version);
@@ -456,6 +456,20 @@ TEST_F(MacShardFixture, LoadRejectsTruncatedCorruptAndWrongVersion) {
     expect_positioned_error(
         [&] { (void)CampaignPartial::load(is, "<proven>"); }, "<proven>",
         "exceeds total_injections");
+  }
+  {
+    // A flip-flop count far beyond the rows that follow: the loader grows
+    // per_ff as rows are read, so it fails at the next section instead of
+    // sizing an allocation from the count.
+    std::string oversized = text;
+    const std::size_t pos = oversized.find("ffs ");
+    ASSERT_NE(pos, std::string::npos);
+    const std::size_t count_end = oversized.find('\n', pos);
+    oversized.replace(pos + 4, count_end - pos - 4, "4294967296");
+    std::stringstream is(oversized);
+    expect_positioned_error(
+        [&] { (void)CampaignPartial::load(is, "<ffs>"); }, "<ffs>",
+        "malformed count");
   }
   {
     std::stringstream is("ffr-model 1 ridge");

@@ -381,6 +381,16 @@ TEST(TransferFlow, LoadRejectsCorruptTransferFiles) {
     std::istringstream is("ffr-transfer 1\nmodel_name knn_paper\n");
     EXPECT_THROW((void)core::TransferModel::load(is), std::runtime_error);
   }
+  // Counts far beyond what the stream holds end at the stream's end; the
+  // loader never sizes an allocation from them.
+  for (const char* text :
+       {"ffr-transfer 1\nmodel_name knn_paper\ncircuits 4294967296 mac_core\n",
+        "ffr-transfer 1\nmodel_name knn_paper\ncircuits 0\nrows 5\n"
+        "norms 4294967296 0 1\n"}) {
+    std::istringstream is(text);
+    EXPECT_THROW((void)core::TransferModel::load(is), std::runtime_error)
+        << text;
+  }
 }
 
 TEST(Metrics, SpearmanMatchesHandComputedValues) {
