@@ -45,6 +45,9 @@ struct BenchRecord {
   std::size_t checkpoint_interval = 0;
   std::size_t injections_per_ff = 0;
   ffr::fault::CampaignResult result;
+  /// The engine's one hold-link sweep (zero for the flat oracle): reported
+  /// beside the campaign counters, never folded into them.
+  ffr::fault::CampaignEngine::LinkSweepStats link_sweep;
 };
 
 /// Compact pass-schedule histogram, most blocks first: "512x2:133;512x1:1"
@@ -74,17 +77,21 @@ void write_bench_json(const char* path, const std::vector<BenchRecord>& records)
         "  {\"circuit\": \"%s\", \"mode\": \"%s\", \"threads\": %zu, "
         "\"checkpoint_interval\": %zu, "
         "\"injections_per_ff\": %zu, \"injections\": %llu, "
-        "\"proven_injections\": %llu, \"passes\": %llu, "
+        "\"proven_injections\": %llu, \"collapsed_injections\": %llu, "
+        "\"passes\": %llu, "
         "\"cycles_simulated\": %llu, \"ops_evaluated\": %llu, "
         "\"op_block_evals\": %llu, \"ff_block_ticks\": %llu, "
         "\"checkpoint_restores\": %llu, \"lane_width\": %zu, "
         "\"blocks_per_pass\": %zu, \"pass_histogram\": \"%s\", "
         "\"peak_checkpoint_bytes\": %zu, "
+        "\"link_sweep_cycles\": %llu, \"link_sweep_op_block_evals\": %llu, "
+        "\"link_sweep_seconds\": %.6f, "
         "\"wall_seconds\": %.6f, \"mean_fdr\": %.9f}%s\n",
         r.circuit.c_str(), r.mode.c_str(), r.threads, r.checkpoint_interval,
         r.injections_per_ff,
         static_cast<unsigned long long>(c.total_injections),
         static_cast<unsigned long long>(c.proven_injections),
+        static_cast<unsigned long long>(c.collapsed_injections),
         static_cast<unsigned long long>(c.total_sim_passes),
         static_cast<unsigned long long>(c.cycles_simulated),
         static_cast<unsigned long long>(c.ops_evaluated),
@@ -93,7 +100,9 @@ void write_bench_json(const char* path, const std::vector<BenchRecord>& records)
         static_cast<unsigned long long>(c.checkpoint_restores),
         c.lanes_per_pass / std::max<std::size_t>(1, c.blocks_per_pass),
         c.blocks_per_pass, histogram_string(c).c_str(), c.checkpoint_bytes,
-        c.wall_seconds, c.mean_fdr(),
+        static_cast<unsigned long long>(r.link_sweep.cycles_simulated),
+        static_cast<unsigned long long>(r.link_sweep.op_block_evals),
+        r.link_sweep.wall_seconds, c.wall_seconds, c.mean_fdr(),
         i + 1 < records.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
@@ -216,7 +225,7 @@ int main() {
   // injections the engine answers without simulating them.
   records.push_back({"mac_core", kEngineMode, 0,
                      ctx.engine->checkpoints().interval, ctx.injections_per_ff,
-                     ctx.campaign});
+                     ctx.campaign, ctx.engine->link_sweep()});
   fault::CampaignConfig full;
   full.injections_per_ff = ctx.injections_per_ff;
   // The headline is pinned to the scalar 64-lane path so its rows stay
@@ -226,7 +235,7 @@ int main() {
   const fault::CampaignResult flat =
       fault::run_campaign(relay.netlist, relay_tb.tb, engine.golden(), full);
   records.push_back({"relay_core", "flat", full.num_threads, 0,
-                     full.injections_per_ff, flat});
+                     full.injections_per_ff, flat, {}});
 
   util::TablePrinter headline({"campaign", "injections", "sim passes",
                                "cycles[M]", "ops[G]", "FF-block ticks[M]",
@@ -251,7 +260,7 @@ int main() {
   print_warnings(incremental);
   add_headline("engine", incremental);
   records.push_back({"relay_core", kEngineMode, full.num_threads, interval,
-                     full.injections_per_ff, incremental});
+                     full.injections_per_ff, incremental, engine.link_sweep()});
   headline.print();
 
   std::printf("engine vs flat: %.1f%% fewer 64-lane passes (%llu -> %llu), "
@@ -281,6 +290,19 @@ int main() {
               interval);
   std::printf("golden checkpoints: %zu bytes bit-packed\n",
               incremental.checkpoint_bytes);
+  const fault::CampaignEngine::LinkSweepStats links = engine.link_sweep();
+  std::printf("hold links: swept once in the first engine run (%llu cycles, "
+              "%llu op-block evals, %.3fs); %llu of %llu injections proven, "
+              "%llu collapsed onto another's lane, %llu lanes simulated\n",
+              static_cast<unsigned long long>(links.cycles_simulated),
+              static_cast<unsigned long long>(links.op_block_evals),
+              links.wall_seconds,
+              static_cast<unsigned long long>(incremental.proven_injections),
+              static_cast<unsigned long long>(incremental.total_injections),
+              static_cast<unsigned long long>(incremental.collapsed_injections),
+              static_cast<unsigned long long>(incremental.total_injections -
+                                              incremental.proven_injections -
+                                              incremental.collapsed_injections));
 
   // ---- SIMD lane-width sweep: 64 / 256 / 512 fault lanes per pass -------------
 
@@ -316,7 +338,7 @@ int main() {
     add_width_row(result);
     print_warnings(result);
     records.push_back({"relay_core", kEngineMode, config.num_threads, interval,
-                       config.injections_per_ff, result});
+                       config.injections_per_ff, result, engine.link_sweep()});
     if (flat.fdr_vector() != result.fdr_vector()) {
       std::printf("# WIDTH %s DIVERGED FROM FLAT REFERENCE (BUG)\n",
                   sim::to_string(width));
@@ -363,7 +385,7 @@ int main() {
              incremental.wall_seconds / result.wall_seconds, 2) +
              "x"});
     records.push_back({"relay_core", kEngineMode, config.num_threads, interval,
-                       config.injections_per_ff, result});
+                       config.injections_per_ff, result, engine.link_sweep()});
     if (flat.fdr_vector() != result.fdr_vector()) {
       std::printf("# BLOCKS=%zu DIVERGED FROM FLAT REFERENCE (BUG)\n", blocks);
     }
@@ -393,9 +415,9 @@ int main() {
 
   constexpr std::size_t kShardCount = 3;
   std::printf("\nk-of-N sharding (%zu shards, %zu injections/FF, incremental "
-              "replay, 64-lane pinned; shard k owns the global-schedule "
-              "passes with pass %% %zu == k — fault/shard.hpp):\n",
-              kShardCount, full.injections_per_ff, kShardCount);
+              "replay, 64-lane pinned; each global-schedule pass goes to the "
+              "shard with the least estimated work — fault::ShardSpec):\n",
+              kShardCount, full.injections_per_ff);
   fault::CampaignConfig shard_config = full;
   std::vector<fault::CampaignPartial> partials;
   util::TablePrinter shard_table(
@@ -416,7 +438,8 @@ int main() {
                        "shard" + std::to_string(k) + "of" +
                            std::to_string(kShardCount),
                        shard_config.num_threads, interval,
-                       shard_config.injections_per_ff, share});
+                       shard_config.injections_per_ff, share,
+                       engine.link_sweep()});
   }
   const fault::CampaignResult merged = fault::merge_partials(partials);
   shard_table.add_row(
@@ -436,7 +459,8 @@ int main() {
               kShardCount,
               shard_identical ? "bit-identical" : "DIVERGED (BUG)");
   records.push_back({"relay_core", "sharded-merge", shard_config.num_threads,
-                     interval, shard_config.injections_per_ff, merged});
+                     interval, shard_config.injections_per_ff, merged,
+                     engine.link_sweep()});
 
   // ---- scheduling sweep: worker threads ---------------------------------------
 
@@ -462,7 +486,7 @@ int main() {
     sweep_table.add_row({std::to_string(threads),
                          util::TablePrinter::format(r.wall_seconds, 2)});
     records.push_back({"relay_core", kEngineMode, threads, interval,
-                       sweep.injections_per_ff, r});
+                       sweep.injections_per_ff, r, engine.link_sweep()});
   }
   sweep_table.print();
 

@@ -11,7 +11,7 @@
 
 #include <cstdio>
 
-#include "fault/campaign.hpp"
+#include "fault/engine.hpp"
 #include "features/extractor.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/verilog_writer.hpp"
@@ -129,13 +129,16 @@ int main() {
   tb.inject_begin = 2;
   tb.inject_end = cycles - 20;
 
-  const sim::GoldenResult golden = sim::run_golden(nl, tb);
+  // The campaign engine runs the golden simulation once and replays every
+  // fault pass against it.
+  const fault::CampaignEngine engine(nl, tb);
+  const sim::GoldenResult& golden = engine.golden();
   std::printf("golden : %zu serial bursts observed\n\n", golden.frames.size());
 
   // ---- 4. fault-injection campaign + features ----------------------------------
   fault::CampaignConfig config;
   config.injections_per_ff = 48;
-  const fault::CampaignResult campaign = fault::run_campaign(nl, tb, golden, config);
+  const fault::CampaignResult campaign = engine.run(config);
   for (const std::string& warning : campaign.warnings) {
     std::printf("warning: %s\n", warning.c_str());
   }

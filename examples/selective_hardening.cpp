@@ -18,6 +18,7 @@
 #include "circuits/mac_core.hpp"
 #include "circuits/mac_testbench.hpp"
 #include "core/estimation_flow.hpp"
+#include "fault/engine.hpp"
 #include "features/feature_set.hpp"
 #include "util/table_printer.hpp"
 
@@ -58,12 +59,13 @@ int main() {
   const circuits::MacTestbench bench = circuits::build_mac_testbench(mac, {});
   std::printf("circuit: %s\n\n", mac.netlist.summary().c_str());
 
-  // Ground truth (the expensive flat campaign — what the oracle sees).
-  const sim::GoldenResult golden = sim::run_golden(mac.netlist, bench.tb);
+  // Ground truth (the expensive full campaign — what the oracle sees). One
+  // engine serves it and the estimation flow below: it runs the golden
+  // simulation once and sweeps the hold links on its first campaign.
+  const fault::CampaignEngine engine(mac.netlist, bench.tb);
   fault::CampaignConfig campaign_config;
   campaign_config.injections_per_ff = 64;
-  const fault::CampaignResult campaign =
-      fault::run_campaign(mac.netlist, bench.tb, golden, campaign_config);
+  const fault::CampaignResult campaign = engine.run(campaign_config);
   const linalg::Vector true_fdr = campaign.fdr_vector();
 
   // ML policy: estimation flow with a 25% training budget.
@@ -71,8 +73,7 @@ int main() {
   flow_config.training_size = 0.25;
   flow_config.injections_per_ff = 64;
   flow_config.model = "knn_paper";
-  const core::FlowResult flow =
-      core::run_estimation_flow(mac.netlist, bench.tb, flow_config);
+  const core::FlowResult flow = core::run_estimation_flow(engine, flow_config);
   for (const std::string& warning : flow.warnings) {
     std::printf("warning: %s\n", warning.c_str());
   }

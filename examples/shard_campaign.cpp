@@ -105,14 +105,21 @@ int run_one_shard(const Design& design, const ffr::fault::ShardSpec& shard,
   bool resumed = false;
   const ffr::fault::CampaignPartial partial =
       ffr::fault::load_or_run_shard(engine, config, dir, &resumed);
-  std::printf("shard %zu/%zu: %s — %llu injections (%llu proven) in %llu "
-              "passes, %llu cycles simulated\n",
+  const ffr::fault::CampaignResult& share = partial.result;
+  std::printf("shard %zu/%zu: %s — %llu injections (%llu proven, %llu "
+              "collapsed = %.1f%% answered by another's lane) in %llu passes, "
+              "%llu cycles simulated\n",
               shard.index, shard.count,
               resumed ? "resumed from partial" : "executed",
-              static_cast<unsigned long long>(partial.result.total_injections),
-              static_cast<unsigned long long>(partial.result.proven_injections),
-              static_cast<unsigned long long>(partial.result.total_sim_passes),
-              static_cast<unsigned long long>(partial.result.cycles_simulated));
+              static_cast<unsigned long long>(share.total_injections),
+              static_cast<unsigned long long>(share.proven_injections),
+              static_cast<unsigned long long>(share.collapsed_injections),
+              share.total_injections == 0
+                  ? 0.0
+                  : 100.0 * static_cast<double>(share.collapsed_injections) /
+                        static_cast<double>(share.total_injections),
+              static_cast<unsigned long long>(share.total_sim_passes),
+              static_cast<unsigned long long>(share.cycles_simulated));
   std::printf("partial  : %s\n",
               (dir / ffr::fault::partial_filename(shard.index, shard.count))
                   .string()
@@ -163,6 +170,8 @@ int merge_dir(const Design& design, const std::filesystem::path& dir,
         reference.total_injections);
   check("proven_injections", merged.proven_injections,
         reference.proven_injections);
+  check("collapsed_injections", merged.collapsed_injections,
+        reference.collapsed_injections);
   check("total_sim_passes", merged.total_sim_passes,
         reference.total_sim_passes);
   check("cycles_simulated", merged.cycles_simulated,

@@ -12,9 +12,12 @@ and the pass schedule, never on host load, thread timing or SIMD
 throughput. A counter that grew beyond the tolerance is a real cost
 regression (a scheduling or replay change made the engine do more work),
 not noise, so the guard can be strict where a wall-clock gate could not be.
-proven_injections and the pass_histogram string (passes per lane shape)
-must match exactly. mean_fdr must match exactly: every engine configuration
-is bit-identical to the flat reference by contract.
+proven_injections, collapsed_injections and the pass_histogram string
+(passes per lane shape) must match exactly. mean_fdr must match exactly:
+every engine configuration is bit-identical to the flat reference by
+contract. The link_sweep_* fields are reported, never gated: the engine's
+hold-link sweep runs at the host's native lane width, so its cost differs
+between hosts.
 
 Transfer rows (BENCH_transfer.json) carry model-quality metrics. The
 training pipeline is deterministic for a fixed injection count, so
@@ -64,11 +67,12 @@ SCHEMAS = {
             "op_block_evals",
             "ff_block_ticks",
         ),
-        # Upsets answered without simulation: set by the observable cone
-        # and the injection schedule alone. The pass histogram is the
-        # schedule's shape: a change that keeps the pass total but moves
-        # passes between shapes is a schedule change, not noise.
-        "exact": ("proven_injections", "pass_histogram"),
+        # Upsets answered without a lane of their own: set by the observable
+        # cone, the hold links and the injection schedule alone. The pass
+        # histogram is the schedule's shape: a change that keeps the pass
+        # total but moves passes between shapes is a schedule change, not
+        # noise.
+        "exact": ("proven_injections", "collapsed_injections", "pass_histogram"),
         "fixed": (),
         # mean_fdr is bit-identity by engine contract: compare at 9 decimals
         # (the serialized precision), flagged as identity breakage.

@@ -28,11 +28,17 @@ namespace ffr::fault {
 
 /// One shard of a k-of-N campaign. The batched CampaignEngine plans the
 /// full campaign's pass schedule exactly as if it were unsharded and then
-/// runs only the passes this shard owns (pass p belongs to shard
-/// `p % count == index` — round-robin, so the expensive early-injection
-/// passes, which resume from early checkpoints, spread evenly over the
-/// shards). Because every pass's science output and deterministic cost
-/// counters are independent of which other passes run alongside it,
+/// runs only the passes this shard owns. Ownership is dealt in schedule
+/// order: each pass goes to the shard with the least estimated work so far
+/// (ties to the lowest index), estimating a pass as its lane blocks times
+/// the cycles from its restore checkpoint to the end of the testbench, so
+/// the expensive early-injection passes and the narrow tail pass spread
+/// evenly; on equal estimates this is round-robin. A pass's real cost also
+/// depends on how long its lanes stay off golden, which no schedule-only
+/// rule can see, so balance holds only statistically (better with more
+/// passes per shard). Because every pass's science output and
+/// deterministic cost counters are independent of which other passes run
+/// alongside it,
 /// merge_partials() (fault/shard.hpp) over all N shards reconstructs the
 /// unsharded CampaignResult bit-identically. The flat run_campaign() ignores the
 /// shard spec (it is the unsharded differential reference).
@@ -114,13 +120,21 @@ struct CampaignResult {
   std::uint64_t total_injections = 0;  ///< Upsets injected overall.
   /// Of total_injections, the upsets the batched engine answered kOk
   /// without simulating them: their flip-flop lies outside the testbench's
-  /// sim::ObservableCone, so they can never reach the interface. Counted
+  /// sim::ObservableCone, or their chain of hold links ends in a masked
+  /// cycle (sim::HoldLinks), so they can never reach the interface. Counted
   /// by shard 0 of a sharded run; 0 from the flat run_campaign(), which
   /// simulates every upset.
   std::uint64_t proven_injections = 0;
+  /// Of total_injections, the upsets the batched engine answered with
+  /// another upset's lane: the hold links chain them to the same
+  /// representative upset (fault/engine.hpp), which is simulated once.
+  /// Counted by the shard that owns the representative's pass; 0 from the
+  /// flat run_campaign().
+  std::uint64_t collapsed_injections = 0;
   /// Simulator passes used. In the batched engine every pass but the last
   /// carries `lanes_per_pass` fault lanes, so an unsharded run takes exactly
-  /// ceil((total_injections - proven_injections) / lanes_per_pass) passes.
+  /// ceil((total_injections - proven_injections - collapsed_injections) /
+  /// lanes_per_pass) passes.
   std::uint64_t total_sim_passes = 0;
   /// Fault-lane capacity of a full-shape engine pass: the resolved
   /// CampaignConfig lane_width (after any fallback) times the resolved
@@ -158,7 +172,9 @@ struct CampaignResult {
   /// bit-packed sim::GoldenCheckpoints representation; 0 in the flat
   /// campaign, which replays from reset).
   std::size_t checkpoint_bytes = 0;
-  double wall_seconds = 0.0;           ///< Campaign wall-clock time.
+  /// Campaign wall-clock time, including the engine's one hold-link sweep
+  /// when this run was the engine's first (CampaignEngine::link_sweep()).
+  double wall_seconds = 0.0;
 
   /// FDR values in per_ff order.
   [[nodiscard]] std::vector<double> fdr_vector() const;

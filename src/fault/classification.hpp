@@ -49,8 +49,9 @@ inline constexpr std::size_t kNumFailureClasses =
 struct ClassCounts {
   std::array<std::uint64_t, kNumFailureClasses> counts{};
 
-  void add(FailureClass cls) noexcept {
-    ++counts[static_cast<std::size_t>(cls)];
+  /// Counts `n` outcomes of class `cls`.
+  void add(FailureClass cls, std::uint64_t n = 1) noexcept {
+    counts[static_cast<std::size_t>(cls)] += n;
   }
   [[nodiscard]] std::uint64_t total() const noexcept {
     std::uint64_t sum = 0;

@@ -123,30 +123,51 @@ std::vector<PlannedPass> build_pass_schedule(std::size_t num_jobs,
 
 std::vector<CampaignJob> order_campaign_jobs(
     const CampaignConfig& config, const sim::Testbench& tb,
-    const std::vector<std::size_t>& subset, std::size_t interval) {
+    const std::vector<std::size_t>& subset, std::size_t interval,
+    const sim::HoldLinks* links) {
   if (interval == 0) {
     throw std::invalid_argument("order_campaign_jobs: interval must be >= 1");
   }
-  // A counting pass sizes each segment; a placing pass then walks the
-  // flip-flops in order with each one's cycles sorted, so every segment
-  // fills in (task, cycle) order without a comparison sort.
-  std::vector<std::size_t> segment_begin(tb.inject_end / interval + 2, 0);
-  for (const std::size_t ff_index : subset) {
-    for (const std::size_t cycle : injection_cycles(config, tb, ff_index)) {
-      ++segment_begin[cycle / interval + 1];
+  // Each flip-flop's jobs in cycle order, flip-flop after flip-flop, while
+  // counting each segment's jobs; a placing pass then fills every segment in
+  // (task, cycle) order without a comparison sort.
+  std::vector<CampaignJob> by_task;
+  const std::size_t horizon =
+      links != nullptr ? std::max(tb.inject_end, links->window_end) : tb.inject_end;
+  std::vector<std::size_t> segment_begin(horizon / interval + 2, 0);
+  for (std::size_t task = 0; task < subset.size(); ++task) {
+    const std::size_t ff = subset[task];
+    std::vector<std::size_t> cycles = injection_cycles(config, tb, ff);
+    std::sort(cycles.begin(), cycles.end());
+    std::size_t rep = 0;  // end of the chain the previous cycle walked to
+    bool walked = false;
+    for (const std::size_t cycle : cycles) {
+      std::size_t at = cycle;
+      if (links != nullptr) {
+        // The cycles up to `rep` chain to `rep`; a later cycle starts a
+        // fresh walk from itself.
+        if (!walked || cycle > rep) {
+          for (rep = cycle; links->link(ff, rep);) ++rep;
+          walked = true;
+        }
+        if (links->masked(ff, rep)) continue;
+        at = rep;
+        if (!by_task.empty() && by_task.back().task == task &&
+            by_task.back().cycle == at) {
+          ++by_task.back().weight;
+          continue;
+        }
+      }
+      by_task.push_back(CampaignJob{static_cast<std::uint32_t>(task),
+                                    static_cast<std::uint32_t>(at), 1});
+      ++segment_begin[at / interval + 1];
     }
   }
   std::partial_sum(segment_begin.begin(), segment_begin.end(),
                    segment_begin.begin());
-  std::vector<CampaignJob> jobs(segment_begin.back());
-  for (std::size_t task = 0; task < subset.size(); ++task) {
-    std::vector<std::size_t> cycles =
-        injection_cycles(config, tb, subset[task]);
-    std::sort(cycles.begin(), cycles.end());
-    for (const std::size_t cycle : cycles) {
-      jobs[segment_begin[cycle / interval]++] = CampaignJob{
-          static_cast<std::uint32_t>(task), static_cast<std::uint32_t>(cycle)};
-    }
+  std::vector<CampaignJob> jobs(by_task.size());
+  for (const CampaignJob& job : by_task) {
+    jobs[segment_begin[job.cycle / interval]++] = job;
   }
   return jobs;
 }
@@ -178,6 +199,40 @@ std::size_t resolve_blocks_per_pass(std::size_t requested,
   return requested;
 }
 
+namespace {
+
+/// Sweeps the hold links of `links`' window at block width W, one
+/// checkpoint segment per pool item on a per-worker sweeper. Each segment
+/// resumes from its own checkpoint, so only a window start that is not on
+/// a checkpoint cycle costs fast-forward cycles.
+template <std::size_t W>
+void sweep_hold_links(const sim::CompiledStimulus& stimulus,
+                      const sim::GoldenCheckpoints& ckpts, util::ThreadPool& pool,
+                      sim::HoldLinks& links, std::vector<sim::LinkSweepCost>& costs) {
+  const std::size_t interval = ckpts.interval;
+  const std::size_t first = links.window_begin / interval;
+  const std::size_t segments =
+      links.window_end > links.window_begin
+          ? (links.window_end - 1) / interval + 1 - first
+          : 0;
+  std::vector<std::unique_ptr<sim::HoldLinkSweeper<W>>> sweepers(pool.size());
+  pool.parallel_for_chunked(
+      segments, 0, [&](std::size_t begin, std::size_t end, std::size_t worker) {
+        auto& sweeper = sweepers[worker];
+        if (!sweeper) {
+          sweeper = std::make_unique<sim::HoldLinkSweeper<W>>(stimulus, ckpts);
+        }
+        for (std::size_t s = begin; s < end; ++s) {
+          const std::size_t segment = first + s;
+          costs[worker] += sweeper->sweep(
+              std::max(links.window_begin, segment * interval),
+              std::min(links.window_end, (segment + 1) * interval), links);
+        }
+      });
+}
+
+}  // namespace
+
 CampaignEngine::CampaignEngine(const netlist::Netlist& nl, const sim::Testbench& tb)
     : nl_(&nl), tb_(&tb), stimulus_(nl, tb) {
   // Record checkpoints during the one golden run the engine pays anyway. A
@@ -194,7 +249,49 @@ std::size_t CampaignEngine::resident_bytes() const {
   }
   bytes += golden_.activity.cycles_at_1.size() * sizeof(std::uint64_t);
   bytes += golden_.activity.state_changes.size() * sizeof(std::uint64_t);
+  bytes += sim::HoldLinks::bytes_for(nl_->num_flip_flops(), tb_->inject_begin,
+                                     stimulus_.num_cycles());
   return bytes + checkpoints_.memory_bytes();
+}
+
+const sim::HoldLinks& CampaignEngine::hold_links(util::ThreadPool& pool) const {
+  LinkMemo& memo = *links_;
+  // The exception is memoized too: an exception escaping std::call_once
+  // leaves the flag unusable on some standard libraries.
+  std::call_once(memo.once, [&] {
+    try {
+      util::Stopwatch stopwatch;
+      memo.links = sim::HoldLinks(nl_->num_flip_flops(), tb_->inject_begin,
+                                  stimulus_.num_cycles());
+      std::vector<sim::LinkSweepCost> costs(pool.size());
+      switch (sim::lanes_of(sim::resolve_lane_width(sim::LaneWidth::kAuto).width)) {
+        case 64:
+          sweep_hold_links<1>(stimulus_, checkpoints_, pool, memo.links, costs);
+          break;
+        case 256:
+          sweep_hold_links<4>(stimulus_, checkpoints_, pool, memo.links, costs);
+          break;
+        default:
+          sweep_hold_links<8>(stimulus_, checkpoints_, pool, memo.links, costs);
+          break;
+      }
+      sim::LinkSweepCost total;
+      for (const sim::LinkSweepCost& cost : costs) total += cost;
+      memo.stats.swept = true;
+      memo.stats.cycles_simulated = total.cycles_simulated;
+      memo.stats.op_block_evals = total.op_block_evals;
+      memo.stats.wall_seconds = stopwatch.elapsed_seconds();
+      memo.swept.store(true);
+    } catch (...) {
+      memo.error = std::current_exception();
+    }
+  });
+  if (memo.error != nullptr) std::rethrow_exception(memo.error);
+  return memo.links;
+}
+
+CampaignEngine::LinkSweepStats CampaignEngine::link_sweep() const {
+  return links_->swept.load() ? links_->stats : LinkSweepStats{};
 }
 
 CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
@@ -242,45 +339,53 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
     ff_result.name = nl_->cell(ffs[subset[task]]).name;
   }
 
-  // Flat job list: job j is one injection. Slicing it into lane-block
-  // passes packs lanes across flip-flop boundaries, which is where the pass
-  // saving over the flat campaign comes from. An upset of a flip-flop
-  // outside the observable cone can never reach the interface, so it is
-  // answered kOk here and gets no lane; shard 0 owns these answers.
-  const std::vector<std::uint8_t>& observable = stimulus_.cone().flip_flops;
-  std::vector<CampaignJob> jobs =
-      order_campaign_jobs(config, *tb_, subset, checkpoints_.interval);
-  std::size_t kept = 0;  // the simulated jobs, compacted in place in order
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const std::size_t task = jobs[j].task;
-    if (observable[subset[task]] != 0) {
-      jobs[kept++] = jobs[j];
-    } else if (config.shard.index == 0) {
-      result.per_ff[task].classes.add(FailureClass::kOk);
-      ++result.per_ff[task].injections;
-      ++result.proven_injections;
+  // Flat job list: job j is one representative upset, one lane. Slicing it
+  // into lane-block passes packs lanes across flip-flop boundaries, which is
+  // where the pass saving over the flat campaign comes from. The hold links
+  // collapse every chain of upsets that sit unread in a flip-flop onto the
+  // cycle where they are read. An upset of a flip-flop outside the
+  // observable cone, or one whose chain ends masked, can never reach the
+  // interface, so it is answered kOk here and gets no lane; shard 0 owns
+  // these answers.
+  util::ThreadPool pool(config.num_threads);
+  const std::vector<CampaignJob> jobs = order_campaign_jobs(
+      config, *tb_, subset, checkpoints_.interval, &hold_links(pool));
+  if (config.shard.index == 0) {
+    std::vector<std::uint64_t> carried(subset.size(), 0);
+    for (const CampaignJob& job : jobs) carried[job.task] += job.weight;
+    for (std::size_t task = 0; task < subset.size(); ++task) {
+      const std::uint64_t proven = config.injections_per_ff - carried[task];
+      result.per_ff[task].classes.add(FailureClass::kOk, proven);
+      result.per_ff[task].injections += proven;
+      result.proven_injections += proven;
     }
   }
-  jobs.resize(kept);
   result.total_injections = result.proven_injections;
   result.checkpoint_bytes = checkpoints_.memory_bytes();
 
   // Pass schedule: full (width x blocks) passes plus one tail pass with just
   // enough blocks, all at the resolved width. Deterministic given (jobs,
   // width, blocks), so pass counts are exact regression-guard counters. The
-  // schedule is always planned over the FULL job list — a k-of-N shard then
-  // owns every N-th pass (round-robin, so the expensive early-injection
-  // passes spread evenly). Each pass's outcomes and cost counters depend
-  // only on its own job range, never on which other passes run in the same
-  // process, which is what makes merged shard partials bit-identical to an
-  // unsharded run.
+  // schedule is always planned over the FULL job list, and so is its
+  // ownership (see ShardSpec): each pass, in schedule order, goes to the
+  // shard with the least estimated work so far, a pass's estimate being the
+  // most it can simulate, its blocks times the cycles from its restore
+  // checkpoint to the end of the testbench. Each pass's outcomes and cost
+  // counters depend only on its own job range, never on which other passes
+  // run in the same process, which is what makes merged shard partials
+  // bit-identical to an unsharded run.
   const std::vector<PlannedPass> schedule =
       build_pass_schedule(jobs.size(), block_lanes, blocks);
   std::vector<std::size_t> owned;
-  owned.reserve(schedule.size() / config.shard.count + 1);
-  for (std::size_t p = config.shard.index; p < schedule.size();
-       p += config.shard.count) {
-    owned.push_back(p);
+  std::vector<std::uint64_t> load(config.shard.count, 0);
+  for (std::size_t p = 0; p < schedule.size(); ++p) {
+    const auto least = std::min_element(load.begin(), load.end());
+    const std::size_t restore = jobs[schedule[p].job_begin].cycle /
+                                checkpoints_.interval * checkpoints_.interval;
+    *least += schedule[p].blocks * (stimulus_.num_cycles() - restore);
+    if (static_cast<std::size_t>(least - load.begin()) == config.shard.index) {
+      owned.push_back(p);
+    }
   }
   for (const std::size_t p : owned) {
     const std::size_t pass_blocks = schedule[p].blocks;
@@ -300,7 +405,6 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
   // this shard's passes stay untouched and are never accumulated.
   std::vector<FailureClass> outcome(jobs.size(), FailureClass::kOk);
 
-  util::ThreadPool pool(config.num_threads);
   std::vector<WorkerCost> costs(pool.size());
   switch (block_lanes) {
     case 64:
@@ -320,9 +424,11 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
   for (const std::size_t p : owned) {
     const PlannedPass& pass = schedule[p];
     for (std::size_t j = pass.job_begin; j < pass.job_end; ++j) {
-      result.per_ff[jobs[j].task].classes.add(outcome[j]);
-      ++result.per_ff[jobs[j].task].injections;
-      ++result.total_injections;
+      FfResult& ff = result.per_ff[jobs[j].task];
+      ff.classes.add(outcome[j], jobs[j].weight);
+      ff.injections += jobs[j].weight;
+      result.total_injections += jobs[j].weight;
+      result.collapsed_injections += jobs[j].weight - 1;
     }
   }
   result.total_sim_passes = owned.size();

@@ -11,14 +11,20 @@
 /// call — and keeps one sim::WideReplayRunner per worker thread and pass
 /// shape so the levelized evaluation order is built once per worker instead
 /// of once per pass. Every pass, 64-lane ones included, runs on that one
-/// replay engine. An injection into a flip-flop outside the testbench's
-/// sim::ObservableCone is answered kOk without a lane
-/// (CampaignResult::proven_injections). run() packs the other injections
-/// across flip-flops: they form one flat job list, sorted by
-/// (checkpoint segment, flip-flop, cycle) and sliced into passes
-/// (build_pass_schedule). Every pass runs at the campaign's resolved
-/// lane_width — the SIMD block (64 = one 64-bit word, 256 AVX2, 512
-/// AVX-512; kAuto dispatches via CPUID). Full passes sweep blocks_per_pass
+/// replay engine. The first run() also sweeps the engine's hold links
+/// (sim::HoldLinks), memoized for every later run: an upset that sits
+/// unread in its flip-flop has the outcome of the same flip-flop's upset one
+/// cycle later, so each injection follows its chain of links to one
+/// representative upset, which is simulated once for all of them
+/// (CampaignResult::collapsed_injections). An injection into a flip-flop
+/// outside the testbench's sim::ObservableCone, or one whose chain ends in
+/// a cycle where the upset is masked, is answered kOk without a lane
+/// (CampaignResult::proven_injections). run() packs the representatives
+/// across flip-flops: they form one flat job list, sorted by (checkpoint
+/// segment, flip-flop, cycle) and sliced into passes (build_pass_schedule).
+/// Every pass runs at the campaign's resolved lane_width — the SIMD block
+/// (64 = one 64-bit word, 256 AVX2, 512 AVX-512; kAuto dispatches via
+/// CPUID). Full passes sweep blocks_per_pass
 /// blocks per op to keep the vector pipelines busy past the register width;
 /// the one tail pass sweeps just enough blocks for the jobs left. Each pass
 /// restores the latest golden checkpoint at or before its earliest
@@ -34,13 +40,22 @@
 /// split (see tests/test_campaign_engine.cpp,
 /// tests/test_incremental_replay.cpp and tests/test_lane_width.cpp).
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "fault/campaign.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/runner.hpp"
+#include "sim/wide_runner.hpp"
+
+namespace ffr::util {
+class ThreadPool;
+}
 
 namespace ffr::fault {
 
@@ -55,28 +70,39 @@ namespace ffr::fault {
 /// (see kPartialFormatVersion in fault/shard.hpp).
 inline constexpr std::size_t kCheckpointInterval = 16;
 
-/// One injection of a campaign: the flip-flop at position `task` of the
-/// campaign's flip-flop subset is upset at the start of `cycle`.
+/// One simulated upset of a campaign: the flip-flop at position `task` of
+/// the campaign's flip-flop subset is upset at the start of `cycle`, and the
+/// outcome answers `weight` of the campaign's injections.
 struct CampaignJob {
   std::uint32_t task = 0;
   std::uint32_t cycle = 0;
+  std::uint32_t weight = 1;
 };
 
-/// Every injection of a campaign over `subset` (injection_cycles() of each
-/// subset flip-flop) in the order run() slices into passes: (cycle /
-/// interval, task, cycle), where `interval` is the engine's checkpoint
-/// interval. A pass resumes from the latest checkpoint at or before its
-/// earliest injection, and its cost is the union of its lanes' fan-out
-/// cones. The segment sets where a pass starts, exactly as a plain cycle
-/// sort would, so passes, cycles and restores match it; grouping by
-/// flip-flop within the segment sets how much cone the lanes share. The
-/// key therefore trades nothing, and since per-job outcomes are
-/// lane-independent, the order never changes the science.
+/// The jobs of a campaign over `subset` (injection_cycles() of each subset
+/// flip-flop) in the order run() slices into passes: (cycle / interval,
+/// task, cycle), where `interval` is the engine's checkpoint interval. A
+/// pass resumes from the latest checkpoint at or before its earliest
+/// injection, and its cost is the union of its lanes' fan-out cones. The
+/// segment sets where a pass starts, exactly as a plain cycle sort would, so
+/// passes, cycles and restores match it; grouping by flip-flop within the
+/// segment sets how much cone the lanes share. The key therefore trades
+/// nothing, and since per-job outcomes are lane-independent, the order never
+/// changes the science.
+///
+/// Without `links`, every injection is one job of weight 1. With `links`
+/// (sim::HoldLinks of the same testbench), each injection (f, c) follows its
+/// chain of hold links to the representative (f, r), the first cycle r >= c
+/// without a link; one walk forward over each flip-flop's sorted cycles
+/// finds them all. Injections with the same representative become one job
+/// weighted by their count, and those whose representative is masked get no
+/// job at all: their outcome is kOk.
 /// \throws std::invalid_argument when `interval` is 0 or the testbench's
 ///         injection window is empty.
 [[nodiscard]] std::vector<CampaignJob> order_campaign_jobs(
     const CampaignConfig& config, const sim::Testbench& tb,
-    const std::vector<std::size_t>& subset, std::size_t interval);
+    const std::vector<std::size_t>& subset, std::size_t interval,
+    const sim::HoldLinks* links = nullptr);
 
 /// One planned pass of the engine's schedule: jobs [job_begin, job_end) run
 /// as `blocks` SIMD lane blocks at the campaign's lane width. Only the final
@@ -138,15 +164,18 @@ class CampaignEngine {
 
   /// Batched campaign over the configured flip-flop subset. Bit-identical to
   /// run_campaign(netlist(), testbench(), golden(), config), but with
-  /// unobservable upsets answered without simulation, cross-flip-flop lane
-  /// packing, checkpointed mid-stream starts, passes pruned to the
-  /// observable cone that stop once back on golden, dirty-set evaluation,
-  /// a golden-relative monitor and chunked work-stealing scheduling.
-  /// With config.shard.count > 1 only the shard's round-robin share of the
-  /// full pass schedule runs (see ShardSpec / fault/shard.hpp); merging all
-  /// N shards' results reconstructs the unsharded run bit-identically.
-  /// The engine is immutable after construction, so concurrent run() calls
-  /// on one engine are safe (each brings its own worker pool).
+  /// unobservable and masked upsets answered without simulation, one lane
+  /// per hold-link representative, cross-flip-flop lane packing,
+  /// checkpointed mid-stream starts, passes pruned to the observable cone
+  /// that stop once back on golden, dirty-set evaluation, a golden-relative
+  /// monitor and chunked work-stealing scheduling. With config.shard.count >
+  /// 1 only the shard's share of the full pass schedule runs (see ShardSpec /
+  /// fault/shard.hpp); merging all N shards' results reconstructs the
+  /// unsharded run bit-identically. The first run() on an engine sweeps its
+  /// hold links on that run's worker pool, once: concurrent first runs wait
+  /// for the one sweep, and nothing else in the engine ever changes, so
+  /// concurrent run() calls on one engine are safe (each brings its own
+  /// worker pool).
   /// \throws std::invalid_argument on a zero-cycle testbench, an empty
   ///         injection window or an invalid shard spec.
   [[nodiscard]] CampaignResult run(const CampaignConfig& config = {}) const;
@@ -161,17 +190,43 @@ class CampaignEngine {
 
   /// Approximate bytes this engine keeps resident across campaigns: the
   /// pre-broadcast compiled stimulus, the golden frame stream and activity
-  /// trace, and the bit-packed checkpoint set. This is the cost the
-  /// service-layer engine registry charges an entry against its byte budget
-  /// (the bit-packed checkpoints are what keep it small).
+  /// trace, the bit-packed checkpoint set and the hold links (charged from
+  /// construction, before the first run() sweeps them, so the charge never
+  /// changes). This is the cost the service-layer engine registry charges an
+  /// entry against its byte budget.
   [[nodiscard]] std::size_t resident_bytes() const;
 
+  /// The work of the engine's one hold-link sweep (sim::HoldLinkSweeper at
+  /// the host's native lane width). It runs inside the first run() on this
+  /// engine and is reported here, never in a CampaignResult, so campaign
+  /// counters stay a function of (netlist, testbench, config) alone.
+  struct LinkSweepStats {
+    bool swept = false;                  ///< False until a run() has swept.
+    std::uint64_t cycles_simulated = 0;  ///< Cycles advanced, summed over segments.
+    std::uint64_t op_block_evals = 0;    ///< Ops evaluated times lane blocks.
+    double wall_seconds = 0.0;           ///< Wall time of the sweep.
+  };
+  [[nodiscard]] LinkSweepStats link_sweep() const;
+
  private:
+  /// The hold links, swept on `pool` by the first caller: memoized behind a
+  /// std::call_once, never computed in the constructor.
+  const sim::HoldLinks& hold_links(util::ThreadPool& pool) const;
+
+  struct LinkMemo {
+    std::once_flag once;
+    sim::HoldLinks links;
+    LinkSweepStats stats;
+    std::atomic<bool> swept{false};  ///< Publishes `stats` to link_sweep().
+    std::exception_ptr error;        ///< What the sweep threw, rethrown per call.
+  };
+
   const netlist::Netlist* nl_;
   const sim::Testbench* tb_;
   sim::CompiledStimulus stimulus_;
   sim::GoldenResult golden_;
   sim::GoldenCheckpoints checkpoints_;
+  std::unique_ptr<LinkMemo> links_ = std::make_unique<LinkMemo>();
 };
 
 }  // namespace ffr::fault

@@ -103,7 +103,8 @@ void CampaignPartial::save(std::ostream& os) const {
   os << "shape " << result.lanes_per_pass << ' ' << result.blocks_per_pass
      << '\n';
   os << "counters " << result.total_injections << ' '
-     << result.proven_injections << ' ' << result.total_sim_passes << ' '
+     << result.proven_injections << ' ' << result.collapsed_injections << ' '
+     << result.total_sim_passes << ' '
      << result.cycles_simulated << ' ' << result.ops_evaluated << ' '
      << result.op_block_evals << ' ' << result.ff_block_ticks << ' '
      << result.checkpoint_restores << ' ' << result.checkpoint_bytes << '\n';
@@ -178,6 +179,7 @@ CampaignPartial CampaignPartial::load(std::istream& is,
   r.expect("counters");
   partial.result.total_injections = r.u64();
   partial.result.proven_injections = r.u64();
+  partial.result.collapsed_injections = r.u64();
   partial.result.total_sim_passes = r.u64();
   partial.result.cycles_simulated = r.u64();
   partial.result.ops_evaluated = r.u64();
@@ -237,9 +239,15 @@ CampaignPartial CampaignPartial::load(std::istream& is,
            std::to_string(injection_total) + " but total_injections is " +
            std::to_string(partial.result.total_injections));
   }
-  if (partial.result.proven_injections > partial.result.total_injections) {
+  // Compared as a difference: the sum of two arbitrary 64-bit counts can
+  // wrap.
+  if (partial.result.proven_injections > partial.result.total_injections ||
+      partial.result.collapsed_injections >
+          partial.result.total_injections - partial.result.proven_injections) {
     r.fail("proven_injections " +
            std::to_string(partial.result.proven_injections) +
+           " plus collapsed_injections " +
+           std::to_string(partial.result.collapsed_injections) +
            " exceeds total_injections " +
            std::to_string(partial.result.total_injections));
   }
@@ -423,6 +431,7 @@ CampaignResult merge_partials(const std::vector<CampaignPartial>& partials) {
     }
     merged.total_injections += shard.total_injections;
     merged.proven_injections += shard.proven_injections;
+    merged.collapsed_injections += shard.collapsed_injections;
     merged.total_sim_passes += shard.total_sim_passes;
     merged.cycles_simulated += shard.cycles_simulated;
     merged.ops_evaluated += shard.ops_evaluated;

@@ -4,12 +4,14 @@
 /// text serialization, order-independent merging, and resume-from-partial.
 ///
 /// A k-of-N shard (CampaignConfig::shard) runs the batched CampaignEngine
-/// over every N-th pass of the FULL campaign's deterministic pass schedule.
-/// Each pass's science output and cost counters depend only on its own job
-/// range, and shard 0 alone answers the upsets proven unobservable, so the
+/// over its share of the FULL campaign's deterministic pass schedule (see
+/// ShardSpec for how passes are dealt). Each pass's science output and cost
+/// counters depend only on its own job range, and shard 0 alone answers the
+/// upsets proven to need no lane, so the
 /// N partials merge back into a CampaignResult bit-identical to the
 /// unsharded run — FDR vector, class counts, and every deterministic counter
-/// (proven_injections, total_sim_passes, cycles_simulated, ops_evaluated,
+/// (proven_injections, collapsed_injections, total_sim_passes,
+/// cycles_simulated, ops_evaluated,
 /// op_block_evals, ff_block_ticks, checkpoint_restores, pass_histogram)
 /// included.
 ///
@@ -22,8 +24,8 @@
 ///     shard <index> <count>
 ///     config <injections_per_ff> <seed>
 ///     shape <lanes_per_pass> <blocks_per_pass>
-///     counters <total_injections> <proven_injections> <total_sim_passes>
-///              <cycles_simulated>
+///     counters <total_injections> <proven_injections>
+///              <collapsed_injections> <total_sim_passes> <cycles_simulated>
 ///              <ops_evaluated> <op_block_evals> <ff_block_ticks>
 ///              <checkpoint_restores> <checkpoint_bytes>
 ///     wall <seconds>
@@ -71,11 +73,15 @@ namespace ffr::fault {
 /// flip-flops left the job list; version 6 marks the schedule whose passes
 /// all run at the campaign's lane width, which moved a tail that used to be
 /// re-sliced into narrower passes (and so which shard owns which jobs), and
-/// dropped checkpoint_bytes_unpacked from `counters`. Older files are
-/// rejected like any other unsupported version. The cost counters depend on
-/// kCheckpointInterval, on the job order and on the pass schedule
-/// (fault/engine.hpp): changing any of them requires another version bump.
-inline constexpr int kPartialFormatVersion = 6;
+/// dropped checkpoint_bytes_unpacked from `counters`; version 7 added
+/// collapsed_injections to `counters`, since the job list became one
+/// weighted job per hold-link representative, which moved which jobs each
+/// pass, and so each shard, carries. Older files are rejected like any
+/// other unsupported version. The cost counters depend on
+/// kCheckpointInterval, on the job list and its order and on the pass
+/// schedule (fault/engine.hpp): changing any of them requires another
+/// version bump.
+inline constexpr int kPartialFormatVersion = 7;
 
 /// One shard's campaign accumulators plus the fingerprint that guards
 /// merging: two partials may only merge when they come from the same engine

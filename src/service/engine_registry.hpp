@@ -55,7 +55,8 @@
 /// ## Eviction
 ///
 /// Entries are charged CampaignEngine::resident_bytes() (dominated by the
-/// compiled stimulus; checkpoints are bit-packed at 1 bit/FF) plus their
+/// compiled stimulus and the hold links, charged before their first
+/// campaign sweeps them; checkpoints are bit-packed at 1 bit/FF) plus their
 /// testbench copy and memoized prediction vectors. Shared netlist copies
 /// are not charged. Two byte limits apply, both least-recently-used first:
 ///

@@ -62,6 +62,30 @@ struct FrameState {
   }
 };
 
+/// Lanes of block `blk` whose interface observation this cycle differs from
+/// the golden tape sample `golden`: valid differs, or both are valid and a
+/// marker or data bit differs. Only those lanes can build a frame stream
+/// other than golden's.
+template <std::size_t W>
+LaneBlock<W> interface_diff(const WideSimulator<W>& sim, const PacketMonitorSpec& spec,
+                            std::uint16_t golden, std::size_t blk) {
+  using Block = LaneBlock<W>;
+  const auto splat = [&](std::uint16_t flag) {
+    return (golden & flag) != 0 ? Block::ones() : Block::zero();
+  };
+  Block differ = sim.value(spec.valid, blk) ^ splat(GoldenCheckpoints::kTapeValid);
+  if ((golden & GoldenCheckpoints::kTapeValid) != 0) {
+    differ |= sim.value(spec.sop, blk) ^ splat(GoldenCheckpoints::kTapeSop);
+    differ |= sim.value(spec.eop, blk) ^ splat(GoldenCheckpoints::kTapeEop);
+    differ |= sim.value(spec.err, blk) ^ splat(GoldenCheckpoints::kTapeErr);
+    for (std::size_t b = 0; b < spec.data.size(); ++b) {
+      differ |= sim.value(spec.data[b], blk) ^
+                splat(static_cast<std::uint16_t>(1u << (8 + b)));
+    }
+  }
+  return differ;
+}
+
 /// Golden-relative per-lane frame extraction over `blocks` lane blocks: lane
 /// L of word w in block b is global lane b * W * 64 + w * 64 + L. Per-lane
 /// frame state is kept only for lanes whose monitored nets have differed
@@ -93,25 +117,9 @@ class WidePacketMonitor {
 
   void observe(const WideSimulator<W>& simulator, std::size_t cycle) {
     const std::uint16_t golden = tape_[cycle];
-    const auto splat = [&](std::uint16_t flag) {
-      return (golden & flag) != 0 ? Block::ones() : Block::zero();
-    };
-    const bool golden_valid = (golden & GoldenCheckpoints::kTapeValid) != 0;
     for (std::size_t blk = 0; blk < diverged_.size(); ++blk) {
-      const Block& valid = simulator.value(spec_->valid, blk);
-      // Lanes whose observation this cycle may differ from golden's: valid
-      // differs, or both are valid and a marker or data bit differs.
-      Block differ = valid ^ splat(GoldenCheckpoints::kTapeValid);
-      if (golden_valid) {
-        differ |= simulator.value(spec_->sop, blk) ^ splat(GoldenCheckpoints::kTapeSop);
-        differ |= simulator.value(spec_->eop, blk) ^ splat(GoldenCheckpoints::kTapeEop);
-        differ |= simulator.value(spec_->err, blk) ^ splat(GoldenCheckpoints::kTapeErr);
-        for (std::size_t b = 0; b < spec_->data.size(); ++b) {
-          differ |= simulator.value(spec_->data[b], blk) ^
-                    splat(static_cast<std::uint16_t>(1u << (8 + b)));
-        }
-      }
-      const Block fresh = differ & ~diverged_[blk];
+      const Block fresh =
+          interface_diff(simulator, *spec_, golden, blk) & ~diverged_[blk];
       for (std::size_t w = 0; w < W; ++w) {
         for (std::uint64_t bits = fresh.word(w); bits != 0; bits &= bits - 1) {
           const std::size_t lane = blk * Block::kLanes + w * 64 +
@@ -122,7 +130,8 @@ class WidePacketMonitor {
         }
       }
       diverged_[blk] |= fresh;
-      observe_lanes(simulator, blk, valid & diverged_[blk], cycle);
+      observe_lanes(simulator, blk, simulator.value(spec_->valid, blk) & diverged_[blk],
+                    cycle);
     }
     golden_.observe(golden, cycle);
     golden_completed_ += golden_.frames.size();
@@ -361,6 +370,185 @@ RunResult WideReplayRunner<W>::run(std::span<const LaneInjection> injections) {
 template class WideReplayRunner<1>;
 template class WideReplayRunner<4>;
 template class WideReplayRunner<8>;
+
+HoldLinks::HoldLinks(std::size_t num_ffs, std::size_t begin, std::size_t end)
+    : window_begin(begin),
+      window_end(std::max(begin, end)),
+      row_words((num_ffs + 63) / 64),
+      links((window_end - begin) * row_words, 0),
+      masks(links.size(), 0) {}
+
+std::size_t HoldLinks::bytes_for(std::size_t num_ffs, std::size_t begin,
+                                 std::size_t end) noexcept {
+  const std::size_t rows = end > begin ? end - begin : 0;
+  return 2 * rows * ((num_ffs + 63) / 64) * sizeof(std::uint64_t);
+}
+
+template <std::size_t W>
+HoldLinkSweeper<W>::HoldLinkSweeper(const CompiledStimulus& stimulus,
+                                    const GoldenCheckpoints& golden)
+    : stim_(&stimulus),
+      golden_(&golden),
+      // One lane per observable flip-flop plus the golden lane 0, in as
+      // many blocks as that takes, up to the pass maximum.
+      sim_(stimulus.netlist(),
+           std::clamp<std::size_t>(
+               (stimulus.cone().num_observable_ffs() + Block::kLanes) / Block::kLanes,
+               1, kMaxLaneBlocksPerPass),
+           stimulus.cone().nets) {
+  if (golden.interface_tape.size() != stimulus.num_cycles()) {
+    throw std::invalid_argument(
+        "HoldLinkSweeper: the golden recording needs a full interface tape");
+  }
+  if (golden.num_loopbacks != stimulus.testbench().loopbacks.size()) {
+    throw std::invalid_argument(
+        "HoldLinkSweeper: checkpoint/testbench loopback mismatch");
+  }
+  const std::vector<std::uint8_t>& observable = stimulus.cone().flip_flops;
+  for (std::size_t i = 0; i < observable.size(); ++i) {
+    if (observable[i] != 0) ff_positions_.push_back(i);
+  }
+}
+
+template <std::size_t W>
+LinkSweepCost HoldLinkSweeper<W>::sweep(std::size_t begin, std::size_t end,
+                                        HoldLinks& links) {
+  const std::vector<std::uint8_t>& observable = stim_->cone().flip_flops;
+  if (links.row_words != (observable.size() + 63) / 64) {
+    throw std::invalid_argument(
+        "HoldLinkSweeper: the links are sized for another flip-flop count");
+  }
+  if (begin > end || begin < links.window_begin || end > links.window_end ||
+      end > stim_->num_cycles()) {
+    throw std::invalid_argument(
+        "HoldLinkSweeper: cycles outside the link window or the testbench");
+  }
+  LinkSweepCost cost;
+  // An upset outside the cone is masked at every cycle.
+  for (std::size_t cycle = begin; cycle < end; ++cycle) {
+    for (std::size_t i = 0; i < observable.size(); ++i) {
+      if (observable[i] == 0) links.set_masked(i, cycle);
+    }
+  }
+  const std::size_t group = sim_.lanes() - 1;  // lane 0 stays golden
+  for (std::size_t first = 0; first < ff_positions_.size() && begin < end;
+       first += group) {
+    sweep_group(begin, end, first, std::min(ff_positions_.size(), first + group),
+                links, cost);
+  }
+  return cost;
+}
+
+template <std::size_t W>
+void HoldLinkSweeper<W>::restore_golden() {
+  const std::size_t blocks = sim_.num_blocks();
+  restore_state_.resize(ff_positions_.size() * blocks);
+  for (std::size_t i = 0; i < ff_positions_.size(); ++i) {
+    const Block value = golden_q_[i] != 0 ? Block::ones() : Block::zero();
+    for (std::size_t b = 0; b < blocks; ++b) restore_state_[i * blocks + b] = value;
+  }
+  sim_.restore_ff_state(restore_state_);
+}
+
+template <std::size_t W>
+void HoldLinkSweeper<W>::sweep_group(std::size_t begin, std::size_t end,
+                                     std::size_t first, std::size_t last,
+                                     HoldLinks& links, LinkSweepCost& cost) {
+  const GoldenCheckpoints& ckpts = *golden_;
+  const Testbench& tb = stim_->testbench();
+  const std::vector<std::uint8_t>& observable_loops = stim_->cone().loopbacks;
+  const auto ffs = stim_->netlist().flip_flops();
+  const std::size_t blocks = sim_.num_blocks();
+  const std::size_t num_ffs = ff_positions_.size();
+  const std::uint64_t ops_before = sim_.ops_evaluated();
+
+  const std::size_t index = ckpts.index_at_or_before(begin);
+  const std::size_t start = ckpts.snapshots[index].cycle;
+  golden_q_.resize(num_ffs);
+  for (std::size_t i = 0; i < num_ffs; ++i) {
+    golden_q_[i] = ckpts.ff_bit(index, ff_positions_[i]) ? 1 : 0;
+  }
+  golden_loop_.resize(tb.loopbacks.size());
+  for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
+    golden_loop_[i] = ckpts.loopback_bit(index, i) ? 1 : 0;
+  }
+  restore_golden();
+  loop_values_.resize(tb.loopbacks.size() * blocks);
+  touched_.resize(blocks);
+  once_.resize(blocks);
+  twice_.resize(blocks);
+
+  for (std::size_t cycle = start; cycle < end; ++cycle) {
+    // Cycles before `begin` only bring every lane to golden at `begin`.
+    const bool swept = cycle >= begin;
+    for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
+      const Block value = golden_loop_[i] != 0 ? Block::ones() : Block::zero();
+      for (std::size_t b = 0; b < blocks; ++b) loop_values_[i * blocks + b] = value;
+    }
+    drive_inputs<W>(sim_, *stim_, cycle, loop_values_);
+    if (swept) {
+      for (std::size_t i = first; i < last; ++i) {
+        const std::size_t lane = 1 + i - first;
+        sim_.inject(ffs[ff_positions_[i]], Block::lane_mask(lane % Block::kLanes),
+                    lane / Block::kLanes);
+      }
+    }
+    sim_.eval_incremental();
+    for (std::size_t b = 0; swept && b < blocks; ++b) {
+      touched_[b] = interface_diff(sim_, tb.monitor, ckpts.interface_tape[cycle], b);
+    }
+    for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
+      const netlist::NetId from = tb.loopbacks[i].from_net;
+      golden_loop_[i] = sim_.value(from, 0).lane(0) ? 1 : 0;
+      if (!swept || observable_loops[i] == 0) continue;
+      const Block want = golden_loop_[i] != 0 ? Block::ones() : Block::zero();
+      for (std::size_t b = 0; b < blocks; ++b) touched_[b] |= sim_.value(from, b) ^ want;
+    }
+    sim_.tick();
+    for (std::size_t i = 0; i < num_ffs; ++i) {
+      golden_q_[i] = sim_.ff_state(ffs[ff_positions_[i]], 0).lane(0) ? 1 : 0;
+    }
+    if (!swept) continue;
+    // An upset that changes nothing outside in the testbench's last cycle
+    // can never be observed.
+    const bool final_cycle = cycle + 1 == stim_->num_cycles();
+
+    // Which lanes hold one, or more than one, observable flip-flop off
+    // golden after the edge.
+    for (std::size_t b = 0; b < blocks; ++b) {
+      once_[b] = Block::zero();
+      twice_[b] = Block::zero();
+    }
+    for (std::size_t i = 0; i < num_ffs; ++i) {
+      const Block want = golden_q_[i] != 0 ? Block::ones() : Block::zero();
+      for (std::size_t b = 0; b < blocks; ++b) {
+        const Block off = sim_.ff_state(ffs[ff_positions_[i]], b) ^ want;
+        twice_[b] |= once_[b] & off;
+        once_[b] |= off;
+      }
+    }
+    for (std::size_t i = first; i < last; ++i) {
+      const std::size_t lane = 1 + i - first;
+      const std::size_t b = lane / Block::kLanes;
+      const std::size_t in_block = lane % Block::kLanes;
+      if (touched_[b].lane(in_block)) continue;
+      const bool flipped =
+          sim_.ff_state(ffs[ff_positions_[i]], b).lane(in_block) != (golden_q_[i] != 0);
+      if (!once_[b].lane(in_block) || final_cycle) {
+        links.set_masked(ff_positions_[i], cycle);
+      } else if (flipped && !twice_[b].lane(in_block) && cycle + 1 < links.window_end) {
+        links.set_link(ff_positions_[i], cycle);
+      }
+    }
+    if (cycle + 1 < end) restore_golden();
+  }
+  cost.cycles_simulated += end - start;
+  cost.op_block_evals += (sim_.ops_evaluated() - ops_before) * blocks;
+}
+
+template class HoldLinkSweeper<1>;
+template class HoldLinkSweeper<4>;
+template class HoldLinkSweeper<8>;
 
 GoldenResult run_golden(const CompiledStimulus& stimulus, GoldenCheckpoints* record) {
   const netlist::Netlist& nl = stimulus.netlist();

@@ -26,6 +26,12 @@
 /// which every lane's observable state is golden's again; the interface
 /// can only replay the golden tape from there.
 ///
+/// HoldLinkSweeper<W> fills the hold links of a (netlist, testbench) pair
+/// (HoldLinks): which upsets have the outcome of the same flip-flop's upset
+/// one cycle later, and which are masked within one cycle. It runs on the
+/// same pruned simulator and compares with golden the way the fault passes
+/// do: the monitor's golden-relative test and the observable state.
+///
 /// run_golden() is a fault-free loop on a single-block WideSimulator<1>
 /// over the whole netlist (the features need every flip-flop's activity): it
 /// traces activity, builds the golden frames from the same lane-0 interface
@@ -118,6 +124,130 @@ class WideReplayRunner {
 extern template class WideReplayRunner<1>;
 extern template class WideReplayRunner<4>;
 extern template class WideReplayRunner<8>;
+
+/// Hold links and one-cycle masks of the upsets of every flip-flop at every
+/// cycle of a window: a property of the (netlist, testbench) pair alone,
+/// filled by HoldLinkSweeper. Comparisons with golden ignore the
+/// flip-flops outside the observable cone, as WideReplayRunner's stop check
+/// does: nothing they hold can reach an observable net.
+///
+/// link(f, c): an upset of f at the start of cycle c changes no monitored
+/// interface observation and no observable loopback source in cycle c, and
+/// after the clock edge f is the only observable flip-flop off golden, still
+/// flipped. Cycle c + 1 then starts from golden with f flipped, which is
+/// what an upset of f at c + 1 creates, and the interface has seen only
+/// golden, so the two upsets have the same outcome. Never set at the
+/// window's last cycle, so a chain of links ends inside the window.
+///
+/// masked(f, c): an upset of f at c is kOk without simulation: f lies
+/// outside the observable cone, or the upset changes no monitored
+/// observation or observable loopback source in cycle c and either every
+/// observable flip-flop is back on golden after the edge or c is the
+/// testbench's last cycle.
+///
+/// Both are false outside the window.
+struct HoldLinks {
+  std::size_t window_begin = 0;  ///< First cycle covered.
+  std::size_t window_end = 0;    ///< One past the last cycle covered.
+  std::size_t row_words = 0;     ///< 64-bit words per cycle row.
+  /// Cycle-major bit rows: cycle c's row is words [(c - window_begin) *
+  /// row_words, (c - window_begin + 1) * row_words), and its bit i belongs
+  /// to flip-flop i of Netlist::flip_flops(). Rows of distinct cycles never
+  /// share a word, so disjoint cycle ranges may be filled concurrently.
+  std::vector<std::uint64_t> links;
+  std::vector<std::uint64_t> masks;
+
+  HoldLinks() = default;
+  /// Clear rows for `num_ffs` flip-flops over cycles [begin, end).
+  HoldLinks(std::size_t num_ffs, std::size_t begin, std::size_t end);
+
+  [[nodiscard]] bool link(std::size_t ff, std::size_t cycle) const noexcept {
+    return test(links, ff, cycle);
+  }
+  [[nodiscard]] bool masked(std::size_t ff, std::size_t cycle) const noexcept {
+    return test(masks, ff, cycle);
+  }
+  void set_link(std::size_t ff, std::size_t cycle) { set(links, ff, cycle); }
+  void set_masked(std::size_t ff, std::size_t cycle) { set(masks, ff, cycle); }
+
+  /// Bytes a HoldLinks(num_ffs, begin, end) holds: two bit rows per cycle.
+  [[nodiscard]] static std::size_t bytes_for(std::size_t num_ffs, std::size_t begin,
+                                             std::size_t end) noexcept;
+
+ private:
+  [[nodiscard]] bool test(const std::vector<std::uint64_t>& bits, std::size_t ff,
+                          std::size_t cycle) const noexcept {
+    if (cycle < window_begin || cycle >= window_end) return false;
+    return (bits[(cycle - window_begin) * row_words + ff / 64] >> (ff % 64)) & 1u;
+  }
+  void set(std::vector<std::uint64_t>& bits, std::size_t ff, std::size_t cycle) {
+    bits[(cycle - window_begin) * row_words + ff / 64] |= std::uint64_t{1} << (ff % 64);
+  }
+};
+
+/// Work of a link sweep: cycles advanced and ops evaluated times lane blocks.
+struct LinkSweepCost {
+  std::uint64_t cycles_simulated = 0;
+  std::uint64_t op_block_evals = 0;
+
+  LinkSweepCost& operator+=(const LinkSweepCost& other) noexcept {
+    cycles_simulated += other.cycles_simulated;
+    op_block_evals += other.op_block_evals;
+    return *this;
+  }
+};
+
+/// Fills HoldLinks rows on one WideSimulator<W> pruned to the observable
+/// cone, with one lane per observable flip-flop plus a golden lane. Every
+/// swept cycle starts with golden state on every lane; lane 0 stays golden
+/// and lane 1 + i gets observable flip-flop i flipped (the diagonal). After
+/// eval each lane's interface observation and observable loopback sources
+/// are compared with golden, after the tick its observable flip-flops, and
+/// then every lane is reset to lane 0's state. Every swept cycle is thus one
+/// full sweep of the cone. A circuit with more observable flip-flops than
+/// kMaxLaneBlocksPerPass blocks hold is swept in groups. Not thread-safe;
+/// use one sweeper per worker.
+template <std::size_t W>
+class HoldLinkSweeper {
+ public:
+  using Block = LaneBlock<W>;
+
+  /// `golden` is a run_golden() recording of the same pair; both must
+  /// outlive the sweeper.
+  /// \throws std::invalid_argument when `golden` is not a full recording of
+  /// this testbench (interface tape length or loopback count differ).
+  HoldLinkSweeper(const CompiledStimulus& stimulus, const GoldenCheckpoints& golden);
+
+  /// Fills the rows of cycles [begin, end) of `links`, which must be sized
+  /// for this netlist's flip-flops, resuming from the latest checkpoint at or
+  /// before `begin`.
+  /// \throws std::invalid_argument when `links` is sized for another
+  /// flip-flop count, or [begin, end) is not inside both its window and the
+  /// testbench.
+  LinkSweepCost sweep(std::size_t begin, std::size_t end, HoldLinks& links);
+
+ private:
+  void sweep_group(std::size_t begin, std::size_t end, std::size_t first,
+                   std::size_t last, HoldLinks& links, LinkSweepCost& cost);
+  /// Puts every lane of every observable flip-flop on golden_q_.
+  void restore_golden();
+
+  const CompiledStimulus* stim_;
+  const GoldenCheckpoints* golden_;
+  WideSimulator<W> sim_;  // pruned to the stimulus's observable cone
+  std::vector<std::size_t> ff_positions_;  // simulated FFs in flip_flops()
+  std::vector<std::uint8_t> golden_q_;     // per simulated FF
+  std::vector<std::uint8_t> golden_loop_;  // per loopback: pending value
+  std::vector<Block> loop_values_;         // scratch, loopback-major
+  std::vector<Block> restore_state_;       // scratch for block-splat restores
+  std::vector<Block> touched_;  // per block: lanes that changed the outside
+  std::vector<Block> once_;     // per block: lanes with >= 1 FF off golden
+  std::vector<Block> twice_;    // per block: lanes with >= 2 FFs off golden
+};
+
+extern template class HoldLinkSweeper<1>;
+extern template class HoldLinkSweeper<4>;
+extern template class HoldLinkSweeper<8>;
 
 /// The golden run: replays `stimulus` fault-free from reset on a
 /// single-block WideSimulator<1> with activity tracing. When `record` is

@@ -4,15 +4,19 @@
 // its output must be invariant under every threading / batching choice —
 // scheduling can never change science output. Also covers the cached-golden
 // estimation-flow overload, the engine golden against independent oracles,
-// the WideReplayRunner reuse contract, and the observable cone: which
-// flip-flops it proves unobservable, and how a fault pass uses it.
+// the WideReplayRunner reuse contract, the observable cone (which
+// flip-flops it proves unobservable, and how a fault pass uses it) and the
+// hold links: their exact bits on a hand-built circuit, and the collapse of
+// every chain onto one lane.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "circuits/mac_core.hpp"
@@ -21,6 +25,7 @@
 #include "core/estimation_flow.hpp"
 #include "fault/campaign.hpp"
 #include "fault/engine.hpp"
+#include "netlist/builder.hpp"
 #include "sim/reference_sim.hpp"
 #include "sim/runner.hpp"
 #include "sim/testbench.hpp"
@@ -163,6 +168,7 @@ TEST_F(MacEngineFixture, BitExactWithFlatCampaignOnMac) {
       run_campaign(mac->netlist, bench->tb, engine->golden(), config);
   const CampaignResult batched = engine->run(config);
   expect_bit_identical(flat, batched);
+  EXPECT_GT(batched.collapsed_injections, 0u);
 }
 
 TEST_F(MacEngineFixture, PacksLanesAcrossFlipFlops) {
@@ -175,17 +181,21 @@ TEST_F(MacEngineFixture, PacksLanesAcrossFlipFlops) {
   const CampaignResult flat =
       run_campaign(mac->netlist, bench->tb, engine->golden(), config);
   const CampaignResult batched = engine->run(config);
-  // 8 x 48 = 384 injections: flat needs 8 passes, batched ceil(384/64) = 6.
-  // The 64-lane scalar reference path never re-shapes or multi-blocks its
-  // passes, so these counts are pinned exactly.
+  // 8 x 48 = 384 injections: flat needs 8 passes. The engine answers 202 of
+  // them without a lane (unobservable, or chained to a masked cycle) and 53
+  // with another injection's lane, and packs the other 129 into
+  // ceil(129/64) = 3 passes. The 64-lane scalar reference path never
+  // re-shapes or multi-blocks its passes, so these counts are pinned exactly.
   EXPECT_EQ(flat.total_sim_passes, 8u);
-  EXPECT_EQ(batched.total_sim_passes, 6u);
+  EXPECT_EQ(batched.proven_injections, 202u);
+  EXPECT_EQ(batched.collapsed_injections, 53u);
+  EXPECT_EQ(batched.total_sim_passes, 3u);
   EXPECT_EQ(batched.lanes_per_pass, 64u);
   EXPECT_EQ(batched.blocks_per_pass, 1u);
   ASSERT_EQ(batched.pass_histogram.size(), 1u);
   EXPECT_EQ(batched.pass_histogram[0].width, 64u);
   EXPECT_EQ(batched.pass_histogram[0].blocks, 1u);
-  EXPECT_EQ(batched.pass_histogram[0].passes, 6u);
+  EXPECT_EQ(batched.pass_histogram[0].passes, 3u);
   expect_bit_identical(flat, batched);
 
   // Same campaign at whatever (width, blocks) shape the host resolves for
@@ -197,7 +207,7 @@ TEST_F(MacEngineFixture, PacksLanesAcrossFlipFlops) {
   const std::size_t auto_block_width =
       auto_width.lanes_per_pass / auto_width.blocks_per_pass;
   EXPECT_EQ(auto_width.total_sim_passes,
-            build_pass_schedule(384, auto_block_width,
+            build_pass_schedule(129, auto_block_width,
                                 auto_width.blocks_per_pass)
                 .size());
   expect_bit_identical(flat, auto_width);
@@ -423,7 +433,9 @@ TEST_F(MacEngineFixture, PassOfUnobservableUpsetsStopsAtTheNextCheckpoint) {
 TEST_F(MacEngineFixture, UnobservableUpsetsAreAnsweredWithoutLanes) {
   // A subset mixing unobservable flip-flops into observable ones: the
   // unobservable ones' injections are all kOk, counted as proven, and get
-  // no lane; the flat oracle, which simulates them, agrees.
+  // no lane; so do the injections whose chain of hold links ends masked,
+  // and the others share one lane per representative. The flat oracle,
+  // which simulates every injection, agrees.
   const sim::CompiledStimulus stimulus(mac->netlist, bench->tb);
   const std::vector<std::uint8_t>& observable = stimulus.cone().flip_flops;
   CampaignConfig config;
@@ -436,13 +448,33 @@ TEST_F(MacEngineFixture, UnobservableUpsetsAreAnsweredWithoutLanes) {
   }
   ASSERT_GT(proven_ffs, 0u);
   const CampaignResult batched = engine->run(config);
-  EXPECT_EQ(batched.proven_injections, proven_ffs * config.injections_per_ff);
+  EXPECT_GE(batched.proven_injections, proven_ffs * config.injections_per_ff);
   EXPECT_EQ(batched.total_injections,
             config.ff_subset.size() * config.injections_per_ff);
-  EXPECT_EQ(batched.total_sim_passes,
-            build_pass_schedule(batched.total_injections - batched.proven_injections,
-                                64, 1)
-                .size());
+
+  // The same hold links, swept here on their own, give the exact answer.
+  sim::HoldLinks links(mac->netlist.num_flip_flops(), bench->tb.inject_begin,
+                       bench->tb.stimulus.num_cycles());
+  sim::HoldLinkSweeper<1> sweeper(stimulus, engine->checkpoints());
+  (void)sweeper.sweep(links.window_begin, links.window_end, links);
+  const std::size_t interval = engine->checkpoints().interval;
+  const std::vector<CampaignJob> jobs =
+      order_campaign_jobs(config, bench->tb, config.ff_subset, interval, &links);
+  const auto key = [interval](const CampaignJob& job) {
+    return std::tuple(job.cycle / interval, job.task, job.cycle);
+  };
+  std::uint64_t carried = 0;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    EXPECT_NE(observable[config.ff_subset[jobs[j].task]], 0) << "job " << j;
+    if (j > 0) {
+      EXPECT_LT(key(jobs[j - 1]), key(jobs[j])) << "one job per representative";
+    }
+    carried += jobs[j].weight;
+  }
+  EXPECT_EQ(batched.proven_injections, batched.total_injections - carried);
+  EXPECT_EQ(batched.collapsed_injections, carried - jobs.size());
+  EXPECT_GT(batched.collapsed_injections, 0u);
+  EXPECT_EQ(batched.total_sim_passes, build_pass_schedule(jobs.size(), 64, 1).size());
   for (const FfResult& ff : batched.per_ff) {
     if (observable[ff.ff_index] != 0) continue;
     EXPECT_EQ(ff.classes.counts[0], config.injections_per_ff) << ff.name;
@@ -451,6 +483,213 @@ TEST_F(MacEngineFixture, UnobservableUpsetsAreAnsweredWithoutLanes) {
       run_campaign(mac->netlist, bench->tb, engine->golden(), config);
   EXPECT_EQ(flat.proven_injections, 0u);
   expect_bit_identical(flat, batched);
+}
+
+// ---- hold links -------------------------------------------------------------------
+
+/// One flip-flop per kind of hold link, each seen only through a monitored
+/// data bit (observed while `valid` is high) or a loopback: a hold-enabled
+/// register that loads `d_in` while `en` is high, a D = Q register, a toggle
+/// (D = not Q), a constant-D register and a D = Q register that drives a
+/// loopback source. No flip-flop reads another, so an upset stays in the
+/// flip-flop it hit.
+struct HoldLinkCircuit {
+  netlist::Netlist nl;
+  sim::Testbench tb;
+};
+
+constexpr std::size_t kHoldCycles = 24;
+bool hold_valid_at(std::size_t cycle) { return cycle % 5 == 3; }
+bool hold_en_at(std::size_t cycle) { return cycle % 4 == 1; }
+
+HoldLinkCircuit build_hold_link_circuit() {
+  netlist::NetlistBuilder b("hold_links");
+  const netlist::NetId valid = b.input("valid");
+  const netlist::NetId en = b.input("en");
+  const netlist::NetId d_in = b.input("d_in");
+  const netlist::NetId loop_in = b.input("loop_in");
+  const netlist::FlipFlop hold = b.dff_loop(
+      [&](netlist::NetId q) { return b.mux2(q, d_in, en); }, false, "hold");
+  const netlist::FlipFlop same =
+      b.dff_loop([](netlist::NetId q) { return q; }, true, "same");
+  const netlist::FlipFlop toggle =
+      b.dff_loop([&](netlist::NetId q) { return b.inv(q); }, false, "toggle");
+  const netlist::FlipFlop konst = b.dff(b.constant(false), false, "konst");
+  const netlist::FlipFlop looped =
+      b.dff_loop([](netlist::NetId q) { return q; }, true, "looped");
+  const netlist::NetId zero = b.constant(false);
+  const std::vector<netlist::NetId> data = {hold.q, same.q, toggle.q, konst.q,
+                                            loop_in};
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    b.output(data[i], "data" + std::to_string(i));
+  }
+  HoldLinkCircuit c;
+  c.nl = b.build();
+  c.tb.stimulus = sim::Stimulus(c.nl.primary_inputs().size(), kHoldCycles);
+  for (std::size_t cycle = 0; cycle < kHoldCycles; ++cycle) {
+    c.tb.stimulus.set(0, cycle, hold_valid_at(cycle));
+    c.tb.stimulus.set(1, cycle, hold_en_at(cycle));
+    c.tb.stimulus.set(2, cycle, cycle % 3 == 0);
+  }
+  c.tb.loopbacks.push_back(sim::Loopback{looped.q, loop_in, false});
+  c.tb.monitor.valid = valid;
+  c.tb.monitor.sop = zero;
+  c.tb.monitor.eop = zero;
+  c.tb.monitor.err = zero;
+  c.tb.monitor.data = data;
+  c.tb.inject_begin = 2;
+  c.tb.inject_end = 20;
+  return c;
+}
+
+/// The exact link and mask bits of every flip-flop of the hold-link circuit
+/// over [inject_begin, kHoldCycles), swept at width W in the given pieces.
+template <std::size_t W>
+void check_hold_link_bits(const std::vector<std::size_t>& cuts) {
+  const HoldLinkCircuit c = build_hold_link_circuit();
+  const CampaignEngine engine(c.nl, c.tb);
+  const sim::CompiledStimulus stimulus(c.nl, c.tb);
+  sim::HoldLinks links(c.nl.num_flip_flops(), c.tb.inject_begin, kHoldCycles);
+  sim::HoldLinkSweeper<W> sweeper(stimulus, engine.checkpoints());
+  std::size_t begin = c.tb.inject_begin;
+  for (const std::size_t end : cuts) {
+    const sim::LinkSweepCost cost = sweeper.sweep(begin, end, links);
+    // Each piece resumes from the checkpoint at or before its first cycle.
+    EXPECT_EQ(cost.cycles_simulated,
+              end - engine.checkpoints().at_or_before(begin).cycle);
+    begin = end;
+  }
+  ASSERT_EQ(begin, kHoldCycles);
+
+  std::map<std::string, std::size_t> position;
+  const auto ffs = c.nl.flip_flops();
+  for (std::size_t i = 0; i < ffs.size(); ++i) position[c.nl.cell(ffs[i]).name] = i;
+  for (std::size_t cycle = c.tb.inject_begin; cycle < kHoldCycles; ++cycle) {
+    const std::string at = "W=" + std::to_string(W) + " cycle " + std::to_string(cycle);
+    // A data bit is observed while valid is high; an upset that changes
+    // nothing outside in the testbench's last cycle is never observed.
+    const bool seen = hold_valid_at(cycle);
+    const bool last = cycle + 1 == kHoldCycles;
+    const auto link = [&](const char* name) { return links.link(position.at(name), cycle); };
+    const auto masked = [&](const char* name) {
+      return links.masked(position.at(name), cycle);
+    };
+    // Read while valid, overwritten (masked) while en, held otherwise.
+    EXPECT_EQ(link("hold"), !seen && !last && !hold_en_at(cycle)) << at;
+    EXPECT_EQ(masked("hold"), !seen && (last || hold_en_at(cycle))) << at;
+    // D = Q holds the flip, and so does D = not Q: the flipped state
+    // toggles into the flipped successor.
+    for (const char* held : {"same", "toggle"}) {
+      EXPECT_EQ(link(held), !seen && !last) << at << " " << held;
+      EXPECT_EQ(masked(held), !seen && last) << at << " " << held;
+    }
+    // A constant D writes golden back at the edge.
+    EXPECT_FALSE(link("konst")) << at;
+    EXPECT_EQ(masked("konst"), !seen) << at;
+    // A flip that reaches a loopback source is never a link, nor masked.
+    EXPECT_FALSE(link("looped")) << at;
+    EXPECT_FALSE(masked("looped")) << at;
+  }
+  // Links sized for another circuit, or cycles outside the window or the
+  // testbench, are refused.
+  sim::HoldLinks wrong_size(65, c.tb.inject_begin, kHoldCycles);
+  EXPECT_THROW((void)sweeper.sweep(c.tb.inject_begin, kHoldCycles, wrong_size),
+               std::invalid_argument);
+  EXPECT_THROW((void)sweeper.sweep(c.tb.inject_begin - 1, kHoldCycles, links),
+               std::invalid_argument);
+  sim::HoldLinks too_long(c.nl.num_flip_flops(), c.tb.inject_begin, kHoldCycles + 1);
+  EXPECT_THROW((void)sweeper.sweep(c.tb.inject_begin, kHoldCycles + 1, too_long),
+               std::invalid_argument);
+  // Outside the window nothing is linked or masked.
+  for (std::size_t i = 0; i < ffs.size(); ++i) {
+    EXPECT_FALSE(links.link(i, c.tb.inject_begin - 1));
+    EXPECT_FALSE(links.masked(i, c.tb.inject_begin - 1));
+    EXPECT_FALSE(links.link(i, kHoldCycles));
+  }
+}
+
+TEST(HoldLinks, ExactBitsAt64) { check_hold_link_bits<1>({kHoldCycles}); }
+TEST(HoldLinks, ExactBitsAt256InPieces) { check_hold_link_bits<4>({7, 16, kHoldCycles}); }
+TEST(HoldLinks, ExactBitsAt512InPieces) { check_hold_link_bits<8>({3, 17, kHoldCycles}); }
+
+TEST(HoldLinks, SameBitsAtEveryWidthAndGrouping) {
+  // At 64 lanes a sweep holds at most 511 flip-flops besides the golden
+  // lane, so full-size mac_core's 803 observable flip-flops are swept in two
+  // groups; at 512 lanes, in one.
+  const circuits::MacCore mac = circuits::build_mac_core();
+  const circuits::MacTestbench bench = circuits::build_mac_testbench(mac);
+  const CampaignEngine engine(mac.netlist, bench.tb);
+  const sim::CompiledStimulus stimulus(mac.netlist, bench.tb);
+  ASSERT_GT(stimulus.cone().num_observable_ffs(), 511u);
+  const auto sweep = [&](auto width_tag) {
+    constexpr std::size_t W = decltype(width_tag)::value;
+    sim::HoldLinks links(mac.netlist.num_flip_flops(), bench.tb.inject_begin,
+                         bench.tb.stimulus.num_cycles());
+    sim::HoldLinkSweeper<W> sweeper(stimulus, engine.checkpoints());
+    (void)sweeper.sweep(links.window_begin, links.window_end, links);
+    return links;
+  };
+  const sim::HoldLinks narrow = sweep(std::integral_constant<std::size_t, 1>{});
+  const sim::HoldLinks wide = sweep(std::integral_constant<std::size_t, 8>{});
+  EXPECT_EQ(narrow.links, wide.links);
+  EXPECT_EQ(narrow.masks, wide.masks);
+  EXPECT_NE(std::count(wide.links.begin(), wide.links.end(), 0u),
+            static_cast<std::ptrdiff_t>(wide.links.size()));
+}
+
+TEST(HoldLinks, EngineCollapsesChainsBitIdenticalToFlat) {
+  const HoldLinkCircuit c = build_hold_link_circuit();
+  const CampaignEngine engine(c.nl, c.tb);
+  const std::size_t resident = engine.resident_bytes();
+  EXPECT_FALSE(engine.link_sweep().swept) << "never swept by the constructor";
+  CampaignConfig config;
+  config.injections_per_ff = 30;  // above the 18-cycle window: repeats too
+  config.lane_width = sim::LaneWidth::k64;
+  const CampaignResult flat = run_campaign(c.nl, c.tb, engine.golden(), config);
+  const CampaignResult batched = engine.run(config);
+  expect_bit_identical(flat, batched);
+  EXPECT_GT(batched.collapsed_injections, 0u);
+  EXPECT_GT(batched.proven_injections, 0u);
+  // The one lane the loopback flip-flop gets per distinct cycle, at most.
+  EXPECT_LE(batched.total_injections - batched.proven_injections -
+                batched.collapsed_injections,
+            64u);
+  const CampaignEngine::LinkSweepStats sweep = engine.link_sweep();
+  EXPECT_TRUE(sweep.swept);
+  EXPECT_EQ(sweep.cycles_simulated, kHoldCycles);  // two segments from 0 and 16
+  EXPECT_GT(sweep.op_block_evals, 0u);
+  // The sweep is memoized: a second run does not sweep again, and the
+  // campaign counters never include it.
+  const CampaignResult again = engine.run(config);
+  EXPECT_EQ(engine.link_sweep().cycles_simulated, sweep.cycles_simulated);
+  EXPECT_EQ(again.total_sim_passes, batched.total_sim_passes);
+  EXPECT_EQ(again.cycles_simulated, batched.cycles_simulated);
+  EXPECT_EQ(again.ops_evaluated, batched.ops_evaluated);
+  EXPECT_EQ(engine.resident_bytes(), resident) << "charged from construction";
+}
+
+TEST(HoldLinks, ConcurrentFirstRunsShareOneSweep) {
+  // Two threads start the first campaigns of one fresh engine together: one
+  // of them sweeps, the other waits for it, and both campaigns match a
+  // single-threaded run on another engine.
+  const circuits::PipelineCore core = circuits::build_pipeline_core();
+  const circuits::PipelineTestbench bench =
+      circuits::build_pipeline_testbench(core);
+  CampaignConfig config;
+  config.injections_per_ff = 24;
+  config.num_threads = 2;
+  const CampaignResult reference = CampaignEngine(core.netlist, bench.tb).run(config);
+  const CampaignEngine engine(core.netlist, bench.tb);
+  CampaignResult results[2];
+  std::thread other([&] { results[1] = engine.run(config); });
+  results[0] = engine.run(config);
+  other.join();
+  for (const CampaignResult& result : results) {
+    expect_bit_identical(reference, result);
+    EXPECT_EQ(result.total_sim_passes, reference.total_sim_passes);
+    EXPECT_EQ(result.ops_evaluated, reference.ops_evaluated);
+  }
+  EXPECT_TRUE(engine.link_sweep().swept);
 }
 
 // ---- second circuit: the pipeline datapath --------------------------------------
@@ -466,6 +705,7 @@ TEST(PipelineEngine, BitExactWithFlatCampaign) {
       run_campaign(core.netlist, bench.tb, engine.golden(), config);
   const CampaignResult batched = engine.run(config);
   expect_bit_identical(flat, batched);
+  EXPECT_GT(batched.collapsed_injections, 0u);
   EXPECT_LE(batched.total_sim_passes, flat.total_sim_passes);
 }
 

@@ -54,6 +54,7 @@ void expect_result_identical(const CampaignResult& a, const CampaignResult& b) {
   }
   EXPECT_EQ(a.total_injections, b.total_injections);
   EXPECT_EQ(a.proven_injections, b.proven_injections);
+  EXPECT_EQ(a.collapsed_injections, b.collapsed_injections);
   EXPECT_EQ(a.total_sim_passes, b.total_sim_passes);
   EXPECT_EQ(a.lanes_per_pass, b.lanes_per_pass);
   EXPECT_EQ(a.blocks_per_pass, b.blocks_per_pass);
@@ -152,8 +153,10 @@ TEST_F(MacShardFixture, EveryPermutationMergesBitIdenticalToUnsharded) {
   const CampaignConfig config = base_config();
   const CampaignResult unsharded = engine->run(config);
   // The subset holds flip-flops outside the observable cone, whose
-  // injections shard 0 answers without lanes.
+  // injections shard 0 answers without lanes, and hold chains whose
+  // injections share a lane, answered by the shard that owns it.
   ASSERT_GT(unsharded.proven_injections, 0u);
+  ASSERT_GT(unsharded.collapsed_injections, 0u);
   const CampaignResult flat =
       run_campaign(mac->netlist, bench->tb, engine->golden(), config);
 
@@ -426,12 +429,13 @@ TEST_F(MacShardFixture, LoadRejectsTruncatedCorruptAndWrongVersion) {
     // lacked the op_block_evals / ff_block_ticks counters, version 2
     // carried the replay mode and checkpoint interval in `config`, version
     // 3 shards were cut from the cycle-only job order, version 4 lacked
-    // proven_injections, and version 5 re-sliced the tail into narrower
-    // passes and carried checkpoint_bytes_unpacked.
+    // proven_injections, version 5 re-sliced the tail into narrower
+    // passes and carried checkpoint_bytes_unpacked, and version 6 lacked
+    // collapsed_injections and gave every injection its own lane.
     const std::string header =
         "ffr-partial " + std::to_string(kPartialFormatVersion);
     ASSERT_EQ(text.find(header), 0u);
-    for (const char* version : {"9", "5", "4", "3", "2", "1"}) {
+    for (const char* version : {"9", "6", "5", "4", "3", "2", "1"}) {
       std::string wrong_version = text;
       wrong_version.replace(0, header.size(),
                             std::string("ffr-partial ") + version);
@@ -455,6 +459,26 @@ TEST_F(MacShardFixture, LoadRejectsTruncatedCorruptAndWrongVersion) {
     std::stringstream is(too_many_proven);
     expect_positioned_error(
         [&] { (void)CampaignPartial::load(is, "<proven>"); }, "<proven>",
+        "exceeds total_injections");
+  }
+  {
+    // Proven plus collapsed injections beyond the total: a collapsed count
+    // one more than the proven ones leave.
+    std::string too_many_collapsed = text;
+    const std::size_t pos = too_many_collapsed.find("counters ");
+    ASSERT_NE(pos, std::string::npos);
+    std::istringstream fields(too_many_collapsed.substr(pos));
+    std::string tag, total, proven, collapsed;
+    fields >> tag >> total >> proven >> collapsed;
+    ASSERT_LE(std::stoull(proven), std::stoull(total));
+    const std::size_t collapsed_pos =
+        pos + tag.size() + 1 + total.size() + 1 + proven.size() + 1;
+    too_many_collapsed.replace(
+        collapsed_pos, collapsed.size(),
+        std::to_string(std::stoull(total) - std::stoull(proven) + 1));
+    std::stringstream is(too_many_collapsed);
+    expect_positioned_error(
+        [&] { (void)CampaignPartial::load(is, "<collapsed>"); }, "<collapsed>",
         "exceeds total_injections");
   }
   {
