@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark): throughput of the substrates — the
-// golden run, one wide incremental fault pass, fault-injection batches,
-// feature extraction, and the ML kernels (k-NN predict, SVR fit, linear fit)
-// at workload scale.
+// golden run, one wide incremental fault pass, the hold-link sweep,
+// fault-injection batches, feature extraction, and the ML kernels (k-NN
+// predict, SVR fit, linear fit) at workload scale.
 
 #include <benchmark/benchmark.h>
 
@@ -77,8 +77,9 @@ void BM_GoldenRun(benchmark::State& state) {
 BENCHMARK(BM_GoldenRun)->Unit(benchmark::kMillisecond);
 
 /// The default mac_core campaign's inputs: golden checkpoints at the engine's
-/// interval and every default job, in the engine's (checkpoint segment,
-/// flip-flop, cycle) order as it slices them into passes.
+/// interval and the job of every hold-link representative, in the engine's
+/// (checkpoint segment, flip-flop, cycle) order as it slices them into
+/// passes.
 struct PassContext {
   circuits::MacCore mac = circuits::build_mac_core();
   circuits::MacTestbench bench = circuits::build_mac_testbench(mac);
@@ -90,11 +91,18 @@ struct PassContext {
     const fault::CampaignConfig config;
     checkpoints.interval = fault::kCheckpointInterval;
     (void)sim::run_golden(stimulus, &checkpoints);
+    // The links are the same at every lane width; sweep them at 64 lanes
+    // over the engine's window.
+    sim::HoldLinks links(mac.netlist.num_flip_flops(), bench.tb.inject_begin,
+                         stimulus.num_cycles());
+    sim::WideReplayRunner<1> sweeper(
+        stimulus, checkpoints, sim::WideReplayRunner<1>::link_sweep_blocks(stimulus));
+    (void)sweeper.sweep_links(links.window_begin, links.window_end, links);
     const auto ffs = mac.netlist.flip_flops();
     const std::vector<std::size_t> subset =
         fault::resolve_ff_subset(config, ffs.size());
     for (const fault::CampaignJob& job : fault::order_campaign_jobs(
-             config, bench.tb, subset, checkpoints.interval)) {
+             config, bench.tb, subset, checkpoints.interval, links)) {
       jobs.push_back({ffs[subset[job.task]], job.cycle, 0});
     }
   }
@@ -103,6 +111,11 @@ struct PassContext {
 const PassContext& pass_context() {
   static const PassContext ctx;
   return ctx;
+}
+
+/// The host's native lane width, resolved as a kAuto campaign resolves it.
+sim::LaneWidth native_width() {
+  return sim::resolve_lane_width(sim::LaneWidth::kAuto).width;
 }
 
 template <std::size_t W>
@@ -135,23 +148,51 @@ void run_wide_incremental_pass(benchmark::State& state, std::size_t blocks) {
 /// default blocks_per_pass): the unit of work CampaignEngine::run repeats.
 void BM_WideIncrementalPass(benchmark::State& state) {
   const PassContext& ctx = pass_context();
-  const std::size_t lanes =
-      sim::lanes_of(sim::resolve_lane_width(sim::LaneWidth::kAuto).width);
+  const sim::LaneWidth width = native_width();
+  const std::size_t lanes = sim::lanes_of(width);
   const std::size_t blocks =
       fault::resolve_blocks_per_pass(0, lanes, ctx.mac.netlist.num_nets());
   state.SetLabel(std::to_string(lanes) + "x" + std::to_string(blocks));
-  switch (lanes) {
-    case 512:
-      run_wide_incremental_pass<8>(state, blocks);
-      break;
-    case 256:
-      run_wide_incremental_pass<4>(state, blocks);
-      break;
-    default:
-      run_wide_incremental_pass<1>(state, blocks);
-  }
+  sim::at_block_width(width, [&](auto tag) {
+    run_wide_incremental_pass<decltype(tag)::value>(state, blocks);
+  });
 }
 BENCHMARK(BM_WideIncrementalPass)->Unit(benchmark::kMillisecond);
+
+template <std::size_t W>
+void run_link_sweep(benchmark::State& state) {
+  const PassContext& ctx = pass_context();
+  sim::WideReplayRunner<W> runner(
+      ctx.stimulus, ctx.checkpoints,
+      sim::WideReplayRunner<W>::link_sweep_blocks(ctx.stimulus));
+  state.SetLabel(std::to_string(W * 64) + "x" + std::to_string(runner.num_blocks()));
+  std::uint64_t ops = 0;
+  std::chrono::steady_clock::duration elapsed{};
+  for (auto _ : state) {
+    sim::HoldLinks links(ctx.mac.netlist.num_flip_flops(), ctx.bench.tb.inject_begin,
+                         ctx.stimulus.num_cycles());
+    const auto start = std::chrono::steady_clock::now();
+    const sim::LinkSweepCost cost =
+        runner.sweep_links(links.window_begin, links.window_end, links);
+    elapsed += std::chrono::steady_clock::now() - start;
+    benchmark::DoNotOptimize(links.links.data());
+    benchmark::ClobberMemory();
+    ops += cost.op_block_evals / runner.num_blocks();
+  }
+  // Wall time per gate evaluation, as BM_WideIncrementalPass reports it.
+  const double ns = std::chrono::duration<double, std::nano>(elapsed).count();
+  state.counters["ns/op"] = ns / static_cast<double>(ops);
+}
+
+/// One hold-link sweep of the default mac_core over the engine's window, on
+/// one runner at the native width: the work CampaignEngine's first run()
+/// adds, here on a single worker.
+void BM_LinkSweep(benchmark::State& state) {
+  sim::at_block_width(native_width(), [&](auto width) {
+    run_link_sweep<decltype(width)::value>(state);
+  });
+}
+BENCHMARK(BM_LinkSweep)->Unit(benchmark::kMillisecond);
 
 void BM_FaultBatch64Lanes(benchmark::State& state) {
   const auto& ctx = micro_context();

@@ -44,9 +44,9 @@ struct WorkerCost {
 /// each owned pass on a per-worker WideReplayRunner<W> sized to that pass's
 /// block count. The per-job outcomes are written disjointly — science
 /// output can never depend on scheduling, block width or block count.
-/// `ckpts` supplies the resume points, the interface tape of the
-/// golden-relative monitor and the golden frames the lanes that left golden
-/// are classified against.
+/// `ckpts` supplies the resume points and the interface tape of the
+/// golden-relative monitor; the lanes that left golden are classified
+/// against `golden_frames`.
 template <std::size_t W>
 void run_wide_group(const sim::CompiledStimulus& stimulus,
                     std::span<const netlist::CellId> ffs,
@@ -55,6 +55,7 @@ void run_wide_group(const sim::CompiledStimulus& stimulus,
                     const std::vector<PlannedPass>& schedule,
                     const std::vector<std::size_t>& pass_indices,
                     const sim::GoldenCheckpoints& ckpts,
+                    const sim::FrameList& golden_frames,
                     util::ThreadPool& pool,
                     std::vector<FailureClass>& outcome,
                     std::vector<WorkerCost>& costs) {
@@ -91,7 +92,7 @@ void run_wide_group(const sim::CompiledStimulus& stimulus,
             const std::size_t lane = j - pass.job_begin;
             outcome[j] = run.lane_is_golden[lane]
                              ? FailureClass::kOk
-                             : classify(ckpts.golden_frames,
+                             : classify(golden_frames,
                                         run.lane_golden_prefix[lane],
                                         run.lane_frames[lane]);
           }
@@ -124,7 +125,7 @@ std::vector<PlannedPass> build_pass_schedule(std::size_t num_jobs,
 std::vector<CampaignJob> order_campaign_jobs(
     const CampaignConfig& config, const sim::Testbench& tb,
     const std::vector<std::size_t>& subset, std::size_t interval,
-    const sim::HoldLinks* links) {
+    const sim::HoldLinks& links) {
   if (interval == 0) {
     throw std::invalid_argument("order_campaign_jobs: interval must be >= 1");
   }
@@ -132,8 +133,7 @@ std::vector<CampaignJob> order_campaign_jobs(
   // counting each segment's jobs; a placing pass then fills every segment in
   // (task, cycle) order without a comparison sort.
   std::vector<CampaignJob> by_task;
-  const std::size_t horizon =
-      links != nullptr ? std::max(tb.inject_end, links->window_end) : tb.inject_end;
+  const std::size_t horizon = std::max(tb.inject_end, links.window_end);
   std::vector<std::size_t> segment_begin(horizon / interval + 2, 0);
   for (std::size_t task = 0; task < subset.size(); ++task) {
     const std::size_t ff = subset[task];
@@ -142,25 +142,21 @@ std::vector<CampaignJob> order_campaign_jobs(
     std::size_t rep = 0;  // end of the chain the previous cycle walked to
     bool walked = false;
     for (const std::size_t cycle : cycles) {
-      std::size_t at = cycle;
-      if (links != nullptr) {
-        // The cycles up to `rep` chain to `rep`; a later cycle starts a
-        // fresh walk from itself.
-        if (!walked || cycle > rep) {
-          for (rep = cycle; links->link(ff, rep);) ++rep;
-          walked = true;
-        }
-        if (links->masked(ff, rep)) continue;
-        at = rep;
-        if (!by_task.empty() && by_task.back().task == task &&
-            by_task.back().cycle == at) {
-          ++by_task.back().weight;
-          continue;
-        }
+      // The cycles up to `rep` chain to `rep`; a later cycle starts a fresh
+      // walk from itself.
+      if (!walked || cycle > rep) {
+        for (rep = cycle; links.link(ff, rep);) ++rep;
+        walked = true;
+      }
+      if (links.masked(ff, rep)) continue;
+      if (!by_task.empty() && by_task.back().task == task &&
+          by_task.back().cycle == rep) {
+        ++by_task.back().weight;
+        continue;
       }
       by_task.push_back(CampaignJob{static_cast<std::uint32_t>(task),
-                                    static_cast<std::uint32_t>(at), 1});
-      ++segment_begin[at / interval + 1];
+                                    static_cast<std::uint32_t>(rep), 1});
+      ++segment_begin[rep / interval + 1];
     }
   }
   std::partial_sum(segment_begin.begin(), segment_begin.end(),
@@ -202,9 +198,10 @@ std::size_t resolve_blocks_per_pass(std::size_t requested,
 namespace {
 
 /// Sweeps the hold links of `links`' window at block width W, one
-/// checkpoint segment per pool item on a per-worker sweeper. Each segment
-/// resumes from its own checkpoint, so only a window start that is not on
-/// a checkpoint cycle costs fast-forward cycles.
+/// checkpoint segment per pool item on a per-worker runner of
+/// link_sweep_blocks() blocks. Each segment resumes from its own
+/// checkpoint, so only a window start that is not on a checkpoint cycle
+/// costs fast-forward cycles.
 template <std::size_t W>
 void sweep_hold_links(const sim::CompiledStimulus& stimulus,
                       const sim::GoldenCheckpoints& ckpts, util::ThreadPool& pool,
@@ -215,16 +212,17 @@ void sweep_hold_links(const sim::CompiledStimulus& stimulus,
       links.window_end > links.window_begin
           ? (links.window_end - 1) / interval + 1 - first
           : 0;
-  std::vector<std::unique_ptr<sim::HoldLinkSweeper<W>>> sweepers(pool.size());
+  std::vector<std::unique_ptr<sim::WideReplayRunner<W>>> runners(pool.size());
   pool.parallel_for_chunked(
       segments, 0, [&](std::size_t begin, std::size_t end, std::size_t worker) {
-        auto& sweeper = sweepers[worker];
-        if (!sweeper) {
-          sweeper = std::make_unique<sim::HoldLinkSweeper<W>>(stimulus, ckpts);
+        auto& runner = runners[worker];
+        if (!runner) {
+          runner = std::make_unique<sim::WideReplayRunner<W>>(
+              stimulus, ckpts, sim::WideReplayRunner<W>::link_sweep_blocks(stimulus));
         }
         for (std::size_t s = begin; s < end; ++s) {
           const std::size_t segment = first + s;
-          costs[worker] += sweeper->sweep(
+          costs[worker] += runner->sweep_links(
               std::max(links.window_begin, segment * interval),
               std::min(links.window_end, (segment + 1) * interval), links);
         }
@@ -264,17 +262,11 @@ const sim::HoldLinks& CampaignEngine::hold_links(util::ThreadPool& pool) const {
       memo.links = sim::HoldLinks(nl_->num_flip_flops(), tb_->inject_begin,
                                   stimulus_.num_cycles());
       std::vector<sim::LinkSweepCost> costs(pool.size());
-      switch (sim::lanes_of(sim::resolve_lane_width(sim::LaneWidth::kAuto).width)) {
-        case 64:
-          sweep_hold_links<1>(stimulus_, checkpoints_, pool, memo.links, costs);
-          break;
-        case 256:
-          sweep_hold_links<4>(stimulus_, checkpoints_, pool, memo.links, costs);
-          break;
-        default:
-          sweep_hold_links<8>(stimulus_, checkpoints_, pool, memo.links, costs);
-          break;
-      }
+      sim::at_block_width(sim::resolve_lane_width(sim::LaneWidth::kAuto).width,
+                          [&](auto width) {
+                            sweep_hold_links<decltype(width)::value>(
+                                stimulus_, checkpoints_, pool, memo.links, costs);
+                          });
       sim::LinkSweepCost total;
       for (const sim::LinkSweepCost& cost : costs) total += cost;
       memo.stats.swept = true;
@@ -349,7 +341,7 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
   // these answers.
   util::ThreadPool pool(config.num_threads);
   const std::vector<CampaignJob> jobs = order_campaign_jobs(
-      config, *tb_, subset, checkpoints_.interval, &hold_links(pool));
+      config, *tb_, subset, checkpoints_.interval, hold_links(pool));
   if (config.shard.index == 0) {
     std::vector<std::uint64_t> carried(subset.size(), 0);
     for (const CampaignJob& job : jobs) carried[job.task] += job.weight;
@@ -406,20 +398,11 @@ CampaignResult CampaignEngine::run(const CampaignConfig& config) const {
   std::vector<FailureClass> outcome(jobs.size(), FailureClass::kOk);
 
   std::vector<WorkerCost> costs(pool.size());
-  switch (block_lanes) {
-    case 64:
-      run_wide_group<1>(stimulus_, ffs, subset, jobs, schedule, owned,
-                        checkpoints_, pool, outcome, costs);
-      break;
-    case 256:
-      run_wide_group<4>(stimulus_, ffs, subset, jobs, schedule, owned,
-                        checkpoints_, pool, outcome, costs);
-      break;
-    default:
-      run_wide_group<8>(stimulus_, ffs, subset, jobs, schedule, owned,
-                        checkpoints_, pool, outcome, costs);
-      break;
-  }
+  sim::at_block_width(resolved.width, [&](auto width) {
+    run_wide_group<decltype(width)::value>(stimulus_, ffs, subset, jobs, schedule,
+                                           owned, checkpoints_, golden_.frames, pool,
+                                           outcome, costs);
+  });
 
   for (const std::size_t p : owned) {
     const PlannedPass& pass = schedule[p];

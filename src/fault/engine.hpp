@@ -90,19 +90,19 @@ struct CampaignJob {
 /// nothing, and since per-job outcomes are lane-independent, the order never
 /// changes the science.
 ///
-/// Without `links`, every injection is one job of weight 1. With `links`
-/// (sim::HoldLinks of the same testbench), each injection (f, c) follows its
-/// chain of hold links to the representative (f, r), the first cycle r >= c
+/// Each injection (f, c) follows its chain of `links` (sim::HoldLinks of the
+/// same testbench) to the representative (f, r), the first cycle r >= c
 /// without a link; one walk forward over each flip-flop's sorted cycles
 /// finds them all. Injections with the same representative become one job
 /// weighted by their count, and those whose representative is masked get no
-/// job at all: their outcome is kOk.
+/// job at all: their outcome is kOk. An empty sim::HoldLinks{} links and
+/// masks nothing, so with it every distinct injection cycle is one job.
 /// \throws std::invalid_argument when `interval` is 0 or the testbench's
 ///         injection window is empty.
 [[nodiscard]] std::vector<CampaignJob> order_campaign_jobs(
     const CampaignConfig& config, const sim::Testbench& tb,
     const std::vector<std::size_t>& subset, std::size_t interval,
-    const sim::HoldLinks* links = nullptr);
+    const sim::HoldLinks& links);
 
 /// One planned pass of the engine's schedule: jobs [job_begin, job_end) run
 /// as `blocks` SIMD lane blocks at the campaign's lane width. Only the final
@@ -196,8 +196,8 @@ class CampaignEngine {
   /// entry against its byte budget.
   [[nodiscard]] std::size_t resident_bytes() const;
 
-  /// The work of the engine's one hold-link sweep (sim::HoldLinkSweeper at
-  /// the host's native lane width). It runs inside the first run() on this
+  /// The work of the engine's one hold-link sweep
+  /// (sim::WideReplayRunner::sweep_links at the host's native lane width). It runs inside the first run() on this
   /// engine and is reported here, never in a CampaignResult, so campaign
   /// counters stay a function of (netlist, testbench, config) alone.
   struct LinkSweepStats {

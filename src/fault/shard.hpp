@@ -76,12 +76,14 @@ namespace ffr::fault {
 /// dropped checkpoint_bytes_unpacked from `counters`; version 7 added
 /// collapsed_injections to `counters`, since the job list became one
 /// weighted job per hold-link representative, which moved which jobs each
-/// pass, and so each shard, carries. Older files are rejected like any
-/// other unsupported version. The cost counters depend on
+/// pass, and so each shard, carries; version 8 marks the checkpoint_bytes of
+/// `counters` that no longer count a copy of the golden frame stream, so
+/// the same campaign reports a smaller footprint. Older files are rejected
+/// like any other unsupported version. The cost counters depend on
 /// kCheckpointInterval, on the job list and its order and on the pass
 /// schedule (fault/engine.hpp): changing any of them requires another
 /// version bump.
-inline constexpr int kPartialFormatVersion = 7;
+inline constexpr int kPartialFormatVersion = 8;
 
 /// One shard's campaign accumulators plus the fingerprint that guards
 /// merging: two partials may only merge when they come from the same engine

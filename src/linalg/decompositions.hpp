@@ -26,8 +26,6 @@ class QrDecomposition {
   /// Apply Q^T to a vector of length m.
   [[nodiscard]] Vector apply_qt(std::span<const double> b) const;
 
-  [[nodiscard]] const Matrix& packed_qr() const noexcept { return qr_; }
-
  private:
   Matrix qr_;                     // Householder vectors below diag, R on/above
   Vector tau_;                    // Householder scalar factors

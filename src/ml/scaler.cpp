@@ -53,33 +53,4 @@ StandardScaler StandardScaler::load(std::istream& is) {
   return scaler;
 }
 
-void MinMaxScaler::fit(const linalg::Matrix& x) {
-  if (x.rows() == 0) throw std::invalid_argument("MinMaxScaler::fit: empty");
-  min_.assign(x.cols(), 0.0);
-  range_.assign(x.cols(), 1.0);
-  for (std::size_t c = 0; c < x.cols(); ++c) {
-    const linalg::Vector col = x.col_copy(c);
-    min_[c] = linalg::min_value(col);
-    const double range = linalg::max_value(col) - min_[c];
-    range_[c] = range > 0.0 ? range : 1.0;
-  }
-}
-
-linalg::Matrix MinMaxScaler::transform(const linalg::Matrix& x) const {
-  if (!is_fitted()) throw std::logic_error("MinMaxScaler: not fitted");
-  if (x.cols() != min_.size()) {
-    throw std::invalid_argument(
-        "MinMaxScaler: fitted on " + std::to_string(min_.size()) +
-        " columns but X is " + std::to_string(x.rows()) + "x" +
-        std::to_string(x.cols()));
-  }
-  linalg::Matrix out(x.rows(), x.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      out(r, c) = (x(r, c) - min_[c]) / range_[c];
-    }
-  }
-  return out;
-}
-
 }  // namespace ffr::ml

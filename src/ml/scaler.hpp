@@ -55,31 +55,4 @@ class StandardScaler {
   linalg::Vector std_;
 };
 
-/// Column-wise range scaling: x' = (x - min) / (max - min), mapping every
-/// column into [0, 1]. Constant columns map to 0.
-class MinMaxScaler {
- public:
-  /// Learns per-column min and range from `x`.
-  /// \throws std::invalid_argument when `x` has no rows.
-  void fit(const linalg::Matrix& x);
-
-  /// Applies the fitted range map column-wise.
-  /// \throws std::logic_error before fit(); std::invalid_argument when the
-  ///         column count differs from the fitted one (message names both).
-  [[nodiscard]] linalg::Matrix transform(const linalg::Matrix& x) const;
-
-  /// fit() then transform() on the same matrix.
-  [[nodiscard]] linalg::Matrix fit_transform(const linalg::Matrix& x) {
-    fit(x);
-    return transform(x);
-  }
-
-  /// \return Whether fit() has been called.
-  [[nodiscard]] bool is_fitted() const noexcept { return !min_.empty(); }
-
- private:
-  linalg::Vector min_;
-  linalg::Vector range_;
-};
-
 }  // namespace ffr::ml

@@ -24,7 +24,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace ffr::sim {
 
@@ -147,6 +149,28 @@ enum class LaneWidth : std::uint16_t {
 /// Lanes per pass of a width; 0 for kAuto.
 [[nodiscard]] constexpr std::size_t lanes_of(LaneWidth width) noexcept {
   return static_cast<std::size_t>(width);
+}
+
+/// Calls `body` with std::integral_constant<std::size_t, W> for the block
+/// width W of a resolved lane width (k64 -> 1, k256 -> 4, k512 -> 8): the one
+/// dispatch from a runtime lane width to the kernels compiled per W.
+/// \throws std::invalid_argument on kAuto, which must be resolved first.
+template <typename Body>
+void at_block_width(LaneWidth width, Body&& body) {
+  switch (width) {
+    case LaneWidth::k64:
+      body(std::integral_constant<std::size_t, 1>{});
+      return;
+    case LaneWidth::k256:
+      body(std::integral_constant<std::size_t, 4>{});
+      return;
+    case LaneWidth::k512:
+      body(std::integral_constant<std::size_t, 8>{});
+      return;
+    case LaneWidth::kAuto:
+      break;
+  }
+  throw std::invalid_argument("at_block_width: resolve the lane width first");
 }
 
 [[nodiscard]] constexpr const char* to_string(LaneWidth width) noexcept {

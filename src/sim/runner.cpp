@@ -93,7 +93,6 @@ class PacketMonitor {
 void GoldenCheckpoints::begin_recording(std::size_t ffs, std::size_t loopbacks) {
   num_ffs = ffs;
   num_loopbacks = loopbacks;
-  golden_frames.clear();
   snapshots.clear();
   state_bits.clear();
   interface_tape.clear();
@@ -115,23 +114,11 @@ std::size_t GoldenCheckpoints::index_at_or_before(std::size_t cycle) const {
   return std::min(cycle / interval, snapshots.size() - 1);
 }
 
-namespace {
-
-/// Heap bytes of a frame stream: per-frame payloads plus Frame bookkeeping.
-std::size_t frame_stream_bytes(std::span<const Frame> frames) {
-  std::size_t bytes = frames.size() * sizeof(Frame);
-  for (const Frame& frame : frames) bytes += frame.bytes.size();
-  return bytes;
-}
-
-}  // namespace
-
 std::size_t GoldenCheckpoints::memory_bytes() const noexcept {
   std::size_t bytes = sizeof(*this);
   bytes += state_bits.size() * sizeof(std::uint64_t);
   bytes += snapshots.size() * sizeof(Snapshot);
   for (const Snapshot& snap : snapshots) bytes += snap.open_bytes.size();
-  bytes += frame_stream_bytes(golden_frames);
   bytes += interface_tape.size() * sizeof(std::uint16_t);
   return bytes;
 }

@@ -46,15 +46,16 @@ struct ActivityTrace {
 /// word — or to a whole LaneBlock, which is how WideReplayRunner
 /// (wide_runner.hpp) seeds all W * 64 lanes of a SIMD lane-block pass from
 /// the same snapshot.
-/// Completed golden frames are likewise stored once (`golden_frames`);
-/// each snapshot keeps only the count of frames completed before its cycle.
+/// Completed golden frames are not copied: they are the recording run's
+/// GoldenResult::frames, and each snapshot keeps only the count of frames
+/// completed before its cycle.
 /// A recording also keeps the golden interface tape, which lets fault
 /// passes compare their monitored nets against golden instead of building
 /// frames for every lane (WideReplayRunner's golden-relative monitor).
 struct GoldenCheckpoints {
   struct Snapshot {
     std::size_t cycle = 0;                 ///< Resume point.
-    std::size_t frames_completed = 0;      ///< golden_frames prefix before `cycle`.
+    std::size_t frames_completed = 0;      ///< Golden frames done before `cycle`.
     std::vector<std::uint8_t> open_bytes;  ///< Bytes of the frame in flight.
     bool frame_open = false;               ///< A frame is open mid-stream.
   };
@@ -62,7 +63,6 @@ struct GoldenCheckpoints {
   std::size_t interval = 0;       ///< Cycles between snapshots.
   std::size_t num_ffs = 0;        ///< Flip-flops per snapshot (flip_flops order).
   std::size_t num_loopbacks = 0;  ///< Loopback registers per snapshot.
-  FrameList golden_frames;        ///< All golden frames, shared by snapshots.
   std::vector<Snapshot> snapshots;  ///< snapshots[k].cycle == k * interval.
   /// Packed state, snapshot-major: snapshot k occupies words
   /// [k * state_stride(), (k + 1) * state_stride()). Within a snapshot, bit
@@ -81,7 +81,7 @@ struct GoldenCheckpoints {
     return (num_ffs + num_loopbacks + 63) / 64;
   }
 
-  /// Prepares for a fresh recording run: clears prior snapshots/frames and
+  /// Prepares for a fresh recording run: clears prior snapshots and
   /// fixes the packed layout. `interval` is left as configured.
   void begin_recording(std::size_t ffs, std::size_t loopbacks);
 
@@ -116,8 +116,7 @@ struct GoldenCheckpoints {
   }
 
   /// Actual bytes held by this (packed) representation: packed state words,
-  /// snapshot bookkeeping, the shared golden frame stream and the interface
-  /// tape.
+  /// snapshot bookkeeping and the interface tape.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 };
 

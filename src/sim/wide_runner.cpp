@@ -106,8 +106,7 @@ class WidePacketMonitor {
                     const GoldenCheckpoints::Snapshot& snap, std::size_t blocks)
       : spec_(&spec),
         tape_(ckpts.interface_tape),
-        golden_completed_(
-            std::min(snap.frames_completed, ckpts.golden_frames.size())),
+        golden_completed_(snap.frames_completed),
         lanes_(blocks * Block::kLanes),
         lane_prefix_(blocks * Block::kLanes, 0),
         diverged_(blocks, Block::zero()) {
@@ -284,6 +283,43 @@ bool WideReplayRunner<W>::on_golden(std::size_t snapshot) const {
 }
 
 template <std::size_t W>
+void WideReplayRunner<W>::load_golden(std::size_t snapshot) {
+  const GoldenCheckpoints& ckpts = *golden_;
+  golden_q_.resize(ff_positions_.size());
+  for (std::size_t i = 0; i < ff_positions_.size(); ++i) {
+    golden_q_[i] = ckpts.ff_bit(snapshot, ff_positions_[i]) ? 1 : 0;
+  }
+  golden_loop_.resize(ckpts.num_loopbacks);
+  for (std::size_t i = 0; i < golden_loop_.size(); ++i) {
+    golden_loop_[i] = ckpts.loopback_bit(snapshot, i) ? 1 : 0;
+  }
+}
+
+template <std::size_t W>
+void WideReplayRunner<W>::restore_golden() {
+  // Golden state is identical on every lane by construction, so splatting
+  // each golden bit across whole blocks puts blocks * W * 64 lanes on it.
+  const std::size_t blocks = sim_.num_blocks();
+  restore_state_.resize(golden_q_.size() * blocks);
+  for (std::size_t i = 0; i < golden_q_.size(); ++i) {
+    std::fill_n(restore_state_.begin() + i * blocks, blocks,
+                golden_q_[i] != 0 ? Block::ones() : Block::zero());
+  }
+  sim_.restore_ff_state(restore_state_);
+  splat_golden_loopbacks();
+}
+
+template <std::size_t W>
+void WideReplayRunner<W>::splat_golden_loopbacks() {
+  const std::size_t blocks = sim_.num_blocks();
+  loop_values_.resize(golden_loop_.size() * blocks);
+  for (std::size_t i = 0; i < golden_loop_.size(); ++i) {
+    std::fill_n(loop_values_.begin() + i * blocks, blocks,
+                golden_loop_[i] != 0 ? Block::ones() : Block::zero());
+  }
+}
+
+template <std::size_t W>
 RunResult WideReplayRunner<W>::run(std::span<const LaneInjection> injections) {
   const Testbench& tb = stim_->testbench();
   const std::size_t num_cycles = stim_->num_cycles();
@@ -309,25 +345,13 @@ RunResult WideReplayRunner<W>::run(std::span<const LaneInjection> injections) {
   const std::uint64_t ticks_before = sim_.ff_block_ticks();
 
   // Start point: the latest golden checkpoint not after the first
-  // injection. Golden state is identical on every lane by construction, so
-  // splatting each packed snapshot bit across whole blocks restores
-  // blocks * W * 64 lanes all sitting on the golden prefix.
+  // injection, restored on every lane.
   const GoldenCheckpoints& ckpts = *golden_;
   const std::size_t index =
       ckpts.index_at_or_before(schedule_.empty() ? 0 : schedule_.front().cycle);
   const GoldenCheckpoints::Snapshot& snap = ckpts.snapshots[index];
-  restore_state_.resize(ff_positions_.size() * blocks);
-  for (std::size_t i = 0; i < ff_positions_.size(); ++i) {
-    const Block value =
-        ckpts.ff_bit(index, ff_positions_[i]) ? Block::ones() : Block::zero();
-    for (std::size_t b = 0; b < blocks; ++b) restore_state_[i * blocks + b] = value;
-  }
-  sim_.restore_ff_state(restore_state_);
-  loop_values_.resize(tb.loopbacks.size() * blocks);
-  for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
-    const Block value = ckpts.loopback_bit(index, i) ? Block::ones() : Block::zero();
-    for (std::size_t b = 0; b < blocks; ++b) loop_values_[i * blocks + b] = value;
-  }
+  load_golden(index);
+  restore_golden();
   WidePacketMonitor<W> monitor(tb.monitor, ckpts, snap, blocks);
 
   // Once every injection is in, a checkpoint cycle at which each lane's
@@ -367,10 +391,6 @@ RunResult WideReplayRunner<W>::run(std::span<const LaneInjection> injections) {
   return result;
 }
 
-template class WideReplayRunner<1>;
-template class WideReplayRunner<4>;
-template class WideReplayRunner<8>;
-
 HoldLinks::HoldLinks(std::size_t num_ffs, std::size_t begin, std::size_t end)
     : window_begin(begin),
       window_end(std::max(begin, end)),
@@ -385,43 +405,25 @@ std::size_t HoldLinks::bytes_for(std::size_t num_ffs, std::size_t begin,
 }
 
 template <std::size_t W>
-HoldLinkSweeper<W>::HoldLinkSweeper(const CompiledStimulus& stimulus,
-                                    const GoldenCheckpoints& golden)
-    : stim_(&stimulus),
-      golden_(&golden),
-      // One lane per observable flip-flop plus the golden lane 0, in as
-      // many blocks as that takes, up to the pass maximum.
-      sim_(stimulus.netlist(),
-           std::clamp<std::size_t>(
-               (stimulus.cone().num_observable_ffs() + Block::kLanes) / Block::kLanes,
-               1, kMaxLaneBlocksPerPass),
-           stimulus.cone().nets) {
-  if (golden.interface_tape.size() != stimulus.num_cycles()) {
-    throw std::invalid_argument(
-        "HoldLinkSweeper: the golden recording needs a full interface tape");
-  }
-  if (golden.num_loopbacks != stimulus.testbench().loopbacks.size()) {
-    throw std::invalid_argument(
-        "HoldLinkSweeper: checkpoint/testbench loopback mismatch");
-  }
-  const std::vector<std::uint8_t>& observable = stimulus.cone().flip_flops;
-  for (std::size_t i = 0; i < observable.size(); ++i) {
-    if (observable[i] != 0) ff_positions_.push_back(i);
-  }
+std::size_t WideReplayRunner<W>::link_sweep_blocks(
+    const CompiledStimulus& stimulus) noexcept {
+  return std::clamp<std::size_t>(
+      (stimulus.cone().num_observable_ffs() + kLanes) / kLanes, 1,
+      kMaxLaneBlocksPerPass);
 }
 
 template <std::size_t W>
-LinkSweepCost HoldLinkSweeper<W>::sweep(std::size_t begin, std::size_t end,
-                                        HoldLinks& links) {
+LinkSweepCost WideReplayRunner<W>::sweep_links(std::size_t begin, std::size_t end,
+                                               HoldLinks& links) {
   const std::vector<std::uint8_t>& observable = stim_->cone().flip_flops;
   if (links.row_words != (observable.size() + 63) / 64) {
     throw std::invalid_argument(
-        "HoldLinkSweeper: the links are sized for another flip-flop count");
+        "WideReplayRunner: the links are sized for another flip-flop count");
   }
   if (begin > end || begin < links.window_begin || end > links.window_end ||
       end > stim_->num_cycles()) {
     throw std::invalid_argument(
-        "HoldLinkSweeper: cycles outside the link window or the testbench");
+        "WideReplayRunner: cycles outside the link window or the testbench");
   }
   LinkSweepCost cost;
   // An upset outside the cone is masked at every cycle.
@@ -440,20 +442,9 @@ LinkSweepCost HoldLinkSweeper<W>::sweep(std::size_t begin, std::size_t end,
 }
 
 template <std::size_t W>
-void HoldLinkSweeper<W>::restore_golden() {
-  const std::size_t blocks = sim_.num_blocks();
-  restore_state_.resize(ff_positions_.size() * blocks);
-  for (std::size_t i = 0; i < ff_positions_.size(); ++i) {
-    const Block value = golden_q_[i] != 0 ? Block::ones() : Block::zero();
-    for (std::size_t b = 0; b < blocks; ++b) restore_state_[i * blocks + b] = value;
-  }
-  sim_.restore_ff_state(restore_state_);
-}
-
-template <std::size_t W>
-void HoldLinkSweeper<W>::sweep_group(std::size_t begin, std::size_t end,
-                                     std::size_t first, std::size_t last,
-                                     HoldLinks& links, LinkSweepCost& cost) {
+void WideReplayRunner<W>::sweep_group(std::size_t begin, std::size_t end,
+                                      std::size_t first, std::size_t last,
+                                      HoldLinks& links, LinkSweepCost& cost) {
   const GoldenCheckpoints& ckpts = *golden_;
   const Testbench& tb = stim_->testbench();
   const std::vector<std::uint8_t>& observable_loops = stim_->cone().loopbacks;
@@ -464,16 +455,8 @@ void HoldLinkSweeper<W>::sweep_group(std::size_t begin, std::size_t end,
 
   const std::size_t index = ckpts.index_at_or_before(begin);
   const std::size_t start = ckpts.snapshots[index].cycle;
-  golden_q_.resize(num_ffs);
-  for (std::size_t i = 0; i < num_ffs; ++i) {
-    golden_q_[i] = ckpts.ff_bit(index, ff_positions_[i]) ? 1 : 0;
-  }
-  golden_loop_.resize(tb.loopbacks.size());
-  for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
-    golden_loop_[i] = ckpts.loopback_bit(index, i) ? 1 : 0;
-  }
+  load_golden(index);
   restore_golden();
-  loop_values_.resize(tb.loopbacks.size() * blocks);
   touched_.resize(blocks);
   once_.resize(blocks);
   twice_.resize(blocks);
@@ -481,10 +464,6 @@ void HoldLinkSweeper<W>::sweep_group(std::size_t begin, std::size_t end,
   for (std::size_t cycle = start; cycle < end; ++cycle) {
     // Cycles before `begin` only bring every lane to golden at `begin`.
     const bool swept = cycle >= begin;
-    for (std::size_t i = 0; i < tb.loopbacks.size(); ++i) {
-      const Block value = golden_loop_[i] != 0 ? Block::ones() : Block::zero();
-      for (std::size_t b = 0; b < blocks; ++b) loop_values_[i * blocks + b] = value;
-    }
     drive_inputs<W>(sim_, *stim_, cycle, loop_values_);
     if (swept) {
       for (std::size_t i = first; i < last; ++i) {
@@ -508,7 +487,11 @@ void HoldLinkSweeper<W>::sweep_group(std::size_t begin, std::size_t end,
     for (std::size_t i = 0; i < num_ffs; ++i) {
       golden_q_[i] = sim_.ff_state(ffs[ff_positions_[i]], 0).lane(0) ? 1 : 0;
     }
-    if (!swept) continue;
+    if (!swept) {
+      // No lane is off golden yet: the next cycle reads golden loopbacks.
+      splat_golden_loopbacks();
+      continue;
+    }
     // An upset that changes nothing outside in the testbench's last cycle
     // can never be observed.
     const bool final_cycle = cycle + 1 == stim_->num_cycles();
@@ -546,9 +529,9 @@ void HoldLinkSweeper<W>::sweep_group(std::size_t begin, std::size_t end,
   cost.op_block_evals += (sim_.ops_evaluated() - ops_before) * blocks;
 }
 
-template class HoldLinkSweeper<1>;
-template class HoldLinkSweeper<4>;
-template class HoldLinkSweeper<8>;
+template class WideReplayRunner<1>;
+template class WideReplayRunner<4>;
+template class WideReplayRunner<8>;
 
 GoldenResult run_golden(const CompiledStimulus& stimulus, GoldenCheckpoints* record) {
   const netlist::Netlist& nl = stimulus.netlist();
@@ -626,8 +609,6 @@ GoldenResult run_golden(const CompiledStimulus& stimulus, GoldenCheckpoints* rec
   }
 
   golden.frames = frames.finish();
-  // The shared frame stream every snapshot's frames_completed indexes into.
-  if (record != nullptr) record->golden_frames = golden.frames;
   golden.eval_count = sim.eval_count();
   return golden;
 }

@@ -26,11 +26,12 @@
 /// which every lane's observable state is golden's again; the interface
 /// can only replay the golden tape from there.
 ///
-/// HoldLinkSweeper<W> fills the hold links of a (netlist, testbench) pair
-/// (HoldLinks): which upsets have the outcome of the same flip-flop's upset
-/// one cycle later, and which are masked within one cycle. It runs on the
-/// same pruned simulator and compares with golden the way the fault passes
-/// do: the monitor's golden-relative test and the observable state.
+/// The same runner fills the hold links of a (netlist, testbench) pair
+/// (HoldLinks, WideReplayRunner::sweep_links): which upsets have the outcome
+/// of the same flip-flop's upset one cycle later, and which are masked
+/// within one cycle. The sweep restores golden state as a fault pass does
+/// and compares with golden the way a pass does: the monitor's
+/// golden-relative test and the observable state.
 ///
 /// run_golden() is a fault-free loop on a single-block WideSimulator<1>
 /// over the whole netlist (the features need every flip-flop's activity): it
@@ -57,17 +58,22 @@ struct LaneInjection {
   std::uint32_t lane = 0;
 };
 
+struct HoldLinks;
+struct LinkSweepCost;
+
 /// Reusable fault-pass runner: owns one WideSimulator<W> pruned to the
 /// observable cone, so the topological op list and fanout tables are built
 /// once per worker and only restored + replayed per run(). Every run
 /// resumes from the latest golden checkpoint at or before its earliest
 /// injection and observes the interface relative to the golden tape: a lane
 /// that never left golden is flagged in RunResult::lane_is_golden (its
-/// frames are `golden.golden_frames`), and every other lane's frames —
-/// golden_frames[0, lane_golden_prefix[L]) followed by lane_frames[L], see
-/// lane_frames() — are bit-identical to the flat run_testbench() oracle
-/// running the same injection in any of its 64 lanes. Not thread-safe; use
-/// one runner per worker.
+/// frames are the golden run's GoldenResult::frames), and every other lane's
+/// frames — those golden frames' first lane_golden_prefix[L] followed by
+/// lane_frames[L], see lane_frames() — are bit-identical to the flat
+/// run_testbench() oracle running the same injection in any of its 64
+/// lanes. The same runner also sweeps hold links (sweep_links()); each
+/// run() and each sweep starts by restoring golden state, so the two can
+/// interleave on one runner. Not thread-safe; use one runner per worker.
 template <std::size_t W>
 class WideReplayRunner {
  public:
@@ -102,6 +108,27 @@ class WideReplayRunner {
   /// lanes; std::logic_error when `golden` holds no snapshot.
   [[nodiscard]] RunResult run(std::span<const LaneInjection> injections = {});
 
+  /// Blocks a runner needs to sweep every observable flip-flop of
+  /// `stimulus` in one group (one lane each plus the golden lane 0), clamped
+  /// to [1, kMaxLaneBlocksPerPass].
+  [[nodiscard]] static std::size_t link_sweep_blocks(
+      const CompiledStimulus& stimulus) noexcept;
+
+  /// Fills the rows of cycles [begin, end) of `links`, which must be sized
+  /// for this netlist's flip-flops, resuming from the latest checkpoint at
+  /// or before `begin`. Every swept cycle starts with golden state on every
+  /// lane; lane 0 stays golden and lane 1 + i gets observable flip-flop i
+  /// flipped (the diagonal). After eval each lane's interface observation
+  /// and observable loopback sources are compared with golden, after the
+  /// tick its observable flip-flops, and then every lane is restored to
+  /// lane 0's state. Every swept cycle is thus one full sweep of the cone.
+  /// Observable flip-flops beyond the first lanes() - 1 are swept in
+  /// further groups, each resuming from the checkpoint again.
+  /// \throws std::invalid_argument when `links` is sized for another
+  /// flip-flop count, or [begin, end) is not inside both its window and the
+  /// testbench.
+  LinkSweepCost sweep_links(std::size_t begin, std::size_t end, HoldLinks& links);
+
   /// The owned simulator, e.g. to inspect flip-flop state after a run.
   [[nodiscard]] const WideSimulator<W>& simulator() const noexcept {
     return sim_;
@@ -111,14 +138,28 @@ class WideReplayRunner {
   /// True when every lane's observable flip-flops and observable pending
   /// loopback values equal golden snapshot `snapshot`.
   [[nodiscard]] bool on_golden(std::size_t snapshot) const;
+  /// Loads golden snapshot `snapshot` into golden_q_ and golden_loop_.
+  void load_golden(std::size_t snapshot);
+  /// Puts every lane on golden_q_ and golden_loop_: splats the flip-flops
+  /// into the simulator and the pending loopback values into loop_values_.
+  void restore_golden();
+  /// Splats golden_loop_ into loop_values_ only.
+  void splat_golden_loopbacks();
+  void sweep_group(std::size_t begin, std::size_t end, std::size_t first,
+                   std::size_t last, HoldLinks& links, LinkSweepCost& cost);
 
   const CompiledStimulus* stim_;
   const GoldenCheckpoints* golden_;
   WideSimulator<W> sim_;  // pruned to the stimulus's observable cone
   std::vector<std::size_t> ff_positions_;  // simulated FFs in flip_flops()
+  std::vector<std::uint8_t> golden_q_;     // per simulated FF
+  std::vector<std::uint8_t> golden_loop_;  // per loopback: pending value
   std::vector<LaneInjection> schedule_;  // scratch, reused across runs
   std::vector<Block> loop_values_;       // scratch, loopback-major
   std::vector<Block> restore_state_;     // scratch for block-splat restores
+  std::vector<Block> touched_;  // per block: lanes that changed the outside
+  std::vector<Block> once_;     // per block: lanes with >= 1 FF off golden
+  std::vector<Block> twice_;    // per block: lanes with >= 2 FFs off golden
 };
 
 extern template class WideReplayRunner<1>;
@@ -127,7 +168,7 @@ extern template class WideReplayRunner<8>;
 
 /// Hold links and one-cycle masks of the upsets of every flip-flop at every
 /// cycle of a window: a property of the (netlist, testbench) pair alone,
-/// filled by HoldLinkSweeper. Comparisons with golden ignore the
+/// filled by WideReplayRunner::sweep_links. Comparisons with golden ignore the
 /// flip-flops outside the observable cone, as WideReplayRunner's stop check
 /// does: nothing they hold can reach an observable net.
 ///
@@ -197,63 +238,11 @@ struct LinkSweepCost {
   }
 };
 
-/// Fills HoldLinks rows on one WideSimulator<W> pruned to the observable
-/// cone, with one lane per observable flip-flop plus a golden lane. Every
-/// swept cycle starts with golden state on every lane; lane 0 stays golden
-/// and lane 1 + i gets observable flip-flop i flipped (the diagonal). After
-/// eval each lane's interface observation and observable loopback sources
-/// are compared with golden, after the tick its observable flip-flops, and
-/// then every lane is reset to lane 0's state. Every swept cycle is thus one
-/// full sweep of the cone. A circuit with more observable flip-flops than
-/// kMaxLaneBlocksPerPass blocks hold is swept in groups. Not thread-safe;
-/// use one sweeper per worker.
-template <std::size_t W>
-class HoldLinkSweeper {
- public:
-  using Block = LaneBlock<W>;
-
-  /// `golden` is a run_golden() recording of the same pair; both must
-  /// outlive the sweeper.
-  /// \throws std::invalid_argument when `golden` is not a full recording of
-  /// this testbench (interface tape length or loopback count differ).
-  HoldLinkSweeper(const CompiledStimulus& stimulus, const GoldenCheckpoints& golden);
-
-  /// Fills the rows of cycles [begin, end) of `links`, which must be sized
-  /// for this netlist's flip-flops, resuming from the latest checkpoint at or
-  /// before `begin`.
-  /// \throws std::invalid_argument when `links` is sized for another
-  /// flip-flop count, or [begin, end) is not inside both its window and the
-  /// testbench.
-  LinkSweepCost sweep(std::size_t begin, std::size_t end, HoldLinks& links);
-
- private:
-  void sweep_group(std::size_t begin, std::size_t end, std::size_t first,
-                   std::size_t last, HoldLinks& links, LinkSweepCost& cost);
-  /// Puts every lane of every observable flip-flop on golden_q_.
-  void restore_golden();
-
-  const CompiledStimulus* stim_;
-  const GoldenCheckpoints* golden_;
-  WideSimulator<W> sim_;  // pruned to the stimulus's observable cone
-  std::vector<std::size_t> ff_positions_;  // simulated FFs in flip_flops()
-  std::vector<std::uint8_t> golden_q_;     // per simulated FF
-  std::vector<std::uint8_t> golden_loop_;  // per loopback: pending value
-  std::vector<Block> loop_values_;         // scratch, loopback-major
-  std::vector<Block> restore_state_;       // scratch for block-splat restores
-  std::vector<Block> touched_;  // per block: lanes that changed the outside
-  std::vector<Block> once_;     // per block: lanes with >= 1 FF off golden
-  std::vector<Block> twice_;    // per block: lanes with >= 2 FFs off golden
-};
-
-extern template class HoldLinkSweeper<1>;
-extern template class HoldLinkSweeper<4>;
-extern template class HoldLinkSweeper<8>;
-
 /// The golden run: replays `stimulus` fault-free from reset on a
 /// single-block WideSimulator<1> with activity tracing. When `record` is
-/// non-null, golden checkpoints every `record->interval` cycles, the
-/// interface tape and the golden frames are recorded into it (previous
-/// contents are cleared).
+/// non-null, golden checkpoints every `record->interval` cycles and the
+/// interface tape are recorded into it (previous contents are cleared); the
+/// golden frames their snapshots count are the result's `frames`.
 /// \throws std::invalid_argument when `record->interval` is outside
 /// [1, num_cycles].
 [[nodiscard]] GoldenResult run_golden(const CompiledStimulus& stimulus,

@@ -96,10 +96,4 @@ void ThreadPool::parallel_for_chunked(
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void parallel_for(std::size_t count, std::size_t num_threads,
-                  const std::function<void(std::size_t)>& body) {
-  ThreadPool pool(num_threads);
-  pool.parallel_for(count, body);
-}
-
 }  // namespace ffr::util

@@ -56,8 +56,4 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
-/// Convenience: one-shot parallel for over [0, count) using `num_threads`.
-void parallel_for(std::size_t count, std::size_t num_threads,
-                  const std::function<void(std::size_t)>& body);
-
 }  // namespace ffr::util

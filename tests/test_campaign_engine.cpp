@@ -17,6 +17,7 @@
 #include <thread>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "circuits/mac_core.hpp"
@@ -222,7 +223,7 @@ TEST_F(MacEngineFixture, JobOrderIsSegmentThenFlipFlopThenCycle) {
   const std::vector<std::size_t> subset = {90, 7, 33, 120};
   const std::size_t interval = engine->checkpoints().interval;
   const std::vector<CampaignJob> jobs =
-      order_campaign_jobs(config, bench->tb, subset, interval);
+      order_campaign_jobs(config, bench->tb, subset, interval, sim::HoldLinks{});
   ASSERT_EQ(jobs.size(), subset.size() * config.injections_per_ff);
   const auto key = [interval](const CampaignJob& job) {
     return std::tuple(job.cycle / interval, job.task, job.cycle);
@@ -240,8 +241,9 @@ TEST_F(MacEngineFixture, JobOrderIsSegmentThenFlipFlopThenCycle) {
     }
     EXPECT_EQ(got, want) << "task " << task;
   }
-  EXPECT_THROW((void)order_campaign_jobs(config, bench->tb, subset, 0),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)order_campaign_jobs(config, bench->tb, subset, 0, sim::HoldLinks{}),
+      std::invalid_argument);
 }
 
 TEST_F(MacEngineFixture, DeterministicAcrossThreads) {
@@ -301,10 +303,19 @@ TEST_F(MacEngineFixture, RepeatedFlowInvocationsReuseGoldenDeterministically) {
 TEST_F(MacEngineFixture, WideReplayRunnerIsBitExactAcrossReuse) {
   // The engine's per-worker runner reuse rests on this contract: a
   // WideReplayRunner's n-th run equals a fresh run_testbench with the same
-  // schedule, including after interleaved fault runs. Lanes the runner
-  // flags as golden deliver the golden frames.
+  // schedule, including after interleaved fault runs and hold-link sweeps,
+  // and its n-th sweep equals a fresh runner's. Lanes the runner flags as
+  // golden deliver the golden frames.
   const sim::CompiledStimulus stimulus(mac->netlist, bench->tb);
   const sim::GoldenCheckpoints& ckpts = engine->checkpoints();
+  // A sweep that starts off a checkpoint cycle and spans two segments.
+  const std::size_t sweep_begin = bench->tb.inject_begin + 5;
+  const std::size_t sweep_end = sweep_begin + 2 * ckpts.interval;
+  const auto sweep = [&](sim::WideReplayRunner<1>& runner) {
+    sim::HoldLinks links(mac->netlist.num_flip_flops(), sweep_begin, sweep_end);
+    const sim::LinkSweepCost cost = runner.sweep_links(sweep_begin, sweep_end, links);
+    return std::pair(links, cost);
+  };
   sim::WideReplayRunner<1> runner(stimulus, ckpts);
   const sim::RunResult clean_first = runner.run();
   sim::LaneInjection ev;
@@ -313,22 +324,42 @@ TEST_F(MacEngineFixture, WideReplayRunnerIsBitExactAcrossReuse) {
   ev.lane = 4;
   const sim::LaneInjection events[] = {ev};
   const sim::RunResult faulty = runner.run(events);
+  const auto first_sweep = sweep(runner);
+  const sim::RunResult faulty_again = runner.run(events);
+  const auto second_sweep = sweep(runner);
   const sim::RunResult clean_again = runner.run();
   const sim::RunResult reference = sim::run_testbench(mac->netlist, bench->tb);
   const sim::InjectionEvent flat_events[] = {{ev.ff_cell, ev.cycle, sim::Lanes{1} << 4}};
   const sim::RunResult flat_faulty =
       sim::run_testbench(mac->netlist, bench->tb, flat_events);
+  const sim::FrameList& golden = engine->golden().frames;
   for (std::size_t lane = 0; lane < sim::kNumLanes; ++lane) {
-    const sim::FrameList& golden = ckpts.golden_frames;
     EXPECT_EQ(sim::lane_frames(clean_first, golden, lane), reference.lane_frames[lane]);
     EXPECT_EQ(sim::lane_frames(clean_again, golden, lane), reference.lane_frames[lane]);
     EXPECT_EQ(sim::lane_frames(faulty, golden, lane), flat_faulty.lane_frames[lane]);
+    EXPECT_EQ(sim::lane_frames(faulty_again, golden, lane),
+              flat_faulty.lane_frames[lane]);
+  }
+  // A run after a sweep does the same work as one after a run.
+  EXPECT_EQ(faulty_again.cycles_simulated, faulty.cycles_simulated);
+  EXPECT_EQ(faulty_again.ops_evaluated, faulty.ops_evaluated);
+  // Both sweeps, each after a fault run, equal a fresh runner's, bit for bit
+  // and in work done.
+  sim::WideReplayRunner<1> fresh(stimulus, ckpts);
+  const auto fresh_sweep = sweep(fresh);
+  ASSERT_NE(std::count(fresh_sweep.first.links.begin(), fresh_sweep.first.links.end(), 0u),
+            static_cast<std::ptrdiff_t>(fresh_sweep.first.links.size()));
+  for (const auto* swept : {&first_sweep, &second_sweep}) {
+    EXPECT_EQ(swept->first.links, fresh_sweep.first.links);
+    EXPECT_EQ(swept->first.masks, fresh_sweep.first.masks);
+    EXPECT_EQ(swept->second.cycles_simulated, fresh_sweep.second.cycles_simulated);
+    EXPECT_EQ(swept->second.op_block_evals, fresh_sweep.second.op_block_evals);
   }
   // One sweep per simulated cycle (a restored run has no reset sweep), a
   // pass never runs past the end of the testbench (it may stop once every
   // lane is back on golden), and a dirty-set sweep visits only the ops
   // whose inputs changed, never more than the oracle's full sweep.
-  for (const sim::RunResult* run : {&clean_first, &faulty, &clean_again}) {
+  for (const sim::RunResult* run : {&clean_first, &faulty, &faulty_again, &clean_again}) {
     EXPECT_EQ(run->eval_count, run->cycles_simulated);
     EXPECT_LE(run->cycles_simulated,
               bench->tb.stimulus.num_cycles() - run->start_cycle);
@@ -455,11 +486,12 @@ TEST_F(MacEngineFixture, UnobservableUpsetsAreAnsweredWithoutLanes) {
   // The same hold links, swept here on their own, give the exact answer.
   sim::HoldLinks links(mac->netlist.num_flip_flops(), bench->tb.inject_begin,
                        bench->tb.stimulus.num_cycles());
-  sim::HoldLinkSweeper<1> sweeper(stimulus, engine->checkpoints());
-  (void)sweeper.sweep(links.window_begin, links.window_end, links);
+  sim::WideReplayRunner<1> runner(stimulus, engine->checkpoints(),
+                                  sim::WideReplayRunner<1>::link_sweep_blocks(stimulus));
+  (void)runner.sweep_links(links.window_begin, links.window_end, links);
   const std::size_t interval = engine->checkpoints().interval;
   const std::vector<CampaignJob> jobs =
-      order_campaign_jobs(config, bench->tb, config.ff_subset, interval, &links);
+      order_campaign_jobs(config, bench->tb, config.ff_subset, interval, links);
   const auto key = [interval](const CampaignJob& job) {
     return std::tuple(job.cycle / interval, job.task, job.cycle);
   };
@@ -550,10 +582,11 @@ void check_hold_link_bits(const std::vector<std::size_t>& cuts) {
   const CampaignEngine engine(c.nl, c.tb);
   const sim::CompiledStimulus stimulus(c.nl, c.tb);
   sim::HoldLinks links(c.nl.num_flip_flops(), c.tb.inject_begin, kHoldCycles);
-  sim::HoldLinkSweeper<W> sweeper(stimulus, engine.checkpoints());
+  sim::WideReplayRunner<W> runner(stimulus, engine.checkpoints(),
+                                  sim::WideReplayRunner<W>::link_sweep_blocks(stimulus));
   std::size_t begin = c.tb.inject_begin;
   for (const std::size_t end : cuts) {
-    const sim::LinkSweepCost cost = sweeper.sweep(begin, end, links);
+    const sim::LinkSweepCost cost = runner.sweep_links(begin, end, links);
     // Each piece resumes from the checkpoint at or before its first cycle.
     EXPECT_EQ(cost.cycles_simulated,
               end - engine.checkpoints().at_or_before(begin).cycle);
@@ -593,12 +626,12 @@ void check_hold_link_bits(const std::vector<std::size_t>& cuts) {
   // Links sized for another circuit, or cycles outside the window or the
   // testbench, are refused.
   sim::HoldLinks wrong_size(65, c.tb.inject_begin, kHoldCycles);
-  EXPECT_THROW((void)sweeper.sweep(c.tb.inject_begin, kHoldCycles, wrong_size),
+  EXPECT_THROW((void)runner.sweep_links(c.tb.inject_begin, kHoldCycles, wrong_size),
                std::invalid_argument);
-  EXPECT_THROW((void)sweeper.sweep(c.tb.inject_begin - 1, kHoldCycles, links),
+  EXPECT_THROW((void)runner.sweep_links(c.tb.inject_begin - 1, kHoldCycles, links),
                std::invalid_argument);
   sim::HoldLinks too_long(c.nl.num_flip_flops(), c.tb.inject_begin, kHoldCycles + 1);
-  EXPECT_THROW((void)sweeper.sweep(c.tb.inject_begin, kHoldCycles + 1, too_long),
+  EXPECT_THROW((void)runner.sweep_links(c.tb.inject_begin, kHoldCycles + 1, too_long),
                std::invalid_argument);
   // Outside the window nothing is linked or masked.
   for (std::size_t i = 0; i < ffs.size(); ++i) {
@@ -611,6 +644,77 @@ void check_hold_link_bits(const std::vector<std::size_t>& cuts) {
 TEST(HoldLinks, ExactBitsAt64) { check_hold_link_bits<1>({kHoldCycles}); }
 TEST(HoldLinks, ExactBitsAt256InPieces) { check_hold_link_bits<4>({7, 16, kHoldCycles}); }
 TEST(HoldLinks, ExactBitsAt512InPieces) { check_hold_link_bits<8>({3, 17, kHoldCycles}); }
+
+TEST(HoldLinks, LoopbackToggledBeforeAnOffCheckpointSweep) {
+  // A hold-enabled register whose enable arrives through a loopback from a
+  // toggle flip-flop, so the enable's golden value changes every cycle. A
+  // sweep that resumes cycles before its first cycle must carry the golden
+  // loopback values through them: its bits equal those of a sweep that
+  // starts on a checkpoint, and the pinned ones.
+  netlist::NetlistBuilder b("looped_enable");
+  const netlist::NetId valid = b.input("valid");
+  const netlist::NetId d_in = b.input("d_in");
+  const netlist::NetId loop_in = b.input("loop_in");
+  const netlist::FlipFlop toggle =
+      b.dff_loop([&](netlist::NetId q) { return b.inv(q); }, false, "toggle");
+  const netlist::FlipFlop gated = b.dff_loop(
+      [&](netlist::NetId q) { return b.mux2(q, d_in, loop_in); }, false, "gated");
+  const netlist::NetId zero = b.constant(false);
+  b.output(gated.q, "data0");
+  sim::Testbench tb;
+  const netlist::Netlist nl = b.build();
+  tb.stimulus = sim::Stimulus(nl.primary_inputs().size(), kHoldCycles);
+  for (std::size_t cycle = 0; cycle < kHoldCycles; ++cycle) {
+    tb.stimulus.set(0, cycle, hold_valid_at(cycle));
+    tb.stimulus.set(1, cycle, cycle % 3 == 0);
+  }
+  tb.loopbacks.push_back(sim::Loopback{toggle.q, loop_in, false});
+  tb.monitor.valid = valid;
+  tb.monitor.sop = zero;
+  tb.monitor.eop = zero;
+  tb.monitor.err = zero;
+  tb.monitor.data = {gated.q};
+  tb.inject_begin = 2;
+  tb.inject_end = 20;
+  const sim::CompiledStimulus stimulus(nl, tb);
+  const auto record = [&](std::size_t interval) {
+    sim::GoldenCheckpoints ckpts;
+    ckpts.interval = interval;
+    (void)sim::run_golden(stimulus, &ckpts);
+    return ckpts;
+  };
+  const sim::GoldenCheckpoints every_cycle = record(1);
+  const sim::GoldenCheckpoints sparse = record(kHoldCycles);
+  sim::WideReplayRunner<1> on(stimulus, every_cycle,
+                              sim::WideReplayRunner<1>::link_sweep_blocks(stimulus));
+  sim::WideReplayRunner<1> off(stimulus, sparse,
+                               sim::WideReplayRunner<1>::link_sweep_blocks(stimulus));
+  const std::size_t g = nl.cell(nl.flip_flops()[0]).name == "gated" ? 0 : 1;
+  // The loopback latches the toggle's Q (0, 1, 0, ...) for the next cycle
+  // and starts at 0, so the register loads on every even cycle but 0.
+  const auto enabled = [](std::size_t cycle) { return cycle > 0 && cycle % 2 == 0; };
+  for (std::size_t begin = tb.inject_begin; begin < kHoldCycles; ++begin) {
+    sim::HoldLinks want(nl.num_flip_flops(), begin, kHoldCycles);
+    sim::HoldLinks got(nl.num_flip_flops(), begin, kHoldCycles);
+    const sim::LinkSweepCost on_cost = on.sweep_links(begin, kHoldCycles, want);
+    const sim::LinkSweepCost off_cost = off.sweep_links(begin, kHoldCycles, got);
+    EXPECT_EQ(on_cost.cycles_simulated, kHoldCycles - begin);
+    EXPECT_EQ(off_cost.cycles_simulated, kHoldCycles) << "resumes from cycle 0";
+    EXPECT_EQ(got.links, want.links) << "begin " << begin;
+    EXPECT_EQ(got.masks, want.masks) << "begin " << begin;
+    for (std::size_t cycle = begin; cycle < kHoldCycles; ++cycle) {
+      const std::string at =
+          "begin " + std::to_string(begin) + " cycle " + std::to_string(cycle);
+      const bool seen = hold_valid_at(cycle);
+      const bool last = cycle + 1 == kHoldCycles;
+      EXPECT_EQ(got.link(g, cycle), !seen && !last && !enabled(cycle)) << at;
+      EXPECT_EQ(got.masked(g, cycle), !seen && (last || enabled(cycle))) << at;
+      // A flip that reaches the loopback source is never a link, nor masked.
+      EXPECT_FALSE(got.link(1 - g, cycle)) << at;
+      EXPECT_FALSE(got.masked(1 - g, cycle)) << at;
+    }
+  }
+}
 
 TEST(HoldLinks, SameBitsAtEveryWidthAndGrouping) {
   // At 64 lanes a sweep holds at most 511 flip-flops besides the golden
@@ -625,8 +729,9 @@ TEST(HoldLinks, SameBitsAtEveryWidthAndGrouping) {
     constexpr std::size_t W = decltype(width_tag)::value;
     sim::HoldLinks links(mac.netlist.num_flip_flops(), bench.tb.inject_begin,
                          bench.tb.stimulus.num_cycles());
-    sim::HoldLinkSweeper<W> sweeper(stimulus, engine.checkpoints());
-    (void)sweeper.sweep(links.window_begin, links.window_end, links);
+    sim::WideReplayRunner<W> runner(stimulus, engine.checkpoints(),
+                                    sim::WideReplayRunner<W>::link_sweep_blocks(stimulus));
+    (void)runner.sweep_links(links.window_begin, links.window_end, links);
     return links;
   };
   const sim::HoldLinks narrow = sweep(std::integral_constant<std::size_t, 1>{});

@@ -357,12 +357,12 @@ TEST(WideDirtySetEval, RestoreRejectsSizeMismatch) {
 
 /// Every lane but `skip` of two passes delivers the same frames.
 void expect_same_run(const sim::RunResult& full, const sim::RunResult& resumed,
-                     const sim::GoldenCheckpoints& ckpts, std::size_t skip) {
+                     const sim::FrameList& golden, std::size_t skip) {
   ASSERT_EQ(full.lane_frames.size(), resumed.lane_frames.size());
   for (std::size_t lane = 0; lane < full.lane_frames.size(); ++lane) {
     if (lane == skip) continue;
-    const sim::FrameList a = sim::lane_frames(full, ckpts.golden_frames, lane);
-    const sim::FrameList b = sim::lane_frames(resumed, ckpts.golden_frames, lane);
+    const sim::FrameList a = sim::lane_frames(full, golden, lane);
+    const sim::FrameList b = sim::lane_frames(resumed, golden, lane);
     ASSERT_EQ(a.size(), b.size()) << "lane " << lane;
     for (std::size_t f = 0; f < a.size(); ++f) {
       EXPECT_EQ(a[f].bytes, b[f].bytes) << "lane " << lane << " frame " << f;
@@ -387,7 +387,7 @@ void check_checkpoint_property(const netlist::Netlist& nl, const sim::Testbench&
   const sim::CompiledStimulus stimulus(nl, tb);
   sim::GoldenCheckpoints ckpts;
   ckpts.interval = interval;
-  (void)sim::run_golden(stimulus, &ckpts);
+  const sim::GoldenResult golden = sim::run_golden(stimulus, &ckpts);
   ASSERT_EQ(ckpts.snapshots.size(), (stimulus.num_cycles() + interval - 1) / interval);
   for (std::size_t k = 0; k < ckpts.snapshots.size(); ++k) {
     ASSERT_EQ(ckpts.snapshots[k].cycle, k * interval);
@@ -423,7 +423,7 @@ void check_checkpoint_property(const netlist::Netlist& nl, const sim::Testbench&
                  std::to_string(k));
     EXPECT_EQ(resumed.start_cycle, base);
     EXPECT_LE(resumed.cycles_simulated, stimulus.num_cycles() - base);
-    expect_same_run(full, resumed, ckpts, spare);
+    expect_same_run(full, resumed, golden.frames, spare);
     if (full.cycles_simulated != resumed.start_cycle + resumed.cycles_simulated) {
       continue;
     }
@@ -490,7 +490,7 @@ TEST(PackedCheckpoints, RestoreFromPackedEqualsRestoreFromWide) {
 
   sim::GoldenCheckpoints ckpts;
   ckpts.interval = 10;
-  (void)sim::run_golden(stimulus, &ckpts);
+  const sim::GoldenResult golden = sim::run_golden(stimulus, &ckpts);
 
   constexpr std::size_t kW = 4;
   constexpr std::size_t kBlocks = 2;
@@ -527,9 +527,9 @@ TEST(PackedCheckpoints, RestoreFromPackedEqualsRestoreFromWide) {
   ASSERT_EQ(from_wide.lane_frames.size(), wide.lanes());
   for (std::size_t i = 0; i < 3; ++i) {
     const sim::FrameList a =
-        sim::lane_frames(from_narrow, ckpts.golden_frames, narrow_lanes[i]);
+        sim::lane_frames(from_narrow, golden.frames, narrow_lanes[i]);
     const sim::FrameList b =
-        sim::lane_frames(from_wide, ckpts.golden_frames, wide_lanes[i]);
+        sim::lane_frames(from_wide, golden.frames, wide_lanes[i]);
     ASSERT_EQ(a.size(), b.size()) << "injection " << i;
     for (std::size_t f = 0; f < a.size(); ++f) {
       EXPECT_EQ(a[f].bytes, b[f].bytes) << "injection " << i << " frame " << f;
@@ -560,7 +560,7 @@ TEST(PackedCheckpoints, PackedStateIsOneBitPerFlipFlop) {
   const sim::CompiledStimulus stimulus(core.netlist, bench.tb);
   sim::GoldenCheckpoints ckpts;
   ckpts.interval = 8;
-  (void)sim::run_golden(stimulus, &ckpts);
+  const sim::GoldenResult golden = sim::run_golden(stimulus, &ckpts);
 
   // One bit per FF (+ loopback) per snapshot, rounded up to whole words.
   EXPECT_EQ(ckpts.state_bits.size(),
@@ -570,7 +570,7 @@ TEST(PackedCheckpoints, PackedStateIsOneBitPerFlipFlop) {
   // Golden frames are stored once, as a prefix-shared stream, not copied
   // per snapshot.
   for (const auto& snap : ckpts.snapshots) {
-    EXPECT_LE(snap.frames_completed, ckpts.golden_frames.size());
+    EXPECT_LE(snap.frames_completed, golden.frames.size());
   }
 }
 
@@ -654,7 +654,8 @@ void check_wide_matches_flat(const netlist::Netlist& nl, const sim::Testbench& t
   for (std::size_t i = 0; i < ffs.size(); i += 5) subset.push_back(i);
   std::vector<sim::LaneInjection> jobs;
   for (const fault::CampaignJob& job :
-       fault::order_campaign_jobs(config, tb, subset, ckpts.interval)) {
+       fault::order_campaign_jobs(config, tb, subset, ckpts.interval,
+                                  sim::HoldLinks{})) {
     jobs.push_back({ffs[subset[job.task]], job.cycle, 0});
   }
 

@@ -308,15 +308,6 @@ TEST(Scaler, ConstantColumnCentredNotScaled) {
   for (std::size_t r = 0; r < 3; ++r) EXPECT_DOUBLE_EQ(scaled(r, 0), 0.0);
 }
 
-TEST(Scaler, MinMaxMapsToUnitInterval) {
-  Matrix x{{0.0}, {5.0}, {10.0}};
-  MinMaxScaler scaler;
-  const Matrix scaled = scaler.fit_transform(x);
-  EXPECT_DOUBLE_EQ(scaled(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(scaled(1, 0), 0.5);
-  EXPECT_DOUBLE_EQ(scaled(2, 0), 1.0);
-}
-
 TEST(Pipeline, ScalesBeforeInnerModel) {
   // Feature 1 has a huge scale; unscaled k-NN would ignore feature 0.
   util::Rng rng(19);

@@ -141,7 +141,7 @@ TEST_F(RelayFixture, CheckpointRestoreReproducesFullRunAtPaperScale) {
   const sim::CompiledStimulus stimulus(core->netlist, bench->tb);
   sim::GoldenCheckpoints ckpts;
   ckpts.interval = 29;
-  (void)sim::run_golden(stimulus, &ckpts);
+  const sim::GoldenResult golden = sim::run_golden(stimulus, &ckpts);
   ASSERT_EQ(ckpts.snapshots.size(), (stimulus.num_cycles() + 28) / 29);
 
   const auto ffs = core->netlist.flip_flops();
@@ -171,8 +171,8 @@ TEST_F(RelayFixture, CheckpointRestoreReproducesFullRunAtPaperScale) {
     EXPECT_EQ(resumed.start_cycle, (probe_cycles[p] / 29) * 29);
     ASSERT_EQ(full.lane_frames.size(), resumed.lane_frames.size());
     for (std::size_t lane = 0; lane < kSpare; ++lane) {
-      const sim::FrameList a = sim::lane_frames(full, ckpts.golden_frames, lane);
-      const sim::FrameList b = sim::lane_frames(resumed, ckpts.golden_frames, lane);
+      const sim::FrameList a = sim::lane_frames(full, golden.frames, lane);
+      const sim::FrameList b = sim::lane_frames(resumed, golden.frames, lane);
       ASSERT_EQ(a.size(), b.size()) << "lane " << lane;
       for (std::size_t f = 0; f < a.size(); ++f) {
         ASSERT_EQ(a[f].bytes, b[f].bytes) << "lane " << lane << " frame " << f;

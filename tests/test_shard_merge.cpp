@@ -430,12 +430,13 @@ TEST_F(MacShardFixture, LoadRejectsTruncatedCorruptAndWrongVersion) {
     // carried the replay mode and checkpoint interval in `config`, version
     // 3 shards were cut from the cycle-only job order, version 4 lacked
     // proven_injections, version 5 re-sliced the tail into narrower
-    // passes and carried checkpoint_bytes_unpacked, and version 6 lacked
-    // collapsed_injections and gave every injection its own lane.
+    // passes and carried checkpoint_bytes_unpacked, version 6 lacked
+    // collapsed_injections and gave every injection its own lane, and
+    // version 7 counted a copy of the golden frames in checkpoint_bytes.
     const std::string header =
         "ffr-partial " + std::to_string(kPartialFormatVersion);
     ASSERT_EQ(text.find(header), 0u);
-    for (const char* version : {"9", "6", "5", "4", "3", "2", "1"}) {
+    for (const char* version : {"9", "7", "6", "5", "4", "3", "2", "1"}) {
       std::string wrong_version = text;
       wrong_version.replace(0, header.size(),
                             std::string("ffr-partial ") + version);
