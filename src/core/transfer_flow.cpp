@@ -1,7 +1,6 @@
 #include "core/transfer_flow.hpp"
 
 #include <fstream>
-#include <istream>
 #include <ostream>
 #include <stdexcept>
 
@@ -69,43 +68,33 @@ void TransferModel::save(const std::filesystem::path& path) const {
   }
 }
 
-TransferModel TransferModel::load(std::istream& is) {
-  namespace io = ml::io;
-  const std::string magic = io::read_token(is);
-  if (magic != "ffr-transfer") {
-    throw std::runtime_error("TransferModel::load: bad magic '" + magic +
-                             "' (not an ffr transfer-model file)");
-  }
-  const std::uint64_t version = io::read_size(is);
-  if (version != 1) {
-    throw std::runtime_error(
-        "TransferModel::load: unsupported format version " +
-        std::to_string(version) + " (expected 1)");
-  }
+TransferModel TransferModel::read(const util::TokenReader& r) {
+  r.expect_header("ffr-transfer", 1);
   TransferModel model;
-  io::expect_token(is, "model_name");
-  model.model_name_ = io::read_token(is);
-  io::expect_token(is, "circuits");
-  const auto num_circuits = static_cast<std::size_t>(io::read_size(is));
-  for (std::size_t i = 0; i < num_circuits; ++i) {
-    model.train_circuits_.push_back(io::read_token(is));
+  r.expect("model_name");
+  model.model_name_ = r.token();
+  r.expect("circuits");
+  const std::uint64_t num_circuits = r.u64(ml::io::kMaxCount);
+  for (std::uint64_t i = 0; i < num_circuits; ++i) {
+    model.train_circuits_.push_back(r.token());
   }
-  io::expect_token(is, "rows");
-  model.train_rows_ = static_cast<std::size_t>(io::read_size(is));
-  io::expect_token(is, "norms");
-  const auto num_norms = static_cast<std::size_t>(io::read_size(is));
-  for (std::size_t i = 0; i < num_norms; ++i) {
-    const std::uint64_t value = io::read_size(is);
-    if (value > 2) {
-      throw std::runtime_error("TransferModel::load: invalid ColumnNorm " +
-                               std::to_string(value));
-    }
+  r.expect("rows");
+  model.train_rows_ = static_cast<std::size_t>(r.u64(ml::io::kMaxCount));
+  r.expect("norms");
+  const std::uint64_t num_norms = r.u64(ml::io::kMaxCount);
+  for (std::uint64_t i = 0; i < num_norms; ++i) {
+    const std::uint64_t value = r.u64(ml::io::kMaxCount);
+    if (value > 2) r.fail("invalid ColumnNorm " + std::to_string(value));
     model.norms_.norms.push_back(
         static_cast<features::ColumnNorm>(static_cast<int>(value)));
   }
-  model.model_ = ml::load_model(is);
-  io::expect_token(is, "end");
+  model.model_ = ml::load_model(r);
+  r.expect("end");
   return model;
+}
+
+TransferModel TransferModel::load(std::istream& is) {
+  return read(util::TokenReader(is, "TransferModel::load"));
 }
 
 TransferModel TransferModel::load(const std::filesystem::path& path) {
@@ -114,7 +103,7 @@ TransferModel TransferModel::load(const std::filesystem::path& path) {
     throw std::runtime_error("TransferModel::load: cannot open " +
                              path.string());
   }
-  return load(is);
+  return read(util::TokenReader(is, path.string()));
 }
 
 TransferModel train_transfer_model(std::span<const TransferSample> samples,

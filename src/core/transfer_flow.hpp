@@ -27,6 +27,7 @@
 #include "ml/model.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/testbench.hpp"
+#include "util/token_reader.hpp"
 
 namespace ffr::core {
 
@@ -88,18 +89,22 @@ class TransferModel {
   [[nodiscard]] linalg::Vector predict(
       const features::FeatureMatrix& features) const;
 
-  /// Writes the model in the versioned `ffr-transfer` text format: a header,
-  /// provenance, the per-column normalization modes, and the nested fitted
-  /// model block (serialize.hpp format).
+  /// Writes the model in the versioned `ffr-transfer` text format
+  /// (util/token_reader.hpp token rules): the header `ffr-transfer 1`,
+  /// `model_name <name>`, `circuits <n> <names...>`, `rows <n>`,
+  /// `norms <n> <modes...>`, the nested fitted model block (serialize.hpp
+  /// format) and `end`.
   void save(std::ostream& os) const;
   /// save() into a new file at `path`.
   /// \throws std::runtime_error when the file cannot be opened.
   void save(const std::filesystem::path& path) const;
 
   /// Reads a model written by save().
-  /// \throws std::runtime_error on bad magic/version or a corrupt body.
+  /// \throws std::runtime_error positioned as
+  ///         `TransferModel::load: <what> (at byte N)` on bad magic/version
+  ///         or a corrupt body.
   [[nodiscard]] static TransferModel load(std::istream& is);
-  /// load() from the file at `path`.
+  /// load() from the file at `path`; errors name the path.
   /// \throws std::runtime_error when the file cannot be opened or is corrupt.
   [[nodiscard]] static TransferModel load(const std::filesystem::path& path);
 
@@ -125,6 +130,9 @@ class TransferModel {
       std::span<const TransferSample> samples, const TransferConfig& config);
 
   TransferModel() = default;
+
+  /// The body of both load() overloads.
+  static TransferModel read(const util::TokenReader& r);
 
   std::unique_ptr<ml::Regressor> model_;
   features::DomainScalerConfig norms_;

@@ -78,7 +78,9 @@ CampaignResult run_campaign(const netlist::Netlist& nl, const sim::Testbench& tb
   std::vector<std::uint64_t> sim_ops(subset.size(), 0);
 
   util::ThreadPool pool(config.num_threads);
-  pool.parallel_for(subset.size(), [&](std::size_t task) {
+  // Chunks of one flip-flop: each call's `begin` is its task.
+  pool.parallel_for_chunked(subset.size(), 1, [&](std::size_t task, std::size_t,
+                                                  std::size_t) {
     const std::size_t ff_index = subset[task];
     const netlist::CellId cell = ffs[ff_index];
 

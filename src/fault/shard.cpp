@@ -1,99 +1,14 @@
 #include "fault/shard.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <istream>
-#include <limits>
 #include <ostream>
 #include <stdexcept>
 
 #include "sim/lane_block.hpp"
+#include "util/token_reader.hpp"
 
 namespace ffr::fault {
-
-namespace {
-
-/// 17 significant digits round-trip IEEE-754 binary64 exactly, matching the
-/// ml/serialize convention (fault/ does not link against ml/).
-void write_double(std::ostream& os, double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  os << buffer;
-}
-
-/// Strict positioned token reader: every failure names the source and the
-/// stream offset, so a truncated or corrupt partial is diagnosable without
-/// opening the file.
-struct Reader {
-  std::istream& is;
-  const std::string& source;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    is.clear();
-    const auto pos = is.tellg();
-    const std::string at =
-        pos < 0 ? "end of stream"
-                : "byte " + std::to_string(static_cast<long long>(pos));
-    throw std::runtime_error(source + ": " + what + " (at " + at + ")");
-  }
-
-  std::string token() const {
-    std::string t;
-    if (!(is >> t)) fail("unexpected end of stream");
-    return t;
-  }
-
-  void expect(std::string_view expected) const {
-    const std::string t = token();
-    if (t != expected) {
-      fail("expected '" + std::string(expected) + "', got '" + t + "'");
-    }
-  }
-
-  std::uint64_t u64(std::uint64_t max =
-                        std::numeric_limits<std::uint64_t>::max()) const {
-    const std::string t = token();
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long value = std::strtoull(t.c_str(), &end, 10);
-    if (end != t.c_str() + t.size() || t.empty() || t[0] == '-' ||
-        errno == ERANGE) {
-      fail("malformed count '" + t + "'");
-    }
-    if (value > max) {
-      fail("count " + t + " exceeds the sanity limit " + std::to_string(max));
-    }
-    return value;
-  }
-
-  double dbl() const {
-    const std::string t = token();
-    char* end = nullptr;
-    const double value = std::strtod(t.c_str(), &end);
-    if (end != t.c_str() + t.size()) fail("malformed number '" + t + "'");
-    return value;
-  }
-
-  /// Length-prefixed byte string: "<length> <bytes>" with exactly one
-  /// separator, so names and warnings survive embedded whitespace.
-  std::string bytes(std::uint64_t max_len = std::uint64_t{1} << 20) const {
-    const std::uint64_t len = u64(max_len);
-    if (is.get() == std::char_traits<char>::eof()) {
-      fail("unexpected end of stream in byte string");
-    }
-    std::string value(static_cast<std::size_t>(len), '\0');
-    if (!is.read(value.data(), static_cast<std::streamsize>(len))) {
-      fail("byte string truncated (expected " + std::to_string(len) +
-           " bytes)");
-    }
-    return value;
-  }
-};
-
-}  // namespace
 
 void CampaignPartial::save(std::ostream& os) const {
   os << "ffr-partial " << kPartialFormatVersion << " campaign_shard\n";
@@ -109,7 +24,7 @@ void CampaignPartial::save(std::ostream& os) const {
      << result.op_block_evals << ' ' << result.ff_block_ticks << ' '
      << result.checkpoint_restores << ' ' << result.checkpoint_bytes << '\n';
   os << "wall ";
-  write_double(os, result.wall_seconds);
+  util::write_double(os, result.wall_seconds);
   os << '\n';
   os << "histogram " << result.pass_histogram.size() << '\n';
   for (const PassShapeCount& shape : result.pass_histogram) {
@@ -147,16 +62,8 @@ void CampaignPartial::save_file(const std::filesystem::path& path) const {
 
 CampaignPartial CampaignPartial::load(std::istream& is,
                                       const std::string& source) {
-  const Reader r{is, source};
-  const std::string magic = r.token();
-  if (magic != "ffr-partial") {
-    r.fail("bad magic '" + magic + "', expected 'ffr-partial'");
-  }
-  const std::uint64_t version = r.u64();
-  if (version != static_cast<std::uint64_t>(kPartialFormatVersion)) {
-    r.fail("unsupported format version " + std::to_string(version) +
-           " (supported: " + std::to_string(kPartialFormatVersion) + ")");
-  }
+  const util::TokenReader r(is, source);
+  r.expect_header("ffr-partial", kPartialFormatVersion);
   r.expect("campaign_shard");
 
   CampaignPartial partial;

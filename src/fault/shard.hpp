@@ -17,7 +17,8 @@
 ///
 /// ## Partial file format
 ///
-/// Same tagged whitespace-token family as ml/serialize (`ffr-model ...`):
+/// The token rules (doubles, byte strings, the `end` sentinel, positioned
+/// errors) are util/token_reader.hpp's; the fields are:
 ///
 ///     ffr-partial <version> campaign_shard
 ///     engine <content-hash-hex>
@@ -35,11 +36,7 @@
 ///     warnings <n>   then n rows of <length> <bytes>
 ///     end
 ///
-/// Doubles use 17 significant digits (exact binary64 round-trip); names and
-/// warnings are length-prefixed byte strings so embedded spaces survive. The
-/// closing `end` sentinel makes truncation always detectable. Loading is
-/// strict: every malformed token raises a `std::runtime_error` positioned as
-/// `<source>: <what> (at byte N)`.
+/// Names and warnings are byte strings, so embedded spaces survive.
 ///
 /// ## Resume rules
 ///
@@ -112,7 +109,7 @@ struct CampaignPartial {
   /// \throws std::runtime_error when the file cannot be opened.
   void save_file(const std::filesystem::path& path) const;
   /// Reads one partial; `source` names the stream in error messages.
-  /// \throws std::runtime_error positioned as "<source>: <what> (at byte N)"
+  /// \throws std::runtime_error positioned as `<source>: <what> (at byte N)`
   ///         on a bad magic/version/tag, malformed field, inconsistent class
   ///         sums, or truncation.
   [[nodiscard]] static CampaignPartial load(std::istream& is,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <ostream>
 
 #include "ml/serialize.hpp"
@@ -67,32 +66,32 @@ void KnnRegressor::save(std::ostream& os) const {
   if (!is_fitted()) throw std::logic_error("knn save: not fitted");
   io::write_header(os, "knn");
   os << "k " << k_ << "\np ";
-  io::write_double(os, p_);
+  util::write_double(os, p_);
   os << "\nweights " << static_cast<int>(weights_) << '\n';
   io::write_matrix(os, "train_x", train_x_);
   io::write_vector(os, "train_y", train_y_);
   os << "end\n";
 }
 
-std::unique_ptr<KnnRegressor> KnnRegressor::load_body(std::istream& is) {
-  io::expect_token(is, "k");
-  const auto k = static_cast<std::size_t>(io::read_size(is));
-  io::expect_token(is, "p");
-  const double p = io::read_double(is);
-  io::expect_token(is, "weights");
-  const std::uint64_t weights = io::read_size(is);
+std::unique_ptr<KnnRegressor> KnnRegressor::load_body(
+    const util::TokenReader& r) {
+  r.expect("k");
+  const auto k = static_cast<std::size_t>(r.u64(io::kMaxCount));
+  r.expect("p");
+  const double p = r.dbl();
+  r.expect("weights");
+  const std::uint64_t weights = r.u64(io::kMaxCount);
   if (weights > 1) {
-    throw std::runtime_error("load_model: knn weights must be 0 or 1, got " +
-                             std::to_string(weights));
+    r.fail("knn weights must be 0 or 1, got " + std::to_string(weights));
   }
   auto model = std::make_unique<KnnRegressor>(
       k, p, weights != 0 ? KnnWeights::kDistance : KnnWeights::kUniform);
-  model->train_x_ = io::read_matrix(is, "train_x");
-  model->train_y_ = io::read_vector(is, "train_y");
+  model->train_x_ = io::read_matrix(r, "train_x");
+  model->train_y_ = io::read_vector(r, "train_y");
   if (model->train_y_.size() != model->train_x_.rows()) {
-    throw std::runtime_error("load_model: knn train_x/train_y row mismatch");
+    r.fail("knn train_x/train_y row mismatch");
   }
-  io::expect_token(is, "end");
+  r.expect("end");
   return model;
 }
 

@@ -26,7 +26,8 @@ class KnnRegressor final : public Regressor {
 
   void save(std::ostream& os) const override;
   /// Reads the body written by save() (header already consumed).
-  [[nodiscard]] static std::unique_ptr<KnnRegressor> load_body(std::istream& is);
+  [[nodiscard]] static std::unique_ptr<KnnRegressor> load_body(
+      const util::TokenReader& r);
 
   /// Parameters: "k" (>=1), "p" (Minkowski exponent), "weights" (0 uniform,
   /// 1 inverse distance).

@@ -1,6 +1,5 @@
 #include "ml/linear.hpp"
 
-#include <istream>
 #include <ostream>
 
 #include "linalg/decompositions.hpp"
@@ -31,19 +30,19 @@ void LinearLeastSquares::save(std::ostream& os) const {
   if (!fitted_) throw std::logic_error("linear_least_squares save: not fitted");
   io::write_header(os, "linear_least_squares");
   os << "intercept ";
-  io::write_double(os, intercept_);
+  util::write_double(os, intercept_);
   os << '\n';
   io::write_vector(os, "coef", coef_);
   os << "end\n";
 }
 
 std::unique_ptr<LinearLeastSquares> LinearLeastSquares::load_body(
-    std::istream& is) {
+    const util::TokenReader& r) {
   auto model = std::make_unique<LinearLeastSquares>();
-  io::expect_token(is, "intercept");
-  model->intercept_ = io::read_double(is);
-  model->coef_ = io::read_vector(is, "coef");
-  io::expect_token(is, "end");
+  r.expect("intercept");
+  model->intercept_ = r.dbl();
+  model->coef_ = io::read_vector(r, "coef");
+  r.expect("end");
   model->fitted_ = true;
   return model;
 }
@@ -93,21 +92,22 @@ void RidgeRegression::save(std::ostream& os) const {
   if (!fitted_) throw std::logic_error("ridge save: not fitted");
   io::write_header(os, "ridge");
   os << "alpha ";
-  io::write_double(os, alpha_);
+  util::write_double(os, alpha_);
   os << "\nintercept ";
-  io::write_double(os, intercept_);
+  util::write_double(os, intercept_);
   os << '\n';
   io::write_vector(os, "coef", coef_);
   os << "end\n";
 }
 
-std::unique_ptr<RidgeRegression> RidgeRegression::load_body(std::istream& is) {
-  io::expect_token(is, "alpha");
-  auto model = std::make_unique<RidgeRegression>(io::read_double(is));
-  io::expect_token(is, "intercept");
-  model->intercept_ = io::read_double(is);
-  model->coef_ = io::read_vector(is, "coef");
-  io::expect_token(is, "end");
+std::unique_ptr<RidgeRegression> RidgeRegression::load_body(
+    const util::TokenReader& r) {
+  r.expect("alpha");
+  auto model = std::make_unique<RidgeRegression>(r.dbl());
+  r.expect("intercept");
+  model->intercept_ = r.dbl();
+  model->coef_ = io::read_vector(r, "coef");
+  r.expect("end");
   model->fitted_ = true;
   return model;
 }

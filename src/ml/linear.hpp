@@ -21,7 +21,7 @@ class LinearLeastSquares final : public Regressor {
   /// Reads the body written by save() (header already consumed by
   /// ml::load_model).
   [[nodiscard]] static std::unique_ptr<LinearLeastSquares> load_body(
-      std::istream& is);
+      const util::TokenReader& r);
 
   [[nodiscard]] double intercept() const noexcept { return intercept_; }
   [[nodiscard]] const Vector& coefficients() const noexcept { return coef_; }
@@ -49,7 +49,7 @@ class RidgeRegression final : public Regressor {
   void save(std::ostream& os) const override;
   /// Reads the body written by save() (header already consumed).
   [[nodiscard]] static std::unique_ptr<RidgeRegression> load_body(
-      std::istream& is);
+      const util::TokenReader& r);
 
   void set_params(const ParamMap& params) override;
   [[nodiscard]] ParamMap get_params() const override { return {{"alpha", alpha_}}; }

@@ -19,6 +19,7 @@
 #include <string_view>
 
 #include "linalg/matrix.hpp"
+#include "util/token_reader.hpp"
 
 namespace ffr::ml {
 
@@ -66,7 +67,8 @@ class Regressor {
 
   /// Serializes hyperparameters plus the complete fitted state in the
   /// versioned text format of serialize.hpp; ml::load_model() reconstructs
-  /// the model and its predictions bit-identically.
+  /// the model and its predictions bit-identically, through each concrete
+  /// class's static `load_body(const util::TokenReader&)`.
   /// \throws std::logic_error when the model is not fitted.
   virtual void save(std::ostream& os) const = 0;
 

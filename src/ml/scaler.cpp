@@ -43,12 +43,12 @@ void StandardScaler::save(std::ostream& os) const {
   io::write_vector(os, "scaler_std", std_);
 }
 
-StandardScaler StandardScaler::load(std::istream& is) {
+StandardScaler StandardScaler::load(const util::TokenReader& r) {
   StandardScaler scaler;
-  scaler.mean_ = io::read_vector(is, "scaler_mean");
-  scaler.std_ = io::read_vector(is, "scaler_std");
+  scaler.mean_ = io::read_vector(r, "scaler_mean");
+  scaler.std_ = io::read_vector(r, "scaler_std");
   if (scaler.std_.size() != scaler.mean_.size()) {
-    throw std::runtime_error("StandardScaler::load: mean/std size mismatch");
+    r.fail("scaler mean/std size mismatch");
   }
   return scaler;
 }

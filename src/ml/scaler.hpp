@@ -10,6 +10,7 @@
 #include <iosfwd>
 
 #include "linalg/matrix.hpp"
+#include "util/token_reader.hpp"
 
 namespace ffr::ml {
 
@@ -48,7 +49,7 @@ class StandardScaler {
 
   /// Reads a block written by save().
   /// \throws std::runtime_error on a malformed or truncated block.
-  [[nodiscard]] static StandardScaler load(std::istream& is);
+  [[nodiscard]] static StandardScaler load(const util::TokenReader& r);
 
  private:
   linalg::Vector mean_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <limits>
 #include <ostream>
 
@@ -69,57 +68,55 @@ void SvrRegressor::save(std::ostream& os) const {
   if (!fitted_) throw std::logic_error("svr save: not fitted");
   io::write_header(os, "svr");
   os << "config ";
-  io::write_double(os, config_.c);
+  util::write_double(os, config_.c);
   os << ' ';
-  io::write_double(os, config_.epsilon);
+  util::write_double(os, config_.epsilon);
   os << ' ';
-  io::write_double(os, config_.gamma);
+  util::write_double(os, config_.gamma);
   os << ' ' << static_cast<int>(config_.kernel) << ' ' << config_.poly_degree
      << ' ';
-  io::write_double(os, config_.tol);
+  util::write_double(os, config_.tol);
   os << ' ' << config_.max_passes << '\n';
   os << "n_features " << n_features_ << "\nbias ";
-  io::write_double(os, bias_);
+  util::write_double(os, bias_);
   os << '\n';
   io::write_matrix(os, "support_x", support_x_);
   io::write_vector(os, "support_beta", support_beta_);
   os << "end\n";
 }
 
-std::unique_ptr<SvrRegressor> SvrRegressor::load_body(std::istream& is) {
-  io::expect_token(is, "config");
+std::unique_ptr<SvrRegressor> SvrRegressor::load_body(
+    const util::TokenReader& r) {
+  r.expect("config");
   SvrConfig config;
-  config.c = io::read_double(is);
-  config.epsilon = io::read_double(is);
-  config.gamma = io::read_double(is);
-  const std::uint64_t kernel = io::read_size(is);
+  config.c = r.dbl();
+  config.epsilon = r.dbl();
+  config.gamma = r.dbl();
+  const std::uint64_t kernel = r.u64(io::kMaxCount);
   if (kernel > 2) {
-    throw std::runtime_error("load_model: svr kernel must be 0..2, got " +
-                             std::to_string(kernel));
+    r.fail("svr kernel must be 0..2, got " + std::to_string(kernel));
   }
   config.kernel = static_cast<SvrKernel>(static_cast<int>(kernel));
-  config.poly_degree = static_cast<int>(io::read_size(is));
-  config.tol = io::read_double(is);
-  config.max_passes = static_cast<std::size_t>(io::read_size(is));
+  config.poly_degree = static_cast<int>(r.u64(io::kMaxCount));
+  config.tol = r.dbl();
+  config.max_passes = static_cast<std::size_t>(r.u64(io::kMaxCount));
   auto model = std::make_unique<SvrRegressor>(config);
-  io::expect_token(is, "n_features");
-  model->n_features_ = static_cast<std::size_t>(io::read_size(is));
-  io::expect_token(is, "bias");
-  model->bias_ = io::read_double(is);
-  model->support_x_ = io::read_matrix(is, "support_x");
-  model->support_beta_ = io::read_vector(is, "support_beta");
+  r.expect("n_features");
+  model->n_features_ = static_cast<std::size_t>(r.u64(io::kMaxCount));
+  r.expect("bias");
+  model->bias_ = r.dbl();
+  model->support_x_ = io::read_matrix(r, "support_x");
+  model->support_beta_ = io::read_vector(r, "support_beta");
   if (model->support_beta_.size() != model->support_x_.rows()) {
-    throw std::runtime_error(
-        "load_model: svr support_x/support_beta row mismatch");
+    r.fail("svr support_x/support_beta row mismatch");
   }
   if (model->support_x_.rows() > 0 &&
       model->support_x_.cols() != model->n_features_) {
-    throw std::runtime_error(
-        "load_model: svr n_features " + std::to_string(model->n_features_) +
-        " does not match support_x with " +
-        std::to_string(model->support_x_.cols()) + " columns");
+    r.fail("svr n_features " + std::to_string(model->n_features_) +
+           " does not match support_x with " +
+           std::to_string(model->support_x_.cols()) + " columns");
   }
-  io::expect_token(is, "end");
+  r.expect("end");
   model->fitted_ = true;
   return model;
 }

@@ -39,7 +39,8 @@ class SvrRegressor final : public Regressor {
   void save(std::ostream& os) const override;
   /// Reads the body written by save() (header already consumed). final_gap()
   /// is a training diagnostic and is not persisted; it reloads as 0.
-  [[nodiscard]] static std::unique_ptr<SvrRegressor> load_body(std::istream& is);
+  [[nodiscard]] static std::unique_ptr<SvrRegressor> load_body(
+      const util::TokenReader& r);
 
   /// Parameters: "C", "epsilon", "gamma", "kernel" (0 rbf / 1 linear /
   /// 2 poly), "degree".

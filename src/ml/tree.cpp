@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <numeric>
 #include <ostream>
 
@@ -18,27 +17,22 @@ void write_tree_config(std::ostream& os, const TreeConfig& config) {
      << config.seed << '\n';
 }
 
-TreeConfig read_tree_config(std::istream& is) {
-  io::expect_token(is, "tree_config");
+TreeConfig read_tree_config(const util::TokenReader& r) {
+  r.expect("tree_config");
   TreeConfig config;
-  config.max_depth = static_cast<std::size_t>(io::read_size(is));
-  config.min_samples_split = static_cast<std::size_t>(io::read_size(is));
-  config.min_samples_leaf = static_cast<std::size_t>(io::read_size(is));
-  config.max_features = static_cast<std::size_t>(io::read_size(is));
-  config.seed = io::read_size(is, ~std::uint64_t{0});
+  config.max_depth = static_cast<std::size_t>(r.u64(io::kMaxCount));
+  config.min_samples_split = static_cast<std::size_t>(r.u64(io::kMaxCount));
+  config.min_samples_leaf = static_cast<std::size_t>(r.u64(io::kMaxCount));
+  config.max_features = static_cast<std::size_t>(r.u64(io::kMaxCount));
+  config.seed = r.u64();
   return config;
 }
 
 /// Reads a nested full model block and requires it to be a decision tree.
-DecisionTreeRegressor load_nested_tree(std::istream& is) {
-  io::expect_token(is, "ffr-model");
-  const std::uint64_t version = io::read_size(is);
-  if (version != static_cast<std::uint64_t>(kModelFormatVersion)) {
-    throw std::runtime_error("load_model: unsupported format version " +
-                             std::to_string(version) + " in nested tree");
-  }
-  io::expect_token(is, "decision_tree");
-  return std::move(*DecisionTreeRegressor::load_body(is));
+DecisionTreeRegressor load_nested_tree(const util::TokenReader& r) {
+  r.expect_header("ffr-model", kModelFormatVersion);
+  r.expect("decision_tree");
+  return std::move(*DecisionTreeRegressor::load_body(r));
 }
 
 }  // namespace
@@ -216,42 +210,41 @@ void DecisionTreeRegressor::save(std::ostream& os) const {
      << nodes_.size() << '\n';
   for (const Node& node : nodes_) {
     os << node.feature << ' ';
-    io::write_double(os, node.threshold);
+    util::write_double(os, node.threshold);
     os << ' ' << node.left << ' ' << node.right << ' ';
-    io::write_double(os, node.value);
+    util::write_double(os, node.value);
     os << '\n';
   }
   os << "end\n";
 }
 
 std::unique_ptr<DecisionTreeRegressor> DecisionTreeRegressor::load_body(
-    std::istream& is) {
-  auto model = std::make_unique<DecisionTreeRegressor>(read_tree_config(is));
-  io::expect_token(is, "n_features");
-  model->n_features_ = static_cast<std::size_t>(io::read_size(is));
-  io::expect_token(is, "depth");
-  model->depth_ = static_cast<std::size_t>(io::read_size(is));
-  io::expect_token(is, "nodes");
-  const auto count = static_cast<std::size_t>(io::read_size(is));
+    const util::TokenReader& r) {
+  auto model = std::make_unique<DecisionTreeRegressor>(read_tree_config(r));
+  r.expect("n_features");
+  model->n_features_ = static_cast<std::size_t>(r.u64(io::kMaxCount));
+  r.expect("depth");
+  model->depth_ = static_cast<std::size_t>(r.u64(io::kMaxCount));
+  r.expect("nodes");
+  const auto count = static_cast<std::size_t>(r.u64(io::kMaxCount));
   for (std::size_t i = 0; i < count; ++i) {
     Node node;
-    node.feature = static_cast<std::uint32_t>(io::read_size(is, ~std::uint32_t{0}));
-    node.threshold = io::read_double(is);
-    node.left = static_cast<std::uint32_t>(io::read_size(is, ~std::uint32_t{0}));
-    node.right = static_cast<std::uint32_t>(io::read_size(is, ~std::uint32_t{0}));
-    node.value = io::read_double(is);
+    node.feature = static_cast<std::uint32_t>(r.u64(~std::uint32_t{0}));
+    node.threshold = r.dbl();
+    node.left = static_cast<std::uint32_t>(r.u64(~std::uint32_t{0}));
+    node.right = static_cast<std::uint32_t>(r.u64(~std::uint32_t{0}));
+    node.value = r.dbl();
     // build() always emits children after their parent, so forward-only
     // child links also guarantee predict() terminates on any loaded file.
     if (node.feature != Node::kLeaf &&
         (node.feature >= model->n_features_ || node.left <= i ||
          node.left >= count || node.right <= i || node.right >= count)) {
-      throw std::runtime_error(
-          "load_model: decision_tree node " + std::to_string(i) +
-          " references an out-of-range feature or child");
+      r.fail("decision_tree node " + std::to_string(i) +
+             " references an out-of-range feature or child");
     }
     model->nodes_.push_back(node);
   }
-  io::expect_token(is, "end");
+  r.expect("end");
   return model;
 }
 
@@ -311,7 +304,7 @@ void RandomForestRegressor::save(std::ostream& os) const {
   if (!is_fitted()) throw std::logic_error("random_forest save: not fitted");
   io::write_header(os, "random_forest");
   os << "config " << config_.n_estimators << ' ';
-  io::write_double(os, config_.max_features_frac);
+  util::write_double(os, config_.max_features_frac);
   os << ' ' << config_.seed << '\n';
   write_tree_config(os, config_.tree);
   os << "trees " << trees_.size() << '\n';
@@ -320,23 +313,23 @@ void RandomForestRegressor::save(std::ostream& os) const {
 }
 
 std::unique_ptr<RandomForestRegressor> RandomForestRegressor::load_body(
-    std::istream& is) {
-  io::expect_token(is, "config");
+    const util::TokenReader& r) {
+  r.expect("config");
   ForestConfig config;
-  config.n_estimators = static_cast<std::size_t>(io::read_size(is));
-  config.max_features_frac = io::read_double(is);
-  config.seed = io::read_size(is, ~std::uint64_t{0});
-  config.tree = read_tree_config(is);
+  config.n_estimators = static_cast<std::size_t>(r.u64(io::kMaxCount));
+  config.max_features_frac = r.dbl();
+  config.seed = r.u64();
+  config.tree = read_tree_config(r);
   auto model = std::make_unique<RandomForestRegressor>(config);
-  io::expect_token(is, "trees");
-  const auto count = static_cast<std::size_t>(io::read_size(is));
+  r.expect("trees");
+  const auto count = static_cast<std::size_t>(r.u64(io::kMaxCount));
   if (count == 0) {
-    throw std::runtime_error("load_model: random_forest with no trees");
+    r.fail("random_forest with no trees");
   }
   for (std::size_t i = 0; i < count; ++i) {
-    model->trees_.push_back(load_nested_tree(is));
+    model->trees_.push_back(load_nested_tree(r));
   }
-  io::expect_token(is, "end");
+  r.expect("end");
   return model;
 }
 
@@ -406,36 +399,36 @@ void GradientBoostingRegressor::save(std::ostream& os) const {
   if (!fitted_) throw std::logic_error("gradient_boosting save: not fitted");
   io::write_header(os, "gradient_boosting");
   os << "config " << config_.n_estimators << ' ';
-  io::write_double(os, config_.learning_rate);
+  util::write_double(os, config_.learning_rate);
   os << ' ' << config_.seed << '\n';
   write_tree_config(os, config_.tree);
   os << "base ";
-  io::write_double(os, base_prediction_);
+  util::write_double(os, base_prediction_);
   os << "\ntrees " << trees_.size() << '\n';
   for (const auto& tree : trees_) tree.save(os);
   os << "end\n";
 }
 
 std::unique_ptr<GradientBoostingRegressor> GradientBoostingRegressor::load_body(
-    std::istream& is) {
-  io::expect_token(is, "config");
+    const util::TokenReader& r) {
+  r.expect("config");
   BoostingConfig config;
-  config.n_estimators = static_cast<std::size_t>(io::read_size(is));
-  config.learning_rate = io::read_double(is);
-  config.seed = io::read_size(is, ~std::uint64_t{0});
-  config.tree = read_tree_config(is);
+  config.n_estimators = static_cast<std::size_t>(r.u64(io::kMaxCount));
+  config.learning_rate = r.dbl();
+  config.seed = r.u64();
+  config.tree = read_tree_config(r);
   auto model = std::make_unique<GradientBoostingRegressor>(config);
-  io::expect_token(is, "base");
-  model->base_prediction_ = io::read_double(is);
-  io::expect_token(is, "trees");
-  const auto count = static_cast<std::size_t>(io::read_size(is));
+  r.expect("base");
+  model->base_prediction_ = r.dbl();
+  r.expect("trees");
+  const auto count = static_cast<std::size_t>(r.u64(io::kMaxCount));
   if (count == 0) {
-    throw std::runtime_error("load_model: gradient_boosting with no trees");
+    r.fail("gradient_boosting with no trees");
   }
   for (std::size_t i = 0; i < count; ++i) {
-    model->trees_.push_back(load_nested_tree(is));
+    model->trees_.push_back(load_nested_tree(r));
   }
-  io::expect_token(is, "end");
+  r.expect("end");
   model->fitted_ = true;
   return model;
 }

@@ -39,7 +39,7 @@ class DecisionTreeRegressor final : public Regressor {
   void save(std::ostream& os) const override;
   /// Reads the body written by save() (header already consumed).
   [[nodiscard]] static std::unique_ptr<DecisionTreeRegressor> load_body(
-      std::istream& is);
+      const util::TokenReader& r);
 
   [[nodiscard]] std::size_t num_nodes() const noexcept { return nodes_.size(); }
   [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
@@ -97,7 +97,7 @@ class RandomForestRegressor final : public Regressor {
   void save(std::ostream& os) const override;
   /// Reads the body written by save() (header already consumed).
   [[nodiscard]] static std::unique_ptr<RandomForestRegressor> load_body(
-      std::istream& is);
+      const util::TokenReader& r);
 
  private:
   ForestConfig config_;
@@ -130,7 +130,7 @@ class GradientBoostingRegressor final : public Regressor {
   void save(std::ostream& os) const override;
   /// Reads the body written by save() (header already consumed).
   [[nodiscard]] static std::unique_ptr<GradientBoostingRegressor> load_body(
-      std::istream& is);
+      const util::TokenReader& r);
 
  private:
   BoostingConfig config_;

@@ -58,14 +58,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& body) {
-  parallel_for_chunked(count, 1,
-                       [&body](std::size_t begin, std::size_t end, std::size_t) {
-                         for (std::size_t i = begin; i < end; ++i) body(i);
-                       });
-}
-
 void ThreadPool::parallel_for_chunked(
     std::size_t count, std::size_t chunk_size,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {

@@ -1,7 +1,7 @@
 #pragma once
 /// \file thread_pool.hpp
-/// \brief A small fixed-size thread pool with a parallel-for helper, used to run
-/// fault-injection campaigns and cross-validation folds concurrently.
+/// \brief A small fixed-size thread pool with a chunked parallel loop, used to
+/// run fault-injection campaigns and cross-validation folds concurrently.
 
 #include <condition_variable>
 #include <cstddef>
@@ -30,13 +30,10 @@ class ThreadPool {
   /// Block until every submitted task has finished executing.
   void wait_idle();
 
-  /// Run body(i) for i in [0, count) across the pool and wait for completion.
-  /// Exceptions thrown by `body` are rethrown (first one wins) on the caller.
-  void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
-
-  /// Chunked work-stealing variant: items [0, count) are claimed in chunks of
-  /// `chunk_size` (0 = auto: ~8 chunks per worker) from a shared atomic
-  /// counter, and body(begin, end, worker) is invoked once per claimed chunk.
+  /// Runs items [0, count) across the pool and waits for completion. Items
+  /// are claimed in chunks of `chunk_size` (0 = auto: ~8 chunks per worker)
+  /// from a shared atomic counter, and body(begin, end, worker) is invoked
+  /// once per claimed chunk.
   /// `worker` is a stable slot index in [0, size()), so callers can keep
   /// per-worker state (e.g. a reusable simulator) without locking.
   /// Exceptions thrown by `body` are rethrown (first one wins) on the caller.

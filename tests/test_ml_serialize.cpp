@@ -1,12 +1,16 @@
-// Model persistence: save -> load -> predict bit-identity across every zoo
-// model on random feature matrices, plus strict rejection of corrupt,
-// truncated and wrong-version model files.
+// Model persistence: save -> load -> predict bit-identity and save -> load
+// -> save byte-identity across every zoo model on random feature matrices,
+// plus strict, positioned rejection of corrupt, truncated, wrong-version,
+// out-of-range and over-nested model files.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "ml/knn.hpp"
 #include "ml/linear.hpp"
@@ -15,10 +19,13 @@
 #include "ml/serialize.hpp"
 #include "ml/svr.hpp"
 #include "ml/tree.hpp"
+#include "positioned_error.hpp"
 #include "util/rng.hpp"
 
 namespace ffr::ml {
 namespace {
+
+using testing_support::expect_positioned_error;
 
 struct Problem {
   Matrix x;
@@ -81,6 +88,16 @@ TEST(Serialize, RoundTripIsBitIdenticalForEveryZooModel) {
       // Exact comparison on purpose: the format must round-trip binary64.
       EXPECT_EQ(actual[i], expected[i]) << name << " row " << i;
     }
+  }
+}
+
+TEST(Serialize, SaveLoadSaveIsByteIdenticalForEveryZooModel) {
+  const Problem train = make_problem(48, 6, 0xA1);
+  for (const std::string_view name : model_zoo_names()) {
+    auto model = make_model(name);
+    model->fit(train.x, train.y);
+    const std::string saved = save_to_string(*model);
+    EXPECT_EQ(save_to_string(*round_trip(*model)), saved) << name;
   }
 }
 
@@ -177,6 +194,93 @@ TEST(Serialize, RejectsTruncatedFilesAtEveryPrefixLength) {
     }
     std::istringstream is(full.substr(0, full.size() - 4));
     EXPECT_THROW((void)load_model(is), std::runtime_error) << name;
+  }
+}
+
+TEST(Serialize, EveryPrefixCutIsAPositionedError) {
+  const Problem train = make_problem(12, 3, 0x5C);
+  auto knn = make_model("knn_paper");
+  knn->fit(train.x, train.y);
+  // Three trees keep the quadratic sweep short; the fields and the nested
+  // tree blocks are those of the zoo's gradient_boosting.
+  GradientBoostingRegressor gbr(BoostingConfig{.n_estimators = 3});
+  gbr.fit(train.x, train.y);
+  for (const std::string& full : {save_to_string(*knn), save_to_string(gbr)}) {
+    // Every prefix that drops at least one character of a token; only the
+    // trailing newline may go.
+    const std::size_t last = full.find_last_not_of(" \n");
+    for (std::size_t cut = 0; cut <= last; ++cut) {
+      std::istringstream is(full.substr(0, cut));
+      expect_positioned_error([&] { (void)load_model(is); }, "load_model");
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "cut at " << cut << " of:\n" << full.substr(0, 200);
+      }
+    }
+  }
+}
+
+/// `levels` scaled_pipeline headers, each opening the next block.
+std::string nested_pipeline_headers(std::size_t levels) {
+  std::string text;
+  for (std::size_t i = 0; i < levels; ++i) {
+    text += "ffr-model 1 scaled_pipeline scaler_mean 0 scaler_std 0 ";
+  }
+  return text;
+}
+
+TEST(Serialize, RejectsPipelinesNestedBeyondTheLimit) {
+  const Problem train = make_problem(12, 3, 0x6D);
+  auto linear = make_model("linear");
+  linear->fit(train.x, train.y);
+  const auto wrapped = [&](std::size_t levels) {
+    std::string text =
+        nested_pipeline_headers(levels) + save_to_string(*linear);
+    for (std::size_t i = 0; i < levels; ++i) text += "end\n";
+    return text;
+  };
+  {
+    std::istringstream is(wrapped(kMaxPipelineDepth));
+    EXPECT_NO_THROW((void)load_model(is));
+  }
+  {
+    std::istringstream is(wrapped(kMaxPipelineDepth + 1));
+    expect_positioned_error([&] { (void)load_model(is); }, "load_model",
+                            "nested deeper");
+  }
+}
+
+TEST(Serialize, RejectsDeeplyNestedPipelinesWithoutExhaustingTheStack) {
+  // 1.65 MB of nested headers: unbounded recursion overflows the stack.
+  const std::string text = nested_pipeline_headers(30000);
+  std::istringstream is(text);
+  expect_positioned_error([&] { (void)load_model(is); }, "load_model",
+                          "nested deeper");
+
+  // Through a file, the error names the path.
+  const auto path =
+      std::filesystem::temp_directory_path() / "ffr_test_nested_model.txt";
+  std::ofstream(path) << text;
+  expect_positioned_error([&] { (void)load_model_file(path); }, path.string(),
+                          "nested deeper");
+  std::filesystem::remove(path);
+}
+
+TEST(Serialize, RejectsOutOfRangeHyperparametersAsPositionedErrors) {
+  // The model constructors reject these with std::invalid_argument; a
+  // loader reports them like any other corrupt field.
+  const std::pair<const char*, const char*> cases[] = {
+      {"ffr-model 1 knn k 0 p 2 weights 0 train_x 0 0 train_y 0 end",
+       "k must be >= 1"},
+      {"ffr-model 1 knn k 3 p 0 weights 0 train_x 0 0 train_y 0 end",
+       "p must be >= 1"},
+      {"ffr-model 1 decision_tree tree_config 0 2 1 0 0 n_features 0 depth 0 "
+       "nodes 0 end",
+       "max_depth >= 1"},
+  };
+  for (const auto& [text, fragment] : cases) {
+    std::istringstream is(text);
+    expect_positioned_error([&] { (void)load_model(is); }, "load_model",
+                            fragment);
   }
 }
 

@@ -28,12 +28,15 @@
 #include "fault/shard.hpp"
 #include "netlist/verilog_reader.hpp"
 #include "netlist/verilog_writer.hpp"
+#include "positioned_error.hpp"
 #include "service/content_hash.hpp"
 #include "service/engine_registry.hpp"
 #include "sim/testbench.hpp"
 
 namespace ffr::fault {
 namespace {
+
+using ffr::testing_support::expect_positioned_error;
 
 /// Full bit-identity: science output AND every deterministic cost counter.
 /// (wall_seconds is wall clock and intentionally not compared.)
@@ -357,6 +360,11 @@ TEST_F(MacShardFixture, PartialRoundTripsThroughTextFormat) {
   EXPECT_EQ(loaded.seed, original.seed);
   expect_result_identical(loaded.result, original.result);
   EXPECT_EQ(loaded.result.wall_seconds, original.result.wall_seconds);
+
+  // save -> load -> save writes the same bytes.
+  std::stringstream resaved;
+  loaded.save(resaved);
+  EXPECT_EQ(resaved.str(), stream.str());
 }
 
 TEST_F(MacShardFixture, PartialFileRoundTripAndMerge) {
@@ -375,22 +383,6 @@ TEST_F(MacShardFixture, PartialFileRoundTripAndMerge) {
   config.shard = ShardSpec{};
   expect_result_identical(merge_partials(reloaded), engine->run(config));
   std::filesystem::remove_all(dir);
-}
-
-/// Expects `body` to throw a std::runtime_error whose message contains both
-/// `source` and a "(at " position marker.
-template <typename Body>
-void expect_positioned_error(const Body& body, const std::string& source,
-                             const std::string& fragment) {
-  try {
-    body();
-    FAIL() << "expected a positioned std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(source), std::string::npos) << what;
-    EXPECT_NE(what.find("(at "), std::string::npos) << what;
-    EXPECT_NE(what.find(fragment), std::string::npos) << what;
-  }
 }
 
 TEST_F(MacShardFixture, LoadRejectsTruncatedCorruptAndWrongVersion) {

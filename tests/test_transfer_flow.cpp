@@ -1,10 +1,13 @@
 // Cross-circuit transfer: DomainScaler normalization properties, the
 // train-once/predict-many flow end-to-end on real circuits (persist, reload,
-// bit-identical serving), and the shape-validation contract of fit/predict.
+// bit-identical serving, byte-identical re-save, positioned load errors),
+// and the shape-validation contract of fit/predict.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "circuits/mac_core.hpp"
@@ -17,6 +20,7 @@
 #include "ml/metrics.hpp"
 #include "ml/svr.hpp"
 #include "ml/tree.hpp"
+#include "positioned_error.hpp"
 #include "util/rng.hpp"
 
 namespace ffr {
@@ -25,6 +29,7 @@ namespace {
 using features::ColumnNorm;
 using features::DomainScaler;
 using features::DomainScalerConfig;
+using testing_support::expect_positioned_error;
 
 linalg::Matrix random_matrix(std::size_t rows, std::size_t cols,
                              std::uint64_t seed, double scale = 1.0) {
@@ -405,6 +410,69 @@ TEST(Metrics, SpearmanMatchesHandComputedValues) {
   const linalg::Vector warped = {std::exp(1.0), std::exp(2.0), std::exp(3.0),
                                  std::exp(4.0), std::exp(5.0)};
   EXPECT_NEAR(ml::spearman_rho(a, warped), 1.0, 1e-12);
+}
+
+/// A transfer model fitted on a small synthetic circuit, so the saved file
+/// stays a few kilobytes.
+core::TransferModel small_transfer_model() {
+  core::TransferSample sample;
+  sample.name = "synthetic";
+  sample.features.values = random_matrix(12, 3, 0x7A);
+  for (std::size_t r = 0; r < 12; ++r) {
+    sample.fdr.push_back(0.5 + 0.05 * sample.features.values(r, 0));
+  }
+  core::TransferConfig config;
+  config.norms = uniform_norms(3, ColumnNorm::kZScore);
+  const std::vector<core::TransferSample> samples = {sample};
+  return core::train_transfer_model(samples, config);
+}
+
+std::string save_to_string(const core::TransferModel& model) {
+  std::ostringstream os;
+  model.save(os);
+  return os.str();
+}
+
+TEST(TransferFlow, SaveLoadSaveIsByteIdentical) {
+  const std::string saved = save_to_string(small_transfer_model());
+  std::istringstream is(saved);
+  EXPECT_EQ(save_to_string(core::TransferModel::load(is)), saved);
+}
+
+TEST(TransferFlow, EveryPrefixCutIsAPositionedError) {
+  const std::string full = save_to_string(small_transfer_model());
+  // Every prefix that drops at least one character of a token; only the
+  // trailing newline may go.
+  const std::size_t last = full.find_last_not_of(" \n");
+  for (std::size_t cut = 0; cut <= last; ++cut) {
+    std::istringstream is(full.substr(0, cut));
+    expect_positioned_error([&] { (void)core::TransferModel::load(is); },
+                            "TransferModel::load");
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "cut at " << cut << " of:\n" << full.substr(0, 200);
+    }
+  }
+
+  // Through a file, the error names the path.
+  const auto path =
+      std::filesystem::temp_directory_path() / "ffr_test_transfer_cut.txt";
+  std::ofstream(path) << full.substr(0, last);
+  expect_positioned_error([&] { (void)core::TransferModel::load(path); },
+                          path.string(), "expected 'end'");
+  std::filesystem::remove(path);
+}
+
+TEST(TransferFlow, RejectsDeeplyNestedPipelinesWithoutExhaustingTheStack) {
+  // A crafted model block of 30,000 nested scaled_pipeline headers (1.65 MB)
+  // inside an otherwise valid transfer file.
+  std::string text =
+      "ffr-transfer 1 model_name knn_paper circuits 0 rows 0 norms 0 ";
+  for (int i = 0; i < 30000; ++i) {
+    text += "ffr-model 1 scaled_pipeline scaler_mean 0 scaler_std 0 ";
+  }
+  std::istringstream is(text);
+  expect_positioned_error([&] { (void)core::TransferModel::load(is); },
+                          "TransferModel::load", "nested deeper");
 }
 
 }  // namespace

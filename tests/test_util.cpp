@@ -198,23 +198,27 @@ TEST(ThreadPool, RunsAllTasks) {
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(64);
-  pool.parallel_for(64, [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_for_chunked(
+      64, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+      });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForPropagatesException) {
   ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.parallel_for(10,
-                        [&](std::size_t i) {
-                          if (i == 5) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
+  EXPECT_THROW(pool.parallel_for_chunked(
+                   10, 1,
+                   [&](std::size_t begin, std::size_t, std::size_t) {
+                     if (begin == 5) throw std::runtime_error("boom");
+                   }),
+               std::runtime_error);
 }
 
 TEST(ThreadPool, ZeroCountIsNoop) {
   ThreadPool pool(2);
-  pool.parallel_for(0, [&](std::size_t) { FAIL(); });
+  pool.parallel_for_chunked(
+      0, 1, [&](std::size_t, std::size_t, std::size_t) { FAIL(); });
 }
 
 TEST(TablePrinter, AlignsColumns) {
